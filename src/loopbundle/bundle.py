@@ -16,6 +16,7 @@ import numpy as np
 
 from . import core
 from .errors import DomainSingularity, NotInOverlap, ProjectionSingular, UnknownKind
+from .report import worst_residual
 from .zoo import LoopSpec, make_loop
 
 POLE_EPS = 1e-9
@@ -104,7 +105,7 @@ def cocycle_residual(atlas, alpha, beta, gamma, x, q_test):
     res = core.distance(L, lhs, rhs)
     rhs2 = core.product(L, core.product(L, q_bg, q_ga),
                         core.associator(L, "left", q_bg, q_ga, q_test))
-    return max(res, core.distance(L, lhs, rhs2))
+    return worst_residual(res, core.distance(L, lhs, rhs2))
 
 
 def transition_right_law_residual(atlas, alpha, beta, x, q_alpha, a):

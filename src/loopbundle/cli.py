@@ -16,7 +16,7 @@ import numpy as np
 from . import bundle, core, gauge, reconstruct, tangent
 from .dual import gcos, gsin, jacobian, primal
 from .errors import LoopError, UnknownLoop, UnknownSuite
-from .report import RunConfig, VerificationReport, default_seed
+from .report import RunConfig, VerificationReport, default_seed, worst_residual
 from .zoo import catalog_names, make_loop
 
 SUITES = ("axioms", "tangent", "jacobi", "reconstruct", "bundle", "gauge", "all")
@@ -60,7 +60,7 @@ def suite_axioms(config):
             a, b = L.sample(rng), L.sample(rng)
             _, coord = qsu2_product(complex(*a), complex(*b))
             direct = core.product(L, list(a), list(b))
-            worst = max(worst, abs(coord - complex(direct[0], direct[1])))
+            worst = worst_residual(worst, abs(coord - complex(direct[0], direct[1])))
         report.add("matrix_representation", worst, config.tol("qsu2"),
                    config.samples)
     return report
@@ -79,16 +79,16 @@ def suite_tangent(config):
     for _ in range(n):
         a = L.sample(rng)
         c = np.asarray(tangent.structure_tensor_raw(L, list(a)), dtype=float)
-        anti = max(anti, float(np.max(np.abs(c + c.transpose(0, 2, 1)))))
+        anti = worst_residual(anti, float(np.max(np.abs(c + c.transpose(0, 2, 1)))))
         if sign is not None:
             ref = _mobius_reference_structure(sign, a)
-            closed = max(closed, float(np.max(np.abs(c - ref))))
+            closed = worst_residual(closed, float(np.max(np.abs(c - ref))))
         b = L.sample(rng)
         v = tangent.TangentVector(base=np.asarray(a, dtype=float),
                                   vec=rng.standard_normal(L.dim))
         rl, rr = tangent.verify_ad_form_laws(L, list(b), list(a), v)
-        ad_left = max(ad_left, rl)
-        ad_right = max(ad_right, rr)
+        ad_left = worst_residual(ad_left, rl)
+        ad_right = worst_residual(ad_right, rr)
     report.add("structure_antisymmetry", anti, config.tol("structure"), n)
     if sign is not None:
         report.add("structure_closed_form", closed, config.tol("structure"), n)
@@ -103,7 +103,7 @@ def suite_jacobi(config):
     report = VerificationReport(suite=f"jacobi[{L.name}]")
     worst = 0.0
     for _ in range(config.samples):
-        worst = max(worst, tangent.jacobi_residual(L, list(L.sample(rng))))
+        worst = worst_residual(worst, tangent.jacobi_residual(L, list(L.sample(rng))))
     report.add("modified_jacobi", worst, config.tol("jacobi"), config.samples)
     return report
 
@@ -119,8 +119,8 @@ def suite_reconstruct(config):
         a = 0.5 * L.sample(rng)
         b = 0.5 * L.sample(rng)
         got = reconstruct.reconstruct_product(L, list(a), list(b), config.steps)
-        err = max(err, core.distance(L, got, core.product(L, a, b)))
-        mc = max(mc, reconstruct.maurer_cartan_residual(L, list(b), list(a)))
+        err = worst_residual(err, core.distance(L, got, core.product(L, a, b)))
+        mc = worst_residual(mc, reconstruct.maurer_cartan_residual(L, list(b), list(a)))
     report.add("product_reconstruction", err, config.tol("reconstruct"), n)
     report.add("maurer_cartan", mc, config.tol("maurer_cartan"), n)
     bat = reconstruct.batalin_axiom_check(
@@ -146,10 +146,10 @@ def suite_bundle(config):
         for _ in range(n):
             x = atlas.overlap_sampler(("plus", "minus"), rng)
             q = atlas.fiber_sampler(rng)
-            coc = max(coc, bundle.cocycle_residual(
+            coc = worst_residual(coc, bundle.cocycle_residual(
                 atlas, "minus", "minus", "plus", x, q))
             a = 0.5 * atlas.fiber_loop.sample(rng)
-            law = max(law, bundle.transition_right_law_residual(
+            law = worst_residual(law, bundle.transition_right_law_residual(
                 atlas, "minus", "plus", x, q, a))
         report.add(f"cocycle[{label}]", coc, tol, n)
         report.add(f"transition_right_law[{label}]", law, tol, n)
@@ -163,14 +163,14 @@ def suite_bundle(config):
                                  rng.uniform(0, 2 * np.pi))
         eta = complex(*(0.5 * L.sample(rng)))
         w1, w2 = bundle.s3_right_action(z1, z2, eta)
-        norm = max(norm, abs(abs(w1) ** 2 + abs(w2) ** 2 - 1.0))
+        norm = worst_residual(norm, abs(abs(w1) ** 2 + abs(w2) ** 2 - 1.0))
         theta_w = rng.uniform(0.3, 1.2)
         gamma = rng.uniform(0.0, 2 * np.pi)
         for k in range(1, 6):
             q1 = bundle.winding_transition(1, theta_w, gamma)
             qn = bundle.winding_transition(k, theta_w, gamma)
             it = bundle.iterate_left(L, q1, k, L.identity)
-            wind = max(wind, float(np.max(np.abs(qn - it))))
+            wind = worst_residual(wind, float(np.max(np.abs(qn - it))))
     report.add("s3_norm_preservation", norm, tol, n)
     report.add("winding_closed_form", wind, tol, 5 * n)
     return report
@@ -207,8 +207,10 @@ def suite_gauge(config):
                 acc = acc + ck[i] * v + 0.1 * ck[i] * v * v * v
             return acc
 
-        comm = max(comm, gauge.commutator_residual(form, 0, 1, f, list(x), y))
-        om_d = max(om_d, gauge.omega_annihilates_d_residual(form, list(x), y, 0))
+        comm = worst_residual(
+            comm, gauge.commutator_residual(form, 0, 1, f, list(x), y))
+        om_d = worst_residual(
+            om_d, gauge.omega_annihilates_d_residual(form, list(x), y, 0))
     report.add("commutator", comm, config.tol("commutator"), n)
     report.add("omega_annihilates_d", om_d, config.tol("omega_d"), n)
 
@@ -222,7 +224,7 @@ def suite_gauge(config):
     qmap = _phase_transition([0.2, 0.7, -0.4])
     for _ in range(5):
         x = rng.uniform(-0.8, 0.8, 2)
-        two_route = max(two_route, gauge.curvature_gauge_residual(
+        two_route = worst_residual(two_route, gauge.curvature_gauge_residual(
             qc_form, qmap, list(x)))
     report.add("gauge_two_route", two_route, config.tol("gauge_two_route"), 5)
 
@@ -239,13 +241,13 @@ def suite_gauge(config):
             form, rng.standard_normal(L.dim))(z)]
         f2 = [primal(v) for v in gauge.fundamental_field(
             form, rng.standard_normal(L.dim))(z)]
-        hor = max(hor, gauge.structure_equation_residual(
+        hor = worst_residual(hor, gauge.structure_equation_residual(
             form, x, y, h1[:2], h1[2:], h2[:2], h2[2:]))
-        vert = max(vert, gauge.structure_equation_residual(
+        vert = worst_residual(vert, gauge.structure_equation_residual(
             form, x, y, f1[:2], f1[2:], f2[:2], f2[2:]))
         ze = list(x) + e
         h1e = [primal(v) for v in gauge.hor_field(form, rng.standard_normal(2))(ze)]
-        mixed = max(mixed, gauge.structure_equation_residual(
+        mixed = worst_residual(mixed, gauge.structure_equation_residual(
             form, x, e, h1e[:2], h1e[2:], [0.0, 0.0],
             list(rng.standard_normal(L.dim))))
     tol_se = config.tol("structure_eq")
@@ -257,7 +259,7 @@ def suite_gauge(config):
     bia = 0.0
     for _ in range(3):
         x = rng.uniform(-0.4, 0.4, 3)
-        bia = max(bia, gauge.bianchi_residual(
+        bia = worst_residual(bia, gauge.bianchi_residual(
             form3, x, e, rng.standard_normal(3), rng.standard_normal(3),
             rng.standard_normal(3)))
     report.add("bianchi", bia, config.tol("bianchi"), 3)
@@ -275,7 +277,7 @@ def suite_gauge(config):
         da = np.array([[primal(v) for v in row]
                        for row in flat]).reshape(La.dim, 2, 2)
         curl = da[:, 1, 0] - da[:, 0, 1]  # d_0 A_1 - d_1 A_0
-        maxwell = max(maxwell, float(np.max(np.abs(fcur[:, 1, 0] + curl))))
+        maxwell = worst_residual(maxwell, float(np.max(np.abs(fcur[:, 1, 0] + curl))))
     report.add("abelian_maxwell", maxwell, config.tol("maxwell"), 5)
 
     f1 = gauge.make_test_potential(L, 1, config.seed + 4, kind="trig")
@@ -288,7 +290,7 @@ def suite_gauge(config):
     for _ in range(5):
         x = rng.uniform(-3, 3, 1)
         y = list(0.4 * L.sample(rng))
-        rep = max(rep, gauge.vertical_reproduction_residual(
+        rep = worst_residual(rep, gauge.vertical_reproduction_residual(
             glued, list(x), y, rng.standard_normal(L.dim)))
     report.add("glue_vertical_reproduction", rep, config.tol("glue"), 5)
     return report
@@ -472,15 +474,15 @@ def _bundle_check(config, atlas_name):
     for _ in range(n):
         x = atlas.overlap_sampler(("plus", "minus"), rng)
         q = atlas.fiber_sampler(rng)
-        coc = max(coc, bundle.cocycle_residual(
+        coc = worst_residual(coc, bundle.cocycle_residual(
             atlas, "minus", "minus", "plus", x, q))
         a = 0.5 * atlas.fiber_loop.sample(rng)
-        law = max(law, bundle.transition_right_law_residual(
+        law = worst_residual(law, bundle.transition_right_law_residual(
             atlas, "minus", "plus", x, q, a))
         p = bundle.TotalPoint(chart="minus", base=x, fiber=q)
         back = bundle.change_chart(atlas, bundle.change_chart(atlas, p, "plus"),
                                    "minus")
-        rt = max(rt, float(np.max(np.abs(back.fiber - p.fiber))))
+        rt = worst_residual(rt, float(np.max(np.abs(back.fiber - p.fiber))))
     report.add("cocycle", coc, tol, n)
     report.add("transition_right_law", law, tol, n)
     report.add("chart_round_trip", rt, tol, n)

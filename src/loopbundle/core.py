@@ -15,7 +15,7 @@ import numpy as np
 
 from .dual import pack, primal, has_dual, jacobian, gsolve
 from .errors import OutOfDomain
-from .report import VerificationReport
+from .report import VerificationReport, worst_residual
 
 TOL_EXACT = 1e-11
 NEWTON_TOL = 1e-13
@@ -162,14 +162,14 @@ def check_loop_axioms(L, n_samples, seed):
     for _ in range(n_samples):
         a = L.sample(rng)
         b = L.sample(rng)
-        id_res = max(id_res,
-                     distance(L, product(L, e, a), a),
-                     distance(L, product(L, a, e), a))
+        id_res = worst_residual(id_res,
+                                distance(L, product(L, e, a), a),
+                                distance(L, product(L, a, e), a))
         x = left_divide(L, a, b)
         y = right_divide(L, b, a)
-        div_res = max(div_res,
-                      distance(L, product(L, a, x), b),
-                      distance(L, product(L, y, a), b))
+        div_res = worst_residual(div_res,
+                                 distance(L, product(L, a, x), b),
+                                 distance(L, product(L, y, a), b))
         if not L.domain_check(product(L, a, b)):
             closure_failures += 1
     report = VerificationReport(suite=f"axioms[{L.name}]")

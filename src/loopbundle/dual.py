@@ -7,6 +7,18 @@ no finite-difference truncation error anywhere.
 
 The generic linear-algebra helpers (``gsolve``, ``ginv``) accept matrices
 whose entries are duals, which is what makes frame solves differentiable.
+
+Level dispatch.  The parts of a level-``k`` dual are numbers or duals of
+lower levels.  A binary operator on two duals compares their levels: at
+equal levels it combines the ``re`` and ``du`` parts; otherwise the
+lower-level operand is a constant with respect to the higher epsilon, and
+the result has the higher level.  A constant still enters the derivative
+part as an explicit zero (``du + 0.0``, ``ar * 0.0 + ad * b``, ...), the
+same operations the generic rule "split both operands at the higher
+level" performs.  Those zero terms carry NaN and inf from the constant
+into the derivative and fix the sign of zero results, so every result and
+every constructed node is bit-identical to that generic rule;
+``tests/test_dual.py`` keeps it as the reference.
 """
 
 import itertools
@@ -33,11 +45,13 @@ class Dual:
         self.lvl = lvl
 
     def __add__(self, other):
-        if isinstance(other, Dual):
-            lvl = max(self.lvl, other.lvl)
-            ar, ad = _parts(self, lvl)
-            br, bd = _parts(other, lvl)
-            return Dual(ar + br, ad + bd, lvl)
+        if other.__class__ is Dual:
+            lvl, olvl = self.lvl, other.lvl
+            if lvl == olvl:
+                return Dual(self.re + other.re, self.du + other.du, lvl)
+            if lvl > olvl:
+                return Dual(self.re + other, self.du + 0.0, lvl)
+            return Dual(self + other.re, 0.0 + other.du, olvl)
         if isinstance(other, _NUMBERS):
             return Dual(self.re + other, self.du, self.lvl)
         return NotImplemented
@@ -45,11 +59,13 @@ class Dual:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
-            lvl = max(self.lvl, other.lvl)
-            ar, ad = _parts(self, lvl)
-            br, bd = _parts(other, lvl)
-            return Dual(ar - br, ad - bd, lvl)
+        if other.__class__ is Dual:
+            lvl, olvl = self.lvl, other.lvl
+            if lvl == olvl:
+                return Dual(self.re - other.re, self.du - other.du, lvl)
+            if lvl > olvl:
+                return Dual(self.re - other, self.du - 0.0, lvl)
+            return Dual(self - other.re, 0.0 - other.du, olvl)
         if isinstance(other, _NUMBERS):
             return Dual(self.re - other, self.du, self.lvl)
         return NotImplemented
@@ -60,11 +76,16 @@ class Dual:
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
-            lvl = max(self.lvl, other.lvl)
-            ar, ad = _parts(self, lvl)
-            br, bd = _parts(other, lvl)
-            return Dual(ar * br, ar * bd + ad * br, lvl)
+        if other.__class__ is Dual:
+            lvl, olvl = self.lvl, other.lvl
+            if lvl == olvl:
+                ar, br = self.re, other.re
+                return Dual(ar * br, ar * other.du + self.du * br, lvl)
+            if lvl > olvl:
+                ar = self.re
+                return Dual(ar * other, ar * 0.0 + self.du * other, lvl)
+            br = other.re
+            return Dual(self * br, self * other.du + 0.0 * br, olvl)
         if isinstance(other, _NUMBERS):
             return Dual(self.re * other, self.du * other, self.lvl)
         return NotImplemented
@@ -72,13 +93,19 @@ class Dual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
-            lvl = max(self.lvl, other.lvl)
-            ar, ad = _parts(self, lvl)
-            br, bd = _parts(other, lvl)
-            inv = 1.0 / br if isinstance(br, _NUMBERS) else _reciprocal(br)
-            q = ar * inv
-            return Dual(q, (ad - q * bd) * inv, lvl)
+        if other.__class__ is Dual:
+            lvl, olvl = self.lvl, other.lvl
+            if lvl == olvl:
+                inv = _reciprocal(other.re)
+                q = self.re * inv
+                return Dual(q, (self.du - q * other.du) * inv, lvl)
+            if lvl > olvl:
+                inv = _reciprocal(other)
+                q = self.re * inv
+                return Dual(q, (self.du - q * 0.0) * inv, lvl)
+            inv = _reciprocal(other.re)
+            q = self * inv
+            return Dual(q, (0.0 - q * other.du) * inv, olvl)
         if isinstance(other, _NUMBERS):
             return Dual(self.re / other, self.du / other, self.lvl)
         return NotImplemented
@@ -115,7 +142,7 @@ def _parts(x, lvl):
 
 
 def _reciprocal(x):
-    if isinstance(x, _NUMBERS):
+    if x.__class__ is not Dual:
         return 1.0 / x
     inv = _reciprocal(x.re)
     return Dual(inv, -(x.du * inv) * inv, x.lvl)
@@ -165,13 +192,13 @@ def gtanh(x):
 def gsqrt(x):
     if isinstance(x, Dual):
         s = gsqrt(x.re)
-        return Dual(s, x.du * _generic_reciprocal(s + s), x.lvl)
+        return Dual(s, x.du * _reciprocal(s + s), x.lvl)
     return math.sqrt(x)
 
 
 def gatan(x):
     if isinstance(x, Dual):
-        return Dual(gatan(x.re), x.du * _generic_reciprocal(1.0 + x.re * x.re), x.lvl)
+        return Dual(gatan(x.re), x.du * _reciprocal(1.0 + x.re * x.re), x.lvl)
     return math.atan(x)
 
 
@@ -182,7 +209,7 @@ def gatan2(y, x):
         yr, yd = _parts(y, lvl)
         xr, xd = _parts(x, lvl)
         r2 = xr * xr + yr * yr
-        return Dual(gatan2(yr, xr), (xr * yd - yr * xd) * _generic_reciprocal(r2), lvl)
+        return Dual(gatan2(yr, xr), (xr * yd - yr * xd) * _reciprocal(r2), lvl)
     return math.atan2(y, x)
 
 
@@ -292,7 +319,7 @@ def gsolve(a, b):
         if abs(primal(aug[piv][col])) == 0.0:
             raise np.linalg.LinAlgError("singular matrix in gsolve")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _generic_reciprocal(aug[col][col])
+        inv = _reciprocal(aug[col][col])
         for r in range(n):
             if r == col:
                 continue
@@ -301,13 +328,9 @@ def gsolve(a, b):
                 continue
             for c in range(col, width):
                 aug[r][c] = aug[r][c] - factor * aug[col][c]
-    out = pack_matrix([[aug[i][n + k] * _generic_reciprocal(aug[i][i])
+    out = pack_matrix([[aug[i][n + k] * _reciprocal(aug[i][i])
                         for k in range(rhs.shape[1])] for i in range(n)])
     return out[:, 0] if vec else out
-
-
-def _generic_reciprocal(x):
-    return 1.0 / x if isinstance(x, _NUMBERS) else _reciprocal(x)
 
 
 def ginv(a):

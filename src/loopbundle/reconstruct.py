@@ -14,7 +14,7 @@ import numpy as np
 from . import core
 from .dual import Dual, dual_parts, gsolve, jacobian, next_level, pack, primal
 from .errors import StepUnderflow
-from .report import VerificationReport
+from .report import VerificationReport, worst_residual
 from .tangent import left_associator_differential, left_frame_matrix
 
 MIN_STEPS = 16
@@ -45,14 +45,27 @@ def _path_with_velocity(path, t):
              for d in dual_parts(out, lvl)])
 
 
-def _velocity(L, a, phi, path, t):
-    """Right side of the generalized Lie equation at parameter t."""
+def _canonical_velocity(L, a, path, t):
+    """The phi-free factor l_(a,b)* . omega(b) db/dt of the velocity at t."""
     bpt, bdot = _path_with_velocity(path, t)
-    q = np.asarray(left_frame_matrix(L, phi), dtype=float)
     lstar = np.asarray(left_associator_differential(L, a, bpt), dtype=float)
     omega_dot = gsolve(np.asarray(left_frame_matrix(L, bpt), dtype=float),
                        np.asarray(bdot))
-    return q @ (lstar @ omega_dot)
+    return lstar @ omega_dot
+
+
+def _velocity(L, a, phi, path, t, canonical):
+    """Right side of the generalized Lie equation at parameter t.
+
+    ``canonical`` maps each parameter t already visited in this
+    integration to its phi-free factor, which the RK4 stages at equal t
+    (k2 and k3, and one step's k4 and the next step's k1) share.
+    """
+    w = canonical.get(t)
+    if w is None:
+        w = canonical[t] = _canonical_velocity(L, a, path, t)
+    q = np.asarray(left_frame_matrix(L, phi), dtype=float)
+    return q @ w
 
 
 def reconstruct_product(L, a, b, steps, path=None, tol=None):
@@ -76,12 +89,15 @@ def reconstruct_product(L, a, b, steps, path=None, tol=None):
         path = lambda t: [t * float(v) for v in lp.target_params]
     phi = np.asarray(a, dtype=float)
     h = 1.0 / steps
+    # Keyed by the exact float t: n*h and (n-1)*h + h can differ in the
+    # last bit, and then each gets its own entry.
+    canonical = {}
     for n in range(steps):
         t = n * h
-        k1 = _velocity(L, a, list(phi), path, t)
-        k2 = _velocity(L, a, list(phi + 0.5 * h * k1), path, t + 0.5 * h)
-        k3 = _velocity(L, a, list(phi + 0.5 * h * k2), path, t + 0.5 * h)
-        k4 = _velocity(L, a, list(phi + h * k3), path, t + h)
+        k1 = _velocity(L, a, list(phi), path, t, canonical)
+        k2 = _velocity(L, a, list(phi + 0.5 * h * k1), path, t + 0.5 * h, canonical)
+        k3 = _velocity(L, a, list(phi + 0.5 * h * k2), path, t + 0.5 * h, canonical)
+        k4 = _velocity(L, a, list(phi + h * k3), path, t + h, canonical)
         phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return phi
 
@@ -143,7 +159,7 @@ def maurer_cartan_residual(L, b, a):
             for p in range(n):
                 res = (dlam[p, i, j] - dlam[j, i, p]
                        + np.einsum("mn,m,n->", c[i], lam[:, p], lam[:, j]))
-                worst = max(worst, abs(res))
+                worst = worst_residual(worst, abs(res))
     return worst
 
 

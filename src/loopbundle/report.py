@@ -7,6 +7,18 @@ from dataclasses import dataclass, field
 from .errors import ReportWriteFailure
 
 
+def worst_residual(worst, *residuals):
+    """The largest of ``worst`` and ``residuals``, NaN if any of them is NaN.
+
+    Builtin ``max(0.0, nan)`` returns 0.0, which would let a non-finite
+    residual pass its tolerance; here it stays NaN and fails the case.
+    """
+    for r in residuals:
+        if worst == worst and not r <= worst:
+            worst = r
+    return worst
+
+
 @dataclass
 class CaseResult:
     name: str
@@ -46,7 +58,7 @@ class VerificationReport:
 
     @property
     def max_residual(self):
-        return max((c.max_residual for c in self.cases), default=0.0)
+        return worst_residual(0.0, *(c.max_residual for c in self.cases))
 
     def as_dict(self):
         return {

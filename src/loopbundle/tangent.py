@@ -14,6 +14,7 @@ import numpy as np
 from . import core
 from .dual import ginv, gsolve, jacobian, pack, primal
 from .errors import SingularFrame
+from .report import worst_residual
 
 FRAME_COND_WARN = 1e8
 
@@ -134,7 +135,7 @@ def jacobi_residual(L, a):
                     quad = (c[:, i, j] @ c[p, k, :]
                             + c[:, j, k] @ c[p, i, :]
                             + c[:, k, i] @ c[p, j, :])
-                    worst = max(worst, abs(deriv + quad))
+                    worst = worst_residual(worst, abs(deriv + quad))
     return worst
 
 

@@ -320,7 +320,7 @@ def make_loop(spec):
             left_div=_mobius_left_div(sign),
             right_div=_mobius_right_div(sign),
             identity=np.zeros(2),
-            domain_check=lambda p: float(np.hypot(p[0], p[1])) < 1e3,
+            domain_check=lambda p: math.hypot(p[0], p[1]) < 1e3,
             sample=_disk_sampler(0.9),
         )
     if kind == "qh2":
@@ -331,7 +331,7 @@ def make_loop(spec):
             left_div=_disk_guard(_mobius_left_div(sign)),
             right_div=_disk_guard(_mobius_right_div(sign)),
             identity=np.zeros(2),
-            domain_check=lambda p: float(np.hypot(p[0], p[1])) < 1.0,
+            domain_check=lambda p: math.hypot(p[0], p[1]) < 1.0,
             sample=_disk_sampler(0.95),
         )
     if kind == "qhr":
@@ -345,7 +345,8 @@ def make_loop(spec):
             left_div=_qhr_left_div(K),
             right_div=_qhr_right_div(K),
             identity=np.zeros(4),
-            domain_check=lambda p: bool(np.all(np.isfinite(p)) and np.linalg.norm(p) < 1e3),
+            # NaN and inf fail the comparison, so they are rejected too.
+            domain_check=lambda p: math.hypot(*p) < 1e3,
             sample=sample,
             params={"K": K},
         )

@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopbundle import core
+from loopbundle.report import worst_residual
 from loopbundle.zoo import catalog_names, make_loop
 
 ALL_LOOPS = catalog_names()
@@ -13,6 +17,28 @@ def test_axiom_sweep(name):
     L = make_loop(name)
     report = core.check_loop_axioms(L, 500, seed=11)
     assert report.passed, [c.as_dict() for c in report.cases]
+
+
+def test_worst_residual_keeps_non_finite_values():
+    nan = float("nan")
+    assert worst_residual(0.0, 1e-3, 2e-3, 5e-4) == 2e-3
+    assert worst_residual(0.0) == 0.0
+    assert math.isnan(worst_residual(0.0, 1.0, nan, 2.0))
+    assert math.isnan(worst_residual(nan, 1.0))
+    assert worst_residual(0.0, 1.0, math.inf) == math.inf
+
+
+def test_nan_product_fails_axiom_cases():
+    qc = make_loop("qc")
+    L = dataclasses.replace(
+        qc, product=lambda a, b: [v * math.nan for v in qc.product(a, b)])
+    report = core.check_loop_axioms(L, 20, seed=11)
+    assert not report.passed
+    cases = {c.name: c for c in report.cases}
+    for name in ("identity", "division_round_trip"):
+        assert math.isnan(cases[name].max_residual)
+        assert not cases[name].passed
+    assert math.isnan(report.max_residual)
 
 
 @pytest.mark.parametrize("name", ALL_LOOPS)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -128,3 +129,207 @@ def test_product_rule(a, b, t):
     g = x * x + 1.0
     h = f * g
     assert h.du == pytest.approx(f.du * g.re + f.re * g.du, abs=1e-9)
+
+
+# -- equivalence with the reference operators ---------------------------------
+#
+# ``RefDual`` implements the generic rule: every operation on two duals
+# splits both operands with ``_ref_parts`` at the higher of their levels.
+# The level-dispatching operators of ``Dual`` must perform the same
+# operations, operand for operand: every component of every result tree,
+# the number of nodes built and the exceptions raised must match.
+
+_REF_NUMBERS = (int, float, np.floating, np.integer)
+
+
+class RefDual:
+    __slots__ = ("re", "du", "lvl")
+    nodes = 0
+
+    def __init__(self, re, du=0.0, lvl=0):
+        self.re = re
+        self.du = du
+        self.lvl = lvl
+        RefDual.nodes += 1
+
+    def __add__(self, other):
+        if isinstance(other, RefDual):
+            lvl = max(self.lvl, other.lvl)
+            ar, ad = _ref_parts(self, lvl)
+            br, bd = _ref_parts(other, lvl)
+            return RefDual(ar + br, ad + bd, lvl)
+        if isinstance(other, _REF_NUMBERS):
+            return RefDual(self.re + other, self.du, self.lvl)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, RefDual):
+            lvl = max(self.lvl, other.lvl)
+            ar, ad = _ref_parts(self, lvl)
+            br, bd = _ref_parts(other, lvl)
+            return RefDual(ar - br, ad - bd, lvl)
+        if isinstance(other, _REF_NUMBERS):
+            return RefDual(self.re - other, self.du, self.lvl)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _REF_NUMBERS):
+            return RefDual(other - self.re, -self.du, self.lvl)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, RefDual):
+            lvl = max(self.lvl, other.lvl)
+            ar, ad = _ref_parts(self, lvl)
+            br, bd = _ref_parts(other, lvl)
+            return RefDual(ar * br, ar * bd + ad * br, lvl)
+        if isinstance(other, _REF_NUMBERS):
+            return RefDual(self.re * other, self.du * other, self.lvl)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, RefDual):
+            lvl = max(self.lvl, other.lvl)
+            ar, ad = _ref_parts(self, lvl)
+            br, bd = _ref_parts(other, lvl)
+            inv = 1.0 / br if isinstance(br, _REF_NUMBERS) else _ref_reciprocal(br)
+            q = ar * inv
+            return RefDual(q, (ad - q * bd) * inv, lvl)
+        if isinstance(other, _REF_NUMBERS):
+            return RefDual(self.re / other, self.du / other, self.lvl)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _REF_NUMBERS):
+            inv = _ref_reciprocal(self)
+            return inv * other
+        return NotImplemented
+
+    def __neg__(self):
+        return RefDual(-self.re, -self.du, self.lvl)
+
+    def __pow__(self, n):
+        out = 1.0
+        for _ in range(n):
+            out = out * self if isinstance(out, RefDual) else self * out
+        return out
+
+
+def _ref_parts(x, lvl):
+    if isinstance(x, RefDual) and x.lvl == lvl:
+        return x.re, x.du
+    return x, 0.0
+
+
+def _ref_reciprocal(x):
+    if isinstance(x, _REF_NUMBERS):
+        return 1.0 / x
+    inv = _ref_reciprocal(x.re)
+    return RefDual(inv, -(x.du * inv) * inv, x.lvl)
+
+
+_BINARY = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+def _random_number(rng):
+    u = rng.random()
+    if u < 0.04:
+        return math.nan
+    if u < 0.08:
+        return rng.choice([math.inf, -math.inf])
+    if u < 0.11:
+        return rng.choice([0.0, -0.0, 0])
+    if u < 0.25:
+        return rng.randint(-3, 3)
+    if u < 0.45:
+        return np.float64(rng.uniform(-2.0, 2.0))
+    return rng.uniform(-2.0, 2.0)
+
+
+def _random_leaf(rng, top):
+    """A number, or a dual of level <= ``top`` whose parts have lower levels."""
+    if top == 0 or rng.random() < 0.3:
+        return ("num", _random_number(rng))
+    lvl = rng.randint(1, top)
+    if rng.random() < 0.3:
+        # a seed direction, as ``jacobian`` attaches them
+        du = ("num", rng.choice([0.0, 1.0]))
+    else:
+        du = _random_leaf(rng, lvl - 1)
+    return ("dual", lvl, _random_leaf(rng, lvl - 1), du)
+
+
+def _random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.15:
+        return _random_leaf(rng, 3)
+    u = rng.random()
+    if u < 0.7:
+        return ("bin", rng.choice(sorted(_BINARY)),
+                _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+    if u < 0.8:
+        return ("neg", _random_expr(rng, depth - 1))
+    if u < 0.9:
+        return ("pow", _random_expr(rng, depth - 1), rng.randint(0, 3))
+    return ("recip", _random_expr(rng, depth - 1))
+
+
+def _evaluate(spec, cls):
+    tag = spec[0]
+    if tag == "num":
+        return spec[1]
+    if tag == "dual":
+        return cls(_evaluate(spec[2], cls), _evaluate(spec[3], cls), spec[1])
+    if tag == "bin":
+        return _BINARY[spec[1]](_evaluate(spec[2], cls), _evaluate(spec[3], cls))
+    if tag == "neg":
+        return -_evaluate(spec[1], cls)
+    if tag == "pow":
+        return _evaluate(spec[1], cls) ** spec[2]
+    return 1.0 / _evaluate(spec[1], cls)
+
+
+def _tree(x, cls):
+    """Every component of ``x``, with floats by bit pattern and NaN as 'nan'."""
+    if isinstance(x, cls):
+        return ("dual", x.lvl, _tree(x.re, cls), _tree(x.du, cls))
+    if isinstance(x, (float, np.floating)):
+        return (type(x).__name__, "nan" if math.isnan(x) else float(x).hex())
+    return (type(x).__name__, repr(x))
+
+
+def _outcome(spec, cls):
+    try:
+        return _tree(_evaluate(spec, cls), cls)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return ("raised", type(exc).__name__)
+
+
+def test_level_dispatch_matches_reference_operators(monkeypatch):
+    nodes = [0]
+
+    def counting_init(obj, re, du=0.0, lvl=0):
+        obj.re = re
+        obj.du = du
+        obj.lvl = lvl
+        nodes[0] += 1
+
+    monkeypatch.setattr(Dual, "__init__", counting_init)
+    rng = random.Random(20260806)
+    seen_nan = seen_mixed = 0
+    with np.errstate(all="ignore"):
+        for _ in range(600):
+            spec = _random_expr(rng, rng.randint(1, 6))
+            nodes[0] = RefDual.nodes = 0
+            got = _outcome(spec, Dual)
+            want = _outcome(spec, RefDual)
+            assert got == want, spec
+            assert nodes[0] == RefDual.nodes, spec
+            seen_nan += "'nan'" in repr(want)
+            seen_mixed += nodes[0] > 10
+    # The sample exercises non-finite parts and nested mixed-level trees.
+    assert seen_nan > 50 and seen_mixed > 100

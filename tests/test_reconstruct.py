@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from loopbundle import core, reconstruct
+from loopbundle.dual import Dual, dual_parts, next_level, primal
 from loopbundle.errors import StepUnderflow
+from loopbundle.tangent import left_associator_differential, left_frame_matrix
 from loopbundle.zoo import make_loop
 
 
@@ -87,3 +89,45 @@ def test_companion_transformation_is_translation_conjugate():
         L, list(a),
         core.product(L, core.product(L, list(a), list(b)), list(c)))
     assert core.distance(L, out, np.asarray(direct)) < 1e-13
+
+
+def _lie_velocity(L, a, phi, path, t):
+    """Every factor of the Lie-equation velocity, recomputed at each stage."""
+    lvl = next_level()
+    out = path(Dual(t, 1.0, lvl))
+    bpt = [primal(v) for v in out]
+    bdot = [primal(d) for d in dual_parts(out, lvl)]
+    q = np.asarray(left_frame_matrix(L, phi), dtype=float)
+    lstar = np.asarray(left_associator_differential(L, a, bpt), dtype=float)
+    omega_dot = np.linalg.solve(np.asarray(left_frame_matrix(L, bpt), dtype=float),
+                                np.asarray(bdot))
+    return q @ (lstar @ omega_dot)
+
+
+def _rk4_reference(L, a, path, steps):
+    phi = np.asarray(a, dtype=float)
+    h = 1.0 / steps
+    for n in range(steps):
+        t = n * h
+        k1 = _lie_velocity(L, a, list(phi), path, t)
+        k2 = _lie_velocity(L, a, list(phi + 0.5 * h * k1), path, t + 0.5 * h)
+        k3 = _lie_velocity(L, a, list(phi + 0.5 * h * k2), path, t + 0.5 * h)
+        k4 = _lie_velocity(L, a, list(phi + h * k3), path, t + h)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return phi
+
+
+@pytest.mark.parametrize("name,steps", [
+    (name, steps) for name in ("rz", "qc", "qh2") for steps in (16, 20, 48)
+] + [("qhr:K=1", 20)])
+def test_reconstruction_equals_stagewise_rk4_bit_for_bit(name, steps):
+    # 20 and 48 steps make n*h and (n-1)*h + h differ in the last bit, so
+    # shared stages must be matched by their exact parameter.
+    L = make_loop(name)
+    rng = np.random.default_rng(17)
+    a, b, control = (list(0.5 * L.sample(rng)) for _ in range(3))
+    straight = lambda t: [t * v for v in b]
+    for path in (None, reconstruct.bezier_path(b, control)):
+        got = reconstruct.reconstruct_product(L, a, b, steps, path=path)
+        want = _rk4_reference(L, a, path or straight, steps)
+        assert np.array_equal(got, want)

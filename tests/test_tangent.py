@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -148,3 +151,10 @@ def test_ad_inverse_differential_exists_at_degenerate_modulus():
     out = np.asarray(tangent.ad_inverse_differential(L, q, list(L.identity)),
                      dtype=float)
     assert np.all(np.isfinite(out))
+
+
+def test_jacobi_residual_of_nan_product_is_not_finite():
+    qc = make_loop("qc")
+    L = dataclasses.replace(
+        qc, product=lambda a, b: [v * math.nan for v in qc.product(a, b)])
+    assert not math.isfinite(tangent.jacobi_residual(L, [0.2, -0.1]))

@@ -42,6 +42,29 @@ def test_qh2_product_closed_form():
     assert abs(complex(got[0], got[1]) - expect) < 1e-15
 
 
+@pytest.mark.parametrize("name,point,inside", [
+    ("qc", [0.3, -0.4], True),
+    ("qc", [-999.0, 40.0], True),
+    ("qc", [1e3, 0.0], False),
+    ("qc", [math.nan, 0.0], False),
+    ("qc", [0.0, math.inf], False),
+    ("qsu2", [-math.inf, math.nan], False),
+    ("qh2", [0.6, -0.7], True),
+    ("qh2", [0.8, 0.7], False),
+    ("qh2", [math.nan, 0.1], False),
+    ("qhr:K=1", [0.1, -0.2, 0.3, 0.4], True),
+    ("qhr:K=1", [500.0, 500.0, 500.0, 499.0], True),
+    ("qhr:K=1", [500.0, 500.0, 500.0, 501.0], False),
+    ("qhr:K=1", [0.1, math.nan, 0.0, 0.0], False),
+    ("qhr:K=1", [0.0, 0.0, -math.inf, 0.0], False),
+    ("qhr:K=1", [math.inf, 0.0, math.nan, 0.0], False),
+])
+def test_chart_domain_check(name, point, inside):
+    L = make_loop(name)
+    assert L.domain_check(np.array(point)) is inside
+    assert L.domain_check(point) is inside
+
+
 def test_qh2_stays_in_disk():
     L = make_loop("qh2")
     rng = np.random.default_rng(2)
