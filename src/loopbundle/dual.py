@@ -19,6 +19,21 @@ level" performs.  Those zero terms carry NaN and inf from the constant
 into the derivative and fix the sign of zero results, so every result and
 every constructed node is bit-identical to that generic rule;
 ``tests/test_dual.py`` keeps it as the reference.
+
+Seeding.  ``seed`` (and so ``jacobian`` and ``dirderiv``, which call it)
+wraps only the coordinates whose direction entry is nonzero or a dual; a
+coordinate with a plain zero direction stays the number or lower-level
+dual it was.  The derivative terms it would have fed are exact zeros that
+dense seeding (every coordinate a dual) computed as ``0.0 * x`` terms.
+Results can differ from dense seeding only in
+- the sign of a zero derivative part;
+- a derivative part that dense seeding made NaN because a NaN or inf in an
+  unseeded coordinate met such a ``0.0 * x`` term;
+- the last bits of a quotient with an operand that is now a plain number:
+  a dual quotient multiplies by the divisor's reciprocal, ``x / y`` on
+  numbers and ``d / y`` on a dual divide.
+A NaN in any coordinate still makes the primal values it reaches NaN.
+``tests/test_dual.py`` keeps dense seeding as the reference.
 """
 
 import itertools
@@ -247,10 +262,16 @@ def next_level():
 
 
 def seed(x, direction, lvl=None):
-    """Attach dual parts along ``direction`` to the vector ``x``."""
+    """Attach dual parts along ``direction`` to the vector ``x``.
+
+    A coordinate whose direction entry is a plain number equal to zero is
+    returned unchanged (the same object), so no dual arithmetic is spent on
+    it; see the module docstring for what that can change.
+    """
     if lvl is None:
         lvl = next_level()
-    return [Dual(xi, vi, lvl) for xi, vi in zip(x, direction)]
+    return [xi if vi.__class__ is not Dual and vi == 0.0 else Dual(xi, vi, lvl)
+            for xi, vi in zip(x, direction)]
 
 
 def dual_parts(ys, lvl=None):

@@ -11,11 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnum import (C2, cabs2, cconj, cimag, cprimal, creal, from_coords, mkc,
-                   qadd, qconj, qinv, qmul, qnorm2, to_coords)
 from .core import LoopDescriptor
 from .dual import (Dual, gatan, gatan2, gcos, gfloor, gsin, gsolve, gsqrt,
-                   gtan, gtanh, pack, pack_matrix, primal, has_dual)
+                   gtan, gtanh, pack, pack_matrix, primal)
 from .errors import (DomainSingularity, NoSolutionInChart, PoleSingularity,
                      UnknownKind)
 
@@ -98,40 +96,63 @@ def _rz_right_div(b, a):
 
 
 # -- Moebius loops on the complex plane (QC and QH2) ------------------------
+#
+# A point (x, y) is the complex number z = x + iy; sign = -1 for QC (and
+# QSU(2)) and +1 for QH2.  On the real pairs:
+#   product        z.w = (z + w) / (1 + sign conj(z) w)
+#   left division  z\w = (w - z) / (1 - sign conj(z) w)
+#   right division w/z = (d + sign (w z) conj(d)) / (1 - |w z|^2),  d = w - z
+# with n / m = n conj(m) / |m|^2 and
+#   conj(z) w = (zx wx + zy wy) + i (zx wy - zy wx).
+
+def _mobius_fraction(t, z, w, n, singular):
+    # n / (1 + t conj(z) w) for t = +1 or -1; ``singular`` is the message
+    # raised where the denominator vanishes.
+    zx, zy = z[0], z[1]
+    wx, wy = w[0], w[1]
+    re = zx * wx + zy * wy
+    if t > 0:
+        mr, mi = 1.0 + re, zx * wy - zy * wx
+    else:
+        mr, mi = 1.0 - re, zy * wx - zx * wy
+    m2 = mr * mr + mi * mi
+    if primal(m2) < SINGULAR_DENOM ** 2:
+        raise DomainSingularity(singular)
+    nx, ny = n
+    return [(nx * mr + ny * mi) / m2, (ny * mr - nx * mi) / m2]
+
 
 def _mobius_product(sign):
-    # sign = -1: QC  (zeta+eta)/(1 - conj(zeta) eta)
-    # sign = +1: QH2 (zeta+eta)/(1 + conj(zeta) eta)
     def prod(a, b):
-        z, w = from_coords(a)[0], from_coords(b)[0]
-        den = 1.0 + sign * (cconj(z) * w)
-        if primal(cabs2(den)) < SINGULAR_DENOM ** 2:
-            raise DomainSingularity("Moebius product denominator vanishes")
-        return to_coords([(z + w) / den])
+        return _mobius_fraction(sign, a, b, (a[0] + b[0], a[1] + b[1]),
+                                "Moebius product denominator vanishes")
     return prod
 
 
 def _mobius_left_div(sign):
-    # Solve z*x = b:  x = (b - z)/(1 - sign * conj(z) b)
+    # Solve z*x = b.
     def div(a, b):
-        z, w = from_coords(a)[0], from_coords(b)[0]
-        den = 1.0 - sign * (cconj(z) * w)
-        if primal(cabs2(den)) < SINGULAR_DENOM ** 2:
-            raise DomainSingularity("Moebius division denominator vanishes")
-        return to_coords([(w - z) / den])
+        return _mobius_fraction(-sign, a, b, (b[0] - a[0], b[1] - a[1]),
+                                "Moebius division denominator vanishes")
     return div
 
 
 def _mobius_right_div(sign):
     # Solve y*a = b:  y - sign*(b a) conj(y) = b - a, linear in (y, conj y).
     def div(b, a):
-        av, bv = from_coords(a)[0], from_coords(b)[0]
-        c = -sign * (bv * av)
-        d = bv - av
-        den = 1.0 - cabs2(c)
+        ax, ay = a[0], a[1]
+        bx, by = b[0], b[1]
+        cx = bx * ax - by * ay
+        cy = bx * ay + by * ax
+        den = 1.0 - (cx * cx + cy * cy)
         if abs(primal(den)) < SINGULAR_DENOM:
             raise DomainSingularity("Moebius right division singular")
-        return to_coords([(d - c * cconj(d)) / den])
+        dx, dy = bx - ax, by - ay
+        # (b a) conj(d)
+        px, py = cx * dx + cy * dy, cy * dx - cx * dy
+        if sign < 0:
+            return [(dx - px) / den, (dy - py) / den]
+        return [(dx + px) / den, (dy + py) / den]
     return div
 
 
@@ -146,68 +167,101 @@ def _disk_guard(div):
 
 
 # -- Quaternionic de Sitter loop QHR ----------------------------------------
+#
+# A point p = (p0, pv) is the complexified quaternion p0 + i(p1 i + p2 j + p3 k):
+# a real scalar and an imaginary vector.  With k = K/4 the product is
+# (z + w)(1 + k z^+ w)^-1 and the left division (1 - k w z^+)^-1 (w - z).
+# Both are u conj(m) / N(m) or conj(m) u / N(m) for a quaternion
+#   m = (m0, r + i s),  N(m) = m m^+ = m0^2 + r.r - s.s + 2i r.s,
+# and, with t = k for the product and t = -k for the left division,
+#   m0 = 1 + t (z0 w0 - zv.wv),  r = t zv x wv,  s = t (z0 wv - w0 zv),
+#   u = z + w or w - z.
+# r is orthogonal to zv, wv and s, so r.s = 0 and uv.r = 0: N is real,
+# and so are the scalar and the imaginary vector part of the result,
+#   (m0 u0 - uv.s,  m0 uv - u0 s - uv x r) / N,
+# while its imaginary scalar and real vector parts vanish.  Only those
+# nonzero parts are computed.
 
-def _quat_from_coords(p):
-    # H_R element z0 + i(z1 i + z2 j + z3 k) as a complexified quaternion.
-    return [mkc(p[0], 0.0), mkc(0.0, p[1]), mkc(0.0, p[2]), mkc(0.0, p[3])]
-
-
-def _quat_to_coords(q):
-    return [creal(q[0]), cimag(q[1]), cimag(q[2]), cimag(q[3])]
+def _qhr_fraction(t, z, w, u0, uv, singular):
+    z0, z1, z2, z3 = t * z[0], t * z[1], t * z[2], t * z[3]
+    w0, w1, w2, w3 = w
+    m0 = 1.0 + (z0 * w0 - (z1 * w1 + z2 * w2 + z3 * w3))
+    r1 = z2 * w3 - z3 * w2
+    r2 = z3 * w1 - z1 * w3
+    r3 = z1 * w2 - z2 * w1
+    s1 = z0 * w1 - w0 * z1
+    s2 = z0 * w2 - w0 * z2
+    s3 = z0 * w3 - w0 * z3
+    n = m0 * m0 + (r1 * r1 + r2 * r2 + r3 * r3) - (s1 * s1 + s2 * s2 + s3 * s3)
+    if abs(primal(n)) < SINGULAR_DENOM:
+        raise DomainSingularity(singular)
+    u1, u2, u3 = uv
+    return [(m0 * u0 - (u1 * s1 + u2 * s2 + u3 * s3)) / n,
+            (m0 * u1 - u0 * s1 - (u2 * r3 - u3 * r2)) / n,
+            (m0 * u2 - u0 * s2 - (u3 * r1 - u1 * r3)) / n,
+            (m0 * u3 - u0 * s3 - (u1 * r2 - u2 * r1)) / n]
 
 
 def _qhr_product(K):
     k4 = K / 4.0
     def prod(a, b):
-        z, w = _quat_from_coords(a), _quat_from_coords(b)
-        den = qadd([mkc(1.0), mkc(0.0), mkc(0.0), mkc(0.0)],
-                   [k4 * c for c in qmul(qconj(z), w)])
-        n2 = qnorm2(den)
-        if abs(cprimal(n2)) < SINGULAR_DENOM:
-            raise DomainSingularity("QHR product denominator has zero norm")
-        return _quat_to_coords(qmul(qadd(z, w), qinv(den, n2)))
+        return _qhr_fraction(k4, a, b, a[0] + b[0],
+                             (a[1] + b[1], a[2] + b[2], a[3] + b[3]),
+                             "QHR product denominator has zero norm")
     return prod
 
 
 def _qhr_left_div(K):
     k4 = K / 4.0
     def div(a, b):
-        z, w = _quat_from_coords(a), _quat_from_coords(b)
         # z*x = b  =>  (1 - (K/4) b z^+) x = b - z
-        m = qadd([mkc(1.0), mkc(0.0), mkc(0.0), mkc(0.0)],
-                 [mkc(-1.0) * (k4 * c) for c in qmul(w, qconj(z))])
-        n2 = qnorm2(m)
-        if abs(cprimal(n2)) < SINGULAR_DENOM:
-            raise DomainSingularity("QHR left division singular")
-        return _quat_to_coords(qmul(qinv(m, n2), qadd(w, [mkc(-1.0) * c for c in z])))
+        return _qhr_fraction(-k4, a, b, b[0] - a[0],
+                             (b[1] - a[1], b[2] - a[2], b[3] - a[3]),
+                             "QHR left division singular")
     return div
 
 
 def _qhr_right_div(K):
     k4 = K / 4.0
 
-    def apply_map(y, b, a):
-        # y - (K/4) b y^+ a, real-linear in the 8 real components of y.
-        corr = qmul(qmul(b, qconj(y)), a)
-        return qadd(y, [mkc(-k4) * c for c in corr])
-
     def div(b, a):
-        av, bv = _quat_from_coords(a), _quat_from_coords(b)
-        rhs_q = qadd(bv, [mkc(-1.0) * c for c in av])
-        cols = []
-        for m in range(8):
-            basis = [mkc(1.0 if m == i else 0.0, 1.0 if m - 4 == i else 0.0)
-                     for i in range(4)]
-            img = apply_map(basis, bv, av)
-            cols.append([creal(img[i]) for i in range(4)] +
-                        [cimag(img[i]) for i in range(4)])
-        mat = [[cols[m][i] for m in range(8)] for i in range(8)]
-        rhs = [creal(rhs_q[i]) for i in range(4)] + [cimag(rhs_q[i]) for i in range(4)]
-        if has_dual([x for row in mat for x in row]) or has_dual(rhs):
-            amat = pack_matrix(mat)
-        else:
-            amat = np.array(mat, dtype=float)
-        sol = gsolve(amat, pack(rhs))
+        # y*a = b  =>  T y = b - a with T y = y - (K/4) b y^+ a, complex-linear
+        # in the complexified quaternion y: T = I - k L_b R_a C, C = diag(1,-1,-1,-1).
+        # With p = a0 b0, d = av.bv, c = av x bv, g = b0 av + a0 bv and
+        # h = b0 av - a0 bv, the matrix M = L_b R_a C has
+        #   Re M = [[p + d, -c^T], [c, -(av bv^T + bv av^T) - (p - d) I]],
+        #   Im M = [[0, g^T], [g, [h]x]],
+        # [h]x the cross-product matrix.  The 8 real unknowns (Re y, Im y)
+        # solve [[R, S], [-S, R]] with R = I - k Re M and S = k Im M.  Below,
+        # a is scaled by k first, so p, d, c, g and h carry the factor k.
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        ka1, ka2, ka3 = k4 * a1, k4 * a2, k4 * a3
+        ka0 = k4 * a0
+        p = ka0 * b0
+        d = ka1 * b1 + ka2 * b2 + ka3 * b3
+        c1 = ka2 * b3 - ka3 * b2
+        c2 = ka3 * b1 - ka1 * b3
+        c3 = ka1 * b2 - ka2 * b1
+        g1 = b0 * ka1 + ka0 * b1
+        g2 = b0 * ka2 + ka0 * b2
+        g3 = b0 * ka3 + ka0 * b3
+        h1 = b0 * ka1 - ka0 * b1
+        h2 = b0 * ka2 - ka0 * b2
+        h3 = b0 * ka3 - ka0 * b3
+        diag = 1.0 + (p - d)
+        r = [[1.0 - (p + d), c1, c2, c3],
+             [-c1, diag + 2.0 * (ka1 * b1), ka1 * b2 + b1 * ka2, ka1 * b3 + b1 * ka3],
+             [-c2, ka2 * b1 + b2 * ka1, diag + 2.0 * (ka2 * b2), ka2 * b3 + b2 * ka3],
+             [-c3, ka3 * b1 + b3 * ka1, ka3 * b2 + b3 * ka2, diag + 2.0 * (ka3 * b3)]]
+        s = [[0.0, g1, g2, g3],
+             [g1, 0.0, -h3, h2],
+             [g2, h3, 0.0, -h1],
+             [g3, -h2, h1, 0.0]]
+        mat = ([r[i] + s[i] for i in range(4)] +
+               [[-x for x in s[i]] + r[i] for i in range(4)])
+        rhs = [b0 - a0, 0.0, 0.0, 0.0, 0.0, b1 - a1, b2 - a2, b3 - a3]
+        sol = gsolve(pack_matrix(mat), pack(rhs))
         # H_R coordinates: real part of the scalar, imaginary parts of i,j,k.
         return [sol[0], sol[5], sol[6], sol[7]]
     return div

@@ -333,3 +333,151 @@ def test_level_dispatch_matches_reference_operators(monkeypatch):
             seen_mixed += nodes[0] > 10
     # The sample exercises non-finite parts and nested mixed-level trees.
     assert seen_nan > 50 and seen_mixed > 100
+
+
+# -- sparse seeding against dense seeding -------------------------------------
+#
+# ``dense_seed`` is the rule ``seed`` used to follow: every coordinate becomes
+# a dual, zero directions included.  On finite inputs ``jacobian`` and
+# ``dirderiv`` must give every epsilon coefficient equal (``==``) under both,
+# for expressions built from + - * and negation, ``gsin`` and scaling by a
+# reciprocal.  A quotient one of whose operands is an unseeded number rounds
+# differently, see ``test_quotient_of_unseeded_number_rounds_differently``.
+
+def dense_seed(x, direction, lvl=None):
+    if lvl is None:
+        lvl = next_level()
+    return [Dual(xi, vi, lvl) for xi, vi in zip(x, direction)]
+
+
+def _coefficients(x, monomial=frozenset(), out=None):
+    """Map each product of epsilon levels to its coefficient in ``x``."""
+    out = {} if out is None else out
+    if isinstance(x, Dual):
+        _coefficients(x.re, monomial, out)
+        _coefficients(x.du, monomial | {x.lvl}, out)
+    else:
+        out[monomial] = out.get(monomial, 0.0) + float(x)
+    return out
+
+
+def _assert_equal_components(got, want):
+    got, want = np.asarray(got, dtype=object), np.asarray(want, dtype=object)
+    assert got.shape == want.shape
+    for g, w in zip(got.reshape(-1), want.reshape(-1)):
+        cg, cw = _coefficients(g), _coefficients(w)
+        for mono in set(cg) | set(cw):
+            assert cg.get(mono, 0.0) == cw.get(mono, 0.0), (mono, g, w)
+
+
+def _random_map(rng, n, depth):
+    """A random finite expression in the inputs, as a tree."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.75:
+            return ("var", rng.randrange(n))
+        return ("num", rng.choice([0.0, 1.0, -0.5, rng.uniform(-2.0, 2.0)]))
+    u = rng.random()
+    if u < 0.6:
+        return ("bin", rng.choice("+-*"), _random_map(rng, n, depth - 1),
+                _random_map(rng, n, depth - 1))
+    if u < 0.75:
+        # scaling by 1 / (1 + e^2) stays finite
+        return ("scale", _random_map(rng, n, depth - 1), _random_map(rng, n, depth - 1))
+    if u < 0.85:
+        return ("sin", _random_map(rng, n, depth - 1))
+    return ("neg", _random_map(rng, n, depth - 1))
+
+
+def _apply(tree, xs):
+    tag = tree[0]
+    if tag == "var":
+        return xs[tree[1]]
+    if tag == "num":
+        return tree[1]
+    if tag == "bin":
+        return _BINARY[tree[1]](_apply(tree[2], xs), _apply(tree[3], xs))
+    if tag == "scale":
+        den = _apply(tree[2], xs)
+        return _apply(tree[1], xs) * (1.0 / (1.0 + den * den))
+    if tag == "sin":
+        return gsin(_apply(tree[1], xs))
+    return -_apply(tree[1], xs)
+
+
+def _random_input(rng, levels):
+    """A float, or a dual over some of the outer ``levels`` with finite parts."""
+    if not levels or rng.random() < 0.3:
+        return rng.uniform(-1.5, 1.5)
+    lvl = levels[-1]
+    inner = levels[:-1]
+    du = rng.choice([0.0, 1.0]) if rng.random() < 0.3 else _random_input(rng, inner)
+    return Dual(_random_input(rng, inner), du, lvl)
+
+
+def test_sparse_seeding_matches_dense_seeding(monkeypatch):
+    import loopbundle.dual as dual_module
+
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        maps = [_random_map(rng, n, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+        f = lambda xs: [_apply(t, xs) for t in maps]
+        outer = rng.randint(0, 2)
+        levels = [next_level() for _ in range(outer)]
+        x = [_random_input(rng, levels) for _ in range(n)]
+        v = [rng.choice([0.0, 0.0, 1.0, rng.uniform(-1.0, 1.0)]) for _ in range(n)]
+        # nest one more jacobian inside, so levels 1-3 occur per input
+        nested = lambda xs: list(np.asarray(jacobian(f, xs), dtype=object).reshape(-1))
+        for g in (f, nested):
+            sparse = (jacobian(g, x), dirderiv(g, x, v))
+            monkeypatch.setattr(dual_module, "seed", dense_seed)
+            dense = (jacobian(g, x), dirderiv(g, x, v))
+            monkeypatch.undo()
+            for got, want in zip(sparse, dense):
+                _assert_equal_components(got, want)
+            checked += 1
+    assert checked == 240
+
+
+def test_seed_leaves_zero_directions_alone():
+    outer_lvl = next_level()
+    lvl = next_level()
+    outer = Dual(0.5, 1.0, outer_lvl)
+    x = [outer, 2.5, np.float64(-1.0), 3.0, 4.0, 5.0]
+    direction = [0.0, 1.0, -0.0, np.float64(0.0), Dual(0.0, 0.0, outer_lvl), math.nan]
+    out = seed(x, direction, lvl)
+    assert out[0] is outer and out[2] is x[2] and out[3] is x[3]
+    assert isinstance(out[1], Dual) and (out[1].re, out[1].du, out[1].lvl) == (2.5, 1.0, lvl)
+    # a dual direction and a NaN direction are seeded
+    assert isinstance(out[4], Dual) and out[4].lvl == lvl
+    assert isinstance(out[5], Dual) and math.isnan(out[5].du)
+
+
+def test_nan_in_unseeded_coordinate_keeps_primal_nan():
+    f = lambda v: [v[0] * v[1] + v[1], v[0] + 0.0 * v[1], v[1] - v[0]]
+    lvl = next_level()
+    out = f(seed([math.nan, 2.0], [0.0, 1.0], lvl))
+    assert all(math.isnan(primal(y)) for y in out)
+    # where the derivative of a function of the seeded coordinate does not
+    # involve the non-finite one, sparse seeding keeps it finite: dense
+    # seeding would give inf * 0.0 = NaN here
+    g = lambda v: [v[0] * v[0] + v[1]]
+    col = jacobian(g, [math.inf, 2.0])
+    assert float(col[0][0]) == math.inf and float(col[0][1]) == 1.0
+
+
+def test_quotient_of_unseeded_number_rounds_differently(monkeypatch):
+    import loopbundle.dual as dual_module
+
+    # Under dense seeding x / y of two unseeded coordinates was the dual
+    # quotient x * (1 / y); now it is the float quotient x / y.  The two
+    # agree to rounding and here differ in the last bit.
+    x, y = 5.0, 7.0
+    f = lambda v: [v[0] / v[1] * v[2]]
+    sparse = f(seed([x, y, 1.0], [0.0, 0.0, 1.0], next_level()))[0]
+    monkeypatch.setattr(dual_module, "seed", dense_seed)
+    dense = f(dual_module.seed([x, y, 1.0], [0.0, 0.0, 1.0], next_level()))[0]
+    assert sparse.re == sparse.du == x / y
+    assert dense.re == dense.du == x * (1.0 / y)
+    assert x / y != x * (1.0 / y) and abs(x / y - x * (1.0 / y)) <= 1.2e-16

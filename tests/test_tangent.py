@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from loopbundle import core, tangent
+from loopbundle.dual import Dual
 from loopbundle.zoo import catalog_names, make_loop
 
 ALL_LOOPS = catalog_names()
@@ -158,3 +159,28 @@ def test_jacobi_residual_of_nan_product_is_not_finite():
     L = dataclasses.replace(
         qc, product=lambda a, b: [v * math.nan for v in qc.product(a, b)])
     assert not math.isfinite(tangent.jacobi_residual(L, [0.2, -0.1]))
+
+
+# Dual nodes one Jacobi point builds with the real-coordinate closed forms
+# and sparse seeding.  Work on structural zeros (complexified coordinates
+# that are always 0, unseeded coordinates) shows up here as a larger count.
+# The complexified-quaternion product with dense seeding built 228,368 on
+# qhr:K=1 and 3,676 on qc.
+@pytest.mark.parametrize("name,point,limit", [
+    ("qhr:K=1", [0.1, -0.2, 0.3, 0.25], 32486),
+    ("qc", [0.3, -0.4], 2174),
+])
+def test_jacobi_point_dual_node_count(monkeypatch, name, point, limit):
+    nodes = [0]
+
+    def counting_init(obj, re, du=0.0, lvl=0):
+        obj.re = re
+        obj.du = du
+        obj.lvl = lvl
+        nodes[0] += 1
+
+    L = make_loop(name)
+    monkeypatch.setattr(Dual, "__init__", counting_init)
+    residual = tangent.jacobi_residual(L, point)
+    assert residual < 1e-12
+    assert nodes[0] <= limit

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from loopbundle import core
+from loopbundle.dual import jacobian, primal
 from loopbundle.errors import (DomainSingularity, NoSolutionInChart,
                                PoleSingularity, UnknownKind)
 from loopbundle.zoo import (LoopSpec, catalog_names, chart_inverse, chart_map,
@@ -138,3 +139,149 @@ def test_chart_pole_raises():
         chart_map("sphere", math.pi, 0.0)
     with pytest.raises(UnknownKind):
         chart_map("torus", 0.3, 0.0)
+
+
+# -- closed forms against the complex reference formulas ---------------------
+#
+# The reference writes each loop as the library once did: Moebius maps on
+# Python complex numbers, and H_R as complexified quaternions (lists of four
+# complex numbers) with the product (z + w)(1 + (K/4) z^+ w)^-1.
+
+def _qmul(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return [a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2]
+
+
+def _qconj(q):
+    return [q[0], -q[1], -q[2], -q[3]]
+
+
+def _qinv(q):
+    n2 = sum(c * c for c in q)
+    return [c / n2 for c in _qconj(q)]
+
+
+def _to_quat(p):
+    return [complex(p[0]), 1j * p[1], 1j * p[2], 1j * p[3]]
+
+
+def _from_quat(q):
+    return [q[0].real, q[1].imag, q[2].imag, q[3].imag]
+
+
+def _ref_qhr(K):
+    k = K / 4.0
+
+    def prod(a, b):
+        z, w = _to_quat(a), _to_quat(b)
+        m = [c * k for c in _qmul(_qconj(z), w)]
+        m[0] += 1.0
+        return _from_quat(_qmul([x + y for x, y in zip(z, w)], _qinv(m)))
+
+    def left_div(a, b):
+        z, w = _to_quat(a), _to_quat(b)
+        m = [-c * k for c in _qmul(w, _qconj(z))]
+        m[0] += 1.0
+        return _from_quat(_qmul(_qinv(m), [y - x for x, y in zip(z, w)]))
+
+    def right_div(b, a):
+        # y - k b y^+ a = b - a, complex-linear in y.
+        av, bv = _to_quat(a), _to_quat(b)
+        cols = []
+        for m in range(4):
+            e = [1.0 if i == m else 0.0 for i in range(4)]
+            img = _qmul(_qmul(bv, _qconj(e)), av)
+            cols.append([e[i] - k * img[i] for i in range(4)])
+        t = np.array(cols).T
+        y = np.linalg.solve(t, np.array([x - y for x, y in zip(bv, av)]))
+        return _from_quat(list(y))
+
+    return prod, left_div, right_div
+
+
+def _ref_mobius(sign):
+    def prod(a, b):
+        z, w = complex(*a), complex(*b)
+        out = (z + w) / (1.0 + sign * z.conjugate() * w)
+        return [out.real, out.imag]
+
+    def left_div(a, b):
+        z, w = complex(*a), complex(*b)
+        out = (w - z) / (1.0 - sign * z.conjugate() * w)
+        return [out.real, out.imag]
+
+    def right_div(b, a):
+        av, bv = complex(*a), complex(*b)
+        c = -sign * bv * av
+        d = bv - av
+        out = (d - c * d.conjugate()) / (1.0 - abs(c) ** 2)
+        return [out.real, out.imag]
+
+    return prod, left_div, right_div
+
+
+REFERENCES = {"qc": _ref_mobius(-1.0), "qsu2": _ref_mobius(-1.0),
+              "qh2": _ref_mobius(1.0)}
+REFERENCES.update({f"qhr:K={K:g}": _ref_qhr(K) for K in (1.0, 0.0, 2.5, -1.0)})
+OPERATIONS = ("product", "left_div", "right_div")
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_closed_forms_match_complex_reference(name):
+    L = make_loop(name)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        a, b = list(L.sample(rng)), list(L.sample(rng))
+        for op, ref in zip(OPERATIONS, REFERENCES[name]):
+            got = getattr(L, op)(a, b)
+            assert np.max(np.abs(np.array(got) - ref(a, b))) < 1e-13, (op, a, b)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_dual_jacobians_match_reference_differences(name):
+    L = make_loop(name)
+    rng = np.random.default_rng(12)
+    h = 1e-6
+    for _ in range(10):
+        a, b = list(L.sample(rng)), list(L.sample(rng))
+        x = a + b
+        n = L.dim
+        for op, ref in zip(OPERATIONS, REFERENCES[name]):
+            f = getattr(L, op)
+            jac = np.array([[primal(v) for v in row] for row in
+                            jacobian(lambda v: f(v[:n], v[n:]), x)])
+            fd = np.empty_like(jac)
+            for j in range(2 * n):
+                up, down = list(x), list(x)
+                up[j] += h
+                down[j] -= h
+                fd[:, j] = (np.array(ref(up[:n], up[n:]))
+                            - np.array(ref(down[:n], down[n:]))) / (2 * h)
+            assert np.max(np.abs(jac - fd)) < 1e-7, (op, a, b)
+
+
+@pytest.mark.parametrize("name,op,a,b,message", [
+    ("qhr:K=4", "product", [0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+     "QHR product denominator has zero norm"),
+    ("qhr:K=4", "left_div", [0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+     "QHR left division singular"),
+    ("qc", "product", [1.0, 0.0], [1.0, 0.0],
+     "Moebius product denominator vanishes"),
+    ("qc", "left_div", [1.0, 0.0], [-1.0, 0.0],
+     "Moebius division denominator vanishes"),
+    ("qc", "right_div", [1.0, 0.0], [1.0, 0.0],
+     "Moebius right division singular"),
+    ("qh2", "product", [0.0, 1.0], [0.0, -1.0],
+     "Moebius product denominator vanishes"),
+])
+def test_singular_inputs_raise(name, op, a, b, message):
+    L = make_loop(name)
+    with pytest.raises(DomainSingularity, match=message):
+        getattr(L, op)(a, b)
+    # the dual path checks the same primal denominator
+    with pytest.raises(DomainSingularity, match=message):
+        jacobian(lambda v: getattr(L, op)(v, b), a)
