@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import core
+from .dual import pack
 from .errors import DomainSingularity, NotInOverlap, ProjectionSingular, UnknownKind
 from .report import worst_residual
 from .zoo import LoopSpec, make_loop
@@ -100,11 +101,12 @@ def cocycle_residual(atlas, alpha, beta, gamma, x, q_test):
     q_ga = transition_value(atlas, gamma, p_alpha)
     p_gamma = change_chart(atlas, p_alpha, gamma)
     q_bg = transition_value(atlas, beta, p_gamma)
-    lhs = core.product(L, q_ba, q_test)
-    rhs = core.product(L, q_bg, core.product(L, q_ga, q_test))
+    q_ba, q_ga, q_bg, q = core._chart_points(L, q_ba, q_ga, q_bg, q_test)
+    lhs = L.product(q_ba, q)
+    rhs = L.product(q_bg, L.product(q_ga, q))
     res = core.distance(L, lhs, rhs)
-    rhs2 = core.product(L, core.product(L, q_bg, q_ga),
-                        core.associator(L, "left", q_bg, q_ga, q_test))
+    rhs2 = L.product(L.product(q_bg, q_ga),
+                     core.associator(L, "left", q_bg, q_ga, q))
     return worst_residual(res, core.distance(L, lhs, rhs2))
 
 
@@ -119,12 +121,12 @@ def transition_right_law_residual(atlas, alpha, beta, x, q_alpha, a):
     at = TotalPoint(chart=alpha, base=np.asarray(x, dtype=float),
                     fiber=np.asarray(q_alpha, dtype=float))
     q_ba = transition_value(atlas, beta, at)
+    q_ba, q_alpha, a = core._chart_points(L, q_ba, q_alpha, a)
     # The beta-chart coordinate of the same point, and both coordinates
     # after the right translation; the transition at the moved point is
     # then its defining right division.
-    q_beta = core.product(L, q_ba, q_alpha)
-    lhs = core.right_divide(L, core.product(L, q_beta, a),
-                            core.product(L, q_alpha, a))
+    q_beta = L.product(q_ba, q_alpha)
+    lhs = L.right_div(L.product(q_beta, a), L.product(q_alpha, a))
     rhs = core.associator(L, "right", q_alpha, a, q_ba)
     return core.distance(L, lhs, rhs)
 
@@ -252,13 +254,17 @@ def winding_transition(n, theta, gamma):
 
 
 def iterate_left(L, q, n, zeta):
-    """n-fold left translation by q, the glueing map of the degree-n bundle."""
+    """n-fold left translation by q, the glueing map of the degree-n bundle.
+
+    Only q and zeta are chart-checked; the iterates are not, so the map
+    may pass through the chart's numerical cut on its way.
+    """
     if n < 0:
         raise ValueError("winding power must be nonnegative")
-    out = np.asarray(zeta, dtype=float)
+    q, out = core._chart_points(L, q, zeta)
     for _ in range(n):
-        out = core.product(L, q, out)
-    return out
+        out = L.product(q, out)
+    return pack(out)
 
 
 def make_winding_bundle(n):

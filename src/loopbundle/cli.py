@@ -132,6 +132,36 @@ def suite_reconstruct(config):
     return report
 
 
+def _chordal_distance(p, q):
+    """Distance of two plane points on the Riemann sphere, 2|z-w| /
+    sqrt((1+|z|^2)(1+|w|^2)); meaningful also far out in the chart."""
+    z, w = complex(p[0], p[1]), complex(q[0], q[1])
+    return 2.0 * abs(z - w) / np.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
+
+
+def _add_atlas_cases(report, atlas, rng, n, tol, suffix=""):
+    """Cocycle, transition right-law and chart round-trip cases over n
+    sampled overlap points of ``atlas``."""
+    coc = 0.0
+    law = 0.0
+    rt = 0.0
+    for _ in range(n):
+        x = atlas.overlap_sampler(("plus", "minus"), rng)
+        q = atlas.fiber_sampler(rng)
+        coc = worst_residual(coc, bundle.cocycle_residual(
+            atlas, "minus", "minus", "plus", x, q))
+        a = 0.5 * atlas.fiber_loop.sample(rng)
+        law = worst_residual(law, bundle.transition_right_law_residual(
+            atlas, "minus", "plus", x, q, a))
+        p = bundle.TotalPoint(chart="minus", base=x, fiber=q)
+        back = bundle.change_chart(atlas, bundle.change_chart(atlas, p, "plus"),
+                                   "minus")
+        rt = worst_residual(rt, float(np.max(np.abs(back.fiber - p.fiber))))
+    report.add("cocycle" + suffix, coc, tol, n)
+    report.add("transition_right_law" + suffix, law, tol, n)
+    report.add("chart_round_trip" + suffix, rt, tol, n)
+
+
 def suite_bundle(config):
     rng = np.random.default_rng(config.seed)
     report = VerificationReport(suite="bundle")
@@ -141,18 +171,7 @@ def suite_bundle(config):
     for atlas in (bundle.make_s3_bundle(), bundle.make_winding_bundle(2)):
         label = atlas.name if not atlas.params else \
             f"{atlas.name}:n={atlas.params['n']}"
-        coc = 0.0
-        law = 0.0
-        for _ in range(n):
-            x = atlas.overlap_sampler(("plus", "minus"), rng)
-            q = atlas.fiber_sampler(rng)
-            coc = worst_residual(coc, bundle.cocycle_residual(
-                atlas, "minus", "minus", "plus", x, q))
-            a = 0.5 * atlas.fiber_loop.sample(rng)
-            law = worst_residual(law, bundle.transition_right_law_residual(
-                atlas, "minus", "plus", x, q, a))
-        report.add(f"cocycle[{label}]", coc, tol, n)
-        report.add(f"transition_right_law[{label}]", law, tol, n)
+        _add_atlas_cases(report, atlas, rng, n, tol, f"[{label}]")
 
     norm = 0.0
     wind = 0.0
@@ -170,7 +189,7 @@ def suite_bundle(config):
             q1 = bundle.winding_transition(1, theta_w, gamma)
             qn = bundle.winding_transition(k, theta_w, gamma)
             it = bundle.iterate_left(L, q1, k, L.identity)
-            wind = worst_residual(wind, float(np.max(np.abs(qn - it))))
+            wind = worst_residual(wind, _chordal_distance(qn, it))
     report.add("s3_norm_preservation", norm, tol, n)
     report.add("winding_closed_form", wind, tol, 5 * n)
     return report
@@ -370,10 +389,7 @@ def _build_config(args, tols):
     if args.report is not None:
         config.report_path = args.report
     config.tolerances.update(tols)
-    if config.samples <= 0:
-        raise ValueError("samples must be positive")
-    if any(t <= 0 for t in config.tolerances.values()):
-        raise ValueError("tolerances must be positive")
+    config.validate()
     return config
 
 
@@ -465,27 +481,9 @@ def _bundle_check(config, atlas_name):
     rng = np.random.default_rng(config.seed)
     atlas = bundle.make_atlas(atlas_name)
     report = VerificationReport(suite=f"bundle[{atlas_name}]")
-    tol = config.tol("bundle")
     t0 = time.perf_counter()
-    n = max(10, config.samples // 10)
-    coc = 0.0
-    law = 0.0
-    rt = 0.0
-    for _ in range(n):
-        x = atlas.overlap_sampler(("plus", "minus"), rng)
-        q = atlas.fiber_sampler(rng)
-        coc = worst_residual(coc, bundle.cocycle_residual(
-            atlas, "minus", "minus", "plus", x, q))
-        a = 0.5 * atlas.fiber_loop.sample(rng)
-        law = worst_residual(law, bundle.transition_right_law_residual(
-            atlas, "minus", "plus", x, q, a))
-        p = bundle.TotalPoint(chart="minus", base=x, fiber=q)
-        back = bundle.change_chart(atlas, bundle.change_chart(atlas, p, "plus"),
-                                   "minus")
-        rt = worst_residual(rt, float(np.max(np.abs(back.fiber - p.fiber))))
-    report.add("cocycle", coc, tol, n)
-    report.add("transition_right_law", law, tol, n)
-    report.add("chart_round_trip", rt, tol, n)
+    _add_atlas_cases(report, atlas, rng, max(10, config.samples // 10),
+                     config.tol("bundle"))
     report.wall_time = time.perf_counter() - t0
     return report
 

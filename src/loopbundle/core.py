@@ -5,6 +5,16 @@ closed-form product/division callables.  Everything here is composed from
 those callables; no loop-specific closed forms are used for the derived
 operations, which is what makes the associator and Ad-map identities real
 tests rather than tautologies.
+
+Chart checks.  Each public operation checks its arguments once against
+``L.domain_check``, on their primal coordinates, so a dual argument is
+checked like its float value.  A composite (associators, Ad, Ad^-1) then
+composes the raw closed forms on plain lists and packs once at the end:
+its intermediate points are not checked, so a composite whose result is
+defined does not fail because an intermediate point passed the chart's
+numerical cut.  Results are not checked either; the next public call that
+takes a result as an argument checks it.  Singular denominators still
+raise from the closed forms themselves.
 """
 
 import time
@@ -26,19 +36,18 @@ NEWTON_MAX_ITER = 50
 class LoopDescriptor:
     """A smooth local loop in a single real chart.
 
-    ``product``, ``left_div`` and ``right_div`` operate on sequences of
-    scalars (floats or dual numbers) and return lists of scalars; division
-    callables may be ``None``, in which case Newton iteration on the
-    product is used.
+    ``product(a, b)``, ``left_div(a, b)`` (the x with a.x = b) and
+    ``right_div(b, a)`` (the y with y.a = b) operate on sequences of
+    scalars (floats or dual numbers) and return lists of scalars.
     """
 
     name: str
     dim: int
     product: Callable
+    left_div: Callable
+    right_div: Callable
     identity: np.ndarray
     domain_check: Callable
-    left_div: Optional[Callable] = None
-    right_div: Optional[Callable] = None
     sample: Optional[Callable] = None
     distance: Optional[Callable] = None
     params: dict = field(default_factory=dict)
@@ -55,43 +64,44 @@ def distance(L, p, q):
     return float(np.max(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float))))
 
 
-def _check_domain(L, p):
-    if has_dual(p):
-        return
-    if not L.domain_check(np.asarray(p, dtype=float)):
-        raise OutOfDomain(f"{L.name}: point {np.asarray(p)} outside chart domain")
+def _chart_points(L, *points):
+    """Each point as a list of scalars, checked once against the chart.
+
+    The check reads primal coordinates, so floats and duals follow the
+    same rule.  Composites in other modules use this too.
+    """
+    out = []
+    for p in points:
+        p = list(p)
+        coords = [primal(v) for v in p]
+        if not L.domain_check(coords):
+            raise OutOfDomain(f"{L.name}: point {np.asarray(coords)} outside chart domain")
+        out.append(p)
+    return out
 
 
 def product(L, a, b):
     """Loop product a.b from the closed form."""
-    _check_domain(L, a)
-    _check_domain(L, b)
-    return pack(L.product(list(a), list(b)))
+    return pack(L.product(*_chart_points(L, a, b)))
 
 
 def left_divide(L, a, b):
     """The unique x with a.x = b."""
-    _check_domain(L, a)
-    _check_domain(L, b)
-    if L.left_div is not None:
-        return pack(L.left_div(list(a), list(b)))
-    return newton_divide(L, list(a), list(b), side="left")
+    return pack(L.left_div(*_chart_points(L, a, b)))
 
 
 def right_divide(L, b, a):
     """The unique y with y.a = b."""
-    _check_domain(L, a)
-    _check_domain(L, b)
-    if L.right_div is not None:
-        return pack(L.right_div(list(b), list(a)))
-    return newton_divide(L, list(a), list(b), side="right")
+    return pack(L.right_div(*_chart_points(L, b, a)))
 
 
 def newton_divide(L, a, b, side):
     """Solve the division equation by Newton iteration started at identity.
 
-    Dual-number inputs are handled by running a few extra contraction steps
-    after primal convergence, which propagates the dual parts exactly.
+    A standalone solver that uses only the product; the tests use it as a
+    reference for the closed-form divisions.  Dual-number inputs are
+    handled by running a few extra contraction steps after primal
+    convergence, which propagates the dual parts exactly.
     """
     if side == "left":
         f = lambda x: L.product(a, x)
@@ -119,24 +129,25 @@ def associator(L, kind, a, b, c):
 
     Composed exactly from product and divisions; no independent closed form.
     """
+    a, b, c = _chart_points(L, a, b, c)
+    prod, ldiv = L.product, L.left_div
     if kind == "left":
         # l_(a,b) c = L^-1_(a.b) (a.(b.c))
-        return left_divide(L, product(L, a, b), product(L, a, product(L, b, c)))
+        return pack(ldiv(prod(a, b), prod(a, prod(b, c))))
     if kind == "adjoint":
         # lhat_(a,b) c = a.(b.(L^-1_(a.b) c))
-        return product(L, a, product(L, b, left_divide(L, product(L, a, b), c)))
+        return pack(prod(a, prod(b, ldiv(prod(a, b), c))))
     if kind == "right":
         # r_(a,b) c = R^-1_(a.b) ((c.a).b)
-        return right_divide(L, product(L, product(L, c, a), b), product(L, a, b))
+        return pack(L.right_div(prod(prod(c, a), b), prod(a, b)))
     raise ValueError(f"unknown associator kind: {kind}")
 
 
 def ad_map(L, b, a, c):
-    """Ad_b(a) c = L^-1_a (R^-1_b ((a.b).c))... composed right to left."""
-    # Ad_b(a) = L^-1_a o R^-1_b o L_(a.b)
-    step = product(L, product(L, a, b), c)
-    step = right_divide(L, step, b)
-    return left_divide(L, a, step)
+    """Ad_b(a) c = L^-1_a (R^-1_b ((a.b).c)), composed right to left."""
+    b, a, c = _chart_points(L, b, a, c)
+    step = L.right_div(L.product(L.product(a, b), c), b)
+    return pack(L.left_div(a, step))
 
 
 def ad_inverse_map(L, b, a, c):
@@ -145,8 +156,9 @@ def ad_inverse_map(L, b, a, c):
     Composed from translations only, so it stays regular where the
     forward Ad differential degenerates.
     """
-    step = product(L, product(L, a, c), b)
-    return left_divide(L, product(L, a, b), step)
+    b, a, c = _chart_points(L, b, a, c)
+    step = L.product(L.product(a, c), b)
+    return pack(L.left_div(L.product(a, b), step))
 
 
 def check_loop_axioms(L, n_samples, seed):

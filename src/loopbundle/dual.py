@@ -163,10 +163,6 @@ def _reciprocal(x):
     return Dual(inv, -(x.du * inv) * inv, x.lvl)
 
 
-def is_dual(x):
-    return isinstance(x, Dual)
-
-
 def has_dual(xs):
     return any(isinstance(x, Dual) for x in xs)
 
@@ -251,6 +247,14 @@ def pack_matrix(rows):
             out[i, :] = r
         return out
     return np.array([[float(x) for x in r] for r in rows])
+
+
+def floats_if_plain(a):
+    """The array ``a`` as floats when no entry is dual, else ``a`` itself."""
+    try:
+        return a.astype(float)
+    except (TypeError, ValueError):
+        return a
 
 
 _fresh_level = itertools.count(1)

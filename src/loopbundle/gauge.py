@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import core, tangent
-from .dual import (dirderiv, ginv, gmatvec, gsolve, gcos, gsin, jacobian,
-                   pack, primal)
+from .dual import (dirderiv, floats_if_plain, ginv, gmatvec, gsolve, gcos,
+                   gsin, has_dual, jacobian, pack, primal)
 from .errors import PartitionInvalid
 from .report import VerificationReport
 
@@ -44,39 +44,7 @@ def right_quasi_invariant_basis(L, y):
     These are the differentials in the *first* product slot: column i is
     the velocity of a -> a.y at the identity along e_i.
     """
-    r = jacobian(lambda a: list(core.product(L, a, y)), list(L.identity))
-    return tangent.FrameMatrix(at=pack(list(y)), R=r)
-
-
-def right_structure_tensor(L, y):
-    """C^p_ij(y) with [Lbar_i, Lbar_j] = C^p_ij Lbar_p (right frame)."""
-    n = L.dim
-
-    def frame(x):
-        fr = right_quasi_invariant_basis(L, x).R
-        return [fr[k][i] for k in range(n) for i in range(n)]
-
-    r = right_quasi_invariant_basis(L, y).R
-    grad = jacobian(frame, list(y))
-    rhs = np.empty((n, n * n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = 0.0
-                for m in range(n):
-                    acc = (acc + r[m][i] * grad[k * n + j][m]
-                           - r[m][j] * grad[k * n + i][m])
-                rhs[k, i * n + j] = acc
-    sol = gsolve(r, rhs)
-    c = np.empty((n, n, n), dtype=object)
-    for p in range(n):
-        for i in range(n):
-            for j in range(n):
-                c[p, i, j] = sol[p, i * n + j]
-    try:
-        return c.astype(float)
-    except (TypeError, ValueError):
-        return c
+    return tangent.FrameMatrix(at=pack(list(y)), R=tangent.right_frame_matrix(L, y))
 
 
 def ad_inverse_matrix(L, y, at=None):
@@ -125,7 +93,9 @@ def curvature(form, x, y):
                     [float(v) for v in x])
     da = np.array([[primal(v) for v in row]
                    for row in flat]).reshape(nf, db, db)  # da[i][mu][nu] = d_nu A^i_mu
-    c = np.asarray(right_structure_tensor(L, [float(v) for v in y]), dtype=float)
+    c = np.asarray(tangent.structure_tensor_raw(L, [float(v) for v in y],
+                                                frame=tangent.right_frame_matrix),
+                   dtype=float)
     f = np.zeros((nf, db, db))
     for i in range(nf):
         for mu in range(db):
@@ -187,10 +157,7 @@ def omega_coeffs(form, z):
     out = np.empty((nf, db + nf), dtype=object)
     out[:, :db] = np.asarray(dx_block)
     out[:, db:] = np.asarray(dy_block)
-    try:
-        return out.astype(float)
-    except (TypeError, ValueError):
-        return out
+    return floats_if_plain(out)
 
 
 def omega_of(form, z, v):
@@ -264,10 +231,6 @@ def fundamental_field(form, w):
         return pack([0.0] * form.potential.base_dim + list(lifted))
 
     return field
-
-
-def field_sum(f, g):
-    return lambda z: f(z) + g(z)
 
 
 def field_bracket(f, g):
@@ -468,7 +431,7 @@ def make_test_potential(L, base_dim, seed, chart="test", kind="poly"):
                         acc = acc + c1[i, mu, k] * xs[k]
                         acc = acc + c2[i, mu, k] * xs[k] * xs[k]
                     out[i][mu] = acc
-            return np.array(out, dtype=object) if _any_dual(xs) else np.array(out, dtype=float)
+            return np.array(out, dtype=object) if has_dual(xs) else np.array(out, dtype=float)
     elif kind == "trig":
         def a_fun(xs):
             out = [[None] * base_dim for _ in range(nf)]
@@ -478,7 +441,7 @@ def make_test_potential(L, base_dim, seed, chart="test", kind="poly"):
                     for k in range(base_dim):
                         acc = acc + c1[i, mu, k] * gsin(xs[k]) + c2[i, mu, k] * gcos(xs[k])
                     out[i][mu] = acc
-            return np.array(out, dtype=object) if _any_dual(xs) else np.array(out, dtype=float)
+            return np.array(out, dtype=object) if has_dual(xs) else np.array(out, dtype=float)
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
 
@@ -505,7 +468,3 @@ def make_test_transition(L, base_dim, seed, radius=0.4):
 
     return q_map
 
-
-def _any_dual(xs):
-    from .dual import has_dual
-    return has_dual(xs)

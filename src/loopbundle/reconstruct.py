@@ -7,8 +7,6 @@ db/dt.  A generalized Maurer-Cartan identity is what makes the result
 path independent.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import core
@@ -18,22 +16,6 @@ from .report import VerificationReport, worst_residual
 from .tangent import left_associator_differential, left_frame_matrix
 
 MIN_STEPS = 16
-
-
-@dataclass(frozen=True)
-class LiePath:
-    """Integration path t -> t*b in chart coordinates, t in [0, 1]."""
-
-    start: np.ndarray
-    target_params: np.ndarray
-    steps: int
-
-    def __post_init__(self):
-        if self.steps < MIN_STEPS:
-            raise ValueError(f"steps must be at least {MIN_STEPS}")
-
-    def point(self, t):
-        return [t * float(v) for v in self.target_params]
 
 
 def _path_with_velocity(path, t):
@@ -76,6 +58,8 @@ def reconstruct_product(L, a, b, steps, path=None, tol=None):
     given, the result is compared against a run at doubled step count and
     StepUnderflow is raised if they disagree by more than ``tol``.
     """
+    if steps < MIN_STEPS:
+        raise ValueError(f"steps must be at least {MIN_STEPS}")
     if tol is not None:
         coarse = reconstruct_product(L, a, b, steps, path=path)
         fine = reconstruct_product(L, a, b, 2 * steps, path=path)
@@ -83,10 +67,9 @@ def reconstruct_product(L, a, b, steps, path=None, tol=None):
             raise StepUnderflow(
                 f"{L.name}: {steps} steps insufficient for tolerance {tol}")
         return fine
-    lp = LiePath(start=np.asarray(a, dtype=float),
-                 target_params=np.asarray(b, dtype=float), steps=steps)
     if path is None:
-        path = lambda t: [t * float(v) for v in lp.target_params]
+        target = [float(v) for v in b]
+        path = lambda t: [t * v for v in target]
     phi = np.asarray(a, dtype=float)
     h = 1.0 / steps
     # Keyed by the exact float t: n*h and (n-1)*h + h can differ in the
@@ -169,7 +152,8 @@ def batalin_transform(L, b, c, a):
     Simplifies to a \\ ((a.b).c) because the outer left translation
     cancels against the inner division.
     """
-    return core.left_divide(L, a, core.product(L, core.product(L, a, b), c))
+    b, c, a = core._chart_points(L, b, c, a)
+    return pack(L.left_div(a, L.product(L.product(a, b), c)))
 
 
 def batalin_axiom_check(L, a, b, c):

@@ -109,6 +109,10 @@ class RunConfig:
     report_path: str = ""
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Reject a nonpositive sample count or tolerance."""
         if self.samples <= 0:
             raise ValueError("samples must be positive")
         if any(t <= 0 for t in self.tolerances.values()):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .dual import ginv, gsolve, jacobian, pack, primal
+from .dual import floats_if_plain, ginv, gsolve, jacobian, pack, primal
 from .errors import SingularFrame
 from .report import worst_residual
 
@@ -59,6 +59,14 @@ def left_frame_matrix(L, a):
     return jacobian(lambda b: list(core.product(L, a, b)), list(L.identity))
 
 
+def right_frame_matrix(L, y):
+    """Right-frame columns: the differential of a -> a.y at the identity.
+
+    Accepts dual entries in ``y``.
+    """
+    return jacobian(lambda a: list(core.product(L, a, y)), list(L.identity))
+
+
 def left_fundamental_basis(L, a):
     r = left_frame_matrix(L, a)
     _warn_if_ill_conditioned(r, L, a)
@@ -79,40 +87,33 @@ def structure_functions(L, a):
     return StructureTensor(at=pack(list(a)), C=c)
 
 
-def structure_tensor_raw(L, a):
-    """Structure functions as a raw array; ``a`` may carry dual parts."""
+def structure_tensor_raw(L, a, frame=None):
+    """Structure tensor C^p_ij of a frame as a raw array, with
+    [G_i, G_j] = C^p_ij G_p for the frame fields G_i.
+
+    ``frame(L, a)`` returns the frame columns at ``a``: the left frame
+    (:func:`left_frame_matrix`) by default, or :func:`right_frame_matrix`.
+    ``a`` may carry dual parts.
+    """
+    if frame is None:
+        frame = left_frame_matrix
     n = L.dim
-    r = left_frame_matrix(L, a)
+    r = frame(L, a)
     # grad[(k,i) flattened][m] = d R^k_i / d a^m, via one more dual level.
     def flat_frame(x):
-        fr = left_frame_matrix(L, x)
+        fr = frame(L, x)
         return [fr[k][i] for k in range(n) for i in range(n)]
 
     grad = jacobian(flat_frame, a)
-    bracket_cols = []
+    rhs = np.empty((n, n * n), dtype=object)
     for i in range(n):
         for j in range(n):
-            col = []
             for k in range(n):
                 acc = 0.0
                 for m in range(n):
                     acc = acc + r[m][i] * grad[k * n + j][m] - r[m][j] * grad[k * n + i][m]
-                col.append(acc)
-            bracket_cols.append(col)
-    rhs = np.empty((n, n * n), dtype=object)
-    for idx, col in enumerate(bracket_cols):
-        for k in range(n):
-            rhs[k, idx] = col[k]
-    sol = gsolve(r, rhs)
-    c = np.empty((n, n, n), dtype=object)
-    for p in range(n):
-        for i in range(n):
-            for j in range(n):
-                c[p, i, j] = sol[p, i * n + j]
-    try:
-        return c.astype(float)
-    except (TypeError, ValueError):
-        return c
+                rhs[k, i * n + j] = acc
+    return floats_if_plain(gsolve(r, rhs).reshape(n, n, n))
 
 
 def jacobi_residual(L, a):

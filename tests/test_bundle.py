@@ -121,6 +121,19 @@ def test_winding_transition_matches_iterated_glueing():
         assert np.max(np.abs(got - expect)) < 1e-9
 
 
+def test_iterated_glueing_through_the_chart_cut():
+    # At 3 theta / 2 = pi/2 - 1e-4 the third iterate lies near 1e4, beyond
+    # the chart's 1e3 cut; only q and zeta are checked, so the fourth
+    # iterate is still reached and matches the closed form.
+    L = bundle.make_s3_bundle().fiber_loop
+    theta, gamma = (2.0 / 3.0) * (0.5 * math.pi - 1e-4), 0.7
+    q1 = bundle.winding_transition(1, theta, gamma)
+    assert not L.domain_check(bundle.iterate_left(L, q1, 3, L.identity))
+    got = bundle.iterate_left(L, q1, 4, L.identity)
+    expect = bundle.winding_transition(4, theta, gamma)
+    assert np.max(np.abs(got - expect)) < 1e-9
+
+
 def test_right_action_is_loop_product():
     atlas = bundle.make_atlas("s3-over-s1")
     rng = np.random.default_rng(8)

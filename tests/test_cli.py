@@ -132,6 +132,21 @@ def test_bundle_check_command(capsys):
         assert "cocycle" in capsys.readouterr().out
 
 
+def test_bundle_suite_seed_2_passes(capsys):
+    # Winding iterates of this seed pass beyond the fiber chart's 1e3 cut.
+    code = run(["verify", "--suite", "bundle", "--samples", "20000",
+                "--seed", "2"])
+    assert code == 0
+    assert "PASS winding_closed_form" in capsys.readouterr().out
+
+
+def test_bad_tolerance_is_usage_error(capsys):
+    code = run(["verify", "--loop", "qc", "--suite", "axioms",
+                "--samples", "5", "--tol.axioms=-1"])
+    assert code == 2
+    assert "tolerances must be positive" in capsys.readouterr().err
+
+
 def test_bundle_check_unknown_atlas(capsys):
     assert run(["bundle-check", "--atlas", "torus"]) == 2
 

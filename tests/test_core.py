@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopbundle import core
+from loopbundle import bundle, core, reconstruct
+from loopbundle.dual import jacobian
+from loopbundle.errors import OutOfDomain
 from loopbundle.report import worst_residual
 from loopbundle.zoo import catalog_names, make_loop
 
@@ -115,3 +117,41 @@ def test_mobius_division_round_trip(a1, a2, b1, b2):
     a, b = [a1, a2], [b1, b2]
     x = core.left_divide(L, a, b)
     assert core.distance(L, core.product(L, a, x), np.asarray(b)) < 1e-10
+
+
+# One point outside each chart, and every public operation with that point
+# in each argument slot.
+OUTSIDE = {"rz": [1.2], "qc": [1.2e3, 0.0], "qh2": [1.2, 0.0],
+           "qhr:K=1": [0.0, 0.0, -1e3, 0.0], "qsu2": [0.0, 2e3]}
+OPERATIONS = {
+    "product": (2, core.product),
+    "left_divide": (2, core.left_divide),
+    "right_divide": (2, core.right_divide),
+    "left_associator": (3, lambda L, a, b, c: core.associator(L, "left", a, b, c)),
+    "adjoint_associator": (3, lambda L, a, b, c: core.associator(L, "adjoint", a, b, c)),
+    "right_associator": (3, lambda L, a, b, c: core.associator(L, "right", a, b, c)),
+    "ad_map": (3, core.ad_map),
+    "ad_inverse_map": (3, core.ad_inverse_map),
+    "batalin_transform": (3, reconstruct.batalin_transform),
+    "iterate_left": (2, lambda L, q, zeta: bundle.iterate_left(L, q, 2, zeta)),
+}
+
+
+@pytest.mark.parametrize("name", ALL_LOOPS)
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+def test_out_of_chart_argument_raises_for_floats_and_duals(name, op):
+    L = make_loop(name)
+    arity, fn = OPERATIONS[op]
+    bad = OUTSIDE[name]
+    assert not L.domain_check(bad)
+    for slot in range(arity):
+        def call(x):
+            args = [list(L.identity)] * arity
+            args[slot] = x
+            return list(fn(L, *args))
+
+        with pytest.raises(OutOfDomain):
+            call(bad)
+        # a seeded dual argument is checked on its primal coordinates
+        with pytest.raises(OutOfDomain):
+            jacobian(call, bad)

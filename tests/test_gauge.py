@@ -41,7 +41,8 @@ def test_right_frame_closed_form_for_mobius():
 def test_right_structure_tensor_antisymmetry():
     L = make_loop("qh2")
     rng = np.random.default_rng(2)
-    c = np.asarray(gauge.right_structure_tensor(L, list(0.5 * L.sample(rng))),
+    c = np.asarray(tangent.structure_tensor_raw(L, list(0.5 * L.sample(rng)),
+                                                frame=tangent.right_frame_matrix),
                    dtype=float)
     assert np.max(np.abs(c + c.transpose(0, 2, 1))) < 1e-12
 

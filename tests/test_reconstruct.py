@@ -42,8 +42,9 @@ def test_path_independence():
 
 
 def test_path_must_have_enough_steps():
+    L = make_loop("qc")
     with pytest.raises(ValueError):
-        reconstruct.LiePath(start=np.zeros(2), target_params=np.ones(2), steps=4)
+        reconstruct.reconstruct_product(L, [0.2, 0.1], [0.3, -0.2], steps=4)
 
 
 def test_step_underflow_raised_for_tight_tolerance():

@@ -7,6 +7,7 @@ from loopbundle import core
 from loopbundle.dual import jacobian, primal
 from loopbundle.errors import (DomainSingularity, NoSolutionInChart,
                                PoleSingularity, UnknownKind)
+from loopbundle.report import worst_residual
 from loopbundle.zoo import (LoopSpec, catalog_names, chart_inverse, chart_map,
                             make_loop, parse_spec, qsu2_matrix, qsu2_product)
 
@@ -285,3 +286,65 @@ def test_singular_inputs_raise(name, op, a, b, message):
     # the dual path checks the same primal denominator
     with pytest.raises(DomainSingularity, match=message):
         jacobian(lambda v: getattr(L, op)(v, b), a)
+
+
+# -- composites against compositions of the reference formulas --------------
+
+def _reference_composites(name):
+    """Associators, Ad and Ad^-1 composed from the reference formulas."""
+    prod, ldiv, rdiv = REFERENCES[name]
+    return {
+        "left": lambda a, b, c: ldiv(prod(a, b), prod(a, prod(b, c))),
+        "adjoint": lambda a, b, c: prod(a, prod(b, ldiv(prod(a, b), c))),
+        "right": lambda a, b, c: rdiv(prod(prod(c, a), b), prod(a, b)),
+        "ad": lambda a, b, c: ldiv(a, rdiv(prod(prod(a, b), c), b)),
+        "ad_inverse": lambda a, b, c: ldiv(prod(a, b), prod(prod(a, c), b)),
+    }
+
+
+def _chordal(p, q):
+    """Distance on the Riemann sphere; absolute differences of plane
+    coordinates grow with |z| and say nothing far out in the chart."""
+    z, w = complex(p[0], p[1]), complex(q[0], q[1])
+    return 2.0 * abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
+
+
+def _library_composites(L):
+    return {
+        "left": lambda a, b, c: core.associator(L, "left", a, b, c),
+        "adjoint": lambda a, b, c: core.associator(L, "adjoint", a, b, c),
+        "right": lambda a, b, c: core.associator(L, "right", a, b, c),
+        "ad": lambda a, b, c: core.ad_map(L, b, a, c),
+        "ad_inverse": lambda a, b, c: core.ad_inverse_map(L, b, a, c),
+    }
+
+
+@pytest.mark.parametrize("name", ["qc", "qsu2"])
+def test_composites_defined_on_the_radius_045_circle(name):
+    # Some chains of translations of these points pass beyond the chart's
+    # 1e3 cut (triples 1230 and 1862 do), and some right associators land
+    # there; only the three arguments are chart-checked, so every
+    # composite returns its value.
+    L = make_loop(name)
+    got, want = _library_composites(L), _reference_composites(name)
+    phases = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, (12000, 3))
+    worst = 0.0
+    for row in phases:
+        a, b, c = ([0.45 * math.cos(p), 0.45 * math.sin(p)] for p in row)
+        for key, op in got.items():
+            worst = worst_residual(worst, _chordal(op(a, b, c), want[key](a, b, c)))
+    assert worst < 1e-12
+
+
+def test_composite_through_the_chart_cut_returns_its_result():
+    # a.b = 1999.5 lies beyond the qc chart's 1e3 cut; every composite
+    # below passes through it and still has a finite value.
+    L = make_loop("qc")
+    a = b = [0.9995, 0.0]
+    c = [0.1, 0.2]
+    assert not L.domain_check(core.product(L, a, b))
+    want = _reference_composites("qc")
+    for key, op in _library_composites(L).items():
+        got = op(a, b, c)
+        assert L.domain_check(got), key
+        assert np.max(np.abs(got - want[key](a, b, c))) < 1e-12, key
