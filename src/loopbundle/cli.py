@@ -78,7 +78,7 @@ def suite_tangent(config):
     sign = {"qc": -1.0, "qsu2": -1.0, "qh2": 1.0}.get(L.name)
     for _ in range(n):
         a = L.sample(rng)
-        c = np.asarray(tangent.structure_tensor_raw(L, list(a)), dtype=float)
+        c = tangent.structure_tensor_raw(L, a)
         anti = worst_residual(anti, float(np.max(np.abs(c + c.transpose(0, 2, 1)))))
         if sign is not None:
             ref = _mobius_reference_structure(sign, a)
@@ -132,13 +132,6 @@ def suite_reconstruct(config):
     return report
 
 
-def _chordal_distance(p, q):
-    """Distance of two plane points on the Riemann sphere, 2|z-w| /
-    sqrt((1+|z|^2)(1+|w|^2)); meaningful also far out in the chart."""
-    z, w = complex(p[0], p[1]), complex(q[0], q[1])
-    return 2.0 * abs(z - w) / np.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
-
-
 def _add_atlas_cases(report, atlas, rng, n, tol, suffix=""):
     """Cocycle, transition right-law and chart round-trip cases over n
     sampled overlap points of ``atlas``."""
@@ -189,7 +182,7 @@ def suite_bundle(config):
             q1 = bundle.winding_transition(1, theta_w, gamma)
             qn = bundle.winding_transition(k, theta_w, gamma)
             it = bundle.iterate_left(L, q1, k, L.identity)
-            wind = worst_residual(wind, _chordal_distance(qn, it))
+            wind = worst_residual(wind, core.distance(L, qn, it))
     report.add("s3_norm_preservation", norm, tol, n)
     report.add("winding_closed_form", wind, tol, 5 * n)
     return report

@@ -1,9 +1,21 @@
-"""Forward-mode automatic differentiation with nestable dual numbers.
+"""Forward-mode automatic differentiation: nestable dual numbers and
+truncated Taylor jets.
 
-First derivatives come from a single dual level; second and third
-derivatives (frame brackets, Jacobi residuals, Bianchi) from nesting
-``Dual`` inside ``Dual``.  Everything here is exact in exact arithmetic:
-no finite-difference truncation error anywhere.
+Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
+``gfloor``) of this module.
+
+- ``Jet`` carries the frames and the structure functions.  One pass of
+  the product on jets in the point offset alpha and the frame argument
+  beta gives the frame and its first and second derivatives in the point
+  (``taylor_frame``): the coefficients of the monomials alpha^p beta^q
+  with |p| <= 2 and |q| <= 1.  Higher monomials are truncated.
+- ``Dual`` gives every other derivative: first derivatives from one dual
+  level; second and third derivatives (Ad and associator differentials,
+  Maurer-Cartan, gauge curvature, Bianchi) from nesting ``Dual`` inside
+  ``Dual``.
+
+Both are exact in exact arithmetic: no finite-difference truncation
+error anywhere.
 
 The generic linear-algebra helpers (``gsolve``, ``ginv``) accept matrices
 whose entries are duals, which is what makes frame solves differentiable.
@@ -36,6 +48,7 @@ A NaN in any coordinate still makes the primal values it reaches NaN.
 ``tests/test_dual.py`` keeps dense seeding as the reference.
 """
 
+import functools
 import itertools
 import math
 
@@ -168,21 +181,27 @@ def has_dual(xs):
 
 
 def primal(x):
-    """Strip all dual parts, returning the underlying float."""
+    """Strip all dual and jet parts, returning the underlying float."""
     while isinstance(x, Dual):
         x = x.re
+    if x.__class__ is Jet:
+        return float(x.c[0])
     return float(x)
 
 
 def gsin(x):
     if isinstance(x, Dual):
         return Dual(gsin(x.re), gcos(x.re) * x.du, x.lvl)
+    if x.__class__ is Jet:
+        return x._trig(0)
     return math.sin(x)
 
 
 def gcos(x):
     if isinstance(x, Dual):
         return Dual(gcos(x.re), -gsin(x.re) * x.du, x.lvl)
+    if x.__class__ is Jet:
+        return x._trig(1)
     return math.cos(x)
 
 
@@ -364,3 +383,170 @@ def ginv(a):
         return np.linalg.inv(a)
     n = a.shape[0]
     return gsolve(a, np.eye(n))
+
+
+# -- Taylor jets ---------------------------------------------------------------
+
+# Highest total degree of a monomial: 2 in alpha plus 1 in beta.  The
+# non-constant part N of a jet has N**(JET_DEGREE + 1) == 0.
+JET_DEGREE = 3
+
+
+class JetSpace:
+    """Monomials alpha^p beta^q (|p| <= 2, |q| <= 1) in dimension ``n``,
+    with the (i, j -> k) table of their truncated products.
+
+    ``index`` maps a monomial, written as the sorted tuples of its alpha and
+    beta variable indices (``((0, 0), (1,))`` is alpha_0^2 beta_1), to its
+    coefficient position; the constant term is at 0.
+    """
+
+    def __init__(self, n):
+        alphas = [()] + [(m,) for m in range(n)] + list(
+            itertools.combinations_with_replacement(range(n), 2))
+        betas = [()] + [(i,) for i in range(n)]
+        monos = [(p, q) for q in betas for p in alphas]
+        index = {mono: k for k, mono in enumerate(monos)}
+        pairs = [(i, j, index[(tuple(sorted(pi + pj)), qi + qj)])
+                 for i, (pi, qi) in enumerate(monos)
+                 for j, (pj, qj) in enumerate(monos)
+                 if len(pi) + len(pj) <= 2 and len(qi) + len(qj) <= 1]
+        pairs.sort(key=lambda t: t[2])
+        self.size = len(monos)
+        self.index = index
+        self._i = np.array([t[0] for t in pairs])
+        self._j = np.array([t[1] for t in pairs])
+        k = np.array([t[2] for t in pairs])
+        # Every monomial is 1 times itself, so each k starts a nonempty run.
+        self._starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        # Positions of beta_i, alpha_m beta_i and alpha_l alpha_m beta_i.
+        self.beta = np.array([index[((), (i,))] for i in range(n)])
+        self.alpha_beta = np.array([[index[((m,), (i,))] for i in range(n)]
+                                    for m in range(n)])
+        self.alpha2_beta = np.array([[[index[(tuple(sorted((l, m))), (i,))]
+                                       for i in range(n)] for m in range(n)]
+                                     for l in range(n)])
+
+    def mul(self, x, y):
+        return np.add.reduceat(x[self._i] * y[self._j], self._starts)
+
+    def variable(self, value, mono):
+        c = np.zeros(self.size)
+        c[0] = value
+        c[self.index[mono]] = 1.0
+        return Jet(c, self)
+
+
+@functools.lru_cache(maxsize=None)
+def jet_space(n):
+    return JetSpace(n)
+
+
+class Jet:
+    """Truncated multivariate Taylor polynomial: coefficients ``c`` over the
+    monomials of ``space``.  The non-constant part is nilpotent, so the
+    reciprocal, sin and cos are finite series in it."""
+
+    __slots__ = ("c", "space")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, c, space):
+        self.c = c
+        self.space = space
+
+    def __add__(self, other):
+        if other.__class__ is Jet:
+            return Jet(self.c + other.c, self.space)
+        if isinstance(other, _NUMBERS):
+            c = self.c.copy()
+            c[0] += other
+            return Jet(c, self.space)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is Jet:
+            return Jet(self.c - other.c, self.space)
+        if isinstance(other, _NUMBERS):
+            c = self.c.copy()
+            c[0] -= other
+            return Jet(c, self.space)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, _NUMBERS):
+            c = -self.c
+            c[0] += other
+            return Jet(c, self.space)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if other.__class__ is Jet:
+            return Jet(self.space.mul(self.c, other.c), self.space)
+        if isinstance(other, _NUMBERS):
+            return Jet(self.c * other, self.space)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if other.__class__ is Jet:
+            return self * other._reciprocal()
+        if isinstance(other, _NUMBERS):
+            if other == 0:
+                raise ZeroDivisionError("float division by zero")
+            return Jet(self.c / other, self.space)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, _NUMBERS):
+            return self._reciprocal() * other
+        return NotImplemented
+
+    def __neg__(self):
+        return Jet(-self.c, self.space)
+
+    def _reciprocal(self):
+        inv = 1.0 / float(self.c[0])  # ZeroDivisionError, as for floats
+        return self._series([inv * (-inv) ** k for k in range(JET_DEGREE + 1)])
+
+    def _trig(self, shift):
+        """sin (shift 0) or cos (shift 1): the k-th derivative of sin is
+        the (k + shift)-th entry of the cycle sin, cos, -sin, -cos."""
+        s, c = math.sin(self.c[0]), math.cos(self.c[0])
+        cycle = (s, c, -s, -c)
+        return self._series([cycle[(k + shift) % 4] / math.factorial(k)
+                             for k in range(JET_DEGREE + 1)])
+
+    def _series(self, taylor):
+        """f(x0 + N) = sum_k taylor[k] N^k, with taylor[k] = f^(k)(x0) / k!."""
+        mul = self.space.mul
+        n = self.c.copy()
+        n[0] = 0.0
+        acc = n * taylor[-1]
+        acc[0] += taylor[-2]
+        for t in reversed(taylor[:-2]):
+            acc = mul(n, acc)
+            acc[0] += t
+        return Jet(acc, self.space)
+
+
+def taylor_frame(f, a, e):
+    """One jet pass of ``f(a + alpha, e + beta)`` for a map f: R^n x R^n -> R^n.
+
+    Returns ``(R, dR, d2R)`` at alpha = beta = 0 with
+    ``R[k, i] = df^k/dbeta^i``, ``dR[m, k, i] = d R[k, i] / da^m`` and
+    ``d2R[l, m, k, i] = d^2 R[k, i] / da^l da^m``.  ``a`` and ``e`` hold real numbers.
+    """
+    n = len(a)
+    space = jet_space(n)
+    ys = f([space.variable(v, ((m,), ())) for m, v in enumerate(a)],
+           [space.variable(v, ((), (i,))) for i, v in enumerate(e)])
+    coeffs = np.array([y.c for y in ys])
+    r = coeffs[:, space.beta]
+    dr = coeffs[:, space.alpha_beta].transpose(1, 0, 2)
+    d2r = coeffs[:, space.alpha2_beta].transpose(1, 2, 0, 3)
+    # The coefficient of alpha_m^2 is half the second derivative.
+    d2r[np.diag_indices(n)] *= 2.0
+    return r, dr, d2r

@@ -93,9 +93,7 @@ def curvature(form, x, y):
                     [float(v) for v in x])
     da = np.array([[primal(v) for v in row]
                    for row in flat]).reshape(nf, db, db)  # da[i][mu][nu] = d_nu A^i_mu
-    c = np.asarray(tangent.structure_tensor_raw(L, [float(v) for v in y],
-                                                frame=tangent.right_frame_matrix),
-                   dtype=float)
+    c = tangent.structure_tensor_raw(L, y, side="right")
     f = np.zeros((nf, db, db))
     for i in range(nf):
         for mu in range(db):

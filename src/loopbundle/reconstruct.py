@@ -135,7 +135,7 @@ def maurer_cartan_residual(L, b, a):
     # dlam[p][i][j] = d lambda^i_j / d b^p
     dlam = np.array([[primal(v) for v in row]
                      for row in flat]).reshape(n, n, n).transpose(2, 0, 1)
-    c = np.asarray(structure_tensor_raw(L, list(core.product(L, a, b))), dtype=float)
+    c = structure_tensor_raw(L, core.product(L, a, b))
     worst = 0.0
     for i in range(n):
         for j in range(n):

@@ -1,9 +1,11 @@
 """Tangent-space structure of a smooth loop.
 
 Pushforwards of translations are dual-number Jacobians of the closed-form
-product; frame brackets and structure-function derivatives use nested
-duals, so there is no finite-difference truncation error anywhere in this
-module.
+product.  The structure functions and the modified Jacobi identity take
+the frame and its first and second derivatives from one pass of the
+product on Taylor jets (``dual.taylor_frame``), then C = R^-1 B and its
+derivative by numpy linear algebra.  There is no finite-difference
+truncation error anywhere in this module.
 """
 
 import warnings
@@ -12,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .dual import floats_if_plain, ginv, gsolve, jacobian, pack, primal
+from .dual import ginv, gsolve, jacobian, pack, primal, taylor_frame
 from .errors import SingularFrame
-from .report import worst_residual
 
 FRAME_COND_WARN = 1e8
 
@@ -87,57 +88,62 @@ def structure_functions(L, a):
     return StructureTensor(at=pack(list(a)), C=c)
 
 
-def structure_tensor_raw(L, a, frame=None):
-    """Structure tensor C^p_ij of a frame as a raw array, with
+def _frame_derivatives(L, a, side):
+    """The frame at ``a`` and its first and second derivatives in ``a``,
+    from one jet pass of the product (see :func:`dual.taylor_frame`)."""
+    a = [float(v) for v in a]
+    core._chart_points(L, a)
+    if side == "left":
+        f = L.product
+    elif side == "right":
+        f = lambda x, y: L.product(y, x)
+    else:
+        raise ValueError(f"unknown frame side: {side!r}")
+    return taylor_frame(f, a, L.identity)
+
+
+def _structure(r, dr):
+    """C = R^-1 B, where B^k_ij = G^m_i d_m G^k_j - G^m_j d_m G^k_i are the
+    components of [G_i, G_j] for the frame fields G_i = R[:, i], and
+    dR[m] = d_m R."""
+    n = len(r)
+    g = np.einsum("mi,mkj->kij", r, dr)
+    c = np.linalg.solve(r, (g - g.transpose(0, 2, 1)).reshape(n, n * n))
+    return c.reshape(n, n, n)
+
+
+def _structure_derivative(r, dr, d2r, c):
+    """dC[p, l, i, j] = d_l C^p_ij = (R^-1 (d_l B - d_l R C))^p_ij."""
+    n = len(r)
+    # dg[l, k, i, j] = d_l (G^m_i d_m G^k_j)
+    dg = np.einsum("lmi,mkj->lkij", dr, dr) + np.einsum("mi,lmkj->lkij", r, d2r)
+    rhs = dg - dg.transpose(0, 1, 3, 2) - np.einsum("lkq,qij->lkij", dr, c)
+    dc = np.linalg.solve(r, rhs.transpose(1, 0, 2, 3).reshape(n, n ** 3))
+    return dc.reshape(n, n, n, n)
+
+
+def structure_tensor_raw(L, a, side="left"):
+    """Structure tensor C^p_ij of a frame as a raw float array, with
     [G_i, G_j] = C^p_ij G_p for the frame fields G_i.
 
-    ``frame(L, a)`` returns the frame columns at ``a``: the left frame
-    (:func:`left_frame_matrix`) by default, or :func:`right_frame_matrix`.
-    ``a`` may carry dual parts.
+    ``side`` picks the left frame (:func:`left_frame_matrix`) or the right
+    one (:func:`right_frame_matrix`).  ``a`` must be floats; a dual
+    coordinate raises ``TypeError``.
     """
-    if frame is None:
-        frame = left_frame_matrix
-    n = L.dim
-    r = frame(L, a)
-    # grad[(k,i) flattened][m] = d R^k_i / d a^m, via one more dual level.
-    def flat_frame(x):
-        fr = frame(L, x)
-        return [fr[k][i] for k in range(n) for i in range(n)]
-
-    grad = jacobian(flat_frame, a)
-    rhs = np.empty((n, n * n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = 0.0
-                for m in range(n):
-                    acc = acc + r[m][i] * grad[k * n + j][m] - r[m][j] * grad[k * n + i][m]
-                rhs[k, i * n + j] = acc
-    return floats_if_plain(gsolve(r, rhs).reshape(n, n, n))
+    r, dr, _ = _frame_derivatives(L, a, side)
+    return _structure(r, dr)
 
 
 def jacobi_residual(L, a):
-    """Max-norm residual of the modified Jacobi identity at ``a``."""
-    n = L.dim
-    a = [float(x) for x in a]
-    r = np.array([[primal(x) for x in row] for row in left_frame_matrix(L, a)])
-    c = np.asarray(structure_tensor_raw(L, a), dtype=float)
-    # dc[m][p][i][j] = d C^p_ij / d a^m
-    flat = jacobian(lambda x: list(np.asarray(structure_tensor_raw(L, x)).reshape(-1)), a)
-    dc = np.array([[primal(v) for v in row] for row in flat]).reshape(n, n, n, n).transpose(3, 0, 1, 2)
-    worst = 0.0
-    for p in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    deriv = (dc[:, p, i, j] @ r[:, k]
-                             + dc[:, p, j, k] @ r[:, i]
-                             + dc[:, p, k, i] @ r[:, j])
-                    quad = (c[:, i, j] @ c[p, k, :]
-                            + c[:, j, k] @ c[p, i, :]
-                            + c[:, k, i] @ c[p, j, :])
-                    worst = worst_residual(worst, abs(deriv + quad))
-    return worst
+    """Max-norm residual of the modified Jacobi identity at ``a``:
+    the cyclic sum over (i, j, k) of G_k C^p_ij + C^q_ij C^p_kq."""
+    r, dr, d2r = _frame_derivatives(L, a, "left")
+    c = _structure(r, dr)
+    dc = _structure_derivative(r, dr, d2r, c)
+    # s[p, i, j, k] = G^m_k d_m C^p_ij + C^q_ij C^p_kq
+    s = np.einsum("mk,pmij->pijk", r, dc) + np.einsum("qij,pkq->pijk", c, c)
+    cyclic = s + np.einsum("pjki->pijk", s) + np.einsum("pkij->pijk", s)
+    return float(np.max(np.abs(cyclic)))  # NaN if any entry is NaN
 
 
 def canonical_form(L, v):

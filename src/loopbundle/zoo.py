@@ -56,11 +56,17 @@ def _rz_product(a, b):
 def _rz_solve(x, target):
     """Solve y + f(y) - f(x+y) = target for y (bisection plus Newton polish).
 
-    The solve is well posed only where the left translation is monotone,
-    i.e. for x below 1/pi^2; the sampler stays inside that window.
+    g(y) = y + f(y) - f(x+y) has g'(y) = 1 - pi sin(pi x) cos(pi (2y + x)),
+    so the left translation by x is a bijection of the circle exactly where
+    pi |sin(pi x)| < 1: x in [0, 0.10312) or (0.89688, 1) modulo 1.
+    Elsewhere some targets have several roots, and the solve raises.  The
+    rule reads the primal value, so floats and duals follow it alike.
     """
     x0 = primal(x)
-    g0 = lambda y: y + primal(_rz_f(y)) - primal(_rz_f(x0 + y))
+    if math.pi * abs(math.sin(math.pi * x0)) >= 1.0:
+        raise NoSolutionInChart(f"R/Z left translation by {x0} is not invertible")
+    # x0 and y are floats here, so the closed forms return floats.
+    g0 = lambda y: y + _rz_f(y) - _rz_f(x0 + y)
     # g(y+1) = g(y)+1, so shift the target near the image of [0,1).
     t0 = primal(target)
     t0 -= math.floor(t0 - g0(0.0) + 0.5)
@@ -72,7 +78,7 @@ def _rz_solve(x, target):
         else:
             hi = mid
     y = 0.5 * (lo + hi)
-    gp0 = lambda y: 1.0 + primal(_rz_fprime(y)) - primal(_rz_fprime(x0 + y))
+    gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x0 + y)
     for _ in range(4):
         y -= (g0(y) - t0) / gp0(y)
     # Re-run the update in dual arithmetic to propagate derivatives exactly.
@@ -337,6 +343,14 @@ def _gatanh(x):
 
 # -- descriptors ------------------------------------------------------------
 
+def _chordal_distance(p, q):
+    """Distance of two plane points on the Riemann sphere,
+    2|z - w| / sqrt((1 + |z|^2)(1 + |w|^2)); unlike plane differences it
+    does not grow with |z| far out in the chart."""
+    return 2.0 * math.hypot(p[0] - q[0], p[1] - q[1]) / (
+        math.hypot(1.0, p[0], p[1]) * math.hypot(1.0, q[0], q[1]))
+
+
 def _disk_sampler(radius):
     def sample(rng):
         r = radius * math.sqrt(rng.uniform())
@@ -358,8 +372,9 @@ def make_loop(spec):
             right_div=_rz_right_div,
             identity=np.zeros(1),
             # Left translations L_x are invertible circle maps only for
-            # x < 1/pi^2; sampling stays well inside that local-loop
-            # window so that products of samples also remain inside it.
+            # pi |sin(pi x)| < 1 (x < 0.10312 or x > 0.89688); sampling
+            # stays well inside that window so that products of samples
+            # also remain inside it.
             domain_check=lambda p: 0.0 <= p[0] < 1.0,
             sample=lambda rng: np.array([rng.uniform(0.0, 0.04)]),
             distance=lambda p, q: float(np.min(np.abs([p[0] - q[0],
@@ -376,6 +391,7 @@ def make_loop(spec):
             identity=np.zeros(2),
             domain_check=lambda p: math.hypot(p[0], p[1]) < 1e3,
             sample=_disk_sampler(0.9),
+            distance=_chordal_distance,
         )
     if kind == "qh2":
         sign = 1.0

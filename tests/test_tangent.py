@@ -184,3 +184,26 @@ def test_jacobi_point_dual_node_count(monkeypatch, name, point, limit):
     residual = tangent.jacobi_residual(L, point)
     assert residual < 1e-12
     assert nodes[0] <= limit
+
+
+# The structure tensor and the Jacobi residual take the frame and its
+# derivatives from one jet pass of the product; nested duals evaluated it
+# 104 times per Jacobi point on qhr:K=1.
+@pytest.mark.parametrize("name,point", [
+    ("qhr:K=1", [0.1, -0.2, 0.3, 0.25]),
+    ("qc", [0.3, -0.4]),
+])
+def test_one_product_pass_per_call(name, point):
+    base = make_loop(name)
+    calls = [0]
+
+    def counting_product(a, b):
+        calls[0] += 1
+        return base.product(a, b)
+
+    L = dataclasses.replace(base, product=counting_product)
+    for fn in (tangent.jacobi_residual, tangent.structure_tensor_raw,
+               lambda L, a: tangent.structure_tensor_raw(L, a, side="right")):
+        calls[0] = 0
+        fn(L, point)
+        assert calls[0] == 1

@@ -348,3 +348,65 @@ def test_composite_through_the_chart_cut_returns_its_result():
         got = op(a, b, c)
         assert L.domain_check(got), key
         assert np.max(np.abs(got - want[key](a, b, c))) < 1e-12, key
+
+
+@pytest.mark.parametrize("name", ["qc", "qsu2"])
+def test_distance_is_chordal_far_out_in_the_chart(name):
+    # Triple 1828 of the draw above: its right associator lies near
+    # (-1588, -657), where plane differences of 1e-9 are rounding.
+    L = make_loop(name)
+    row = np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, (12000, 3))[1828]
+    a, b, c = ([0.45 * math.cos(p), 0.45 * math.sin(p)] for p in row)
+    got = core.associator(L, "right", a, b, c)
+    want = _reference_composites(name)["right"](a, b, c)
+    assert math.hypot(*got) > 1e3
+    assert core.distance(L, got, want) <= 1e-14
+    assert core.distance(L, got, want) == pytest.approx(
+        _chordal(got, want), rel=1e-12, abs=1e-300)
+    # one point and the point at the antipode are 2 apart
+    assert core.distance(L, [0.3, 0.4], [-0.3 / 0.25, -0.4 / 0.25]) == pytest.approx(2.0)
+
+
+# Left translation by a is a bijection of R/Z exactly where
+# pi sin(pi a) < 1: a in [0, RZ_BOUND) or (1 - RZ_BOUND, 1).
+RZ_BOUND = math.asin(1.0 / math.pi) / math.pi
+
+
+def _rz_root_count(a, target):
+    """Roots y in [0, 1) of a.y = target, by sign changes on a fine grid."""
+    f = lambda x: (1.0 - np.cos(2.0 * math.pi * x)) / 4.0
+    y = (np.arange(20000) + 0.5) / 20000.0
+    g = (a + y + f(a) + f(y) - f(a + y) - target + 0.5) % 1.0 - 0.5
+    h = np.roll(g, -1)
+    # a sign change that is not the jump of the circle coordinate
+    flips = (np.sign(g) != np.sign(h)) & (np.abs(g - h) < 0.5)
+    return int(np.count_nonzero(flips))
+
+
+@pytest.mark.parametrize("a", [0.12, 0.3, 0.5])
+def test_rz_division_raises_where_left_translation_folds(a):
+    L = make_loop("rz")
+    # some targets have several roots, so no division is the division
+    assert max(_rz_root_count(a, t) for t in np.linspace(0.0, 1.0, 41)) >= 3
+    for b in ([0.01], [0.5], [0.9]):
+        with pytest.raises(NoSolutionInChart):
+            core.left_divide(L, [a], b)
+        with pytest.raises(NoSolutionInChart):
+            core.right_divide(L, b, [a])
+        with pytest.raises(NoSolutionInChart):
+            jacobian(lambda v: list(core.left_divide(L, v, b)), [a])
+
+
+def test_rz_division_round_trips_inside_the_bijective_set():
+    L = make_loop("rz")
+    inside = list(np.linspace(0.0, RZ_BOUND - 1e-4, 12)) + [0.95, 0.9, 1.0 - RZ_BOUND + 1e-4]
+    for a in inside:
+        for b in np.linspace(0.0, 0.99, 12):
+            assert _rz_root_count(a, b) == 1
+            x = core.left_divide(L, [a], [b])
+            y = core.right_divide(L, [b], [a])
+            assert core.distance(L, core.product(L, [a], x), [b]) < 1e-12
+            assert core.distance(L, core.product(L, y, [a]), [b]) < 1e-12
+    for a in (RZ_BOUND + 1e-4, 1.0 - RZ_BOUND - 1e-4):
+        with pytest.raises(NoSolutionInChart):
+            core.left_divide(L, [a], [0.5])
