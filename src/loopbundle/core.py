@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dual import pack, primal, has_dual, jacobian, gsolve
+from .dual import pack, primal, jacobian
 from .errors import OutOfDomain
 from .report import VerificationReport, worst_residual
 
@@ -38,7 +38,8 @@ class LoopDescriptor:
 
     ``product(a, b)``, ``left_div(a, b)`` (the x with a.x = b) and
     ``right_div(b, a)`` (the y with y.a = b) operate on sequences of
-    scalars (floats or dual numbers) and return lists of scalars.
+    scalars (floats, dual numbers or Taylor jets) and return lists of
+    scalars.
     """
 
     name: str
@@ -98,30 +99,28 @@ def right_divide(L, b, a):
 def newton_divide(L, a, b, side):
     """Solve the division equation by Newton iteration started at identity.
 
-    A standalone solver that uses only the product; the tests use it as a
-    reference for the closed-form divisions.  Dual-number inputs are
-    handled by running a few extra contraction steps after primal
-    convergence, which propagates the dual parts exactly.
+    A standalone float solver that uses only the product; the tests use it
+    as a reference for the closed-form divisions.
     """
     if side == "left":
         f = lambda x: L.product(a, x)
     else:
         f = lambda x: L.product(x, a)
     x = [float(v) for v in L.identity]
-    nested = has_dual(a) or has_dual(b)
-    extra = 3 if nested else 1
-    for _ in range(NEWTON_MAX_ITER):
-        res = pack([primal(u) - primal(v) for u, v in zip(f(x), b)])
-        if np.max(np.abs(res)) < NEWTON_TOL:
-            break
-        jac = np.array([[primal(v) for v in row]
-                        for row in jacobian(f, x)])
-        x = list(np.asarray(x) - np.linalg.solve(jac, res))
-    for _ in range(extra):
+    # Newton steps until the residual is below NEWTON_TOL, then one more.
+    for _ in range(NEWTON_MAX_ITER + 1):
         res = pack(f(x)) - pack(b)
-        jac = jacobian(f, x)
-        x = list(pack(x) - gsolve(jac, res))
+        done = np.max(np.abs(res)) < NEWTON_TOL
+        x = list(pack(x) - np.linalg.solve(jacobian(f, x), res))
+        if done:
+            break
     return pack(x)
+
+
+def _left_associator(L, a, b, c):
+    """l_(a,b) c = L^-1_(a.b) (a.(b.c)) on the raw closed forms."""
+    prod = L.product
+    return L.left_div(prod(a, b), prod(a, prod(b, c)))
 
 
 def associator(L, kind, a, b, c):
@@ -132,8 +131,7 @@ def associator(L, kind, a, b, c):
     a, b, c = _chart_points(L, a, b, c)
     prod, ldiv = L.product, L.left_div
     if kind == "left":
-        # l_(a,b) c = L^-1_(a.b) (a.(b.c))
-        return pack(ldiv(prod(a, b), prod(a, prod(b, c))))
+        return pack(_left_associator(L, a, b, c))
     if kind == "adjoint":
         # lhat_(a,b) c = a.(b.(L^-1_(a.b) c))
         return pack(prod(a, prod(b, ldiv(prod(a, b), c))))

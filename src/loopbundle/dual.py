@@ -4,15 +4,16 @@ truncated Taylor jets.
 Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
 ``gfloor``) of this module.
 
-- ``Jet`` carries the frames and the structure functions.  One pass of
-  the product on jets in the point offset alpha and the frame argument
-  beta gives the frame and its first and second derivatives in the point
-  (``taylor_frame``): the coefficients of the monomials alpha^p beta^q
-  with |p| <= 2 and |q| <= 1.  Higher monomials are truncated.
-- ``Dual`` gives every other derivative: first derivatives from one dual
-  level; second and third derivatives (Ad and associator differentials,
-  Maurer-Cartan, gauge curvature, Bianchi) from nesting ``Dual`` inside
-  ``Dual``.
+- ``Jet`` carries the frames, the structure functions and the
+  Maurer-Cartan identity.  One pass of a map f(a, e) on jets in the
+  point offset alpha and the argument beta gives its Jacobian in e and
+  that Jacobian's first and second derivatives in a (``taylor_frame``):
+  the coefficients of the monomials alpha^p beta^q with |p| <= 2 and
+  |q| <= 1.  Higher monomials are truncated.
+- ``Dual`` gives every other derivative: first derivatives (pushforwards,
+  Ad and associator differentials, the Lie-equation velocity) from one
+  dual level; the second and third derivatives of ``gauge`` (curvature,
+  Bianchi) from nesting ``Dual`` inside ``Dual``.
 
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.
@@ -162,13 +163,6 @@ class Dual:
         return f"Dual({self.re!r}, {self.du!r}, lvl={self.lvl})"
 
 
-def _parts(x, lvl):
-    """Real/dual parts of ``x`` with respect to the level-``lvl`` epsilon."""
-    if isinstance(x, Dual) and x.lvl == lvl:
-        return x.re, x.du
-    return x, 0.0
-
-
 def _reciprocal(x):
     if x.__class__ is not Dual:
         return 1.0 / x
@@ -203,44 +197,6 @@ def gcos(x):
     if x.__class__ is Jet:
         return x._trig(1)
     return math.cos(x)
-
-
-def gtan(x):
-    if isinstance(x, Dual):
-        t = gtan(x.re)
-        return Dual(t, (1.0 + t * t) * x.du, x.lvl)
-    return math.tan(x)
-
-
-def gtanh(x):
-    if isinstance(x, Dual):
-        t = gtanh(x.re)
-        return Dual(t, (1.0 - t * t) * x.du, x.lvl)
-    return math.tanh(x)
-
-
-def gsqrt(x):
-    if isinstance(x, Dual):
-        s = gsqrt(x.re)
-        return Dual(s, x.du * _reciprocal(s + s), x.lvl)
-    return math.sqrt(x)
-
-
-def gatan(x):
-    if isinstance(x, Dual):
-        return Dual(gatan(x.re), x.du * _reciprocal(1.0 + x.re * x.re), x.lvl)
-    return math.atan(x)
-
-
-def gatan2(y, x):
-    if isinstance(y, Dual) or isinstance(x, Dual):
-        lvl = max(y.lvl if isinstance(y, Dual) else 0,
-                  x.lvl if isinstance(x, Dual) else 0)
-        yr, yd = _parts(y, lvl)
-        xr, xd = _parts(x, lvl)
-        r2 = xr * xr + yr * yr
-        return Dual(gatan2(yr, xr), (xr * yd - yr * xd) * _reciprocal(r2), lvl)
-    return math.atan2(y, x)
 
 
 def gfloor(x):
@@ -541,8 +497,11 @@ def taylor_frame(f, a, e):
     """
     n = len(a)
     space = jet_space(n)
-    ys = f([space.variable(v, ((m,), ())) for m, v in enumerate(a)],
-           [space.variable(v, ((), (i,))) for i, v in enumerate(e)])
+    # inf times a zero coefficient is NaN, as on the float and dual paths,
+    # where it passes silently; one errstate per pass, not per multiply.
+    with np.errstate(invalid="ignore", over="ignore"):
+        ys = f([space.variable(v, ((m,), ())) for m, v in enumerate(a)],
+               [space.variable(v, ((), (i,))) for i, v in enumerate(e)])
     coeffs = np.array([y.c for y in ys])
     r = coeffs[:, space.beta]
     dr = coeffs[:, space.alpha_beta].transpose(1, 0, 2)

@@ -238,20 +238,6 @@ def field_bracket(f, g):
     return bracket
 
 
-def d_omega(form, f, g, z):
-    """Exterior derivative of the connection form on two fields at ``z``.
-
-    Convention: 2 domega(X, Y) = X omega(Y) - Y omega(X) - omega([X, Y]).
-    """
-    z = [float(v) for v in z]
-    xw = dirderiv(lambda zz: list(omega_of(form, zz, g(zz))), z, list(f(z)))
-    yw = dirderiv(lambda zz: list(omega_of(form, zz, f(zz))), z, list(g(z)))
-    comm = omega_of(form, z, field_bracket(f, g)(z))
-    return 0.5 * (np.array([primal(v) for v in xw])
-                  - np.array([primal(v) for v in yw])
-                  - np.array([primal(v) for v in comm]))
-
-
 def structure_equation_residual(form, x, y, vx_x, vy_x, vx_y, vy_y):
     """Residual of Omega = domega + (1/2)[omega, omega] on two tangent pairs.
 

@@ -3,33 +3,29 @@
 The product a.b is reproduced by integrating a generalized Lie equation
 along a path from the identity to b: the velocity of phi(t) = a.b(t) is
 the frame at phi applied to the associator-corrected canonical form of
-db/dt.  A generalized Maurer-Cartan identity is what makes the result
-path independent.
+db/dt.  The RK4 velocity takes its Jacobians from one-level duals.
+
+A generalized Maurer-Cartan identity is what makes the result path
+independent.  Its residual takes the parametric form lambda(b; a) and
+its derivatives in b from two jet passes (``dual.taylor_frame``), one of
+the left associator and one of the product, and numpy algebra.
 """
 
 import numpy as np
 
-from . import core
-from .dual import Dual, dual_parts, gsolve, jacobian, next_level, pack, primal
+from . import core, tangent
+from .dual import dirderiv, gsolve, pack, taylor_frame
 from .errors import StepUnderflow
-from .report import VerificationReport, worst_residual
+from .report import VerificationReport
 from .tangent import left_associator_differential, left_frame_matrix
 
 MIN_STEPS = 16
 
 
-def _path_with_velocity(path, t):
-    """Evaluate a scalar->params callable and its velocity at t via a dual."""
-    lvl = next_level()
-    out = path(Dual(t, 1.0, lvl))
-    return ([primal(v) for v in out],
-            [float(d) if not isinstance(d, Dual) else primal(d)
-             for d in dual_parts(out, lvl)])
-
-
 def _canonical_velocity(L, a, path, t):
     """The phi-free factor l_(a,b)* . omega(b) db/dt of the velocity at t."""
-    bpt, bdot = _path_with_velocity(path, t)
+    bpt = [float(v) for v in path(t)]
+    bdot = dirderiv(lambda ts: path(ts[0]), [t], [1.0])
     lstar = np.asarray(left_associator_differential(L, a, bpt), dtype=float)
     omega_dot = gsolve(np.asarray(left_frame_matrix(L, bpt), dtype=float),
                        np.asarray(bdot))
@@ -97,53 +93,39 @@ def bezier_path(b, control):
     return path
 
 
-def parametric_form(L, a, b):
-    """The matrix lambda(b; a) = l_(a,b)*,e . omega(b) of the Lie equation.
+def _parametric_form(L, a, b):
+    """lambda(b; a) = l_(a,b)* . omega(b), the matrix of the Lie equation,
+    and dlam[p] = d lambda / d b^p, for float points ``a`` and ``b``.
 
-    Accepts dual entries in ``b`` so it can be differentiated in the
-    b-parameters.
+    One jet pass of (x, c) -> l_(a,x) c gives l* and its derivatives in b,
+    one of the product gives the frame R and its derivatives; then
+    lambda = l* R^-1 and d_p lambda = (d_p l* - lambda d_p R) R^-1.
     """
-    lstar = left_associator_differential(L, a, b)
-    frame = left_frame_matrix(L, b)
-    n = L.dim
-    ident = np.eye(n)
-    omega = gsolve(frame, ident)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for r in range(n):
-                acc = acc + lstar[i][r] * omega[r][j]
-            out[i, j] = acc
-    return out
+    lstar, dlstar, _ = taylor_frame(
+        lambda x, c: core._left_associator(L, a, x, c), b, L.identity)
+    r, dr, _ = tangent._frame_derivatives(L, b, "left")
+    rinv = np.linalg.inv(r)
+    lam = lstar @ rinv
+    return lam, (dlstar - lam @ dr) @ rinv
 
 
 def maurer_cartan_residual(L, b, a):
     """Max-norm residual of the generalized Maurer-Cartan identity.
 
     d_p lambda^i_j - d_j lambda^i_p + C^i_mn(a.b) lambda^m_p lambda^n_j,
-    with the lambda derivatives taken in the b-parameters by dual numbers
-    and the structure functions evaluated at the translated point.
+    with lambda and its derivatives in the b-parameters from
+    :func:`_parametric_form` and the structure functions evaluated at the
+    translated point.
     """
-    from .tangent import structure_tensor_raw
-
-    n = L.dim
     b = [float(v) for v in b]
     a = [float(v) for v in a]
-    lam = np.array([[primal(v) for v in row] for row in parametric_form(L, a, b)])
-    flat = jacobian(lambda x: list(parametric_form(L, a, x).reshape(-1)), b)
-    # dlam[p][i][j] = d lambda^i_j / d b^p
-    dlam = np.array([[primal(v) for v in row]
-                     for row in flat]).reshape(n, n, n).transpose(2, 0, 1)
-    c = structure_tensor_raw(L, core.product(L, a, b))
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for p in range(n):
-                res = (dlam[p, i, j] - dlam[j, i, p]
-                       + np.einsum("mn,m,n->", c[i], lam[:, p], lam[:, j]))
-                worst = worst_residual(worst, abs(res))
-    return worst
+    ab = core.product(L, a, b)  # checks a and b against the chart
+    lam, dlam = _parametric_form(L, a, b)
+    c = tangent.structure_tensor_raw(L, ab)
+    # res[p, i, j] for d_p lambda^i_j - d_j lambda^i_p + C^i_mn lambda^m_p lambda^n_j
+    res = (dlam - dlam.transpose(2, 1, 0)
+           + np.einsum("imn,mp,nj->pij", c, lam, lam))
+    return float(np.max(np.abs(res)))  # NaN if any entry is NaN
 
 
 def batalin_transform(L, b, c, a):

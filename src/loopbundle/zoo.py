@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LoopDescriptor
-from .dual import (Dual, gatan, gatan2, gcos, gfloor, gsin, gsolve, gsqrt,
-                   gtan, gtanh, pack, pack_matrix, primal)
+from .dual import _NUMBERS, gcos, gfloor, gsin, gsolve, pack, pack_matrix, primal
 from .errors import (DomainSingularity, NoSolutionInChart, PoleSingularity,
                      UnknownKind)
 
@@ -60,7 +59,7 @@ def _rz_solve(x, target):
     so the left translation by x is a bijection of the circle exactly where
     pi |sin(pi x)| < 1: x in [0, 0.10312) or (0.89688, 1) modulo 1.
     Elsewhere some targets have several roots, and the solve raises.  The
-    rule reads the primal value, so floats and duals follow it alike.
+    rule reads the primal value, so floats, duals and jets follow it alike.
     """
     x0 = primal(x)
     if math.pi * abs(math.sin(math.pi * x0)) >= 1.0:
@@ -81,8 +80,10 @@ def _rz_solve(x, target):
     gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x0 + y)
     for _ in range(4):
         y -= (g0(y) - t0) / gp0(y)
-    # Re-run the update in dual arithmetic to propagate derivatives exactly.
-    if isinstance(x, Dual) or isinstance(target, Dual):
+    # Re-run the update in the arguments' arithmetic (dual or jet) to carry
+    # their derivatives: from the exact root, 3 steps are exact through
+    # degree 7.
+    if not isinstance(x, _NUMBERS) or not isinstance(target, _NUMBERS):
         g = lambda y: y + _rz_f(y) - _rz_f(x + y)
         gp = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
         shift = t0 - primal(target)
@@ -305,40 +306,34 @@ def qsu2_product(eta, zeta):
 def chart_map(kind, theta, phi):
     """Stereographic chart point for the sphere or hyperboloid."""
     if kind == "sphere":
-        if not 0.0 <= primal(theta) < math.pi:
-            if abs(primal(theta) - math.pi) < 1e-12 or primal(theta) >= math.pi:
+        if not 0.0 <= theta < math.pi:
+            if abs(theta - math.pi) < 1e-12 or theta >= math.pi:
                 raise PoleSingularity("stereographic chart singular at theta = pi")
             raise ValueError("sphere chart requires 0 <= theta < pi")
-        r = gtan(theta / 2.0)
+        r = math.tan(theta / 2.0)
     elif kind == "hyperboloid":
-        if primal(theta) < 0.0:
+        if theta < 0.0:
             raise ValueError("hyperboloid chart requires theta >= 0")
-        r = gtanh(theta / 2.0)
+        r = math.tanh(theta / 2.0)
     else:
         raise UnknownKind(f"unknown chart kind: {kind}")
-    return pack([r * gcos(phi), r * gsin(phi)])
+    return pack([r * math.cos(phi), r * math.sin(phi)])
 
 
 def chart_inverse(kind, point):
     """Angles (theta, phi) recovering ``point`` through :func:`chart_map`."""
     x, y = point[0], point[1]
-    r = gsqrt(x * x + y * y)
-    phi = gatan2(y, x)
+    r = math.sqrt(x * x + y * y)
+    phi = math.atan2(y, x)
     if kind == "sphere":
-        theta = 2.0 * gatan(r)
+        theta = 2.0 * math.atan(r)
     elif kind == "hyperboloid":
-        if primal(r) >= 1.0:
+        if r >= 1.0:
             raise ValueError("hyperboloid chart image lies in the unit disk")
-        theta = 2.0 * _gatanh(r)
+        theta = 2.0 * math.atanh(r)
     else:
         raise UnknownKind(f"unknown chart kind: {kind}")
     return theta, phi
-
-
-def _gatanh(x):
-    if isinstance(x, Dual):
-        return Dual(_gatanh(x.re), x.du / (1.0 - x.re * x.re), x.lvl)
-    return math.atanh(x)
 
 
 # -- descriptors ------------------------------------------------------------

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from loopbundle.dual import (Dual, dirderiv, dual_parts, gatan, gatan2, gcos,
-                             ginv, gsin, gsolve, gsqrt, gtan, gtanh, jacobian,
-                             next_level, pack, primal, seed)
+from loopbundle.dual import (Dual, dirderiv, dual_parts, gcos, ginv, gsin,
+                             gsolve, jacobian, next_level, pack, primal, seed)
 
 
 def test_arithmetic_first_derivatives():
@@ -30,25 +29,12 @@ def test_division_derivative():
 @pytest.mark.parametrize("fn,ref,dref", [
     (gsin, math.sin, math.cos),
     (gcos, math.cos, lambda t: -math.sin(t)),
-    (gtan, math.tan, lambda t: 1.0 / math.cos(t) ** 2),
-    (gtanh, math.tanh, lambda t: 1.0 - math.tanh(t) ** 2),
-    (gsqrt, math.sqrt, lambda t: 0.5 / math.sqrt(t)),
-    (gatan, math.atan, lambda t: 1.0 / (1.0 + t * t)),
 ])
 def test_scalar_functions(fn, ref, dref):
     t = 0.7
     out = fn(Dual(t, 1.0, next_level()))
     assert out.re == pytest.approx(ref(t), abs=1e-14)
     assert out.du == pytest.approx(dref(t), abs=1e-14)
-
-
-def test_atan2_gradient():
-    y0, x0 = 0.4, -0.8
-    lvl = next_level()
-    out = gatan2(Dual(y0, 1.0, lvl), Dual(x0, 0.0, lvl))
-    assert out.du == pytest.approx(x0 / (x0 * x0 + y0 * y0))
-    out = gatan2(Dual(y0, 0.0, lvl), Dual(x0, 1.0, lvl))
-    assert out.du == pytest.approx(-y0 / (x0 * x0 + y0 * y0))
 
 
 def test_nested_levels_mixed_second_derivative():

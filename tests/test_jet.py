@@ -1,16 +1,18 @@
 """Taylor jets: the elementaries against nested duals, and the jet
-structure functions and Jacobi residual against the nested-dual routines
-they replaced, which are kept below as the reference."""
+structure functions, Jacobi residual and Maurer-Cartan identity against
+the nested-dual routines they replaced, which are kept below as the
+reference."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from loopbundle import tangent
-from loopbundle.dual import (Dual, dirderiv, floats_if_plain, gcos, gfloor,
-                             gsin, gsolve, jacobian, jet_space, primal,
+from loopbundle import core, reconstruct, tangent
+from loopbundle.dual import (Dual, Jet, dirderiv, floats_if_plain, gcos,
+                             gfloor, gsin, gsolve, jacobian, jet_space, primal,
                              taylor_frame)
 from loopbundle.errors import DomainSingularity
 from loopbundle.report import worst_residual
@@ -70,6 +72,49 @@ def ref_jacobi_residual(L, a):
     return worst
 
 
+def ref_parametric_form(L, a, b):
+    """lambda(b; a) = l_(a,b)* . omega(b), with dual entries when ``b``
+    carries duals."""
+    lstar = tangent.left_associator_differential(L, a, b)
+    frame = tangent.left_frame_matrix(L, b)
+    n = L.dim
+    omega = gsolve(frame, np.eye(n))
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            acc = 0.0
+            for r in range(n):
+                acc = acc + lstar[i][r] * omega[r][j]
+            out[i, j] = acc
+    return out
+
+
+def ref_parametric_derivative(L, a, b):
+    """dlam[p][i][j] = d lambda^i_j / d b^p: a Jacobian of the dual form."""
+    n = L.dim
+    flat = jacobian(lambda x: list(ref_parametric_form(L, a, x).reshape(-1)), b)
+    return np.array([[primal(v) for v in row]
+                     for row in flat]).reshape(n, n, n).transpose(2, 0, 1)
+
+
+def ref_maurer_cartan_residual(L, b, a):
+    """The nested-dual Maurer-Cartan residual."""
+    n = L.dim
+    b = [float(v) for v in b]
+    a = [float(v) for v in a]
+    lam = np.array([[primal(v) for v in row] for row in ref_parametric_form(L, a, b)])
+    dlam = ref_parametric_derivative(L, a, b)
+    c = tangent.structure_tensor_raw(L, core.product(L, a, b))
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            for p in range(n):
+                res = (dlam[p, i, j] - dlam[j, i, p]
+                       + np.einsum("mn,m,n->", c[i], lam[:, p], lam[:, j]))
+                worst = worst_residual(worst, abs(res))
+    return worst
+
+
 REFERENCE_LOOPS = ["rz", "qc", "qh2", "qsu2",
                    "qhr:K=1", "qhr:K=0", "qhr:K=-2", "qhr:K=2.5"]
 
@@ -114,6 +159,56 @@ def test_structure_derivative_matches_nested_dual_reference(name):
         r, dr, d2r = tangent._frame_derivatives(L, a, "left")
         got = tangent._structure_derivative(r, dr, d2r, tangent._structure(r, dr))
         assert np.max(np.abs(got - ref_structure_derivative(L, a))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", REFERENCE_LOOPS)
+def test_maurer_cartan_matches_nested_dual_reference(name):
+    L, pts = _points(name)
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        lam, dlam = reconstruct._parametric_form(L, a, b)
+        want = np.array([[primal(v) for v in row] for row in ref_parametric_form(L, a, b)])
+        assert np.max(np.abs(lam - want)) <= 1e-14
+        assert np.max(np.abs(dlam - ref_parametric_derivative(L, a, b))) <= 1e-13
+        got = reconstruct.maurer_cartan_residual(L, b, a)
+        assert abs(got - ref_maurer_cartan_residual(L, b, a)) <= 1e-14
+        assert got < 1e-12
+
+
+@pytest.mark.parametrize("name", ["rz", "qh2", "qhr:K=1"])
+def test_taylor_frame_of_the_associator_matches_nested_jacobians(name):
+    # rz divides by an iterative solve, which must carry the jets through
+    L = make_loop(name)
+    n = L.dim
+    rng = np.random.default_rng(13)
+    a, b = (list(0.7 * L.sample(rng)) for _ in range(2))
+
+    def lstar(x):
+        return list(np.asarray(tangent.left_associator_differential(L, a, x)).reshape(-1))
+
+    def floats(m):
+        return np.array([primal(v) for v in np.asarray(m).flat])
+
+    r, dr, d2r = taylor_frame(lambda x, c: core._left_associator(L, a, x, c),
+                              b, list(L.identity))
+    want_r = floats(lstar(b)).reshape(n, n)
+    want_dr = floats(jacobian(lstar, b)).reshape(n, n, n).transpose(2, 0, 1)
+    want_d2r = floats(jacobian(lambda x: list(np.asarray(jacobian(lstar, x)).reshape(-1)),
+                               b)).reshape(n, n, n, n).transpose(3, 2, 0, 1)
+    scale = 1.0 + np.max(np.abs(want_d2r))
+    assert np.max(np.abs(r - want_r)) <= 1e-14 * scale
+    assert np.max(np.abs(dr - want_dr)) <= 1e-14 * scale
+    assert np.max(np.abs(d2r - want_d2r)) <= 1e-13 * scale
+
+
+def test_rz_division_keeps_the_jet():
+    L = make_loop("rz")
+    space = jet_space(1)
+    x = space.variable(0.02, ((0,), ()))
+    out = L.left_div([0.01], [x])[0]
+    assert out.__class__ is Jet
+    assert primal(out) == L.left_div([0.01], [0.02])[0]
+    # a numpy float is a plain number: the float path stays as it was
+    assert L.left_div([0.01], [np.float64(0.02)]) == L.left_div([0.01], [0.02])
 
 
 @pytest.mark.parametrize("name", ["rz", "qc", "qh2", "qhr:K=1"])
@@ -219,6 +314,23 @@ def test_nan_and_inf_reach_the_jet_results():
             qc, product=lambda a, b, bad=bad: [v * bad for v in qc.product(a, b)])
         assert not np.all(np.isfinite(tangent.structure_tensor_raw(L, [0.2, -0.1])))
         assert not math.isfinite(tangent.jacobi_residual(L, [0.2, -0.1]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_inf_in_the_jet_pass_is_silent(bad):
+    # inf times a zero coefficient is NaN inside the pass, as it is on
+    # floats, and emits no RuntimeWarning.  Only the jets are scaled, so
+    # that a.b stays a chart point for the Maurer-Cartan residual.
+    qc = make_loop("qc")
+    L = dataclasses.replace(
+        qc, product=lambda a, b: [v * bad if v.__class__ is Jet else v
+                                  for v in qc.product(a, b)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.all(np.isfinite(tangent.structure_tensor_raw(L, [0.2, -0.1])))
+        assert not math.isfinite(tangent.jacobi_residual(L, [0.2, -0.1]))
+        assert not math.isfinite(
+            reconstruct.maurer_cartan_residual(L, [0.2, -0.1], [0.1, 0.3]))
 
 
 def test_singular_denominator_raises_as_on_floats():

@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,41 @@ def test_maurer_cartan_identity(name):
         a = 0.3 * L.sample(rng)
         b = 0.3 * L.sample(rng)
         assert reconstruct.maurer_cartan_residual(L, list(b), list(a)) < 1e-8
+
+
+# One jet pass of the left associator (3 products and 1 left division),
+# one of the product for the frame, a.b itself and one pass for the
+# structure functions at a.b: the same count in every dimension.  The
+# nested-dual route evaluated the closed forms per dual column.
+@pytest.mark.parametrize("name", ["rz", "qc", "qhr:K=1"])
+def test_maurer_cartan_call_counts(monkeypatch, name):
+    base = make_loop(name)
+    calls = Counter()
+    nodes = [0]
+
+    def counted(field):
+        fn = getattr(base, field)
+
+        def wrapper(x, y):
+            calls[field] += 1
+            return fn(x, y)
+        return wrapper
+
+    def counting_init(obj, re, du=0.0, lvl=0):
+        obj.re = re
+        obj.du = du
+        obj.lvl = lvl
+        nodes[0] += 1
+
+    L = dataclasses.replace(base, product=counted("product"),
+                            left_div=counted("left_div"),
+                            right_div=counted("right_div"))
+    rng = np.random.default_rng(9)
+    a, b = 0.3 * L.sample(rng), 0.3 * L.sample(rng)
+    monkeypatch.setattr(Dual, "__init__", counting_init)
+    assert reconstruct.maurer_cartan_residual(L, list(b), list(a)) < 1e-12
+    assert calls == {"product": 6, "left_div": 1}
+    assert nodes[0] == 0
 
 
 @pytest.mark.parametrize("name", ["qc", "qh2", "qhr:K=1"])
