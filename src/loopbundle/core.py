@@ -148,15 +148,18 @@ def ad_map(L, b, a, c):
     return pack(L.left_div(a, step))
 
 
+def _ad_inverse(L, b, a, c):
+    """Ad^-1_b(a) c = L^-1_(a.b) ((a.c).b) on the raw closed forms."""
+    return L.left_div(L.product(a, b), L.product(L.product(a, c), b))
+
+
 def ad_inverse_map(L, b, a, c):
     """The inverse operator Ad^-1_b(a) c = L^-1_(a.b) ((a.c).b).
 
     Composed from translations only, so it stays regular where the
     forward Ad differential degenerates.
     """
-    b, a, c = _chart_points(L, b, a, c)
-    step = L.product(L.product(a, c), b)
-    return pack(L.left_div(L.product(a, b), step))
+    return pack(_ad_inverse(L, *_chart_points(L, b, a, c)))
 
 
 def check_loop_axioms(L, n_samples, seed):

@@ -4,16 +4,16 @@ truncated Taylor jets.
 Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
 ``gfloor``) of this module.
 
-- ``Jet`` carries the frames, the structure functions and the
-  Maurer-Cartan identity.  One pass of a map f(a, e) on jets in the
+- ``Jet`` carries the frames, the structure functions, Maurer-Cartan and
+  the gauge connection form.  One pass of a map f(a, e) on jets in the
   point offset alpha and the argument beta gives its Jacobian in e and
   that Jacobian's first and second derivatives in a (``taylor_frame``):
   the coefficients of the monomials alpha^p beta^q with |p| <= 2 and
   |q| <= 1.  Higher monomials are truncated.
 - ``Dual`` gives every other derivative: first derivatives (pushforwards,
   Ad and associator differentials, the Lie-equation velocity) from one
-  dual level; the second and third derivatives of ``gauge`` (curvature,
-  Bianchi) from nesting ``Dual`` inside ``Dual``.
+  dual level; the second derivatives of the gauge commutator and of
+  gauge-transformed potentials from nesting ``Dual`` inside ``Dual``.
 
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.
@@ -188,7 +188,10 @@ def gsin(x):
         return Dual(gsin(x.re), gcos(x.re) * x.du, x.lvl)
     if x.__class__ is Jet:
         return x._trig(0)
-    return math.sin(x)
+    try:
+        return math.sin(x)
+    except ValueError:  # inf; NaN, as math.sin(nan) is
+        return math.nan
 
 
 def gcos(x):
@@ -196,12 +199,23 @@ def gcos(x):
         return Dual(gcos(x.re), -gsin(x.re) * x.du, x.lvl)
     if x.__class__ is Jet:
         return x._trig(1)
-    return math.cos(x)
+    try:
+        return math.cos(x)
+    except ValueError:  # inf; NaN, as math.cos(nan) is
+        return math.nan
 
 
 def gfloor(x):
     # Constant between lattice jumps, so the derivative is zero.
-    return float(math.floor(primal(x)))
+    try:
+        return float(math.floor(primal(x)))
+    except (ValueError, OverflowError):  # NaN or inf
+        return math.nan
+
+
+def quiet():
+    """Numpy error state of the jet routes: NaN and inf pass silently, as on floats."""
+    return np.errstate(invalid="ignore", over="ignore")
 
 
 def pack(xs):
@@ -470,7 +484,7 @@ class Jet:
     def _trig(self, shift):
         """sin (shift 0) or cos (shift 1): the k-th derivative of sin is
         the (k + shift)-th entry of the cycle sin, cos, -sin, -cos."""
-        s, c = math.sin(self.c[0]), math.cos(self.c[0])
+        s, c = gsin(float(self.c[0])), gcos(float(self.c[0]))
         cycle = (s, c, -s, -c)
         return self._series([cycle[(k + shift) % 4] / math.factorial(k)
                              for k in range(JET_DEGREE + 1)])
@@ -489,7 +503,7 @@ class Jet:
 
 
 def taylor_frame(f, a, e):
-    """One jet pass of ``f(a + alpha, e + beta)`` for a map f: R^n x R^n -> R^n.
+    """One jet pass of ``f(a + alpha, e + beta)`` for a map f: R^n x R^n -> R^k.
 
     Returns ``(R, dR, d2R)`` at alpha = beta = 0 with
     ``R[k, i] = df^k/dbeta^i``, ``dR[m, k, i] = d R[k, i] / da^m`` and
@@ -497,9 +511,8 @@ def taylor_frame(f, a, e):
     """
     n = len(a)
     space = jet_space(n)
-    # inf times a zero coefficient is NaN, as on the float and dual paths,
-    # where it passes silently; one errstate per pass, not per multiply.
-    with np.errstate(invalid="ignore", over="ignore"):
+    # inf times a zero coefficient is NaN: one errstate per pass, not per multiply.
+    with quiet():
         ys = f([space.variable(v, ((m,), ())) for m, v in enumerate(a)],
                [space.variable(v, ((), (i,))) for i, v in enumerate(e)])
     coeffs = np.array([y.c for y in ys])

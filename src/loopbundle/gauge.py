@@ -5,9 +5,9 @@ the coordinate connection form
 
     omega^i = (Ad^-1_y(e))^i_j A^j_mu dx^mu + (inverse left frame)^i_j dy^j.
 
-Everything downstream (covariant derivative, curvature, structure
-equation, Bianchi) is evaluated with dual-number derivatives, so
-residuals measure the identities themselves, not discretization error.
+The curvature tensor, structure equation and Bianchi take omega and its
+derivatives in z = (x, y) from one Taylor-jet pass, the rest from dual
+numbers, so residuals measure the identities, not discretization error.
 """
 
 from dataclasses import dataclass
@@ -16,16 +16,16 @@ from typing import Callable
 import numpy as np
 
 from . import core, tangent
-from .dual import (dirderiv, floats_if_plain, ginv, gmatvec, gsolve, gcos,
-                   gsin, has_dual, jacobian, pack, primal)
+from .dual import (dirderiv, floats_if_plain, gcos, gdot, ginv, gsin,
+                   gsolve, jacobian, pack, primal, quiet, taylor_frame)
 from .errors import PartitionInvalid
-from .report import VerificationReport
 
 
 @dataclass(frozen=True)
 class GaugePotential:
     """A^i_mu(x): callable from base coordinates to a fiber_dim x base_dim
-    matrix; must accept dual-number coordinates."""
+    matrix; must accept duals, and jets for the curvature tensor, structure
+    equation and Bianchi (a gauge-transformed potential takes duals only)."""
 
     chart: str
     A: Callable
@@ -143,21 +143,6 @@ def _split(form, z):
     return list(z[:db]), list(z[db:])
 
 
-def omega_coeffs(form, z):
-    """Component matrix of the connection form in combined coordinates.
-
-    Shape fiber_dim x (base_dim + fiber_dim); accepts dual entries.
-    """
-    x, y = _split(form, z)
-    dx_block, dy_block = omega_matrices(form, x, y)
-    nf = form.fiber.dim
-    db = form.potential.base_dim
-    out = np.empty((nf, db + nf), dtype=object)
-    out[:, :db] = np.asarray(dx_block)
-    out[:, db:] = np.asarray(dy_block)
-    return floats_if_plain(out)
-
-
 def omega_of(form, z, v):
     """Connection form as a function on combined (base, fiber) coordinates."""
     x, y = _split(form, z)
@@ -165,43 +150,45 @@ def omega_of(form, z, v):
     return omega_apply(form, x, y, vx, vy)
 
 
-def d_omega_tensor(form, z, u, v):
-    """The exterior derivative of the connection form on two tangent
-    vectors, from the coordinate components.
-
-    Convention: domega(d_a, d_b) = (d_a omega_b - d_b omega_a) / 2.
-    Entries of ``z``, ``u``, ``v`` may be dual.
+def _connection_jet(form, x, y):
+    """omega^p_a at z = (x, y), dom[m] = d_m omega and d2om[l, m], from one
+    jet pass of f(z, v) = Ad^-1_y(e)(e + A(x) v_x) + y \\ (y + v_y), whose
+    v-Jacobian at v = 0 is omega; with Lambda = (0; R), R = (L_y)_* at e the
+    inverse of omega's fiber block (L_y^-1)_* at y, and P = I - Lambda omega.
     """
-    z = list(z)
-    u = list(u)
-    v = list(v)
-    nf = form.fiber.dim
-    nz = len(z)
-    # flat[p*nz + b][a] = d_a omega^p_b
-    flat = jacobian(lambda zz: list(np.asarray(omega_coeffs(form, zz)).reshape(-1)), z)
-    out = []
-    for p in range(nf):
-        acc = 0.0
-        for a in range(nz):
-            for b in range(nz):
-                acc = acc + flat[p * nz + b][a] * (u[a] * v[b] - v[a] * u[b])
-        out.append(0.5 * acc)
-    return pack(out)
-
-
-def hor_project(form, z, v):
-    """Horizontal part of a tangent pair: remove the fundamental lift of
-    its connection-form value."""
+    L = form.fiber
     db = form.potential.base_dim
-    x, y = _split(form, z)
-    w = omega_of(form, z, v)
-    lift = gmatvec(tangent.left_frame_matrix(form.fiber, y), w)
-    return pack(list(v[:db]) + [v[db + i] - lift[i] for i in range(form.fiber.dim)])
+    z = [float(v) for v in list(x) + list(y)]
+    core._chart_points(L, z[db:])
+    e = list(L.identity)
+
+    def f(zs, vs):
+        ys = zs[db:]
+        c = [ei + gdot(row, vs[:db]) for ei, row in zip(e, form.potential.A(zs[:db]))]
+        back = L.left_div(ys, [yi + vi for yi, vi in zip(ys, vs[db:])])
+        return [p + q for p, q in zip(core._ad_inverse(L, ys, e, c), back)]
+
+    om, dom, d2om = taylor_frame(f, z, [0.0] * len(z))
+    lam = np.zeros((len(z), L.dim))
+    lam[db:] = np.linalg.inv(om[:, db:])
+    return om, dom, d2om, lam, np.eye(len(z)) - lam @ om
+
+
+def _exterior(dom):
+    """domega[..., p, a, b] = (d_a omega^p_b - d_b omega^p_a) / 2 from
+    dom[..., a, p, b] = d_a omega^p_b."""
+    t = np.moveaxis(dom, -3, -2)
+    return 0.5 * (t - t.swapaxes(-1, -2))
 
 
 def curvature_tensor(form, z, u, v):
-    """Curvature 2-form on two tangent pairs (horizontalize, then domega)."""
-    return d_omega_tensor(form, z, hor_project(form, z, u), hor_project(form, z, v))
+    """Curvature 2-form Omega(u, v) = domega(Pu, Pv) at z = (x, y) on two
+    float tangent pairs."""
+    db = form.potential.base_dim
+    with quiet():
+        _, dom, _, _, p = _connection_jet(form, z[:db], z[db:])
+        return np.einsum("pab,a,b->p", _exterior(dom), p @ np.asarray(u, dtype=float),
+                         p @ np.asarray(v, dtype=float))
 
 
 def hor_field(form, vx):
@@ -247,18 +234,15 @@ def structure_equation_residual(form, x, y, vx_x, vy_x, vx_y, vy_y):
     horizontal/vertical pairs the identity holds along the canonical
     section y = e, where the tests evaluate it.
     """
-    L = form.fiber
-    z = [float(v) for v in list(x) + list(y)]
-    vone = pack([float(v) for v in list(vx_x) + list(vy_x)])
-    vtwo = pack([float(v) for v in list(vx_y) + list(vy_y)])
-    w1 = np.array([primal(v) for v in omega_of(form, z, vone)])
-    w2 = np.array([primal(v) for v in omega_of(form, z, vtwo)])
-    dw = np.array([primal(v) for v in d_omega_tensor(form, z, vone, vtwo)])
-    c = np.asarray(tangent.structure_tensor_raw(L, list(y)), dtype=float)
-    half_bracket = 0.5 * np.einsum("pij,i,j->p", c, w1, w2)
-    omega_2 = np.array([primal(v)
-                        for v in curvature_tensor(form, z, vone, vtwo)])
-    return float(np.max(np.abs(dw + half_bracket - omega_2)))
+    c = tangent.structure_tensor_raw(form.fiber, [float(v) for v in y])
+    u = np.array(list(vx_x) + list(vy_x), dtype=float)
+    v = np.array(list(vx_y) + list(vy_y), dtype=float)
+    with quiet():
+        om, dom, _, _, p = _connection_jet(form, x, y)
+        dw = _exterior(dom)
+        res = (np.einsum("pab,a,b->p", dw, u, v) - np.einsum("pab,a,b->p", dw, p @ u, p @ v)
+               + 0.5 * np.einsum("pij,i,j->p", c, om @ u, om @ v))
+    return float(np.max(np.abs(res)))  # NaN if any entry is NaN
 
 
 def curvature_2form(form, f, g):
@@ -271,23 +255,23 @@ def curvature_2form(form, f, g):
 
 
 def bianchi_residual(form, x, y, vx1, vx2, vx3):
-    """|dOmega| on three horizontal lifts of base directions.
-
-    Cyclic sum of the field derivative of Omega(f_j, f_k) along f_i minus
-    Omega([f_i, f_j], f_k), with Omega the tensorial curvature 2-form.
-    """
-    z = [float(v) for v in list(x) + list(y)]
-    fields = [hor_field(form, vx) for vx in (vx1, vx2, vx3)]
-    total = np.zeros(form.fiber.dim)
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        fi, fj, fk = fields[i], fields[j], fields[k]
-        deriv = dirderiv(
-            lambda zz: list(curvature_tensor(form, zz, fj(zz), fk(zz))),
-            z, list(fi(z)))
-        comm_val = curvature_tensor(form, z, fk(z), field_bracket(fi, fj)(z))
-        total = (total + np.array([primal(v) for v in deriv])
-                 + np.array([primal(v) for v in comm_val]))
-    return float(np.max(np.abs(total)))
+    """|dOmega| on the horizontal lifts h_i = P(vx_i, 0) of base directions:
+    the cyclic sum of (d_{h_i} K)(h_j, h_k), K = domega(P., P.), as the field
+    derivatives and bracket terms of the invariant formula cancel.  With
+    P h = h and dP = -Lambda (d omega) P, (d_h K)(u, v) = (d_h domega)(u, v)
+    - domega(Lambda (d_h omega) u, v) - domega(u, Lambda (d_h omega) v)."""
+    db = form.potential.base_dim
+    with quiet():
+        _, dom, d2om, lam, p = _connection_jet(form, x, y)
+        h = p[:, :db] @ np.array([vx1, vx2, vx3], dtype=float).T  # columns h_i
+        dw = _exterior(dom)
+        g = np.einsum("aq,mi,mqb,bj->iaj", lam, h, dom, h)  # Lambda (d_{h_i} omega) h_j
+        # t[p, i, j, k] = (d_{h_i} K)(h_j, h_k)
+        t = (np.einsum("mi,mpab,aj,bk->pijk", h, _exterior(d2om), h, h)
+             - np.einsum("pab,iaj,bk->pijk", dw, g, h)
+             - np.einsum("pab,aj,ibk->pijk", dw, h, g))
+        total = t[:, 0, 1, 2] + t[:, 1, 2, 0] + t[:, 2, 0, 1]
+    return float(np.max(np.abs(total)))  # NaN if any entry is NaN
 
 
 # -- gauge transformations -------------------------------------------------
@@ -405,29 +389,24 @@ def make_test_potential(L, base_dim, seed, chart="test", kind="poly"):
     c1 = 0.2 * rng.standard_normal((nf, base_dim, base_dim))
     c2 = 0.1 * rng.standard_normal((nf, base_dim, base_dim))
 
+    # A^i_mu = c0 + sum_k c1 first(x_k) + second(c2, x_k); second takes c2
+    # so that the poly term rounds as (c2 x) x, on floats, duals and jets.
     if kind == "poly":
-        def a_fun(xs):
-            out = [[None] * base_dim for _ in range(nf)]
-            for i in range(nf):
-                for mu in range(base_dim):
-                    acc = c0[i, mu]
-                    for k in range(base_dim):
-                        acc = acc + c1[i, mu, k] * xs[k]
-                        acc = acc + c2[i, mu, k] * xs[k] * xs[k]
-                    out[i][mu] = acc
-            return np.array(out, dtype=object) if has_dual(xs) else np.array(out, dtype=float)
+        first, second = (lambda v: v), (lambda c, v: c * v * v)
     elif kind == "trig":
-        def a_fun(xs):
-            out = [[None] * base_dim for _ in range(nf)]
-            for i in range(nf):
-                for mu in range(base_dim):
-                    acc = c0[i, mu]
-                    for k in range(base_dim):
-                        acc = acc + c1[i, mu, k] * gsin(xs[k]) + c2[i, mu, k] * gcos(xs[k])
-                    out[i][mu] = acc
-            return np.array(out, dtype=object) if has_dual(xs) else np.array(out, dtype=float)
+        first, second = gsin, (lambda c, v: c * gcos(v))
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
+
+    def a_fun(xs):
+        out = np.empty((nf, base_dim), dtype=object)
+        for i in range(nf):
+            for mu in range(base_dim):
+                acc = c0[i, mu]
+                for k in range(base_dim):
+                    acc = acc + c1[i, mu, k] * first(xs[k]) + second(c2[i, mu, k], xs[k])
+                out[i, mu] = acc
+        return floats_if_plain(out)
 
     pot = GaugePotential(chart=chart, A=a_fun, base_dim=base_dim)
     return LocalConnectionForm(potential=pot, fiber=L)

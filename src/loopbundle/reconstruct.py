@@ -14,7 +14,7 @@ the left associator and one of the product, and numpy algebra.
 import numpy as np
 
 from . import core, tangent
-from .dual import dirderiv, gsolve, pack, taylor_frame
+from .dual import dirderiv, gsolve, pack, quiet, taylor_frame
 from .errors import StepUnderflow
 from .report import VerificationReport
 from .tangent import left_associator_differential, left_frame_matrix
@@ -120,11 +120,12 @@ def maurer_cartan_residual(L, b, a):
     b = [float(v) for v in b]
     a = [float(v) for v in a]
     ab = core.product(L, a, b)  # checks a and b against the chart
-    lam, dlam = _parametric_form(L, a, b)
     c = tangent.structure_tensor_raw(L, ab)
-    # res[p, i, j] for d_p lambda^i_j - d_j lambda^i_p + C^i_mn lambda^m_p lambda^n_j
-    res = (dlam - dlam.transpose(2, 1, 0)
-           + np.einsum("imn,mp,nj->pij", c, lam, lam))
+    with quiet():
+        lam, dlam = _parametric_form(L, a, b)
+        # res[p, i, j] for d_p lambda^i_j - d_j lambda^i_p + C^i_mn lambda^m_p lambda^n_j
+        res = (dlam - dlam.transpose(2, 1, 0)
+               + np.einsum("imn,mp,nj->pij", c, lam, lam))
     return float(np.max(np.abs(res)))  # NaN if any entry is NaN
 
 

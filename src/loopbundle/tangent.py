@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .dual import ginv, gsolve, jacobian, pack, primal, taylor_frame
+from .dual import ginv, gsolve, jacobian, pack, primal, quiet, taylor_frame
 from .errors import SingularFrame
 
 FRAME_COND_WARN = 1e8
@@ -55,7 +55,7 @@ def pushforward_right(L, b, v):
 def left_frame_matrix(L, a):
     """Frame columns Gamma_i = (L_a)_* e_i as a dim x dim matrix.
 
-    Accepts dual entries in ``a`` (needed for frame derivatives).
+    Accepts dual entries in ``a``.
     """
     return jacobian(lambda b: list(core.product(L, a, b)), list(L.identity))
 
@@ -131,18 +131,20 @@ def structure_tensor_raw(L, a, side="left"):
     coordinate raises ``TypeError``.
     """
     r, dr, _ = _frame_derivatives(L, a, side)
-    return _structure(r, dr)
+    with quiet():
+        return _structure(r, dr)
 
 
 def jacobi_residual(L, a):
     """Max-norm residual of the modified Jacobi identity at ``a``:
     the cyclic sum over (i, j, k) of G_k C^p_ij + C^q_ij C^p_kq."""
     r, dr, d2r = _frame_derivatives(L, a, "left")
-    c = _structure(r, dr)
-    dc = _structure_derivative(r, dr, d2r, c)
-    # s[p, i, j, k] = G^m_k d_m C^p_ij + C^q_ij C^p_kq
-    s = np.einsum("mk,pmij->pijk", r, dc) + np.einsum("qij,pkq->pijk", c, c)
-    cyclic = s + np.einsum("pjki->pijk", s) + np.einsum("pkij->pijk", s)
+    with quiet():
+        c = _structure(r, dr)
+        dc = _structure_derivative(r, dr, d2r, c)
+        # s[p, i, j, k] = G^m_k d_m C^p_ij + C^q_ij C^p_kq
+        s = np.einsum("mk,pmij->pijk", r, dc) + np.einsum("qij,pkq->pijk", c, c)
+        cyclic = s + np.einsum("pjki->pijk", s) + np.einsum("pkij->pijk", s)
     return float(np.max(np.abs(cyclic)))  # NaN if any entry is NaN
 
 

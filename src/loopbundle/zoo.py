@@ -62,13 +62,13 @@ def _rz_solve(x, target):
     rule reads the primal value, so floats, duals and jets follow it alike.
     """
     x0 = primal(x)
-    if math.pi * abs(math.sin(math.pi * x0)) >= 1.0:
+    if math.pi * abs(gsin(math.pi * x0)) >= 1.0:
         raise NoSolutionInChart(f"R/Z left translation by {x0} is not invertible")
     # x0 and y are floats here, so the closed forms return floats.
     g0 = lambda y: y + _rz_f(y) - _rz_f(x0 + y)
     # g(y+1) = g(y)+1, so shift the target near the image of [0,1).
     t0 = primal(target)
-    t0 -= math.floor(t0 - g0(0.0) + 0.5)
+    t0 -= gfloor(t0 - g0(0.0) + 0.5)
     lo, hi = -1.1, 1.1
     for _ in range(70):
         mid = 0.5 * (lo + hi)

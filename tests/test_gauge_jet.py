@@ -1,0 +1,233 @@
+"""The jet route of the gauge checks against the nested-dual routines it
+replaced, which are kept below as the reference: the connection form and
+its derivatives, the curvature tensor, the structure equation and the
+Bianchi identity."""
+
+import dataclasses
+import math
+import warnings
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from loopbundle import gauge, tangent
+from loopbundle.dual import (Dual, dirderiv, floats_if_plain, gmatvec, jacobian,
+                             pack, primal)
+from loopbundle.zoo import make_loop
+
+
+# -- the nested-dual reference ------------------------------------------------
+
+def ref_omega_coeffs(form, z):
+    """Component matrix of the connection form in combined coordinates.
+
+    Shape fiber_dim x (base_dim + fiber_dim); accepts dual entries.
+    """
+    x, y = gauge._split(form, z)
+    dx_block, dy_block = gauge.omega_matrices(form, x, y)
+    nf = form.fiber.dim
+    db = form.potential.base_dim
+    out = np.empty((nf, db + nf), dtype=object)
+    out[:, :db] = np.asarray(dx_block)
+    out[:, db:] = np.asarray(dy_block)
+    return floats_if_plain(out)
+
+
+def ref_d_omega_tensor(form, z, u, v):
+    """domega(u, v) from a dual Jacobian of the components, with
+    domega(d_a, d_b) = (d_a omega_b - d_b omega_a) / 2."""
+    z, u, v = list(z), list(u), list(v)
+    nf = form.fiber.dim
+    nz = len(z)
+    # flat[p*nz + b][a] = d_a omega^p_b
+    flat = jacobian(lambda zz: list(np.asarray(ref_omega_coeffs(form, zz)).reshape(-1)), z)
+    out = []
+    for p in range(nf):
+        acc = 0.0
+        for a in range(nz):
+            for b in range(nz):
+                acc = acc + flat[p * nz + b][a] * (u[a] * v[b] - v[a] * u[b])
+        out.append(0.5 * acc)
+    return pack(out)
+
+
+def ref_hor_project(form, z, v):
+    """Horizontal part of a tangent pair: remove the fundamental lift of
+    its connection-form value."""
+    db = form.potential.base_dim
+    _, y = gauge._split(form, z)
+    w = gauge.omega_of(form, z, v)
+    lift = gmatvec(tangent.left_frame_matrix(form.fiber, y), w)
+    return pack(list(v[:db]) + [v[db + i] - lift[i] for i in range(form.fiber.dim)])
+
+
+def ref_curvature_tensor(form, z, u, v):
+    return ref_d_omega_tensor(form, z, ref_hor_project(form, z, u),
+                              ref_hor_project(form, z, v))
+
+
+def ref_structure_equation_residual(form, x, y, vx_x, vy_x, vx_y, vy_y):
+    z = [float(v) for v in list(x) + list(y)]
+    vone = pack([float(v) for v in list(vx_x) + list(vy_x)])
+    vtwo = pack([float(v) for v in list(vx_y) + list(vy_y)])
+    w1 = np.array([primal(v) for v in gauge.omega_of(form, z, vone)])
+    w2 = np.array([primal(v) for v in gauge.omega_of(form, z, vtwo)])
+    dw = np.array([primal(v) for v in ref_d_omega_tensor(form, z, vone, vtwo)])
+    c = np.asarray(tangent.structure_tensor_raw(form.fiber, list(y)), dtype=float)
+    half_bracket = 0.5 * np.einsum("pij,i,j->p", c, w1, w2)
+    omega_2 = np.array([primal(v) for v in ref_curvature_tensor(form, z, vone, vtwo)])
+    return float(np.max(np.abs(dw + half_bracket - omega_2)))
+
+
+def ref_bianchi_residual(form, x, y, vx1, vx2, vx3):
+    """Cyclic sum of the field derivative of Omega(f_j, f_k) along f_i
+    minus Omega([f_i, f_j], f_k), on the horizontal fields f_i."""
+    z = [float(v) for v in list(x) + list(y)]
+    fields = [gauge.hor_field(form, vx) for vx in (vx1, vx2, vx3)]
+    total = np.zeros(form.fiber.dim)
+    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        fi, fj, fk = fields[i], fields[j], fields[k]
+        deriv = dirderiv(
+            lambda zz: list(ref_curvature_tensor(form, zz, fj(zz), fk(zz))),
+            z, list(fi(z)))
+        comm_val = ref_curvature_tensor(form, z, fk(z), gauge.field_bracket(fi, fj)(z))
+        total = (total + np.array([primal(v) for v in deriv])
+                 + np.array([primal(v) for v in comm_val]))
+    return float(np.max(np.abs(total)))
+
+
+GAUGE_LOOPS = ["qc", "qh2", "qsu2", "qhr:K=1", "qhr:K=0", "rz"]
+
+
+def _floats(m):
+    return np.array([primal(v) for v in np.asarray(m).flat])
+
+
+def _point(L, base_dim, rng):
+    return list(rng.uniform(-0.3, 0.3, base_dim)), list(0.3 * L.sample(rng))
+
+
+# -- the jet route against the reference ---------------------------------------
+
+@pytest.mark.parametrize("name", GAUGE_LOOPS)
+def test_connection_jet_matches_nested_jacobians(name):
+    L = make_loop(name)
+    n = 2 + L.dim
+    form = gauge.make_test_potential(L, 2, seed=43)
+    x, y = _point(L, 2, np.random.default_rng(43))
+    z = x + y
+
+    def flat_omega(zz):
+        return list(np.asarray(ref_omega_coeffs(form, zz)).reshape(-1))
+
+    def flat_grad(zz):
+        return list(np.asarray(jacobian(flat_omega, zz)).reshape(-1))
+
+    om, dom, d2om, _, _ = gauge._connection_jet(form, x, y)
+    want = _floats(ref_omega_coeffs(form, z)).reshape(L.dim, n)
+    # jacobian(flat_omega)[p*n + b][a] = d_a omega^p_b
+    want_d = _floats(jacobian(flat_omega, z)).reshape(L.dim, n, n).transpose(2, 0, 1)
+    want_d2 = _floats(jacobian(flat_grad, z)).reshape(L.dim, n, n, n).transpose(3, 2, 0, 1)
+    assert np.max(np.abs(om - want)) <= 1e-14
+    assert np.max(np.abs(dom - want_d)) <= 1e-14
+    assert np.max(np.abs(d2om - want_d2)) <= 1e-15 * np.max(np.abs(want_d2))
+
+
+@pytest.mark.parametrize("name", GAUGE_LOOPS)
+def test_curvature_and_structure_equation_match_nested_dual_reference(name):
+    L = make_loop(name)
+    n = 2 + L.dim
+    rng = np.random.default_rng(45)
+    e = list(L.identity)
+    for kind in ("poly", "trig"):
+        form = gauge.make_test_potential(L, 2, seed=45, kind=kind)
+        x, y = _point(L, 2, rng)
+        u, v = rng.standard_normal(n), rng.standard_normal(n)
+        got = gauge.curvature_tensor(form, x + y, u, v)
+        assert got.dtype == float
+        assert np.max(np.abs(got - _floats(ref_curvature_tensor(form, x + y, u, v)))) <= 1e-14
+        # on and off the section; generic pairs off it have a nonzero residual
+        for fiber_point in (y, e):
+            args = (form, x, fiber_point, u[:2], u[2:], v[:2], v[2:])
+            got = gauge.structure_equation_residual(*args)
+            assert abs(got - ref_structure_equation_residual(*args)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", GAUGE_LOOPS)
+def test_bianchi_matches_nested_dual_reference(name):
+    L = make_loop(name)
+    form = gauge.make_test_potential(L, 3, seed=47)
+    rng = np.random.default_rng(47)
+    x, y = _point(L, 3, rng)
+    directions = rng.standard_normal((3, 3))
+    on_section = gauge.bianchi_residual(form, x, list(L.identity), *directions)
+    assert abs(on_section - ref_bianchi_residual(form, x, list(L.identity), *directions)) <= 1e-14
+    assert on_section < 1e-12
+    # off the section the residual is nonzero by design on the nonassociative
+    # fibers (about 5e-3 here): a sharper check than a zero
+    off_section = gauge.bianchi_residual(form, x, y, *directions)
+    assert abs(off_section - ref_bianchi_residual(form, x, y, *directions)) <= 1e-14
+
+
+# One jet pass of the connection form per call, plus one of the product
+# for the structure functions in the structure equation; no Dual nodes.
+@pytest.mark.parametrize("name", ["rz", "qc", "qhr:K=1"])
+def test_jet_route_call_counts(monkeypatch, name):
+    L = make_loop(name)
+    nodes = [0]
+    passes = Counter()
+
+    def counting_init(obj, re, du=0.0, lvl=0):
+        obj.re = re
+        obj.du = du
+        obj.lvl = lvl
+        nodes[0] += 1
+
+    def counted(module):
+        fn = module.taylor_frame
+
+        def wrapper(*args):
+            passes[module.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    form2 = gauge.make_test_potential(L, 2, seed=49)
+    form3 = gauge.make_test_potential(L, 3, seed=50)
+    rng = np.random.default_rng(49)
+    x, y = _point(L, 2, rng)
+    u, v = rng.standard_normal(2 + L.dim), rng.standard_normal(2 + L.dim)
+    for module in (gauge, tangent):
+        monkeypatch.setattr(module, "taylor_frame", counted(module))
+    monkeypatch.setattr(Dual, "__init__", counting_init)
+    calls = (
+        (lambda: gauge.curvature_tensor(form2, x + y, u, v), 1, 0),
+        (lambda: gauge.structure_equation_residual(form2, x, y, u[:2], u[2:], v[:2], v[2:]),
+         1, 1),
+        (lambda: gauge.bianchi_residual(form3, [0.1, -0.2, 0.3], y, *np.eye(3)), 1, 0),
+    )
+    for call, in_gauge, in_tangent in calls:
+        passes.clear()
+        call()
+        assert passes == Counter({"loopbundle.gauge": in_gauge,
+                                  "loopbundle.tangent": in_tangent})
+    assert nodes[0] == 0
+
+
+# -- non-finite values ---------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_gauge_jet_routes_are_silent_on_non_finite_potentials(bad):
+    L = make_loop("qc")
+    base = gauge.make_test_potential(L, 3, seed=51)
+    pot = dataclasses.replace(base.potential, A=lambda xs: base.potential.A(xs) * bad)
+    form = dataclasses.replace(base, potential=pot)
+    x, e = [0.1, -0.2, 0.3], list(L.identity)
+    u = [1.0, 0.0, 0.0, 0.2, -0.1]
+    v = [0.0, 1.0, 0.0, -0.3, 0.4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.all(np.isfinite(gauge.curvature_tensor(form, x + e, u, v)))
+        assert not math.isfinite(
+            gauge.structure_equation_residual(form, x, e, u[:3], u[3:], v[:3], v[3:]))
+        assert not math.isfinite(gauge.bianchi_residual(form, x, e, *np.eye(3)))

@@ -333,6 +333,45 @@ def test_inf_in_the_jet_pass_is_silent(bad):
             reconstruct.maurer_cartan_residual(L, [0.2, -0.1], [0.1, 0.3]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sin_cos_floor_are_nan_on_non_finite_values(bad):
+    space = jet_space(1)
+    for x in (bad, Dual(bad, 1.0, 1), space.variable(bad, ((0,), ()))):
+        for fn in (gsin, gcos, gfloor):
+            assert math.isnan(primal(fn(x)))
+    for fn in (gsin, gcos):
+        assert np.all(np.isnan(fn(space.variable(bad, ((0,), ()))).c))
+    # finite values take the math functions unchanged
+    assert gsin(0.3) == math.sin(0.3) and gcos(0.3) == math.cos(0.3)
+    assert gfloor(-1.5) == -2.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_rz_jet_routes_return_nan_on_non_finite_product_jets(bad):
+    rz = make_loop("rz")
+    L = dataclasses.replace(
+        rz, product=lambda a, b: [v * bad if v.__class__ is Jet else v
+                                  for v in rz.product(a, b)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.all(np.isfinite(tangent.structure_tensor_raw(L, [0.02])))
+        assert not math.isfinite(tangent.jacobi_residual(L, [0.02]))
+        assert not math.isfinite(reconstruct.maurer_cartan_residual(L, [0.05], [0.02]))
+
+
+@pytest.mark.parametrize("name", ["qc", "qhr:K=1"])
+def test_maurer_cartan_algebra_is_silent_on_inf_division_jets(name):
+    # the jets of the left associator are inf; a.b itself stays finite
+    base = make_loop(name)
+    L = dataclasses.replace(
+        base, left_div=lambda a, b: [v * math.inf if v.__class__ is Jet else v
+                                     for v in base.left_div(a, b)])
+    a, b = (list(0.3 * L.sample(np.random.default_rng(seed))) for seed in (1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not math.isfinite(reconstruct.maurer_cartan_residual(L, b, a))
+
+
 def test_singular_denominator_raises_as_on_floats():
     space = jet_space(2)
     zero = space.variable(0.0, ((0,), ()))

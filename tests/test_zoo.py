@@ -410,3 +410,13 @@ def test_rz_division_round_trips_inside_the_bijective_set():
     for a in (RZ_BOUND + 1e-4, 1.0 - RZ_BOUND - 1e-4):
         with pytest.raises(NoSolutionInChart):
             core.left_divide(L, [a], [0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rz_closed_forms_return_nan_on_non_finite_inputs(bad):
+    # the chart check hides these from core, so call the closed forms
+    L = make_loop("rz")
+    for a, b in (([bad], [0.1]), ([0.1], [bad])):
+        assert math.isnan(L.product(a, b)[0])
+        assert math.isnan(L.left_div(a, b)[0])
+        assert math.isnan(L.right_div(b, a)[0])
