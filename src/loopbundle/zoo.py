@@ -44,7 +44,10 @@ def _rz_fprime(x):
 
 
 def _rz_mod1(x):
-    return x - gfloor(x)
+    # x - floor(x) rounds to 1.0 for x in (-2**-54, 0), outside the chart
+    # [0, 1); subtracting 1 keeps the dual and jet parts.
+    r = x - gfloor(x)
+    return r - 1.0 if primal(r) == 1.0 else r
 
 
 def _rz_product(a, b):
@@ -53,31 +56,43 @@ def _rz_product(a, b):
 
 
 def _rz_solve(x, target):
-    """Solve y + f(y) - f(x+y) = target for y (bisection plus Newton polish).
+    """Solve y + f(y) - f(x+y) = target for y (bracketed Newton).
 
     g(y) = y + f(y) - f(x+y) has g'(y) = 1 - pi sin(pi x) cos(pi (2y + x)),
     so the left translation by x is a bijection of the circle exactly where
     pi |sin(pi x)| < 1: x in [0, 0.10312) or (0.89688, 1) modulo 1.
     Elsewhere some targets have several roots, and the solve raises.  The
     rule reads the primal value, so floats, duals and jets follow it alike.
+
+    On that window g is increasing and g(y) - y lies in [-1/2, 1/2], so
+    the root lies in [t - 1/2, t + 1/2].  Newton steps keep that bracket
+    and fall back to its midpoint when a step leaves it (rtsafe, Press et
+    al., Numerical Recipes, 9.4).
     """
     x0 = primal(x)
     if math.pi * abs(gsin(math.pi * x0)) >= 1.0:
         raise NoSolutionInChart(f"R/Z left translation by {x0} is not invertible")
     # x0 and y are floats here, so the closed forms return floats.
     g0 = lambda y: y + _rz_f(y) - _rz_f(x0 + y)
+    gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x0 + y)
     # g(y+1) = g(y)+1, so shift the target near the image of [0,1).
     t0 = primal(target)
     t0 -= gfloor(t0 - g0(0.0) + 0.5)
-    lo, hi = -1.1, 1.1
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        if g0(mid) < t0:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
-    gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x0 + y)
+    lo, hi = t0 - 0.5, t0 + 0.5
+    y = t0
+    for _ in range(60):
+        r = g0(y) - t0
+        if r < 0.0:
+            lo = y
+        elif r > 0.0:
+            hi = y
+        else:  # a root, or NaN
+            break
+        y, y_old = y - r / gp0(y), y
+        if not lo <= y <= hi:
+            y = 0.5 * (lo + hi)
+        if abs(y - y_old) < 1e-12:
+            break
     for _ in range(4):
         y -= (g0(y) - t0) / gp0(y)
     # Re-run the update in the arguments' arithmetic (dual or jet) to carry

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from loopbundle import core
-from loopbundle.dual import jacobian, primal
+from loopbundle import core, zoo
+from loopbundle.dual import Dual, Jet, jacobian, jet_space, primal
 from loopbundle.errors import (DomainSingularity, NoSolutionInChart,
                                PoleSingularity, UnknownKind)
 from loopbundle.report import worst_residual
@@ -414,9 +414,109 @@ def test_rz_division_round_trips_inside_the_bijective_set():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rz_closed_forms_return_nan_on_non_finite_inputs(bad):
-    # the chart check hides these from core, so call the closed forms
+    # the chart check hides these from core, so call the closed forms;
+    # the test config turns a RuntimeWarning into a failure
     L = make_loop("rz")
     for a, b in (([bad], [0.1]), ([0.1], [bad])):
         assert math.isnan(L.product(a, b)[0])
         assert math.isnan(L.left_div(a, b)[0])
         assert math.isnan(L.right_div(b, a)[0])
+    for a, b in (([Dual(bad, 1.0)], [0.1]), ([0.1], [Dual(bad, 1.0)]),
+                 ([Dual(bad, 1.0)], [Dual(0.1, 1.0)])):
+        assert math.isnan(primal(L.left_div(a, b)[0]))
+        assert math.isnan(primal(L.right_div(b, a)[0]))
+
+
+def test_rz_mod1_stays_in_the_chart():
+    # x - floor(x) rounds to 1.0 just below 0; the chart is [0, 1)
+    assert zoo._rz_mod1(-1e-17) == 0.0
+    assert zoo._rz_mod1(0.25) == 0.25
+    d = zoo._rz_mod1(Dual(-1e-17, 2.0))
+    assert (d.re, d.du) == (0.0, 2.0)
+    space = jet_space(1)
+    x = space.variable(0.0, ((0,), ())) - 1e-17
+    j = zoo._rz_mod1(x)
+    assert j.__class__ is Jet and primal(j) == 0.0
+    assert np.array_equal(j.c[1:], x.c[1:])
+    # a\a is the identity 0; unmapped, about half of these read 1.0
+    L = make_loop("rz")
+    window = np.random.default_rng(0).uniform(-RZ_BOUND, RZ_BOUND, 200) % 1.0
+    for a in window:
+        y = core.left_divide(L, [a], [a])[0]
+        assert 0.0 <= y < 1.0 and _circle_distance(y, 0.0) < 1e-15
+        assert 0.0 <= core.right_divide(L, [0.5], [a])[0] < 1.0
+        assert 0.0 <= core.product(L, [a], [1.0 - a])[0] < 1.0
+
+
+def ref_rz_solve(x, target):
+    """The 70-step bisection plus 4 Newton steps, on floats."""
+    g = lambda y: y + zoo._rz_f(y) - zoo._rz_f(x + y)
+    gp = lambda y: 1.0 + zoo._rz_fprime(y) - zoo._rz_fprime(x + y)
+    target -= math.floor(target - g(0.0) + 0.5)
+    lo, hi = -1.1, 1.1
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    y = 0.5 * (lo + hi)
+    for _ in range(4):
+        y -= (g(y) - target) / gp(y)
+    return y % 1.0
+
+
+def _circle_distance(a, b):
+    d = abs(a - b) % 1.0
+    return min(d, 1.0 - d)
+
+
+@pytest.mark.parametrize("xs", [
+    np.linspace(0.0, 0.04, 9),
+    np.linspace(0.0, RZ_BOUND, 13, endpoint=False),
+    RZ_BOUND - np.logspace(-9, -3, 7),
+    1.0 - RZ_BOUND + np.logspace(-9, -3, 7),
+    1.0 - np.linspace(0.0, RZ_BOUND, 13, endpoint=False)[1:],
+])
+def test_rz_solve_matches_the_bisection(xs):
+    L = make_loop("rz")
+    for a in xs:
+        for b in (0.05, 0.5, 0.95):
+            assert _rz_root_count(a, b) == 1
+        for b in np.linspace(-2.0, 2.0, 33):
+            target = b - a - zoo._rz_f(a)
+            got = L.left_div([a], [b])[0]
+            # the root is known to rounding over g'(y), the condition number
+            gp = 1.0 + zoo._rz_fprime(got) - zoo._rz_fprime(a + got)
+            d = _circle_distance(got, ref_rz_solve(a, target))
+            assert d * min(gp, 1.0) <= 1e-15, (a, b)
+
+
+def _rz_f_calls(monkeypatch, a, b):
+    calls = [0]
+    f = zoo._rz_f
+
+    def counted(x):
+        calls[0] += 1
+        return f(x)
+
+    monkeypatch.setattr(zoo, "_rz_f", counted)
+    make_loop("rz").left_div([a], [b])
+    monkeypatch.setattr(zoo, "_rz_f", f)
+    return calls[0]
+
+
+def test_rz_division_evaluates_f_a_few_times(monkeypatch):
+    # the 70-step bisection made 144 evaluations per division
+    for a in np.linspace(0.0, 0.04, 9):
+        for b in np.linspace(0.0, 1.0, 9):
+            assert _rz_f_calls(monkeypatch, a, b) <= 40
+
+
+def test_rz_solve_converges_at_the_window_edge(monkeypatch):
+    # f(a), g(0) for the shift and 4 polish steps make 11 evaluations, and
+    # each Newton iteration 2; fewer than 60 iterations means the step
+    # rule ended the loop, not its cap
+    for a in (RZ_BOUND - 1e-9, 1.0 - RZ_BOUND + 1e-9):
+        for b in np.linspace(0.0, 1.0, 21):
+            assert (_rz_f_calls(monkeypatch, a, b) - 11) // 2 < 60
