@@ -23,13 +23,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dual import pack, primal, jacobian
+from .dual import pack, primal
 from .errors import OutOfDomain
 from .report import VerificationReport, worst_residual
 
 TOL_EXACT = 1e-11
-NEWTON_TOL = 1e-13
-NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -94,27 +92,6 @@ def left_divide(L, a, b):
 def right_divide(L, b, a):
     """The unique y with y.a = b."""
     return pack(L.right_div(*_chart_points(L, b, a)))
-
-
-def newton_divide(L, a, b, side):
-    """Solve the division equation by Newton iteration started at identity.
-
-    A standalone float solver that uses only the product; the tests use it
-    as a reference for the closed-form divisions.
-    """
-    if side == "left":
-        f = lambda x: L.product(a, x)
-    else:
-        f = lambda x: L.product(x, a)
-    x = [float(v) for v in L.identity]
-    # Newton steps until the residual is below NEWTON_TOL, then one more.
-    for _ in range(NEWTON_MAX_ITER + 1):
-        res = pack(f(x)) - pack(b)
-        done = np.max(np.abs(res)) < NEWTON_TOL
-        x = list(pack(x) - np.linalg.solve(jacobian(f, x), res))
-        if done:
-            break
-    return pack(x)
 
 
 def _left_associator(L, a, b, c):

@@ -1,19 +1,21 @@
-"""Forward-mode automatic differentiation: nestable dual numbers and
+"""Forward-mode automatic differentiation: level-tagged dual numbers and
 truncated Taylor jets.
 
 Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
 ``gfloor``) of this module.
 
 - ``Jet`` carries the frames, the structure functions, Maurer-Cartan and
-  the gauge connection form.  One pass of a map f(a, e) on jets in the
+  every gauge derivative: the connection form, the potential, the test
+  function of the covariant-derivative commutator and the gauge
+  transformation.  One pass of a map f(a, e) on jets in the
   point offset alpha and the argument beta gives its Jacobian in e and
   that Jacobian's first and second derivatives in a (``taylor_frame``):
   the coefficients of the monomials alpha^p beta^q with |p| <= 2 and
   |q| <= 1.  Higher monomials are truncated.
-- ``Dual`` gives every other derivative: first derivatives (pushforwards,
-  Ad and associator differentials, the Lie-equation velocity) from one
-  dual level; the second derivatives of the gauge commutator and of
-  gauge-transformed potentials from nesting ``Dual`` inside ``Dual``.
+- ``Dual`` gives the first derivatives (pushforwards, Ad and associator
+  differentials, the Lie-equation velocity, a gauge-transformed
+  potential) from one dual level.  Levels still nest, which the tests'
+  nested-dual reference routes use; no library route does.
 
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.

@@ -5,9 +5,16 @@ the coordinate connection form
 
     omega^i = (Ad^-1_y(e))^i_j A^j_mu dx^mu + (inverse left frame)^i_j dy^j.
 
-The curvature tensor, structure equation and Bianchi take omega and its
-derivatives in z = (x, y) from one Taylor-jet pass, the rest from dual
-numbers, so residuals measure the identities, not discretization error.
+Every derivative beyond the first comes from one Taylor-jet pass
+(``dual.taylor_frame``) of a map whose Jacobian in its second argument is
+the object differentiated: the connection form in z = (x, y) for the
+curvature tensor, structure equation and Bianchi; A(x) v for the component
+curvature; f(z + v) and the right frame for the covariant-derivative
+commutator; the transformation map of ``gauge_transform`` for the curvature
+in another trivialization.  First derivatives (the blocks of omega, the
+horizontal and fundamental fields, a transformed potential) come from
+one-level dual numbers.  So residuals measure the identities, not
+discretization error.
 """
 
 from dataclasses import dataclass
@@ -16,16 +23,18 @@ from typing import Callable
 import numpy as np
 
 from . import core, tangent
-from .dual import (dirderiv, floats_if_plain, gcos, gdot, ginv, gsin,
-                   gsolve, jacobian, pack, primal, quiet, taylor_frame)
+from .dual import (floats_if_plain, gcos, gdot, ginv, gsin, jacobian, pack,
+                   primal, quiet, taylor_frame)
 from .errors import PartitionInvalid
 
 
 @dataclass(frozen=True)
 class GaugePotential:
     """A^i_mu(x): callable from base coordinates to a fiber_dim x base_dim
-    matrix; must accept duals, and jets for the curvature tensor, structure
-    equation and Bianchi (a gauge-transformed potential takes duals only)."""
+    matrix.  It must accept floats, and Taylor jets for every curvature,
+    commutator, structure-equation and Bianchi check; ``gauge_transform``
+    calls it on floats only.  A gauge-transformed potential takes floats
+    only."""
 
     chart: str
     A: Callable
@@ -36,15 +45,6 @@ class GaugePotential:
 class LocalConnectionForm:
     potential: GaugePotential
     fiber: object
-
-
-def right_quasi_invariant_basis(L, y):
-    """Columns are the generators of left translations at ``y``.
-
-    These are the differentials in the *first* product slot: column i is
-    the velocity of a -> a.y at the identity along e_i.
-    """
-    return tangent.FrameMatrix(at=pack(list(y)), R=tangent.right_frame_matrix(L, y))
 
 
 def ad_inverse_matrix(L, y, at=None):
@@ -70,57 +70,61 @@ def omega_apply(form, x, y, vx, vy):
     return dx_block @ np.asarray(vx) + dy_block @ np.asarray(vy)
 
 
-def covariant_derivative_apply(form, mu, f, x, y):
-    """(D_mu f)(x, y) = (d_mu f) - A^i_mu(x) (Lbar_i f)."""
-    L = form.fiber
-    db = form.potential.base_dim
-    ex = [1.0 if k == mu else 0.0 for k in range(db)]
-    d_base = dirderiv(lambda xs: [f(xs, list(y))], list(x), ex)[0]
-    rbar = right_quasi_invariant_basis(L, list(y)).R
-    a = np.asarray(form.potential.A(list(x)))
-    vy = np.asarray(rbar) @ a[:, mu]
-    d_fiber = dirderiv(lambda ys: [f(list(x), ys)], list(y), list(vy))[0]
-    return d_base - d_fiber
+def _potential_jet(form, x):
+    """A(x) and dA[m] = d_m A from one jet pass of (x, v) -> A(x) v."""
+    def f(xs, vs):
+        return [gdot(row, vs) for row in form.potential.A(xs)]
+
+    a, da, _ = taylor_frame(f, [float(v) for v in x], [0.0] * form.potential.base_dim)
+    return a, da
+
+
+def _field_strength(a, da, c):
+    """F^i_{mu nu} = d_mu A^i_nu - d_nu A^i_mu - C^i_jk A^j_mu A^k_nu from
+    A, dA[m] = d_m A and a structure tensor C."""
+    d = da.transpose(1, 0, 2)  # d[i, mu, nu] = d_mu A^i_nu
+    return d - d.transpose(0, 2, 1) - np.einsum("jm,ijk,kn->imn", a, c, a)
 
 
 def curvature(form, x, y):
     """F^i_{mu nu}(x; y) with structure functions of the right frame."""
-    L = form.fiber
-    db = form.potential.base_dim
-    nf = L.dim
-    a = np.asarray(form.potential.A(list(x)), dtype=float)
-    flat = jacobian(lambda xs: list(np.asarray(form.potential.A(xs)).reshape(-1)),
-                    [float(v) for v in x])
-    da = np.array([[primal(v) for v in row]
-                   for row in flat]).reshape(nf, db, db)  # da[i][mu][nu] = d_nu A^i_mu
-    c = tangent.structure_tensor_raw(L, y, side="right")
-    f = np.zeros((nf, db, db))
-    for i in range(nf):
-        for mu in range(db):
-            for nu in range(db):
-                f[i, mu, nu] = (da[i, nu, mu] - da[i, mu, nu]
-                                - a[:, mu] @ c[i] @ a[:, nu])
-    return f
+    c = tangent.structure_tensor_raw(form.fiber, y, side="right")
+    with quiet():
+        return _field_strength(*_potential_jet(form, x), c)
 
 
 def commutator_residual(form, mu, nu, f, x, y):
-    """|([D_mu, D_nu] + F^i_{mu nu} Lbar_i) f| at (x, y)."""
+    """|([D_mu, D_nu] + F^i_{mu nu} Lbar_i) f| at (x, y).
+
+    D_mu = d_mu - A^i_mu Lbar_i is the vector field X_mu = (e_mu; -R A_mu)
+    on z = (x, y), where the columns of the right frame R at y are the
+    Lbar_i, so D_mu D_nu f = X_mu^a (d_a X_nu^b) d_b f + X_mu^a X_nu^b
+    d_a d_b f.  The gradient and Hessian of f come from one jet pass of
+    f(z + v), A and dA from one of A(x) v, and R, dR and the right
+    structure tensor from one of the product.  ``f(xs, ys)`` takes lists
+    of scalars and, like the potential, must accept Taylor jets.
+    """
     L = form.fiber
+    db = form.potential.base_dim
+    z = [float(v) for v in list(x) + list(y)]
+    r, dr, _ = tangent._frame_derivatives(L, z[db:], "right")
 
-    def d(nu_idx, xs, ys):
-        return covariant_derivative_apply(form, nu_idx,
-                                          lambda xx, yy: f(xx, yy), xs, ys)
+    def shifted(zs, vs):
+        w = [p + q for p, q in zip(zs, vs)]
+        return [f(w[:db], w[db:])]
 
-    comm = (covariant_derivative_apply(form, mu, lambda xx, yy: d(nu, xx, yy), x, y)
-            - covariant_derivative_apply(form, nu, lambda xx, yy: d(mu, xx, yy), x, y))
-    fcur = curvature(form, x, y)
-    rbar = np.array([[primal(v) for v in row]
-                     for row in right_quasi_invariant_basis(L, list(y)).R])
-    correction = 0.0
-    for i in range(L.dim):
-        lbar_f = dirderiv(lambda ys: [f(list(x), ys)], list(y), list(rbar[:, i]))[0]
-        correction = correction + fcur[i, mu, nu] * primal(lbar_f)
-    return abs(primal(comm) + correction)
+    grad, hess, _ = taylor_frame(shifted, z, [0.0] * len(z))
+    a, da = _potential_jet(form, z[:db])
+    with quiet():
+        fcur = _field_strength(a, da, tangent._structure(r, dr))
+        g = grad[0]
+        xf = np.vstack([np.eye(db), -r @ a])  # columns X_mu
+        dxf = np.zeros((len(z), len(z), db))  # dxf[a, b, mu] = d_a X_mu^b
+        dxf[:db, db:] = -np.einsum("kj,mjn->mkn", r, da)
+        dxf[db:, db:] = -np.einsum("lkj,jn->lkn", dr, a)
+        dd = (np.einsum("am,abn,b->mn", xf, dxf, g)
+              + np.einsum("am,ab,bn->mn", xf, hess[:, 0], xf))  # D_m D_n f
+        return float(abs(dd[mu, nu] - dd[nu, mu] + fcur[:, mu, nu] @ (g[db:] @ r)))
 
 
 def omega_annihilates_d_residual(form, x, y, mu):
@@ -128,8 +132,7 @@ def omega_annihilates_d_residual(form, x, y, mu):
     L = form.fiber
     db = form.potential.base_dim
     a = np.asarray(form.potential.A(list(x)), dtype=float)
-    rbar = np.array([[primal(v) for v in row]
-                     for row in right_quasi_invariant_basis(L, list(y)).R])
+    rbar = np.asarray(tangent.right_frame_matrix(L, list(y)), dtype=float)
     vx = np.array([1.0 if k == mu else 0.0 for k in range(db)])
     vy = -rbar @ a[:, mu]
     val = omega_apply(form, x, y, vx, vy)
@@ -141,13 +144,6 @@ def omega_annihilates_d_residual(form, x, y, mu):
 def _split(form, z):
     db = form.potential.base_dim
     return list(z[:db]), list(z[db:])
-
-
-def omega_of(form, z, v):
-    """Connection form as a function on combined (base, fiber) coordinates."""
-    x, y = _split(form, z)
-    vx, vy = _split(form, v)
-    return omega_apply(form, x, y, vx, vy)
 
 
 def _connection_jet(form, x, y):
@@ -218,13 +214,6 @@ def fundamental_field(form, w):
     return field
 
 
-def field_bracket(f, g):
-    def bracket(z):
-        return (dirderiv(lambda zz: list(g(zz)), list(z), list(f(z)))
-                - dirderiv(lambda zz: list(f(zz)), list(z), list(g(z))))
-    return bracket
-
-
 def structure_equation_residual(form, x, y, vx_x, vy_x, vx_y, vy_y):
     """Residual of Omega = domega + (1/2)[omega, omega] on two tangent pairs.
 
@@ -243,15 +232,6 @@ def structure_equation_residual(form, x, y, vx_x, vy_x, vx_y, vy_y):
         res = (np.einsum("pab,a,b->p", dw, u, v) - np.einsum("pab,a,b->p", dw, p @ u, p @ v)
                + 0.5 * np.einsum("pij,i,j->p", c, om @ u, om @ v))
     return float(np.max(np.abs(res)))  # NaN if any entry is NaN
-
-
-def curvature_2form(form, f, g):
-    """Curvature on two horizontal fields via the commutator shortcut:
-    Omega(X, Y) = -(1/2) omega([X, Y])."""
-    def value(z):
-        comm = field_bracket(f, g)(list(z))
-        return [-0.5 * u for u in omega_of(form, list(z), comm)]
-    return value
 
 
 def bianchi_residual(form, x, y, vx1, vx2, vx3):
@@ -276,11 +256,32 @@ def bianchi_residual(form, x, y, vx1, vx2, vx3):
 
 # -- gauge transformations -------------------------------------------------
 
-def canonical_pullback(L, q_map, x):
-    """theta^i_mu(x): pullback of the canonical form along ``q_map``."""
-    dq = jacobian(lambda xs: list(q_map(xs)), list(x))
-    frame = tangent.left_frame_matrix(L, list(q_map(list(x))))
-    return gsolve(frame, np.asarray(dq))
+def _transition(L, q_map, q_back):
+    """xs -> (q_ab, q_ba) = (q_map(xs), q_back(xs)), checked against the
+    chart; q_ba is the right division e / q_ab when ``q_back`` is None."""
+    if q_back is None:
+        e = [float(v) for v in L.identity]
+        q_back = lambda xs: L.right_div(e, list(q_map(xs)))
+    return lambda xs: core._chart_points(L, q_map(xs), q_back(xs))
+
+
+def _transformed_map(form, q_map, pair):
+    """f(x, v) = Ad^-1_(q_ab)(q_ba)(e + A(x) v) + l_(q_ba, q_ab)(q_ab \\ q_ab(x + v))
+    with (q_ab, q_ba) = pair(x).  Its v-Jacobian at v = 0 is the potential
+    in the other trivialization: Ad^-1 A plus l_* of the pullback of the
+    canonical form along q_ab, as the v-Jacobian of q_ab \\ q_ab(x + v) is
+    (L_(q_ab))_*^-1 dq_ab."""
+    L = form.fiber
+    e = [float(v) for v in L.identity]
+
+    def f(xs, vs):
+        qab, qba = pair(xs)
+        c = [ei + gdot(row, vs) for ei, row in zip(e, form.potential.A(xs))]
+        theta = L.left_div(qab, list(q_map([p + q for p, q in zip(xs, vs)])))
+        return [p + q for p, q in zip(core._ad_inverse(L, qab, qba, c),
+                                      core._left_associator(L, qba, qab, theta))]
+
+    return f
 
 
 def gauge_transform(form, q_map, q_back=None):
@@ -288,57 +289,41 @@ def gauge_transform(form, q_map, q_back=None):
 
     ``q_map`` is q_{alpha beta}(x) (the transition carrying the section
     of the *target* chart), ``q_back`` its right inverse q_{beta
-    alpha}(x), computed by right division when omitted.
+    alpha}(x), computed by right division when omitted.  The new potential
+    is the dual Jacobian in v at v = 0 of the map of
+    :func:`_transformed_map`.  It takes floats only; ``q_map`` and
+    ``q_back`` must accept duals.
     """
-    L = form.fiber
-
-    if q_back is None:
-        q_back = lambda xs: list(core.right_divide(L, L.identity, q_map(xs)))
+    f = _transformed_map(form, q_map, _transition(form.fiber, q_map, q_back))
+    db = form.potential.base_dim
 
     def a_new(xs):
-        qab = list(q_map(xs))
-        qba = list(q_back(xs))
-        adinv = ad_inverse_matrix(L, qab, at=qba)
-        lstar = np.asarray(tangent.left_associator_differential(L, qba, qab))
-        theta = canonical_pullback(L, q_map, xs)
-        return adinv @ np.asarray(form.potential.A(list(xs))) + lstar @ theta
+        xs = [float(v) for v in xs]
+        return jacobian(lambda vs: f(xs, vs), [0.0] * db)
 
-    pot = GaugePotential(chart=form.potential.chart + "'", A=a_new,
-                         base_dim=form.potential.base_dim)
-    return LocalConnectionForm(potential=pot, fiber=L)
-
-
-def gauge_transform_via_global(form, q_map):
-    """Independent route: evaluate the invariantly defined form along the
-    target section expressed in the source chart."""
-    L = form.fiber
-
-    def a_new(xs):
-        yq = list(q_map(xs))
-        adinv = ad_inverse_matrix(L, yq)
-        dq = jacobian(lambda xx: list(q_map(xx)), list(xs))
-        frame = tangent.left_frame_matrix(L, yq)
-        return (adinv @ np.asarray(form.potential.A(list(xs)))
-                + gsolve(frame, np.asarray(dq)))
-
-    pot = GaugePotential(chart=form.potential.chart + "'", A=a_new,
-                         base_dim=form.potential.base_dim)
-    return LocalConnectionForm(potential=pot, fiber=L)
+    pot = GaugePotential(chart=form.potential.chart + "'", A=a_new, base_dim=db)
+    return LocalConnectionForm(potential=pot, fiber=form.fiber)
 
 
 def curvature_gauge_residual(form, q_map, x, q_back=None):
     """Compare curvature of the transformed form with the Ad-rotated
-    curvature of the original, both at the identity fiber point."""
+    curvature of the original, both at the identity fiber point.
+
+    A' and dA' come from one jet pass of the map of :func:`gauge_transform`,
+    so ``q_map``, ``q_back`` and the potential must accept Taylor jets.
+    An omitted ``q_back`` is the right division on jets, which the qhr
+    loops do not take: pass ``q_back`` there.
+    """
     L = form.fiber
-    if q_back is None:
-        q_back = lambda xs: list(core.right_divide(L, L.identity, q_map(xs)))
-    e = [float(v) for v in L.identity]
-    f_beta = curvature(gauge_transform(form, q_map, q_back), list(x), e)
-    adinv = ad_inverse_matrix(L, list(q_map(list(x))), at=list(q_back(list(x))))
-    adinv = np.array([[primal(v) for v in row] for row in adinv])
-    f_alpha = curvature(form, list(x), e)
-    rotated = np.einsum("ij,jmn->imn", adinv, f_alpha)
-    return float(np.max(np.abs(f_beta - rotated)))
+    x = [float(v) for v in x]
+    pair = _transition(L, q_map, q_back)
+    c = tangent.structure_tensor_raw(L, L.identity, side="right")
+    a1, da1, _ = taylor_frame(_transformed_map(form, q_map, pair), x, [0.0] * len(x))
+    a0, da0 = _potential_jet(form, x)
+    adinv = ad_inverse_matrix(L, *pair(x))
+    with quiet():
+        rotated = np.einsum("ij,jmn->imn", adinv, _field_strength(a0, da0, c))
+        return float(np.max(np.abs(_field_strength(a1, da1, c) - rotated)))
 
 
 def glue_connections(forms, weights, samples):

@@ -97,13 +97,16 @@ def _rz_solve(x, target):
         y -= (g0(y) - t0) / gp0(y)
     # Re-run the update in the arguments' arithmetic (dual or jet) to carry
     # their derivatives: from the exact root, 3 steps are exact through
-    # degree 7.
+    # degree 7.  The steps can move the primal by an ulp, so the float
+    # root replaces it: primal(result) is the float path's result.
     if not isinstance(x, _NUMBERS) or not isinstance(target, _NUMBERS):
         g = lambda y: y + _rz_f(y) - _rz_f(x + y)
         gp = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
         shift = t0 - primal(target)
+        root = y
         for _ in range(3):
             y = y - (g(y) - (target + shift)) / gp(y)
+        y = (y - primal(y)) + root
     return _rz_mod1(y)
 
 

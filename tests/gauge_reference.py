@@ -1,0 +1,149 @@
+"""Nested-dual gauge routes, kept as references for the jet routes of
+``loopbundle.gauge``: the covariant-derivative commutator, the component
+curvature, the gauge transformation and the curvature in another
+trivialization, the form on combined coordinates, the field bracket and
+the curvature of two horizontal fields.  They differentiate by nesting
+``dirderiv`` and ``jacobian`` and solve with the object-dtype ``gsolve``.
+"""
+
+import numpy as np
+
+from loopbundle import core, gauge, tangent
+from loopbundle.dual import dirderiv, gsolve, jacobian, primal
+
+
+def _floats(m):
+    return np.array([[primal(v) for v in row] for row in np.asarray(m)])
+
+
+def covariant_derivative_apply(form, mu, f, x, y):
+    """(D_mu f)(x, y) = (d_mu f) - A^i_mu(x) (Lbar_i f); accepts duals."""
+    db = form.potential.base_dim
+    ex = [1.0 if k == mu else 0.0 for k in range(db)]
+    d_base = dirderiv(lambda xs: [f(xs, list(y))], list(x), ex)[0]
+    rbar = tangent.right_frame_matrix(form.fiber, list(y))
+    a = np.asarray(form.potential.A(list(x)))
+    vy = np.asarray(rbar) @ a[:, mu]
+    d_fiber = dirderiv(lambda ys: [f(list(x), ys)], list(y), list(vy))[0]
+    return d_base - d_fiber
+
+
+def curvature(form, x, y, side="right"):
+    """F^i_{mu nu}(x; y) from a dual Jacobian of the potential, with the
+    structure functions of the frame on ``side``."""
+    L = form.fiber
+    db = form.potential.base_dim
+    nf = L.dim
+    a = np.asarray(form.potential.A(list(x)), dtype=float)
+    flat = jacobian(lambda xs: list(np.asarray(form.potential.A(xs)).reshape(-1)),
+                    [float(v) for v in x])
+    da = _floats(flat).reshape(nf, db, db)  # da[i][mu][nu] = d_nu A^i_mu
+    c = tangent.structure_tensor_raw(L, y, side=side)
+    f = np.zeros((nf, db, db))
+    for i in range(nf):
+        for mu in range(db):
+            for nu in range(db):
+                f[i, mu, nu] = (da[i, nu, mu] - da[i, mu, nu]
+                                - a[:, mu] @ c[i] @ a[:, nu])
+    return f
+
+
+def commutator_residual(form, mu, nu, f, x, y, side="right"):
+    """|([D_mu, D_nu] + F^i_{mu nu} Lbar_i) f| from nested directional
+    derivatives; ``side`` picks the structure tensor of F."""
+    L = form.fiber
+
+    def d(nu_idx, xs, ys):
+        return covariant_derivative_apply(form, nu_idx, f, xs, ys)
+
+    comm = (covariant_derivative_apply(form, mu, lambda xx, yy: d(nu, xx, yy), x, y)
+            - covariant_derivative_apply(form, nu, lambda xx, yy: d(mu, xx, yy), x, y))
+    fcur = curvature(form, x, y, side)
+    rbar = _floats(tangent.right_frame_matrix(L, list(y)))
+    correction = 0.0
+    for i in range(L.dim):
+        lbar_f = dirderiv(lambda ys: [f(list(x), ys)], list(y), list(rbar[:, i]))[0]
+        correction = correction + fcur[i, mu, nu] * primal(lbar_f)
+    return abs(primal(comm) + correction)
+
+
+def canonical_pullback(L, q_map, x):
+    """theta^i_mu(x): pullback of the canonical form along ``q_map``."""
+    dq = jacobian(lambda xs: list(q_map(xs)), list(x))
+    frame = tangent.left_frame_matrix(L, list(q_map(list(x))))
+    return gsolve(frame, np.asarray(dq))
+
+
+def gauge_transform(form, q_map, q_back=None):
+    """The transformed potential Ad^-1_(q_ab)(q_ba) A + l_(q_ba, q_ab)* theta;
+    accepts duals, so ``curvature`` can differentiate it."""
+    L = form.fiber
+    if q_back is None:
+        q_back = lambda xs: list(core.right_divide(L, L.identity, q_map(xs)))
+
+    def a_new(xs):
+        qab = list(q_map(xs))
+        qba = list(q_back(xs))
+        adinv = gauge.ad_inverse_matrix(L, qab, at=qba)
+        lstar = np.asarray(tangent.left_associator_differential(L, qba, qab))
+        theta = canonical_pullback(L, q_map, xs)
+        return adinv @ np.asarray(form.potential.A(list(xs))) + lstar @ theta
+
+    pot = gauge.GaugePotential(chart=form.potential.chart + "'", A=a_new,
+                               base_dim=form.potential.base_dim)
+    return gauge.LocalConnectionForm(potential=pot, fiber=L)
+
+
+def gauge_transform_via_global(form, q_map):
+    """Independent route: evaluate the invariantly defined form along the
+    target section expressed in the source chart."""
+    L = form.fiber
+
+    def a_new(xs):
+        yq = list(q_map(xs))
+        adinv = gauge.ad_inverse_matrix(L, yq)
+        dq = jacobian(lambda xx: list(q_map(xx)), list(xs))
+        frame = tangent.left_frame_matrix(L, yq)
+        return (adinv @ np.asarray(form.potential.A(list(xs)))
+                + gsolve(frame, np.asarray(dq)))
+
+    pot = gauge.GaugePotential(chart=form.potential.chart + "'", A=a_new,
+                               base_dim=form.potential.base_dim)
+    return gauge.LocalConnectionForm(potential=pot, fiber=L)
+
+
+def curvature_gauge_residual(form, q_map, x, q_back=None):
+    """Curvature of the nested-dual transformed potential against the
+    Ad-rotated curvature of the original, at the identity fiber point."""
+    L = form.fiber
+    if q_back is None:
+        q_back = lambda xs: list(core.right_divide(L, L.identity, q_map(xs)))
+    e = [float(v) for v in L.identity]
+    f_beta = curvature(gauge_transform(form, q_map, q_back), list(x), e)
+    adinv = _floats(gauge.ad_inverse_matrix(L, list(q_map(list(x))),
+                                            at=list(q_back(list(x)))))
+    rotated = np.einsum("ij,jmn->imn", adinv, curvature(form, list(x), e))
+    return float(np.max(np.abs(f_beta - rotated)))
+
+
+def omega_of(form, z, v):
+    """Connection form as a function on combined (base, fiber) coordinates."""
+    x, y = gauge._split(form, z)
+    vx, vy = gauge._split(form, v)
+    return gauge.omega_apply(form, x, y, vx, vy)
+
+
+def field_bracket(f, g):
+    def bracket(z):
+        return (dirderiv(lambda zz: list(g(zz)), list(z), list(f(z)))
+                - dirderiv(lambda zz: list(f(zz)), list(z), list(g(z))))
+    return bracket
+
+
+def curvature_2form(form, f, g):
+    """Curvature on two horizontal fields via the commutator shortcut:
+    Omega(X, Y) = -(1/2) omega([X, Y])."""
+    def value(z):
+        comm = field_bracket(f, g)(list(z))
+        return [-0.5 * u for u in omega_of(form, list(z), comm)]
+    return value

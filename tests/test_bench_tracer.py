@@ -1,6 +1,8 @@
 """The benchmark tracer (loopbench/tracer.py) looks up library functions
-by name; removing one it needs breaks the benchmark, whose own tests are
-not collected here.  Install and uninstall it once to catch that early."""
+by name and patches ``Dual.__init__``; removing a name it needs, or a
+``Dual`` slot it sets, breaks the benchmark, whose own tests are not
+collected here.  Install it, trace a few calls and uninstall it to catch
+that early."""
 
 import importlib.util
 from pathlib import Path
@@ -11,10 +13,15 @@ from loopbundle import bundle, cli, core, dual, gauge, reconstruct, tangent, zoo
 TRACER = Path(__file__).resolve().parents[1] / "loopbench" / "tracer.py"
 
 
-def test_tracer_finds_every_name_it_wraps():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("loopbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_finds_every_name_it_wraps():
+    tracer = _load_tracer()
     init = dual.Dual.__init__
     product = core.product
     tr = tracer.Tracer(loopbundle)
@@ -28,3 +35,21 @@ def test_tracer_finds_every_name_it_wraps():
         tr.uninstall()
     assert core.product is product
     assert dual.Dual.__init__ is init
+
+
+def test_traced_calls_complete_and_count_dual_nodes():
+    tr = _load_tracer().Tracer(loopbundle)
+    try:
+        tr.install()
+        tr.counting = tr.enabled = True
+        L = zoo.make_loop("qc")
+        form = gauge.make_test_potential(L, 2, seed=3)
+        f = lambda xs, ys: xs[0] * ys[1] + 0.3 * xs[1] * ys[0] * ys[0]
+        assert gauge.commutator_residual(form, 0, 1, f, [0.2, -0.1], [0.1, 0.25]) < 1e-12
+        assert tangent.left_frame_matrix(L, [0.1, 0.25]).shape == (2, 2)
+    finally:
+        tr.counting = tr.enabled = False
+        tr.uninstall()
+    assert tr.counts["gauge.commutator_residual"] == 1
+    assert tr.counts["tangent.left_frame_matrix"] == 1
+    assert tr.extra["dual.nodes"] > 0

@@ -467,3 +467,36 @@ def test_quotient_of_unseeded_number_rounds_differently(monkeypatch):
     assert sparse.re == sparse.du == x / y
     assert dense.re == dense.du == x * (1.0 / y)
     assert x / y != x * (1.0 / y) and abs(x / y - x * (1.0 / y)) <= 1.2e-16
+
+
+def test_library_routes_never_nest_duals(monkeypatch, capsys):
+    # Nested duals are left only for the tests' references: no library
+    # route builds a Dual whose primal part is itself a Dual.
+    from loopbundle import cli, gauge
+    from loopbundle.zoo import make_loop
+
+    nested = [0]
+
+    def counting_init(obj, re, du=0.0, lvl=0):
+        obj.re = re
+        obj.du = du
+        obj.lvl = lvl
+        if re.__class__ is Dual:
+            nested[0] += 1
+
+    monkeypatch.setattr(Dual, "__init__", counting_init)
+    for name in ("rz", "qc", "qh2", "qsu2", "qhr:K=1"):
+        assert cli.main(["verify", "--loop", name, "--suite", "all", "--samples", "3",
+                         "--seed", "1", "--steps", "16"]) == 0
+    capsys.readouterr()
+    L = make_loop("qc")
+    form = gauge.make_test_potential(L, 2, seed=57)
+    x, y = [0.2, -0.1], [0.1, 0.25]
+    f = lambda xs, ys: xs[0] * ys[1] + 0.3 * xs[1] * ys[0] * ys[0]
+    q_map = lambda xs: [gcos(0.4 + 0.7 * xs[0]), gsin(0.4 + 0.7 * xs[0] - 0.3 * xs[1])]
+    gauge.commutator_residual(form, 0, 1, f, x, y)
+    gauge.curvature(form, x, y)
+    gauge.curvature_gauge_residual(form, q_map, x)
+    gauge.omega_annihilates_d_residual(form, x, y, 0)
+    gauge.hor_field(form, [1.0, 0.5])(x + y)
+    assert nested[0] == 0

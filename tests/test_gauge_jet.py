@@ -1,7 +1,8 @@
 """The jet route of the gauge checks against the nested-dual routines it
-replaced, which are kept below as the reference: the connection form and
-its derivatives, the curvature tensor, the structure equation and the
-Bianchi identity."""
+replaced, which are kept as the reference: below for the connection form
+and its derivatives, the curvature tensor, the structure equation and the
+Bianchi identity; in ``gauge_reference`` for the covariant-derivative
+commutator, the component curvature and the gauge transformation."""
 
 import dataclasses
 import math
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 
 from loopbundle import gauge, tangent
-from loopbundle.dual import (Dual, dirderiv, floats_if_plain, gmatvec, jacobian,
-                             pack, primal)
+from loopbundle.dual import (Dual, dirderiv, floats_if_plain, gmatvec, gsin, jacobian,
+                             pack, primal, taylor_frame)
 from loopbundle.zoo import make_loop
+
+import gauge_reference as ref
 
 
 # -- the nested-dual reference ------------------------------------------------
@@ -57,7 +60,7 @@ def ref_hor_project(form, z, v):
     its connection-form value."""
     db = form.potential.base_dim
     _, y = gauge._split(form, z)
-    w = gauge.omega_of(form, z, v)
+    w = ref.omega_of(form, z, v)
     lift = gmatvec(tangent.left_frame_matrix(form.fiber, y), w)
     return pack(list(v[:db]) + [v[db + i] - lift[i] for i in range(form.fiber.dim)])
 
@@ -71,8 +74,8 @@ def ref_structure_equation_residual(form, x, y, vx_x, vy_x, vx_y, vy_y):
     z = [float(v) for v in list(x) + list(y)]
     vone = pack([float(v) for v in list(vx_x) + list(vy_x)])
     vtwo = pack([float(v) for v in list(vx_y) + list(vy_y)])
-    w1 = np.array([primal(v) for v in gauge.omega_of(form, z, vone)])
-    w2 = np.array([primal(v) for v in gauge.omega_of(form, z, vtwo)])
+    w1 = np.array([primal(v) for v in ref.omega_of(form, z, vone)])
+    w2 = np.array([primal(v) for v in ref.omega_of(form, z, vtwo)])
     dw = np.array([primal(v) for v in ref_d_omega_tensor(form, z, vone, vtwo)])
     c = np.asarray(tangent.structure_tensor_raw(form.fiber, list(y)), dtype=float)
     half_bracket = 0.5 * np.einsum("pij,i,j->p", c, w1, w2)
@@ -91,7 +94,7 @@ def ref_bianchi_residual(form, x, y, vx1, vx2, vx3):
         deriv = dirderiv(
             lambda zz: list(ref_curvature_tensor(form, zz, fj(zz), fk(zz))),
             z, list(fi(z)))
-        comm_val = ref_curvature_tensor(form, z, fk(z), gauge.field_bracket(fi, fj)(z))
+        comm_val = ref_curvature_tensor(form, z, fk(z), ref.field_bracket(fi, fj)(z))
         total = (total + np.array([primal(v) for v in deriv])
                  + np.array([primal(v) for v in comm_val]))
     return float(np.max(np.abs(total)))
@@ -147,6 +150,7 @@ def test_curvature_and_structure_equation_match_nested_dual_reference(name):
         got = gauge.curvature_tensor(form, x + y, u, v)
         assert got.dtype == float
         assert np.max(np.abs(got - _floats(ref_curvature_tensor(form, x + y, u, v)))) <= 1e-14
+        assert np.max(np.abs(gauge.curvature(form, x, y) - ref.curvature(form, x, y))) <= 1e-14
         # on and off the section; generic pairs off it have a nonzero residual
         for fiber_point in (y, e):
             args = (form, x, fiber_point, u[:2], u[2:], v[:2], v[2:])
@@ -170,8 +174,80 @@ def test_bianchi_matches_nested_dual_reference(name):
     assert abs(off_section - ref_bianchi_residual(form, x, y, *directions)) <= 1e-14
 
 
+def _cubic(coef):
+    def f(xs, ys):
+        acc = 0.0
+        for c, v in zip(coef, list(xs) + list(ys)):
+            acc = acc + c * v + 0.3 * c * v * v * v
+        return acc
+    return f
+
+
+@pytest.mark.parametrize("name", GAUGE_LOOPS)
+def test_commutator_matches_nested_dual_reference(monkeypatch, name):
+    L = make_loop(name)
+    rng = np.random.default_rng(53)
+    for kind in ("poly", "trig"):
+        form = gauge.make_test_potential(L, 2, seed=53, kind=kind)
+        f = _cubic(rng.standard_normal(2 + L.dim))
+        x, y = _point(L, 2, rng)
+        for mu, nu in ((0, 1), (1, 0), (1, 1)):
+            got = gauge.commutator_residual(form, mu, nu, f, x, y)
+            assert abs(got - ref.commutator_residual(form, mu, nu, f, x, y)) <= 1e-14
+            assert got < 1e-12
+    # F with the left frame's structure tensor: a wrong curvature must show.
+    # The two tensors differ on the nonabelian fibers of dimension > 1.
+    wrong = tangent.structure_tensor_raw(L, y, side="left")
+    right = tangent.structure_tensor_raw(L, y, side="right")
+    monkeypatch.setattr(tangent, "_structure", lambda r, dr: wrong)
+    got = gauge.commutator_residual(form, 0, 1, f, x, y)
+    assert abs(got - ref.commutator_residual(form, 0, 1, f, x, y, side="left")) <= 1e-14
+    if np.max(np.abs(wrong - right)) > 1e-3:
+        assert got > 1e-4
+
+
+def _test_transition(L, seed):
+    """A smooth transition into the chart and its right inverse, None for
+    the right division e / q.  On rz the transition stays in the window
+    where the divisions exist.  The qhr right division takes no jets, so
+    there the inverse is given: on that family e / q = -q."""
+    if L.name == "rz":
+        return lambda xs: [0.05 + 0.04 * gsin(xs[0] - 2.0 * xs[1])], None
+    q_map = gauge.make_test_transition(L, 2, seed=seed)
+    if L.name.startswith("qhr"):
+        return q_map, lambda xs: [-v for v in q_map(xs)]
+    return q_map, None
+
+
+@pytest.mark.parametrize("name", GAUGE_LOOPS)
+def test_gauge_transform_matches_nested_dual_reference(name):
+    L = make_loop(name)
+    form = gauge.make_test_potential(L, 2, seed=55, kind="trig")
+    q_map, q_back = _test_transition(L, 55)
+    want = ref.gauge_transform(form, q_map, q_back)
+    pair = gauge._transition(L, q_map, q_back)
+    c = tangent.structure_tensor_raw(L, L.identity, side="right")
+    rng = np.random.default_rng(55)
+    for _ in range(2):
+        x = list(rng.uniform(-0.4, 0.4, 2))
+        got = gauge.gauge_transform(form, q_map, q_back).potential.A(x)
+        assert got.dtype == float
+        assert np.max(np.abs(got - _floats(want.potential.A(x)).reshape(L.dim, 2))) <= 1e-14
+        # A' and dA' of the jet pass, through the curvature in the new chart
+        a1, da1, _ = taylor_frame(gauge._transformed_map(form, q_map, pair), x, [0.0, 0.0])
+        assert np.max(np.abs(gauge._field_strength(a1, da1, c)
+                             - ref.curvature(want, x, L.identity))) <= 1e-14
+        assert abs(gauge.curvature_gauge_residual(form, q_map, x, q_back)
+                   - ref.curvature_gauge_residual(form, q_map, x, q_back)) <= 1e-14
+        if name == "qhr:K=0":
+            via_global = ref.gauge_transform_via_global(form, q_map).potential.A(x)
+            assert np.max(np.abs(got - _floats(via_global).reshape(L.dim, 2))) <= 1e-14
+
+
 # One jet pass of the connection form per call, plus one of the product
-# for the structure functions in the structure equation; no Dual nodes.
+# for the structure functions in the structure equation; the commutator
+# makes one pass of f(z + v), one of A(x) v and one of the product, the
+# component curvature one of A(x) v and one of the product; no Dual nodes.
 @pytest.mark.parametrize("name", ["rz", "qc", "qhr:K=1"])
 def test_jet_route_call_counts(monkeypatch, name):
     L = make_loop(name)
@@ -205,6 +281,8 @@ def test_jet_route_call_counts(monkeypatch, name):
         (lambda: gauge.structure_equation_residual(form2, x, y, u[:2], u[2:], v[:2], v[2:]),
          1, 1),
         (lambda: gauge.bianchi_residual(form3, [0.1, -0.2, 0.3], y, *np.eye(3)), 1, 0),
+        (lambda: gauge.commutator_residual(form2, 0, 1, _cubic(u), x, y), 2, 1),
+        (lambda: gauge.curvature(form2, x, y), 1, 1),
     )
     for call, in_gauge, in_tangent in calls:
         passes.clear()
@@ -231,3 +309,5 @@ def test_gauge_jet_routes_are_silent_on_non_finite_potentials(bad):
         assert not math.isfinite(
             gauge.structure_equation_residual(form, x, e, u[:3], u[3:], v[:3], v[3:]))
         assert not math.isfinite(gauge.bianchi_residual(form, x, e, *np.eye(3)))
+        assert not math.isfinite(gauge.commutator_residual(form, 0, 1, _cubic(u), x, e))
+        assert not np.all(np.isfinite(gauge.curvature(form, x, e)))

@@ -211,6 +211,18 @@ def test_rz_division_keeps_the_jet():
     assert L.left_div([0.01], [np.float64(0.02)]) == L.left_div([0.01], [0.02])
 
 
+def test_rz_divisions_keep_the_float_primal():
+    # The carrier Newton steps may move the root by an ulp; the float root
+    # replaces their primal, for duals and jets alike.
+    L = make_loop("rz")
+    space = jet_space(1)
+    rng = np.random.default_rng(2)
+    for a, b in zip(rng.uniform(0.0, 0.1, 1000), rng.uniform(0.0, 1.0, 1000)):
+        want = L.left_div([a], [b])[0]
+        assert primal(L.left_div([a], [Dual(b, 1.0, 1)])[0]) == want
+        assert primal(L.left_div([a], [space.variable(b, ((0,), ()))])[0]) == want
+
+
 @pytest.mark.parametrize("name", ["rz", "qc", "qh2", "qhr:K=1"])
 def test_taylor_frame_matches_nested_jacobians(name):
     # R, dR and d2R of one jet pass against one, two and three dual levels
