@@ -97,7 +97,7 @@ def test_ad_inverse_map_inverts():
         assert core.distance(L, back, np.asarray(c, dtype=float)) < 1e-12
 
 
-def newton_divide(L, a, b, side, tol=1e-13, max_iter=50):
+def newton_divide(L, a, b, side):
     """Solve the division equation by Newton iteration started at the
     identity, using only the product: a float reference for the closed-form
     divisions."""
@@ -106,10 +106,10 @@ def newton_divide(L, a, b, side, tol=1e-13, max_iter=50):
     else:
         f = lambda x: L.product(x, a)
     x = [float(v) for v in L.identity]
-    # Newton steps until the residual is below tol, then one more.
-    for _ in range(max_iter + 1):
+    # Newton steps until the residual is below 1e-13, then one more.
+    for _ in range(51):
         res = np.asarray(f(x)) - np.asarray(b)
-        done = np.max(np.abs(res)) < tol
+        done = np.max(np.abs(res)) < 1e-13
         x = list(np.asarray(x) - np.linalg.solve(jacobian(f, x), res))
         if done:
             break
