@@ -12,16 +12,20 @@ Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
   that Jacobian's first and second derivatives in a (``taylor_frame``):
   the coefficients of the monomials alpha^p beta^q with |p| <= 2 and
   |q| <= 1.  Higher monomials are truncated.
-- ``Dual`` gives the first derivatives (pushforwards, Ad and associator
-  differentials, the Lie-equation velocity, a gauge-transformed
-  potential) from one dual level.  Levels still nest, which the tests'
+- ``Dual`` gives the first derivatives from one dual level: one
+  directional pass (``dirderiv``) where a derivative is applied to one
+  vector (pushforwards, the canonical form, the Lie-equation velocity,
+  the connection form and the gauge fields), a ``jacobian`` where the
+  full matrix is needed (frames, Ad and associator differentials, a
+  gauge-transformed potential).  Levels still nest, which the tests'
   nested-dual reference routes use; no library route does.
 
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.
 
 The generic linear-algebra helpers (``gsolve``, ``ginv``) accept matrices
-whose entries are duals, which is what makes frame solves differentiable.
+whose entries are duals, which the ``qhr`` right division and the tests'
+frame-solve references use.
 
 Level dispatch.  The parts of a level-``k`` dual are numbers or duals of
 lower levels.  A binary operator on two duals compares their levels: at

@@ -25,10 +25,6 @@ class PoleSingularity(LoopError):
     """Stereographic chart evaluated at the projection pole."""
 
 
-class SingularFrame(LoopError):
-    """Fundamental-field frame is not invertible at the requested point."""
-
-
 class NotInOverlap(LoopError):
     """Base point does not lie in the requested chart overlap."""
 

@@ -11,10 +11,11 @@ the object differentiated: the connection form in z = (x, y) for the
 curvature tensor, structure equation and Bianchi; A(x) v for the component
 curvature; f(z + v) and the right frame for the covariant-derivative
 commutator; the transformation map of ``gauge_transform`` for the curvature
-in another trivialization.  First derivatives (the blocks of omega, the
-horizontal and fundamental fields, a transformed potential) come from
-one-level dual numbers.  So residuals measure the identities, not
-discretization error.
+in another trivialization.  A first derivative applied to one vector (the
+connection form on a tangent pair, the horizontal and fundamental fields)
+is one directional pass (``dual.dirderiv``) of the same kind of map; a
+transformed potential is a one-level dual Jacobian.  So residuals measure
+the identities, not discretization error.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import core, tangent
-from .dual import (floats_if_plain, gcos, gdot, ginv, gsin, jacobian, pack,
+from .dual import (dirderiv, floats_if_plain, gcos, gdot, gsin, jacobian, pack,
                    primal, quiet, taylor_frame)
 from .errors import PartitionInvalid
 
@@ -54,20 +55,12 @@ def ad_inverse_matrix(L, y, at=None):
     return tangent.ad_inverse_differential(L, list(y), list(at))
 
 
-def omega_matrices(form, x, y):
-    """The two coefficient blocks of the coordinate connection form."""
-    L = form.fiber
-    adinv = ad_inverse_matrix(L, y)
-    a = form.potential.A(list(x))
-    dx_block = adinv @ np.asarray(a)
-    dy_block = ginv(tangent.left_frame_matrix(L, list(y)))
-    return dx_block, dy_block
-
-
 def omega_apply(form, x, y, vx, vy):
-    """Evaluate the connection form on the tangent pair (vx, vy)."""
-    dx_block, dy_block = omega_matrices(form, x, y)
-    return dx_block @ np.asarray(vx) + dy_block @ np.asarray(vy)
+    """Evaluate the connection form on the tangent pair (vx, vy): one pass
+    of the map of :func:`_connection_map` along (vx, vy)."""
+    f = _connection_map(form)
+    z = list(x) + core._chart_points(form.fiber, y)[0]
+    return dirderiv(lambda vs: f(z, vs), [0.0] * len(z), list(vx) + list(vy))
 
 
 def _potential_jet(form, x):
@@ -132,9 +125,9 @@ def omega_annihilates_d_residual(form, x, y, mu):
     L = form.fiber
     db = form.potential.base_dim
     a = np.asarray(form.potential.A(list(x)), dtype=float)
-    rbar = np.asarray(tangent.right_frame_matrix(L, list(y)), dtype=float)
     vx = np.array([1.0 if k == mu else 0.0 for k in range(db)])
-    vy = -rbar @ a[:, mu]
+    # -Rbar A_mu, Rbar the right frame at y
+    vy = -dirderiv(lambda c: core.product(L, c, y), L.identity, a[:, mu])
     val = omega_apply(form, x, y, vx, vy)
     return float(np.max(np.abs(np.array([primal(v) for v in val]))))
 
@@ -146,16 +139,11 @@ def _split(form, z):
     return list(z[:db]), list(z[db:])
 
 
-def _connection_jet(form, x, y):
-    """omega^p_a at z = (x, y), dom[m] = d_m omega and d2om[l, m], from one
-    jet pass of f(z, v) = Ad^-1_y(e)(e + A(x) v_x) + y \\ (y + v_y), whose
-    v-Jacobian at v = 0 is omega; with Lambda = (0; R), R = (L_y)_* at e the
-    inverse of omega's fiber block (L_y^-1)_* at y, and P = I - Lambda omega.
-    """
+def _connection_map(form):
+    """f(z, v) = Ad^-1_y(e)(e + A(x) v_x) + y \\ (y + v_y) at z = (x, y),
+    whose v-derivative at v = 0 is the connection form omega at z."""
     L = form.fiber
     db = form.potential.base_dim
-    z = [float(v) for v in list(x) + list(y)]
-    core._chart_points(L, z[db:])
     e = list(L.identity)
 
     def f(zs, vs):
@@ -164,7 +152,20 @@ def _connection_jet(form, x, y):
         back = L.left_div(ys, [yi + vi for yi, vi in zip(ys, vs[db:])])
         return [p + q for p, q in zip(core._ad_inverse(L, ys, e, c), back)]
 
-    om, dom, d2om = taylor_frame(f, z, [0.0] * len(z))
+    return f
+
+
+def _connection_jet(form, x, y):
+    """omega^p_a at z = (x, y), dom[m] = d_m omega and d2om[l, m], from one
+    jet pass of the map of :func:`_connection_map`; with Lambda = (0; R),
+    R = (L_y)_* at e the inverse of omega's fiber block (L_y^-1)_* at y,
+    and P = I - Lambda omega.
+    """
+    L = form.fiber
+    db = form.potential.base_dim
+    z = [float(v) for v in list(x) + list(y)]
+    core._chart_points(L, z[db:])
+    om, dom, d2om = taylor_frame(_connection_map(form), z, [0.0] * len(z))
     lam = np.zeros((len(z), L.dim))
     lam[db:] = np.linalg.inv(om[:, db:])
     return om, dom, d2om, lam, np.eye(len(z)) - lam @ om
@@ -187,6 +188,11 @@ def curvature_tensor(form, z, u, v):
                          p @ np.asarray(v, dtype=float))
 
 
+def _lift(L, y, w):
+    """The left frame at y applied to w: d/ds y.(e + s w)."""
+    return dirderiv(lambda c: core.product(L, y, c), L.identity, w)
+
+
 def hor_field(form, vx):
     """Horizontal field extending the base direction ``vx``."""
     vx = [float(v) for v in vx]
@@ -194,10 +200,10 @@ def hor_field(form, vx):
     def field(z):
         x, y = _split(form, z)
         L = form.fiber
-        adinv = ad_inverse_matrix(L, y)
-        w = adinv @ (np.asarray(form.potential.A(x)) @ np.asarray(vx))
-        lifted = np.asarray(tangent.left_frame_matrix(L, y)) @ w
-        return pack(vx + [-u for u in lifted])
+        e = list(L.identity)
+        aw = np.asarray(form.potential.A(x)) @ np.asarray(vx)
+        w = dirderiv(lambda c: core.ad_inverse_map(L, y, e, c), e, aw)
+        return pack(vx + [-u for u in _lift(L, y, w)])
 
     return field
 
@@ -207,9 +213,8 @@ def fundamental_field(form, w):
     w = [float(v) for v in w]
 
     def field(z):
-        x, y = _split(form, z)
-        lifted = np.asarray(tangent.left_frame_matrix(form.fiber, y)) @ np.asarray(w)
-        return pack([0.0] * form.potential.base_dim + list(lifted))
+        _, y = _split(form, z)
+        return pack([0.0] * form.potential.base_dim + list(_lift(form.fiber, y, w)))
 
     return field
 
@@ -357,8 +362,7 @@ def glue_connections(forms, weights, samples):
 
 def vertical_reproduction_residual(form, x, y, w):
     """Check that the glued form still reproduces fundamental vectors."""
-    L = form.fiber
-    lifted = np.asarray(tangent.left_frame_matrix(L, list(y)), dtype=float) @ np.asarray(w)
+    lifted = _lift(form.fiber, list(y), w)
     val = omega_apply(form, list(x), list(y),
                       np.zeros(form.potential.base_dim), lifted)
     return float(np.max(np.abs(np.array([primal(v) for v in val]) - np.asarray(w))))

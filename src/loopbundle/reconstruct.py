@@ -3,7 +3,9 @@
 The product a.b is reproduced by integrating a generalized Lie equation
 along a path from the identity to b: the velocity of phi(t) = a.b(t) is
 the frame at phi applied to the associator-corrected canonical form of
-db/dt.  The RK4 velocity takes its Jacobians from one-level duals.
+db/dt.  Each factor of the RK4 velocity is one directional pass
+(``dual.dirderiv``) of a composite of the closed forms; no frame matrix is
+built.
 
 A generalized Maurer-Cartan identity is what makes the result path
 independent.  Its residual takes the parametric form lambda(b; a) and
@@ -14,36 +16,37 @@ the left associator and one of the product, and numpy algebra.
 import numpy as np
 
 from . import core, tangent
-from .dual import dirderiv, gsolve, pack, quiet, taylor_frame
+from .dual import dirderiv, pack, quiet, taylor_frame
 from .errors import StepUnderflow
 from .report import VerificationReport
-from .tangent import left_associator_differential, left_frame_matrix
 
 MIN_STEPS = 16
 
 
 def _canonical_velocity(L, a, path, t):
-    """The phi-free factor l_(a,b)* . omega(b) db/dt of the velocity at t."""
-    bpt = [float(v) for v in path(t)]
-    bdot = dirderiv(lambda ts: path(ts[0]), [t], [1.0])
-    lstar = np.asarray(left_associator_differential(L, a, bpt), dtype=float)
-    omega_dot = gsolve(np.asarray(left_frame_matrix(L, bpt), dtype=float),
-                       np.asarray(bdot))
-    return lstar @ omega_dot
+    """The phi-free factor l_(a,b)* . omega(b) db/dt of the velocity at t.
+
+    One pass of s -> l_(a,b)(b \\ path(t + s)) with b = path(t): the
+    derivative of c -> b \\ c at c = b is (L_b)_*^-1 = omega(b), so the
+    chain rule gives the factor, db/dt included, in that single pass.
+    """
+    b = [float(v) for v in path(t)]
+    return dirderiv(lambda ts: core.associator(
+        L, "left", a, b, core.left_divide(L, b, path(ts[0]))), [t], [1.0])
 
 
 def _velocity(L, a, phi, path, t, canonical):
-    """Right side of the generalized Lie equation at parameter t.
+    """Right side of the generalized Lie equation at parameter t:
+    d/ds phi.(e + s w), the frame at phi applied to the factor w.
 
     ``canonical`` maps each parameter t already visited in this
-    integration to its phi-free factor, which the RK4 stages at equal t
+    integration to its phi-free factor w, which the RK4 stages at equal t
     (k2 and k3, and one step's k4 and the next step's k1) share.
     """
     w = canonical.get(t)
     if w is None:
         w = canonical[t] = _canonical_velocity(L, a, path, t)
-    q = np.asarray(left_frame_matrix(L, phi), dtype=float)
-    return q @ w
+    return dirderiv(lambda c: core.product(L, phi, c), L.identity, w)
 
 
 def reconstruct_product(L, a, b, steps, path=None, tol=None):

@@ -1,36 +1,29 @@
 """Tangent-space structure of a smooth loop.
 
-Pushforwards of translations are dual-number Jacobians of the closed-form
-product.  The structure functions and the modified Jacobi identity take
-the frame and its first and second derivatives from one pass of the
-product on Taylor jets (``dual.taylor_frame``), then C = R^-1 B and its
-derivative by numpy linear algebra.  There is no finite-difference
-truncation error anywhere in this module.
+A derivative applied to one vector is one directional pass
+(``dual.dirderiv``) of a composite of the closed forms: the pushforwards
+of translations, the canonical form and the left transformation law.
+The full differentials (frames, l_(a,b)*, Ad and Ad^-1) are dual-number
+Jacobians, for callers that need the matrix.  The structure functions
+and the modified Jacobi identity take the frame and its first and second
+derivatives from one pass of the product on Taylor jets
+(``dual.taylor_frame``), then C = R^-1 B and its derivative by numpy
+linear algebra.  There is no finite-difference truncation error anywhere
+in this module.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from .dual import ginv, gsolve, jacobian, pack, primal, quiet, taylor_frame
-from .errors import SingularFrame
-
-FRAME_COND_WARN = 1e8
+from .dual import dirderiv, ginv, jacobian, pack, quiet, taylor_frame
 
 
 @dataclass(frozen=True)
 class TangentVector:
     base: np.ndarray
     vec: np.ndarray
-
-
-@dataclass(frozen=True)
-class FrameMatrix:
-    """Columns are the left fundamental fields at ``at``."""
-    at: np.ndarray
-    R: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -42,14 +35,14 @@ class StructureTensor:
 
 def pushforward_left(L, a, v):
     """Differential of the left translation by ``a`` applied to ``v``."""
-    jac = jacobian(lambda b: list(core.product(L, a, b)), list(v.base))
-    return TangentVector(base=core.product(L, a, v.base), vec=jac @ np.asarray(v.vec))
+    vec = dirderiv(lambda b: core.product(L, a, b), v.base, v.vec)
+    return TangentVector(base=core.product(L, a, v.base), vec=vec)
 
 
 def pushforward_right(L, b, v):
     """Differential of the right translation by ``b`` applied to ``v``."""
-    jac = jacobian(lambda a: list(core.product(L, a, b)), list(v.base))
-    return TangentVector(base=core.product(L, v.base, b), vec=jac @ np.asarray(v.vec))
+    vec = dirderiv(lambda a: core.product(L, a, b), v.base, v.vec)
+    return TangentVector(base=core.product(L, v.base, b), vec=vec)
 
 
 def left_frame_matrix(L, a):
@@ -66,20 +59,6 @@ def right_frame_matrix(L, y):
     Accepts dual entries in ``y``.
     """
     return jacobian(lambda a: list(core.product(L, a, y)), list(L.identity))
-
-
-def left_fundamental_basis(L, a):
-    r = left_frame_matrix(L, a)
-    _warn_if_ill_conditioned(r, L, a)
-    return FrameMatrix(at=pack(list(a)), R=r)
-
-
-def _warn_if_ill_conditioned(r, L, a):
-    rp = np.array([[primal(x) for x in row] for row in np.asarray(r)])
-    if abs(np.linalg.det(rp)) < 1e-8:
-        raise SingularFrame(f"{L.name}: frame not invertible at {a}")
-    if np.linalg.cond(rp) > FRAME_COND_WARN:
-        warnings.warn(f"{L.name}: frame badly conditioned at {a}", stacklevel=2)
 
 
 def structure_functions(L, a):
@@ -149,9 +128,13 @@ def jacobi_residual(L, a):
 
 
 def canonical_form(L, v):
-    """Canonical Ad-form: solve the frame system, returning a T_e vector."""
-    frame = left_fundamental_basis(L, v.base)
-    return TangentVector(base=pack(list(L.identity)), vec=gsolve(frame.R, np.asarray(v.vec)))
+    """Canonical form omega(v) = (L_x)_*^-1 v at x = v.base, a T_e vector:
+    one pass of s -> x \\ (x + s v), as the left division's derivative in
+    its second argument at x is (L_x)_*^-1.  It exists where the left
+    division by x does."""
+    x = list(v.base)
+    vec = dirderiv(lambda c: core.left_divide(L, x, c), x, v.vec)
+    return TangentVector(base=pack(list(L.identity)), vec=vec)
 
 
 def left_associator_differential(L, a, b):
@@ -177,12 +160,15 @@ def ad_inverse_differential(L, b, a):
 def verify_ad_form_laws(L, b, a, v):
     """Residuals of the canonical-form transformation laws.
 
-    Left law:  omega(L_b* v) = l_(b,a)* omega(v).
-    Right law: omega(R_b* v) = (Ad_b(a)*)^-1 omega(v).
+    Left law:  omega(L_b* v) = l_(b,a)* omega(v), the right side one pass
+    of s -> l_(b,a)(e + s omega(v)).
+    Right law: omega(R_b* v) = (Ad_b(a)*)^-1 omega(v), the right side from
+    the full Ad differential and its inverse: a route independent of the
+    left side's passes.
     """
     omega_v = canonical_form(L, v).vec
     lhs_l = canonical_form(L, pushforward_left(L, b, v)).vec
-    rhs_l = left_associator_differential(L, b, a) @ omega_v
+    rhs_l = dirderiv(lambda c: core.associator(L, "left", b, a, c), L.identity, omega_v)
     res_left = float(np.max(np.abs(lhs_l - rhs_l)))
 
     lhs_r = canonical_form(L, pushforward_right(L, b, v)).vec

@@ -4,12 +4,17 @@ curvature, the gauge transformation and the curvature in another
 trivialization, the form on combined coordinates, the field bracket and
 the curvature of two horizontal fields.  They differentiate by nesting
 ``dirderiv`` and ``jacobian`` and solve with the object-dtype ``gsolve``.
+
+The matrix forms of the connection form and of the horizontal and
+fundamental fields, which build the Ad^-1 differential and the left frame
+and invert the frame, are the references for the library's directional
+passes.
 """
 
 import numpy as np
 
 from loopbundle import core, gauge, tangent
-from loopbundle.dual import dirderiv, gsolve, jacobian, primal
+from loopbundle.dual import dirderiv, ginv, gsolve, jacobian, pack, primal
 
 
 def _floats(m):
@@ -126,11 +131,57 @@ def curvature_gauge_residual(form, q_map, x, q_back=None):
     return float(np.max(np.abs(f_beta - rotated)))
 
 
+def omega_matrices(form, x, y):
+    """The two coefficient blocks of the coordinate connection form:
+    Ad^-1_y(e)_* A(x) and the inverse of the left frame at y."""
+    L = form.fiber
+    dx_block = gauge.ad_inverse_matrix(L, y) @ np.asarray(form.potential.A(list(x)))
+    dy_block = ginv(tangent.left_frame_matrix(L, list(y)))
+    return dx_block, dy_block
+
+
+def omega_apply(form, x, y, vx, vy):
+    """The connection form on the tangent pair (vx, vy) from its blocks."""
+    dx_block, dy_block = omega_matrices(form, x, y)
+    return dx_block @ np.asarray(vx) + dy_block @ np.asarray(vy)
+
+
+def hor_field(form, vx):
+    """Horizontal field of ``vx`` from the Ad^-1 differential and the frame."""
+    vx = [float(v) for v in vx]
+
+    def field(z):
+        x, y = gauge._split(form, z)
+        L = form.fiber
+        w = gauge.ad_inverse_matrix(L, y) @ (np.asarray(form.potential.A(x)) @ np.asarray(vx))
+        lifted = np.asarray(tangent.left_frame_matrix(L, y)) @ w
+        return pack(vx + [-u for u in lifted])
+
+    return field
+
+
+def fundamental_field(form, w):
+    """Vertical field of ``w`` from the left frame matrix."""
+    def field(z):
+        _, y = gauge._split(form, z)
+        lifted = np.asarray(tangent.left_frame_matrix(form.fiber, y)) @ np.asarray(w)
+        return pack([0.0] * form.potential.base_dim + list(lifted))
+
+    return field
+
+
+def vertical_reproduction_residual(form, x, y, w):
+    """|omega(0, R w) - w| with the frame R and omega from its blocks."""
+    lifted = _floats(tangent.left_frame_matrix(form.fiber, list(y))) @ np.asarray(w)
+    val = omega_apply(form, list(x), list(y), np.zeros(form.potential.base_dim), lifted)
+    return float(np.max(np.abs(np.array([primal(v) for v in val]) - np.asarray(w))))
+
+
 def omega_of(form, z, v):
     """Connection form as a function on combined (base, fiber) coordinates."""
     x, y = gauge._split(form, z)
     vx, vy = gauge._split(form, v)
-    return gauge.omega_apply(form, x, y, vx, vy)
+    return omega_apply(form, x, y, vx, vy)
 
 
 def field_bracket(f, g):

@@ -53,3 +53,30 @@ def test_traced_calls_complete_and_count_dual_nodes():
     assert tr.counts["gauge.commutator_residual"] == 1
     assert tr.counts["tangent.left_frame_matrix"] == 1
     assert tr.extra["dual.nodes"] > 0
+
+
+def test_directional_routes_build_no_frames_or_solves():
+    # The benchmark's per-layer counts (passes, solves, frames) follow the
+    # library's routes; a route that builds a frame or solves one shows here.
+    tr = _load_tracer().Tracer(loopbundle)
+    steps = 16
+    try:
+        tr.install()
+        tr.counting = tr.enabled = True
+        L = zoo.make_loop("qc")
+        reconstruct.reconstruct_product(L, [0.3, 0.2], [-0.4, 0.5], steps)
+        form = gauge.make_test_potential(L, 2, seed=3)
+        gauge.hor_field(form, [1.0, 0.5])([0.2, -0.1, 0.1, 0.25])
+    finally:
+        tr.counting = tr.enabled = False
+        tr.uninstall()
+    assert tr.counts["dual.gsolve"] == 0
+    assert tr.counts["dual.jacobian"] == 0
+    assert tr.counts["tangent.left_frame_matrix"] == 0
+    # One velocity per RK4 stage, four per step.
+    assert tr.counts["reconstruct._velocity"] == 4 * steps
+    # Each velocity is one pass, and each distinct t one more for its
+    # phi-free factor.  With h = 1/16 every stage parameter is exact, so
+    # the distinct t are n h for n = 0..16 and (n + 1/2) h for n = 0..15:
+    # 2 * steps + 1 of them.  The horizontal field makes two passes.
+    assert tr.counts["dual.dirderiv"] == 4 * steps + (2 * steps + 1) + 2

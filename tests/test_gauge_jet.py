@@ -2,7 +2,9 @@
 replaced, which are kept as the reference: below for the connection form
 and its derivatives, the curvature tensor, the structure equation and the
 Bianchi identity; in ``gauge_reference`` for the covariant-derivative
-commutator, the component curvature and the gauge transformation."""
+commutator, the component curvature and the gauge transformation.  The
+directional passes of the connection form and the fields are checked
+against the matrix forms in ``gauge_reference``."""
 
 import dataclasses
 import math
@@ -28,7 +30,7 @@ def ref_omega_coeffs(form, z):
     Shape fiber_dim x (base_dim + fiber_dim); accepts dual entries.
     """
     x, y = gauge._split(form, z)
-    dx_block, dy_block = gauge.omega_matrices(form, x, y)
+    dx_block, dy_block = ref.omega_matrices(form, x, y)
     nf = form.fiber.dim
     db = form.potential.base_dim
     out = np.empty((nf, db + nf), dtype=object)
@@ -87,7 +89,7 @@ def ref_bianchi_residual(form, x, y, vx1, vx2, vx3):
     """Cyclic sum of the field derivative of Omega(f_j, f_k) along f_i
     minus Omega([f_i, f_j], f_k), on the horizontal fields f_i."""
     z = [float(v) for v in list(x) + list(y)]
-    fields = [gauge.hor_field(form, vx) for vx in (vx1, vx2, vx3)]
+    fields = [ref.hor_field(form, vx) for vx in (vx1, vx2, vx3)]
     total = np.zeros(form.fiber.dim)
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         fi, fj, fk = fields[i], fields[j], fields[k]
@@ -135,6 +137,17 @@ def test_connection_jet_matches_nested_jacobians(name):
     assert np.max(np.abs(om - want)) <= 1e-14
     assert np.max(np.abs(dom - want_d)) <= 1e-14
     assert np.max(np.abs(d2om - want_d2)) <= 1e-15 * np.max(np.abs(want_d2))
+    # the directional passes of the form and the fields against their matrix forms
+    rng = np.random.default_rng(44)
+    vx, vy, w = rng.standard_normal(2), rng.standard_normal(L.dim), rng.standard_normal(L.dim)
+    pairs = ((gauge.omega_apply(form, x, y, vx, vy), ref.omega_apply(form, x, y, vx, vy)),
+             (gauge.hor_field(form, vx)(z), ref.hor_field(form, vx)(z)),
+             (gauge.fundamental_field(form, w)(z), ref.fundamental_field(form, w)(z)))
+    for got, want in pairs:
+        assert got.dtype == float
+        assert np.max(np.abs(got - want)) <= 1e-14
+    assert abs(gauge.vertical_reproduction_residual(form, x, y, w)
+               - ref.vertical_reproduction_residual(form, x, y, w)) <= 1e-14
 
 
 @pytest.mark.parametrize("name", GAUGE_LOOPS)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from loopbundle import core, reconstruct
-from loopbundle.dual import Dual, dual_parts, next_level, primal
+from loopbundle.dual import Dual, dirderiv, dual_parts, next_level, primal
 from loopbundle.errors import StepUnderflow
 from loopbundle.tangent import left_associator_differential, left_frame_matrix
-from loopbundle.zoo import make_loop
+from loopbundle.zoo import catalog_names, make_loop
 
 
 @pytest.mark.parametrize("name", ["qc", "qh2"])
@@ -131,7 +131,18 @@ def test_companion_transformation_is_translation_conjugate():
 
 
 def _lie_velocity(L, a, phi, path, t):
-    """Every factor of the Lie-equation velocity, recomputed at each stage."""
+    """The directional Lie-equation velocity, every factor recomputed at
+    each stage: the phi-free factor is one pass of
+    s -> l_(a,b)(b \\ path(t + s)), the velocity d/ds phi.(e + s w)."""
+    b = [float(v) for v in path(t)]
+    w = dirderiv(lambda ts: core.associator(
+        L, "left", a, b, core.left_divide(L, b, path(ts[0]))), [t], [1.0])
+    return dirderiv(lambda c: core.product(L, phi, c), L.identity, w)
+
+
+def _matrix_lie_velocity(L, a, phi, path, t):
+    """The velocity from matrices: the frame at phi times l_(a,b)* times
+    the frame at b solved against db/dt."""
     lvl = next_level()
     out = path(Dual(t, 1.0, lvl))
     bpt = [primal(v) for v in out]
@@ -143,15 +154,15 @@ def _lie_velocity(L, a, phi, path, t):
     return q @ (lstar @ omega_dot)
 
 
-def _rk4_reference(L, a, path, steps):
+def _rk4_reference(L, a, path, steps, velocity=_lie_velocity):
     phi = np.asarray(a, dtype=float)
     h = 1.0 / steps
     for n in range(steps):
         t = n * h
-        k1 = _lie_velocity(L, a, list(phi), path, t)
-        k2 = _lie_velocity(L, a, list(phi + 0.5 * h * k1), path, t + 0.5 * h)
-        k3 = _lie_velocity(L, a, list(phi + 0.5 * h * k2), path, t + 0.5 * h)
-        k4 = _lie_velocity(L, a, list(phi + h * k3), path, t + h)
+        k1 = velocity(L, a, list(phi), path, t)
+        k2 = velocity(L, a, list(phi + 0.5 * h * k1), path, t + 0.5 * h)
+        k3 = velocity(L, a, list(phi + 0.5 * h * k2), path, t + 0.5 * h)
+        k4 = velocity(L, a, list(phi + h * k3), path, t + h)
         phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return phi
 
@@ -170,3 +181,16 @@ def test_reconstruction_equals_stagewise_rk4_bit_for_bit(name, steps):
         got = reconstruct.reconstruct_product(L, a, b, steps, path=path)
         want = _rk4_reference(L, a, path or straight, steps)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_reconstruction_matches_matrix_route(name):
+    # The directional passes against frame matrices and a float solve.
+    L = make_loop(name)
+    rng = np.random.default_rng(19)
+    a, b, control = (list(0.5 * L.sample(rng)) for _ in range(3))
+    straight = lambda t: [t * v for v in b]
+    for path in (None, reconstruct.bezier_path(b, control)):
+        got = reconstruct.reconstruct_product(L, a, b, 16, path=path)
+        want = _rk4_reference(L, a, path or straight, 16, velocity=_matrix_lie_velocity)
+        assert np.max(np.abs(got - want)) <= 1e-14

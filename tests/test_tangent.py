@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from loopbundle import core, tangent
-from loopbundle.dual import Dual
+from loopbundle.dual import Dual, jacobian
+from loopbundle.errors import NoSolutionInChart
 from loopbundle.zoo import catalog_names, make_loop
 
 ALL_LOOPS = catalog_names()
@@ -131,6 +132,43 @@ def test_canonical_form_inverts_frame():
     v = tangent.TangentVector(base=np.asarray(a, dtype=float), vec=frame @ w)
     out = tangent.canonical_form(L, v)
     assert np.allclose(np.asarray(out.vec, dtype=float), w, atol=1e-12)
+    # The directional passes against Jacobian matrices and frame solves.
+    for name in ALL_LOOPS:
+        L = make_loop(name)
+        a, b = list(L.sample(rng)), list(L.sample(rng))
+        vec = rng.standard_normal(L.dim)
+        v = tangent.TangentVector(base=np.asarray(a), vec=vec)
+
+        def frame_solve(x, u):
+            return np.linalg.solve(np.asarray(tangent.left_frame_matrix(L, x), dtype=float), u)
+
+        def translation_jacobian(f):
+            return np.asarray(jacobian(lambda x: list(f(x)), a), dtype=float)
+
+        omega = frame_solve(a, vec)
+        push_l = translation_jacobian(lambda x: core.product(L, b, x)) @ vec
+        push_r = translation_jacobian(lambda x: core.product(L, x, b)) @ vec
+        assert np.max(np.abs(tangent.canonical_form(L, v).vec - omega)) <= 1e-14
+        assert np.max(np.abs(tangent.pushforward_left(L, b, v).vec - push_l)) <= 1e-14
+        assert np.max(np.abs(tangent.pushforward_right(L, b, v).vec - push_r)) <= 1e-14
+        # left law: omega(L_b* v) against l_(b,a)* omega(v), both from matrices
+        lstar = np.asarray(tangent.left_associator_differential(L, b, a), dtype=float)
+        want_left = np.max(np.abs(frame_solve(list(core.product(L, b, a)), push_l)
+                                  - lstar @ omega))
+        res_left, _ = tangent.verify_ad_form_laws(L, b, a, v)
+        assert abs(res_left - want_left) <= 1e-14
+
+
+def test_rz_canonical_form_exists_on_the_division_window():
+    # omega = (L_x)_*^-1 exists where the left division by x does,
+    # pi |sin(pi x)| < 1; the frame itself vanishes at asin(2/pi) / (2 pi).
+    L = make_loop("rz")
+    unit = np.array([1.0])
+    for x in (0.2, math.asin(2.0 / math.pi) / (2.0 * math.pi)):
+        with pytest.raises(NoSolutionInChart):
+            tangent.canonical_form(L, tangent.TangentVector(base=np.array([x]), vec=unit))
+    out = tangent.canonical_form(L, tangent.TangentVector(base=np.array([0.05]), vec=unit))
+    assert abs(out.vec[0] - 1.94326732) < 1e-8
 
 
 def test_ad_inverse_differential_inverts_forward():
