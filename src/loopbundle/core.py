@@ -67,14 +67,22 @@ def _chart_points(L, *points):
     """Each point as a list of scalars, checked once against the chart.
 
     The check reads primal coordinates, so floats and duals follow the
-    same rule.  Composites in other modules use this too.
+    same rule.  A batch point (coordinates that are arrays) is checked
+    element by element: the checks are scalar, so on arrays they raise
+    TypeError (``math.hypot``) or ValueError (the truth of an array).
+    Composites in other modules use this too.
     """
     out = []
     for p in points:
         p = list(p)
         coords = [primal(v) for v in p]
-        if not L.domain_check(coords):
-            raise OutOfDomain(f"{L.name}: point {np.asarray(coords)} outside chart domain")
+        try:
+            bad = None if L.domain_check(coords) else coords
+        except (TypeError, ValueError):
+            batch = zip(*[a.tolist() for a in np.broadcast_arrays(*coords)])
+            bad = next((q for q in batch if not L.domain_check(q)), None)
+        if bad is not None:
+            raise OutOfDomain(f"{L.name}: point {np.asarray(bad)} outside chart domain")
         out.append(p)
     return out
 

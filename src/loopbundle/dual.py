@@ -23,9 +23,19 @@ Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.
 
+Batches.  The parts of a ``Dual`` may be float numpy arrays with a
+trailing batch axis, and the elementaries accept such arrays, so one pass
+evaluates a map at many points (vector-mode forward differentiation,
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, 3.1).
+Every array operation is the elementwise IEEE operation, so column i of
+a batched pass is bit-identical to the pass at point i alone.  A
+``dirderiv`` whose point holds arrays returns one column per batch
+element.  Numpy reports invalid and overflowing elements, which floats
+pass silently, so batched passes run under ``quiet``.
+
 The generic linear-algebra helpers (``gsolve``, ``ginv``) accept matrices
-whose entries are duals, which the ``qhr`` right division and the tests'
-frame-solve references use.
+whose entries are duals or jets, which the ``qhr`` right division and the
+tests' frame-solve references use.
 
 Level dispatch.  The parts of a level-``k`` dual are numbers or duals of
 lower levels.  A binary operator on two duals compares their levels: at
@@ -62,6 +72,8 @@ import math
 import numpy as np
 
 _NUMBERS = (int, float, np.floating, np.integer)
+# Operands a Dual combines with as constants: numbers and batch arrays.
+_CONSTANTS = _NUMBERS + (np.ndarray,)
 
 
 class Dual:
@@ -70,9 +82,12 @@ class Dual:
     Each epsilon carries a level tag; distinct levels are independent
     nilpotents, so nesting ``jacobian`` calls gives exact higher
     derivatives (mixed terms like ``eps1*eps2`` are kept, not dropped).
+    ``re`` and ``du`` may be float arrays of one batch shape, and so may a
+    constant operand (see the module docstring).
     """
 
     __slots__ = ("re", "du", "lvl")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
 
     def __init__(self, re, du=0.0, lvl=0):
         self.re = re
@@ -87,7 +102,7 @@ class Dual:
             if lvl > olvl:
                 return Dual(self.re + other, self.du + 0.0, lvl)
             return Dual(self + other.re, 0.0 + other.du, olvl)
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _CONSTANTS):
             return Dual(self.re + other, self.du, self.lvl)
         return NotImplemented
 
@@ -101,12 +116,12 @@ class Dual:
             if lvl > olvl:
                 return Dual(self.re - other, self.du - 0.0, lvl)
             return Dual(self - other.re, 0.0 - other.du, olvl)
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _CONSTANTS):
             return Dual(self.re - other, self.du, self.lvl)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _CONSTANTS):
             return Dual(other - self.re, -self.du, self.lvl)
         return NotImplemented
 
@@ -121,7 +136,7 @@ class Dual:
                 return Dual(ar * other, ar * 0.0 + self.du * other, lvl)
             br = other.re
             return Dual(self * br, self * other.du + 0.0 * br, olvl)
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _CONSTANTS):
             return Dual(self.re * other, self.du * other, self.lvl)
         return NotImplemented
 
@@ -141,12 +156,12 @@ class Dual:
             inv = _reciprocal(other.re)
             q = self * inv
             return Dual(q, (0.0 - q * other.du) * inv, olvl)
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _CONSTANTS):
             return Dual(self.re / other, self.du / other, self.lvl)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _CONSTANTS):
             inv = _reciprocal(self)
             return inv * other
         return NotImplemented
@@ -177,44 +192,78 @@ def _reciprocal(x):
 
 
 def has_dual(xs):
-    return any(isinstance(x, Dual) for x in xs)
+    """Whether any entry of ``xs`` is a dual or a jet; batch arrays are not."""
+    for x in xs:
+        if x.__class__ in _CARRIERS:
+            return True
+    return False
+
+
+def anyof(mask):
+    """A comparison's truth: a bool, or whether any batch element holds."""
+    return mask.any() if mask.__class__ is np.ndarray else mask
+
+
+def near_zero(x, bound):
+    """Whether |primal(x)| < bound, on a batch for any element: the
+    singular test of a closed form, in one call on its hot float path."""
+    while isinstance(x, Dual):
+        x = x.re
+    if x.__class__ is Jet:
+        x = x.c[0]
+    if x.__class__ is np.ndarray:
+        return (abs(x) < bound).any()
+    return abs(x) < bound
 
 
 def primal(x):
-    """Strip all dual and jet parts, returning the underlying float."""
+    """Strip all dual and jet parts, returning the underlying float (or
+    the float array of a batch)."""
     while isinstance(x, Dual):
         x = x.re
     if x.__class__ is Jet:
         return float(x.c[0])
-    return float(x)
+    try:
+        return float(x)
+    except TypeError:  # a batch array
+        return x
 
 
 def gsin(x):
-    if isinstance(x, Dual):
-        return Dual(gsin(x.re), gcos(x.re) * x.du, x.lvl)
     if x.__class__ is Jet:
         return x._trig(0)
     try:
         return math.sin(x)
+    except TypeError:  # a dual or a batch array
+        pass
     except ValueError:  # inf; NaN, as math.sin(nan) is
         return math.nan
+    if isinstance(x, Dual):
+        return Dual(gsin(x.re), gcos(x.re) * x.du, x.lvl)
+    return np.sin(x)
 
 
 def gcos(x):
-    if isinstance(x, Dual):
-        return Dual(gcos(x.re), -gsin(x.re) * x.du, x.lvl)
     if x.__class__ is Jet:
         return x._trig(1)
     try:
         return math.cos(x)
+    except TypeError:  # a dual or a batch array
+        pass
     except ValueError:  # inf; NaN, as math.cos(nan) is
         return math.nan
+    if isinstance(x, Dual):
+        return Dual(gcos(x.re), -gsin(x.re) * x.du, x.lvl)
+    return np.cos(x)
 
 
 def gfloor(x):
     # Constant between lattice jumps, so the derivative is zero.
+    x = primal(x)
+    if x.__class__ is np.ndarray:
+        return np.where(np.isfinite(x), np.floor(x), math.nan)
     try:
-        return float(math.floor(primal(x)))
+        return float(math.floor(x))
     except (ValueError, OverflowError):  # NaN or inf
         return math.nan
 
@@ -225,13 +274,14 @@ def quiet():
 
 
 def pack(xs):
-    """Turn a list of scalars into a numpy vector (object dtype if dual)."""
+    """Turn a list of scalars into a numpy vector (object dtype if dual);
+    batch arrays stack to rows."""
     xs = list(xs)
     if has_dual(xs):
         out = np.empty(len(xs), dtype=object)
         out[:] = xs
         return out
-    return np.array([float(x) for x in xs])
+    return np.array(xs, dtype=float)
 
 
 def pack_matrix(rows):
@@ -281,7 +331,12 @@ def dual_parts(ys, lvl=None):
 
 
 def dirderiv(f, x, v):
-    """Directional derivative of vector map ``f`` at ``x`` along ``v``."""
+    """Directional derivative of vector map ``f`` at ``x`` along ``v``.
+
+    Coordinates of ``x`` may be batch arrays; then each output row holds
+    the derivative at every batch point, and column i is the pass at
+    point i.
+    """
     lvl = next_level()
     return pack(dual_parts(f(seed(list(x), list(v), lvl)), lvl))
 
@@ -344,7 +399,9 @@ def gsolve(a, b):
             if r == col:
                 continue
             factor = aug[r][col] * inv
-            if primal(factor) == 0.0 and not isinstance(factor, Dual):
+            # A zero factor is skipped only when it is a number: a dual's
+            # or a jet's other parts still update the row.
+            if factor.__class__ not in _CARRIERS and factor == 0.0:
                 continue
             for c in range(col, width):
                 aug[r][c] = aug[r][c] - factor * aug[col][c]
@@ -506,6 +563,10 @@ class Jet:
             acc = mul(n, acc)
             acc[0] += t
         return Jet(acc, self.space)
+
+
+# The classes that carry derivative parts.
+_CARRIERS = (Dual, Jet)
 
 
 def taylor_frame(f, a, e):

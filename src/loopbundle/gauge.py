@@ -316,8 +316,7 @@ def curvature_gauge_residual(form, q_map, x, q_back=None):
 
     A' and dA' come from one jet pass of the map of :func:`gauge_transform`,
     so ``q_map``, ``q_back`` and the potential must accept Taylor jets.
-    An omitted ``q_back`` is the right division on jets, which the qhr
-    loops do not take: pass ``q_back`` there.
+    An omitted ``q_back`` is the right division e / q_ab on jets.
     """
     L = form.fiber
     x = [float(v) for v in x]

@@ -3,9 +3,11 @@
 The product a.b is reproduced by integrating a generalized Lie equation
 along a path from the identity to b: the velocity of phi(t) = a.b(t) is
 the frame at phi applied to the associator-corrected canonical form of
-db/dt.  Each factor of the RK4 velocity is one directional pass
-(``dual.dirderiv``) of a composite of the closed forms; no frame matrix is
-built.
+db/dt.  That factor does not depend on phi, so before the first RK4 step
+one directional pass (``dual.dirderiv``) of a composite of the closed
+forms, on duals whose parts carry a batch axis, gives it at every stage
+parameter t.  Each stage's velocity is then one directional pass of the
+product at phi; no frame matrix is built.
 
 A generalized Maurer-Cartan identity is what makes the result path
 independent.  Its residual takes the parametric form lambda(b; a) and
@@ -16,36 +18,33 @@ the left associator and one of the product, and numpy algebra.
 import numpy as np
 
 from . import core, tangent
-from .dual import dirderiv, pack, quiet, taylor_frame
+from .dual import dirderiv, pack, primal, quiet, taylor_frame
 from .errors import StepUnderflow
 from .report import VerificationReport
 
 MIN_STEPS = 16
 
 
-def _canonical_velocity(L, a, path, t):
-    """The phi-free factor l_(a,b)* . omega(b) db/dt of the velocity at t.
+def _canonical_factors(L, a, path, ts):
+    """The phi-free factor l_(a,b)* . omega(b) db/dt of the velocity at
+    every parameter in ``ts``, as a dict from t to a list of floats.
 
-    One pass of s -> l_(a,b)(b \\ path(t + s)) with b = path(t): the
-    derivative of c -> b \\ c at c = b is (L_b)_*^-1 = omega(b), so the
-    chain rule gives the factor, db/dt included, in that single pass.
+    One pass of s -> l_(a,b)(b \\ path(t + s)) with b = path(t), batched
+    over t: the derivative of c -> b \\ c at c = b is (L_b)_*^-1 =
+    omega(b), so the chain rule gives each factor, db/dt included, in its
+    column of that single pass.
     """
-    b = [float(v) for v in path(t)]
-    return dirderiv(lambda ts: core.associator(
-        L, "left", a, b, core.left_divide(L, b, path(ts[0]))), [t], [1.0])
+    ts = np.array(list(ts))
+    with quiet():  # a non-finite element stays silent, as on floats
+        b = [primal(v) for v in path(ts)]
+        w = dirderiv(lambda s: core.associator(
+            L, "left", a, b, core.left_divide(L, b, path(s[0]))), [ts], [1.0])
+    return dict(zip(ts.tolist(), w.T.tolist(), strict=True))
 
 
-def _velocity(L, a, phi, path, t, canonical):
-    """Right side of the generalized Lie equation at parameter t:
-    d/ds phi.(e + s w), the frame at phi applied to the factor w.
-
-    ``canonical`` maps each parameter t already visited in this
-    integration to its phi-free factor w, which the RK4 stages at equal t
-    (k2 and k3, and one step's k4 and the next step's k1) share.
-    """
-    w = canonical.get(t)
-    if w is None:
-        w = canonical[t] = _canonical_velocity(L, a, path, t)
+def _velocity(L, phi, w):
+    """Right side of the generalized Lie equation for the phi-free
+    factor w: d/ds phi.(e + s w), the frame at phi applied to w."""
     return dirderiv(lambda c: core.product(L, phi, c), L.identity, w)
 
 
@@ -53,9 +52,12 @@ def reconstruct_product(L, a, b, steps, path=None, tol=None):
     """Integrate the loop product a.b from frame data with fixed-step RK4.
 
     ``path`` maps t in [0, 1] to chart parameters with path(0)=e and
-    path(1)=b; the default is the straight ray t*b.  When ``tol`` is
-    given, the result is compared against a run at doubled step count and
-    StepUnderflow is raised if they disagree by more than ``tol``.
+    path(1)=b; the default is the straight ray t*b.  The phi-free factors
+    of all RK4 stages come from one batched pass, so ``path`` must also
+    take a numpy array of parameters and a dual number whose parts are
+    such arrays: arithmetic only, as :func:`bezier_path` is.  When ``tol``
+    is given, the result is compared against a run at doubled step count
+    and StepUnderflow is raised if they disagree by more than ``tol``.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}")
@@ -71,15 +73,16 @@ def reconstruct_product(L, a, b, steps, path=None, tol=None):
         path = lambda t: [t * v for v in target]
     phi = np.asarray(a, dtype=float)
     h = 1.0 / steps
-    # Keyed by the exact float t: n*h and (n-1)*h + h can differ in the
-    # last bit, and then each gets its own entry.
-    canonical = {}
-    for n in range(steps):
-        t = n * h
-        k1 = _velocity(L, a, list(phi), path, t, canonical)
-        k2 = _velocity(L, a, list(phi + 0.5 * h * k1), path, t + 0.5 * h, canonical)
-        k3 = _velocity(L, a, list(phi + 0.5 * h * k2), path, t + 0.5 * h, canonical)
-        k4 = _velocity(L, a, list(phi + h * k3), path, t + h, canonical)
+    # The parameters of each step's stages k1, k2 = k3 and k4.  The factors
+    # are keyed by the exact float t: n*h and (n-1)*h + h can differ in
+    # the last bit, and then each gets its own.
+    stages = [(n * h, n * h + 0.5 * h, n * h + h) for n in range(steps)]
+    canonical = _canonical_factors(L, a, path, dict.fromkeys(t for ts in stages for t in ts))
+    for t1, t2, t4 in stages:
+        k1 = _velocity(L, phi.tolist(), canonical[t1])
+        k2 = _velocity(L, (phi + 0.5 * h * k1).tolist(), canonical[t2])
+        k3 = _velocity(L, (phi + 0.5 * h * k2).tolist(), canonical[t2])
+        k4 = _velocity(L, (phi + h * k3).tolist(), canonical[t4])
         phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return phi
 

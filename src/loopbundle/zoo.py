@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LoopDescriptor
-from .dual import _NUMBERS, gcos, gfloor, gsin, gsolve, pack, pack_matrix, primal
+from .dual import (_CARRIERS, anyof, gcos, gfloor, gsin, gsolve, near_zero, pack,
+                   pack_matrix, primal)
 from .errors import (DomainSingularity, NoSolutionInChart, PoleSingularity,
                      UnknownKind)
 
@@ -45,9 +46,10 @@ def _rz_fprime(x):
 
 def _rz_mod1(x):
     # x - floor(x) rounds to 1.0 for x in (-2**-54, 0), outside the chart
-    # [0, 1); subtracting 1 keeps the dual and jet parts.
+    # [0, 1); subtracting the comparison (1 there, else 0, elementwise on
+    # a batch) keeps the dual and jet parts, and r - 0 is r.
     r = x - gfloor(x)
-    return r - 1.0 if primal(r) == 1.0 else r
+    return r - (primal(r) == 1.0)
 
 
 def _rz_product(a, b):
@@ -55,33 +57,25 @@ def _rz_product(a, b):
     return [_rz_mod1(x + y + _rz_f(x) + _rz_f(y) - _rz_f(x + y))]
 
 
-def _rz_solve(x, target):
-    """Solve y + f(y) - f(x+y) = target for y (bracketed Newton).
+def _rz_root(x, t):
+    """Float root of y + f(y) - f(x+y) = t by bracketed Newton, with the
+    target t shifted by the whole number that puts the root near [0, 1).
 
-    g(y) = y + f(y) - f(x+y) has g'(y) = 1 - pi sin(pi x) cos(pi (2y + x)),
-    so the left translation by x is a bijection of the circle exactly where
-    pi |sin(pi x)| < 1: x in [0, 0.10312) or (0.89688, 1) modulo 1.
-    Elsewhere some targets have several roots, and the solve raises.  The
-    rule reads the primal value, so floats, duals and jets follow it alike.
-
-    On that window g is increasing and g(y) - y lies in [-1/2, 1/2], so
-    the root lies in [t - 1/2, t + 1/2].  Newton steps keep that bracket
-    and fall back to its midpoint when a step leaves it (rtsafe, Press et
-    al., Numerical Recipes, 9.4).
+    On the window of :func:`_rz_solve` g(y) = y + f(y) - f(x+y) is
+    increasing and g(y) - y lies in [-1/2, 1/2], so the root lies in
+    [t - 1/2, t + 1/2].  Newton steps keep that bracket and fall back to
+    its midpoint when a step leaves it (rtsafe, Press et al., Numerical
+    Recipes, 9.4).
     """
-    x0 = primal(x)
-    if math.pi * abs(gsin(math.pi * x0)) >= 1.0:
-        raise NoSolutionInChart(f"R/Z left translation by {x0} is not invertible")
-    # x0 and y are floats here, so the closed forms return floats.
-    g0 = lambda y: y + _rz_f(y) - _rz_f(x0 + y)
-    gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x0 + y)
+    # x and y are floats here, so the closed forms return floats.
+    g0 = lambda y: y + _rz_f(y) - _rz_f(x + y)
+    gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
     # g(y+1) = g(y)+1, so shift the target near the image of [0,1).
-    t0 = primal(target)
-    t0 -= gfloor(t0 - g0(0.0) + 0.5)
-    lo, hi = t0 - 0.5, t0 + 0.5
-    y = t0
+    t -= gfloor(t - g0(0.0) + 0.5)
+    lo, hi = t - 0.5, t + 0.5
+    y = t
     for _ in range(60):
-        r = g0(y) - t0
+        r = g0(y) - t
         if r < 0.0:
             lo = y
         elif r > 0.0:
@@ -94,18 +88,40 @@ def _rz_solve(x, target):
         if abs(y - y_old) < 1e-12:
             break
     for _ in range(4):
-        y -= (g0(y) - t0) / gp0(y)
+        y -= (g0(y) - t) / gp0(y)
+    return y, t
+
+
+def _rz_solve(x, target):
+    """Solve y + f(y) - f(x+y) = target for y.
+
+    g(y) = y + f(y) - f(x+y) has g'(y) = 1 - pi sin(pi x) cos(pi (2y + x)),
+    so the left translation by x is a bijection of the circle exactly where
+    pi |sin(pi x)| < 1: x in [0, 0.10312) or (0.89688, 1) modulo 1.
+    Elsewhere some targets have several roots, and the solve raises if any
+    element of a batch lies there.  The rule reads the primal value, so
+    floats, duals and jets follow it alike.  Each float root, one per
+    batch element, comes from :func:`_rz_root`.
+    """
+    x0, t0 = primal(x), primal(target)
+    if anyof(math.pi * abs(gsin(math.pi * x0)) >= 1.0):
+        raise NoSolutionInChart(f"R/Z left translation by {x0} is not invertible")
+    if x0.__class__ is np.ndarray or t0.__class__ is np.ndarray:
+        xs, ts = np.broadcast_arrays(x0, t0)
+        y, t = np.array([_rz_root(*xt) for xt in zip(xs.tolist(), ts.tolist())]).T
+    else:
+        y, t = _rz_root(x0, t0)
     # Re-run the update in the arguments' arithmetic (dual or jet) to carry
     # their derivatives: from the exact root, 3 steps are exact through
     # degree 7.  The steps can move the primal by an ulp, so the float
     # root replaces it: primal(result) is the float path's result.
-    if not isinstance(x, _NUMBERS) or not isinstance(target, _NUMBERS):
+    if x.__class__ in _CARRIERS or target.__class__ in _CARRIERS:
         g = lambda y: y + _rz_f(y) - _rz_f(x + y)
         gp = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
-        shift = t0 - primal(target)
+        shifted = target + (t - t0)
         root = y
         for _ in range(3):
-            y = y - (g(y) - (target + shift)) / gp(y)
+            y = y - (g(y) - shifted) / gp(y)
         y = (y - primal(y)) + root
     return _rz_mod1(y)
 
@@ -141,7 +157,7 @@ def _mobius_fraction(t, z, w, n, singular):
     else:
         mr, mi = 1.0 - re, zy * wx - zx * wy
     m2 = mr * mr + mi * mi
-    if primal(m2) < SINGULAR_DENOM ** 2:
+    if near_zero(m2, SINGULAR_DENOM ** 2):  # m2 >= 0
         raise DomainSingularity(singular)
     nx, ny = n
     return [(nx * mr + ny * mi) / m2, (ny * mr - nx * mi) / m2]
@@ -170,7 +186,7 @@ def _mobius_right_div(sign):
         cx = bx * ax - by * ay
         cy = bx * ay + by * ax
         den = 1.0 - (cx * cx + cy * cy)
-        if abs(primal(den)) < SINGULAR_DENOM:
+        if near_zero(den, SINGULAR_DENOM):
             raise DomainSingularity("Moebius right division singular")
         dx, dy = bx - ax, by - ay
         # (b a) conj(d)
@@ -185,7 +201,7 @@ def _disk_guard(div):
     def guarded(*args):
         out = div(*args)
         r2 = primal(out[0]) ** 2 + primal(out[1]) ** 2
-        if r2 >= 1.0:
+        if anyof(r2 >= 1.0):
             raise NoSolutionInChart("QH2 division leaves the unit disk")
         return out
     return guarded
@@ -218,7 +234,7 @@ def _qhr_fraction(t, z, w, u0, uv, singular):
     s2 = z0 * w2 - w0 * z2
     s3 = z0 * w3 - w0 * z3
     n = m0 * m0 + (r1 * r1 + r2 * r2 + r3 * r3) - (s1 * s1 + s2 * s2 + s3 * s3)
-    if abs(primal(n)) < SINGULAR_DENOM:
+    if near_zero(n, SINGULAR_DENOM):
         raise DomainSingularity(singular)
     u1, u2, u3 = uv
     return [(m0 * u0 - (u1 * s1 + u2 * s2 + u3 * s3)) / n,

@@ -65,6 +65,7 @@ def test_directional_routes_build_no_frames_or_solves():
         tr.counting = tr.enabled = True
         L = zoo.make_loop("qc")
         reconstruct.reconstruct_product(L, [0.3, 0.2], [-0.4, 0.5], steps)
+        reconstruct_nodes = tr.extra["dual.nodes"]
         form = gauge.make_test_potential(L, 2, seed=3)
         gauge.hor_field(form, [1.0, 0.5])([0.2, -0.1, 0.1, 0.25])
     finally:
@@ -75,8 +76,10 @@ def test_directional_routes_build_no_frames_or_solves():
     assert tr.counts["tangent.left_frame_matrix"] == 0
     # One velocity per RK4 stage, four per step.
     assert tr.counts["reconstruct._velocity"] == 4 * steps
-    # Each velocity is one pass, and each distinct t one more for its
-    # phi-free factor.  With h = 1/16 every stage parameter is exact, so
-    # the distinct t are n h for n = 0..16 and (n + 1/2) h for n = 0..15:
-    # 2 * steps + 1 of them.  The horizontal field makes two passes.
-    assert tr.counts["dual.dirderiv"] == 4 * steps + (2 * steps + 1) + 2
+    # Each velocity is one pass, and one batched pass gives the phi-free
+    # factors at all 2 * steps + 1 distinct t.  The horizontal field makes
+    # two passes.
+    assert tr.counts["dual.dirderiv"] == 4 * steps + 1 + 2
+    # The velocity passes and the one batched pass; a pass per distinct t
+    # built 4,147.
+    assert reconstruct_nodes == 1491

@@ -130,6 +130,7 @@ _REF_NUMBERS = (int, float, np.floating, np.integer)
 
 class RefDual:
     __slots__ = ("re", "du", "lvl")
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators, as for Dual
     nodes = 0
 
     def __init__(self, re, du=0.0, lvl=0):

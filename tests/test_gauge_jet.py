@@ -222,8 +222,9 @@ def test_commutator_matches_nested_dual_reference(monkeypatch, name):
 def _test_transition(L, seed):
     """A smooth transition into the chart and its right inverse, None for
     the right division e / q.  On rz the transition stays in the window
-    where the divisions exist.  The qhr right division takes no jets, so
-    there the inverse is given: on that family e / q = -q."""
+    where the divisions exist.  On qhr the inverse is given: on that
+    family e / q = -q, which ``test_default_back_transition_on_qhr``
+    compares with the right division."""
     if L.name == "rz":
         return lambda xs: [0.05 + 0.04 * gsin(xs[0] - 2.0 * xs[1])], None
     q_map = gauge.make_test_transition(L, 2, seed=seed)
@@ -255,6 +256,20 @@ def test_gauge_transform_matches_nested_dual_reference(name):
         if name == "qhr:K=0":
             via_global = ref.gauge_transform_via_global(form, q_map).potential.A(x)
             assert np.max(np.abs(got - _floats(via_global).reshape(L.dim, 2))) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["qhr:K=1", "qhr:K=0"])
+def test_default_back_transition_on_qhr(name):
+    # The omitted q_back is the right division e / q on jets, which goes
+    # through the object-dtype solve of the qhr right division.
+    L = make_loop(name)
+    form = gauge.make_test_potential(L, 2, seed=55, kind="trig")
+    q_map, q_back = _test_transition(L, 55)
+    rng = np.random.default_rng(56)
+    for _ in range(3):
+        x = list(rng.uniform(-0.4, 0.4, 2))
+        assert abs(gauge.curvature_gauge_residual(form, q_map, x)
+                   - gauge.curvature_gauge_residual(form, q_map, x, q_back)) <= 1e-14
 
 
 # One jet pass of the connection form per call, plus one of the product

@@ -12,8 +12,8 @@ import pytest
 
 from loopbundle import core, reconstruct, tangent
 from loopbundle.dual import (Dual, Jet, dirderiv, floats_if_plain, gcos,
-                             gfloor, gsin, gsolve, jacobian, jet_space, primal,
-                             taylor_frame)
+                             gfloor, gsin, gsolve, jacobian, jet_space, pack,
+                             pack_matrix, primal, taylor_frame)
 from loopbundle.errors import DomainSingularity
 from loopbundle.report import worst_residual
 from loopbundle.zoo import make_loop
@@ -221,6 +221,20 @@ def test_rz_divisions_keep_the_float_primal():
         want = L.left_div([a], [b])[0]
         assert primal(L.left_div([a], [Dual(b, 1.0, 1)])[0]) == want
         assert primal(L.left_div([a], [space.variable(b, ((0,), ()))])[0]) == want
+
+
+def test_gsolve_keeps_jet_factors_with_zero_primal():
+    # x(s) = A(s)^-1 b with A = [[2, s], [s, 3]] and b = (1, 1).  At s = 0
+    # both elimination factors (s / 2, then s / 3) have primal 0 and a jet
+    # part; skipping them would drop x'(0) = -A^-1 A' A^-1 b = (-1/6, -1/6).
+    space = jet_space(1)
+    s = space.variable(0.0, ((0,), ()))
+    a = pack_matrix([[2.0, s], [s, 3.0]])
+    assert a.dtype == object
+    x = gsolve(a, pack([1.0, 1.0]))
+    k = space.index[((0,), ())]
+    assert [primal(v) for v in x] == pytest.approx([0.5, 1.0 / 3.0], abs=1e-15)
+    assert [v.c[k] for v in x] == pytest.approx([-1.0 / 6.0, -1.0 / 6.0], abs=1e-15)
 
 
 @pytest.mark.parametrize("name", ["rz", "qc", "qh2", "qhr:K=1"])

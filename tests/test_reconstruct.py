@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from loopbundle import core, reconstruct
 from loopbundle.dual import Dual, dirderiv, dual_parts, next_level, primal
-from loopbundle.errors import StepUnderflow
+from loopbundle.errors import NoSolutionInChart, OutOfDomain, StepUnderflow
 from loopbundle.tangent import left_associator_differential, left_frame_matrix
 from loopbundle.zoo import catalog_names, make_loop
 
@@ -130,13 +131,19 @@ def test_companion_transformation_is_translation_conjugate():
     assert core.distance(L, out, np.asarray(direct)) < 1e-13
 
 
+def _node_factor(L, a, path, t):
+    """The phi-free factor at one parameter t: one pass of
+    s -> l_(a,b)(b \\ path(t + s)) on floats."""
+    b = [float(v) for v in path(t)]
+    return dirderiv(lambda ts: core.associator(
+        L, "left", a, b, core.left_divide(L, b, path(ts[0]))), [t], [1.0])
+
+
 def _lie_velocity(L, a, phi, path, t):
     """The directional Lie-equation velocity, every factor recomputed at
-    each stage: the phi-free factor is one pass of
-    s -> l_(a,b)(b \\ path(t + s)), the velocity d/ds phi.(e + s w)."""
-    b = [float(v) for v in path(t)]
-    w = dirderiv(lambda ts: core.associator(
-        L, "left", a, b, core.left_divide(L, b, path(ts[0]))), [t], [1.0])
+    each stage: the phi-free factor of :func:`_node_factor`, then the
+    velocity d/ds phi.(e + s w)."""
+    w = _node_factor(L, a, path, t)
     return dirderiv(lambda c: core.product(L, phi, c), L.identity, w)
 
 
@@ -168,8 +175,8 @@ def _rk4_reference(L, a, path, steps, velocity=_lie_velocity):
 
 
 @pytest.mark.parametrize("name,steps", [
-    (name, steps) for name in ("rz", "qc", "qh2") for steps in (16, 20, 48)
-] + [("qhr:K=1", 20)])
+    (name, steps) for name in ("rz", "qc", "qh2", "qsu2") for steps in (16, 20, 48)
+] + [("qhr:K=1", 20), ("qhr:K=0", 20)])
 def test_reconstruction_equals_stagewise_rk4_bit_for_bit(name, steps):
     # 20 and 48 steps make n*h and (n-1)*h + h differ in the last bit, so
     # shared stages must be matched by their exact parameter.
@@ -194,3 +201,70 @@ def test_reconstruction_matches_matrix_route(name):
         got = reconstruct.reconstruct_product(L, a, b, 16, path=path)
         want = _rk4_reference(L, a, path or straight, 16, velocity=_matrix_lie_velocity)
         assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def _stage_parameters(steps):
+    h = 1.0 / steps
+    return [t for n in range(steps) for t in (n * h, n * h + 0.5 * h, n * h + h)]
+
+
+@pytest.mark.parametrize("name,steps", [
+    (name, steps) for name in catalog_names() for steps in (16, 20, 48)])
+def test_batched_factors_equal_per_node_passes(name, steps):
+    # Column i of the batched pass is the pass at node i alone, bit for bit.
+    L = make_loop(name)
+    rng = np.random.default_rng(23)
+    a, b, control = (list(0.5 * L.sample(rng)) for _ in range(3))
+    nodes = list(dict.fromkeys(_stage_parameters(steps)))
+    # At 20 and 48 steps some n*h and (n-1)*h + h differ in the last bit.
+    assert (len(nodes) > 2 * steps + 1) == (steps != 16)
+    straight = lambda t: [t * v for v in b]
+    for path in (straight, reconstruct.bezier_path(b, control)):
+        got = reconstruct._canonical_factors(L, a, path, nodes)
+        assert list(got) == nodes
+        for t in nodes:
+            assert np.array_equal(got[t], _node_factor(L, a, path, t)), t
+
+
+@pytest.mark.parametrize("name,control,error", [
+    # 2 s t 0.3 + t^2 b peaks near 0.15, past the division window 0.10312.
+    ("rz", [0.3], NoSolutionInChart),
+    # The Bezier arc leaves the unit disk, the qh2 chart.
+    ("qh2", [2.5, 0.0], OutOfDomain),
+])
+def test_bad_node_in_batch_fails_as_per_node(name, control, error):
+    L = make_loop(name)
+    a, b = [0.01] * L.dim, [0.02] * L.dim
+    path = reconstruct.bezier_path(b, control)
+    with pytest.raises(error) as per_node:
+        _rk4_reference(L, a, path, 16)
+    with pytest.raises(error) as batched:
+        reconstruct.reconstruct_product(L, a, b, 16, path=path)
+    assert batched.type is per_node.type is error
+
+
+def test_non_finite_node_in_batch():
+    L = make_loop("qc")
+    a, b = [0.3, 0.2], [-0.4, 0.5]
+
+    def nan_velocity(t):
+        # The same values as the straight path; at t = 1 the derivative of
+        # q - q is -inf - (-inf), NaN.
+        q = 1e-250 / (t - 1.0 + 1e-200)
+        return [t * v + (q - q) for v in b]
+
+    def nan_value(t):
+        # 0 * inf at t = 0.5: NaN there, and 0 elsewhere.
+        q = 0.0 * (1e300 / (t - 0.5 + 1e-320))
+        return [t * v + q for v in b]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = reconstruct.reconstruct_product(L, a, b, 16, path=nan_velocity)
+        assert np.isnan(got).all()
+        # A NaN value fails the chart check, per node and in the batch.
+        with pytest.raises(OutOfDomain) as batched:
+            reconstruct.reconstruct_product(L, a, b, 16, path=nan_value)
+    with pytest.raises(OutOfDomain) as per_node:
+        _rk4_reference(L, a, nan_value, 16)
+    assert batched.type is per_node.type is OutOfDomain
