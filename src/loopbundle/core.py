@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dual import pack, primal
+from .dual import has_dual, pack, primal
 from .errors import OutOfDomain
 from .report import VerificationReport, worst_residual
 
@@ -70,7 +70,9 @@ def _chart_points(L, *points):
     same rule.  A batch point (coordinates that are arrays) is checked
     element by element: the checks are scalar, so on arrays they raise
     TypeError (``math.hypot``) or ValueError (the truth of an array).
-    Composites in other modules use this too.
+    A point without duals or jets comes back as the coordinates the check
+    read, sparing the closed forms numpy scalars.  Composites in other
+    modules use this too.
     """
     out = []
     for p in points:
@@ -83,7 +85,7 @@ def _chart_points(L, *points):
             bad = next((q for q in batch if not L.domain_check(q)), None)
         if bad is not None:
             raise OutOfDomain(f"{L.name}: point {np.asarray(bad)} outside chart domain")
-        out.append(p)
+        out.append(p if has_dual(p) else coords)
     return out
 
 

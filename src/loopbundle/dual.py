@@ -33,9 +33,9 @@ a batched pass is bit-identical to the pass at point i alone.  A
 element.  Numpy reports invalid and overflowing elements, which floats
 pass silently, so batched passes run under ``quiet``.
 
-The generic linear-algebra helpers (``gsolve``, ``ginv``) accept matrices
-whose entries are duals or jets, which the ``qhr`` right division and the
-tests' frame-solve references use.
+Solves.  One rule, ``carry``, takes derivatives through a solve: the float
+solve gives the primal and simplified Newton steps the dual or jet parts,
+in the ``rz`` division and in ``gsolve`` (the ``qhr`` right division).
 
 Level dispatch.  The parts of a level-``k`` dual are numbers or duals of
 lower levels.  A binary operator on two duals compares their levels: at
@@ -374,48 +374,62 @@ def gmatmul(a, b):
     return pack_matrix([[gdot(row, col) for col in bt] for row in a])
 
 
-def gsolve(a, b):
-    """Solve ``a @ x = b`` with partial pivoting; entries may be dual.
+def carry(root, residual, solve0):
+    """The root (a list) of residual(y) = 0 with the parts of the duals or
+    jets that ``residual`` closes over, given the float ``root``.
 
-    ``b`` may be a vector or a matrix of right-hand sides.
+    ``JET_DEGREE`` simplified Newton steps y <- y - solve0(residual(y)),
+    ``solve0`` the inverse float Jacobian at ``root``, each gain one Taylor
+    order (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+    ch. 13): exact for degree-3 jets and duals nested 3 deep.  ``root`` then
+    replaces the primal, which the steps can move by rounding."""
+    ys = list(root)
+    for _ in range(JET_DEGREE):
+        ys = [y - d for y, d in zip(ys, solve0(residual(ys)))]
+    return [(y - primal(y)) + r for y, r in zip(ys, root)]
+
+
+def gsolve(a, b):
+    """Solve ``a @ x = b``; entries may be duals or jets.
+
+    ``b`` may be a vector or a matrix of right-hand sides.  With duals or
+    jets the float solve gives the primal, and :func:`carry` the parts.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.dtype != object and b.dtype != object:
         return np.linalg.solve(a, b)
-    n = a.shape[0]
-    vec = b.ndim == 1
-    rhs = b.reshape(n, -1)
-    aug = [[a[i, j] for j in range(n)] + [rhs[i, k] for k in range(rhs.shape[1])]
-           for i in range(n)]
-    width = n + rhs.shape[1]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(primal(aug[r][col])))
-        if abs(primal(aug[piv][col])) == 0.0:
-            raise np.linalg.LinAlgError("singular matrix in gsolve")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _reciprocal(aug[col][col])
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col] * inv
-            # A zero factor is skipped only when it is a number: a dual's
-            # or a jet's other parts still update the row.
-            if factor.__class__ not in _CARRIERS and factor == 0.0:
-                continue
-            for c in range(col, width):
-                aug[r][c] = aug[r][c] - factor * aug[col][c]
-    out = pack_matrix([[aug[i][n + k] * _reciprocal(aug[i][i])
-                        for k in range(rhs.shape[1])] for i in range(n)])
-    return out[:, 0] if vec else out
+    floats = np.vectorize(primal, otypes=[float])
+    a0 = floats(a)
+    x0 = np.linalg.solve(a0, floats(b)).reshape(len(b), -1)
+    inv0 = np.linalg.inv(a0)
+    rows = a.tolist()
+    cols = [carry(xk, lambda x: [gdot(row, x) - bi for row, bi in zip(rows, bk)],
+                  lambda r: _float_matvec(inv0, r))
+            for xk, bk in zip(x0.T.tolist(), b.reshape(len(b), -1).T.tolist())]
+    out = pack_matrix(list(zip(*cols)))
+    return out[:, 0] if b.ndim == 1 else out
+
+
+def _float_matvec(m, xs):
+    """m @ xs for a float matrix and a list of numbers, duals or jets: the
+    float product of each part, split at the highest dual level."""
+    lvl = max((x.lvl for x in xs if x.__class__ is Dual), default=None)
+    if lvl is not None:
+        re, du = zip(*[(x.re, x.du) if x.__class__ is Dual and x.lvl == lvl else (x, 0.0)
+                       for x in xs])
+        return [Dual(r, d, lvl) for r, d in zip(_float_matvec(m, re), _float_matvec(m, du))]
+    jet = next((x for x in xs if x.__class__ is Jet), None)
+    if jet is not None:
+        one = np.eye(1, jet.space.size)[0]
+        c = np.array([x.c if x.__class__ is Jet else x * one for x in xs])
+        return [Jet(row, jet.space) for row in m @ c]
+    return (m @ np.array(xs, dtype=float)).tolist()
 
 
 def ginv(a):
     a = np.asarray(a)
-    if a.dtype != object:
-        return np.linalg.inv(a)
-    n = a.shape[0]
-    return gsolve(a, np.eye(n))
+    return np.linalg.inv(a) if a.dtype != object else gsolve(a, np.eye(len(a)))
 
 
 # -- Taylor jets ---------------------------------------------------------------

@@ -340,10 +340,11 @@ def glue_connections(forms, weights, samples):
     if len(forms) != len(weights) or not forms:
         raise PartitionInvalid("need matching nonempty forms and weights")
     for x in samples:
+        # Written so that a NaN weight fails both checks.
         total = sum(float(w(list(x))) for w in weights)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise PartitionInvalid(f"weights sum to {total} at {x}")
-        if any(float(w(list(x))) < -1e-12 for w in weights):
+        if not all(float(w(list(x))) >= -1e-12 for w in weights):
             raise PartitionInvalid(f"negative weight at {x}")
 
     base = forms[0].potential

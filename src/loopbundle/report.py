@@ -112,10 +112,10 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        """Reject a nonpositive sample count or tolerance."""
+        """Reject a sample count or tolerance that is not positive (or NaN)."""
         if self.samples <= 0:
             raise ValueError("samples must be positive")
-        if any(t <= 0 for t in self.tolerances.values()):
+        if not all(t > 0 for t in self.tolerances.values()):
             raise ValueError("tolerances must be positive")
 
     def tol(self, name):

@@ -26,13 +26,6 @@ class TangentVector:
     vec: np.ndarray
 
 
-@dataclass(frozen=True)
-class StructureTensor:
-    """C[p][i][j] are the frame-bracket coefficients at ``at``."""
-    at: np.ndarray
-    C: np.ndarray
-
-
 def pushforward_left(L, a, v):
     """Differential of the left translation by ``a`` applied to ``v``."""
     vec = dirderiv(lambda b: core.product(L, a, b), v.base, v.vec)
@@ -59,12 +52,6 @@ def right_frame_matrix(L, y):
     Accepts dual entries in ``y``.
     """
     return jacobian(lambda a: list(core.product(L, a, y)), list(L.identity))
-
-
-def structure_functions(L, a):
-    """Structure tensor C^p_ij with [Gamma_i, Gamma_j] = C^p_ij Gamma_p."""
-    c = structure_tensor_raw(L, list(a))
-    return StructureTensor(at=pack(list(a)), C=c)
 
 
 def _frame_derivatives(L, a, side):

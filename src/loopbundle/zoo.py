@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LoopDescriptor
-from .dual import (_CARRIERS, anyof, gcos, gfloor, gsin, gsolve, near_zero, pack,
-                   pack_matrix, primal)
+from .dual import (_CARRIERS, anyof, carry, gcos, gfloor, gsin, gsolve, near_zero,
+                   pack, pack_matrix, primal)
 from .errors import (DomainSingularity, NoSolutionInChart, PoleSingularity,
                      UnknownKind)
 
@@ -101,7 +101,8 @@ def _rz_solve(x, target):
     Elsewhere some targets have several roots, and the solve raises if any
     element of a batch lies there.  The rule reads the primal value, so
     floats, duals and jets follow it alike.  Each float root, one per
-    batch element, comes from :func:`_rz_root`.
+    batch element, comes from :func:`_rz_root`; :func:`dual.carry`, with
+    the float g' at the root, gives a dual or jet argument its parts.
     """
     x0, t0 = primal(x), primal(target)
     if anyof(math.pi * abs(gsin(math.pi * x0)) >= 1.0):
@@ -111,18 +112,11 @@ def _rz_solve(x, target):
         y, t = np.array([_rz_root(*xt) for xt in zip(xs.tolist(), ts.tolist())]).T
     else:
         y, t = _rz_root(x0, t0)
-    # Re-run the update in the arguments' arithmetic (dual or jet) to carry
-    # their derivatives: from the exact root, 3 steps are exact through
-    # degree 7.  The steps can move the primal by an ulp, so the float
-    # root replaces it: primal(result) is the float path's result.
     if x.__class__ in _CARRIERS or target.__class__ in _CARRIERS:
-        g = lambda y: y + _rz_f(y) - _rz_f(x + y)
-        gp = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
         shifted = target + (t - t0)
-        root = y
-        for _ in range(3):
-            y = y - (g(y) - shifted) / gp(y)
-        y = (y - primal(y)) + root
+        gp = 1.0 + _rz_fprime(y) - _rz_fprime(x0 + y)
+        y, = carry([y], lambda ys: [ys[0] + _rz_f(ys[0]) - _rz_f(x + ys[0]) - shifted],
+                   lambda rs: [rs[0] / gp])
     return _rz_mod1(y)
 
 

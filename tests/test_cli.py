@@ -141,10 +141,11 @@ def test_bundle_suite_seed_2_passes(capsys):
 
 
 def test_bad_tolerance_is_usage_error(capsys):
-    code = run(["verify", "--loop", "qc", "--suite", "axioms",
-                "--samples", "5", "--tol.axioms=-1"])
-    assert code == 2
-    assert "tolerances must be positive" in capsys.readouterr().err
+    for tol in ("-1", "nan"):
+        code = run(["verify", "--loop", "qc", "--suite", "axioms",
+                    "--samples", "5", f"--tol.axioms={tol}"])
+        assert code == 2
+        assert "tolerances must be positive" in capsys.readouterr().err
 
 
 def test_bundle_check_unknown_atlas(capsys):

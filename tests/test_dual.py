@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from loopbundle.dual import (Dual, dirderiv, dual_parts, gcos, ginv, gsin,
-                             gsolve, jacobian, next_level, pack, primal, seed)
+from loopbundle import zoo
+from loopbundle.dual import (Dual, Jet, dirderiv, dual_parts, gcos, ginv, gsin,
+                             gsolve, jacobian, jet_space, next_level, pack, pack_matrix,
+                             primal, seed)
 
 
 def test_arithmetic_first_derivatives():
@@ -501,3 +503,119 @@ def test_library_routes_never_nest_duals(monkeypatch, capsys):
     gauge.omega_annihilates_d_residual(form, x, y, 0)
     gauge.hor_field(form, [1.0, 0.5])(x + y)
     assert nested[0] == 0
+
+
+# -- derivatives through a solve: carry against the routes it replaced -------
+
+def ref_gsolve(a, b):
+    """Gaussian elimination with partial pivoting in carrier arithmetic: the
+    object-dtype solve that ``gsolve`` ran before ``carry``."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    n = a.shape[0]
+    vec = b.ndim == 1
+    rhs = b.reshape(n, -1)
+    aug = [[a[i, j] for j in range(n)] + [rhs[i, k] for k in range(rhs.shape[1])]
+           for i in range(n)]
+    width = n + rhs.shape[1]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(primal(aug[r][col])))
+        if abs(primal(aug[piv][col])) == 0.0:
+            raise np.linalg.LinAlgError("singular matrix in gsolve")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1.0 / aug[col][col]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = aug[r][col] * inv
+            # A zero factor is skipped only when it is a number: a dual's
+            # or a jet's other parts still update the row.
+            if factor.__class__ not in (Dual, Jet) and factor == 0.0:
+                continue
+            for c in range(col, width):
+                aug[r][c] = aug[r][c] - factor * aug[col][c]
+    out = pack_matrix([[aug[i][n + k] * (1.0 / aug[i][i])
+                        for k in range(rhs.shape[1])] for i in range(n)])
+    return out[:, 0] if vec else out
+
+
+def ref_rz_left_div(a, b):
+    """The ``rz`` left division that re-ran 3 full Newton steps in carrier
+    arithmetic from the float root, then put the float root back."""
+    x, target = a, b - a - zoo._rz_f(a)
+    y, t = zoo._rz_root(primal(x), primal(target))
+    g = lambda y: y + zoo._rz_f(y) - zoo._rz_f(x + y)
+    gp = lambda y: 1.0 + zoo._rz_fprime(y) - zoo._rz_fprime(x + y)
+    shifted = target + (t - primal(target))
+    root = y
+    for _ in range(3):
+        y = y - (g(y) - shifted) / gp(y)
+    return zoo._rz_mod1((y - primal(y)) + root)
+
+
+def _assert_parts_close(got, want, tol=1e-14):
+    """Every part, the primal included, within ``tol`` times the largest
+    part of ``want`` (at least 1): third-order parts of the rz division
+    reach about 20 and sum terms of about 100."""
+    if isinstance(got, Jet) or isinstance(want, Jet):
+        cg, cw = dict(enumerate(got.c)), dict(enumerate(want.c))
+    else:
+        cg, cw = _coefficients(got), _coefficients(want)
+    assert set(cg) == set(cw)
+    scale = max(1.0, max(abs(v) for v in cw.values()))
+    for mono in cg:
+        assert abs(cg[mono] - cw[mono]) <= tol * scale, (mono, cg[mono], cw[mono])
+
+
+def _carrier_maker(kind, rng):
+    """Random carriers of one kind around a float: one-level duals, duals
+    nested 2 or 3 levels deep, or degree-3 jets in two variables."""
+    if kind == "jet":
+        space = jet_space(2)
+        def make(v):
+            c = 0.3 * np.array([rng.uniform(-1.0, 1.0) for _ in range(space.size)])
+            c[0] = v
+            return Jet(c, space)
+        return make
+    levels = [next_level() for _ in range({"dual": 1, "nested2": 2, "nested3": 3}[kind])]
+    def make(v):
+        x = v
+        for lvl in levels:
+            x = Dual(x, rng.uniform(-0.3, 0.3), lvl)
+        return x
+    return make
+
+
+@pytest.mark.parametrize("kind", ["dual", "nested2", "nested3", "jet"])
+def test_gsolve_matches_pivoting_elimination(kind):
+    # The float solve gives the primal bit for bit; carry's steps give the
+    # derivative parts that the elimination gave, to rounding.  Some
+    # entries stay floats, as in the qhr right division.
+    rng = random.Random(kind)
+    make = _carrier_maker(kind, rng)
+    for n, width in ((2, None), (4, None), (8, None), (3, 3)):
+        a0 = np.eye(n) * 2.0 + np.array([[rng.uniform(-0.5, 0.5) for _ in range(n)]
+                                         for _ in range(n)])
+        b0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(n * (width or 1))])
+        b0 = b0 if width is None else b0.reshape(n, width)
+        a = pack_matrix([[make(v) if rng.random() < 0.7 else v for v in row] for row in a0])
+        b = np.empty(b0.shape, dtype=object)
+        b.flat[:] = [make(v) if rng.random() < 0.5 else v for v in b0.flat]
+        got, want = gsolve(a, b), ref_gsolve(a, b)
+        assert np.array_equal(np.vectorize(primal)(got), np.linalg.solve(a0, b0))
+        for g, w in zip(got.flat, want.flat):
+            _assert_parts_close(g, w)
+
+
+@pytest.mark.parametrize("kind", ["dual", "nested2", "nested3", "jet"])
+def test_rz_division_derivatives_match_full_newton(kind):
+    rng = random.Random(kind)
+    make = _carrier_maker(kind, rng)
+    L = zoo.make_loop("rz")
+    for _ in range(50):
+        a, b = rng.uniform(0.0, 0.1), rng.uniform(0.0, 1.0)
+        want = L.left_div([a], [b])[0]
+        for args in ((make(a), b), (a, make(b)), (make(a), make(b))):
+            got = L.left_div([args[0]], [args[1]])[0]
+            assert primal(got) == want
+            _assert_parts_close(got, ref_rz_left_div(*args))

@@ -259,6 +259,9 @@ def test_glue_connections_validates_partition():
                                samples)
     with pytest.raises(PartitionInvalid):
         gauge.glue_connections([f1], [lambda x: 1.0, lambda x: 0.0], samples)
+    with pytest.raises(PartitionInvalid):
+        gauge.glue_connections([f1, f2], [lambda x: math.nan, lambda x: 1.0],
+                               samples)
 
 
 def test_glued_connection_reproduces_vertical_generators():

@@ -223,10 +223,29 @@ def test_rz_divisions_keep_the_float_primal():
         assert primal(L.left_div([a], [space.variable(b, ((0,), ()))])[0]) == want
 
 
+@pytest.mark.parametrize("K", [1.0, 0.0, -2.5])
+def test_qhr_right_divisions_keep_the_float_primal(K):
+    # The 8x8 solve of a carrier right division takes its primal from the
+    # float solve, so it equals the float division bit for bit.
+    L = make_loop(f"qhr:K={K:g}")
+    space = jet_space(1)
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        a, b = list(L.sample(rng)), list(L.sample(rng))
+        want = L.right_div(b, a)
+        k = int(rng.integers(4))
+        for make in (lambda v: Dual(v, 1.0, 1), lambda v: space.variable(v, ((0,), ()))):
+            bc, ac = list(b), list(a)
+            bc[k] = make(b[k])
+            ac[3 - k] = make(a[3 - k])
+            assert [primal(v) for v in L.right_div(bc, a)] == want
+            assert [primal(v) for v in L.right_div(b, ac)] == want
+
+
 def test_gsolve_keeps_jet_factors_with_zero_primal():
     # x(s) = A(s)^-1 b with A = [[2, s], [s, 3]] and b = (1, 1).  At s = 0
-    # both elimination factors (s / 2, then s / 3) have primal 0 and a jet
-    # part; skipping them would drop x'(0) = -A^-1 A' A^-1 b = (-1/6, -1/6).
+    # the off-diagonal entries have primal 0 and a jet part, which must
+    # still reach x'(0) = -A^-1 A' A^-1 b = (-1/6, -1/6).
     space = jet_space(1)
     s = space.variable(0.0, ((0,), ()))
     a = pack_matrix([[2.0, s], [s, 3.0]])
