@@ -66,8 +66,9 @@ def distance(L, p, q):
 def _chart_points(L, *points):
     """Each point as a list of scalars, checked once against the chart.
 
-    The check reads primal coordinates, so floats and duals follow the
-    same rule.  A batch point (coordinates that are arrays) is checked
+    The check reads primal coordinates: one ``tolist`` of a 1-D float
+    array, else ``primal`` of each coordinate, so floats and duals follow
+    the same rule.  A batch point (coordinates that are arrays) is checked
     element by element: the checks are scalar, so on arrays they raise
     TypeError (``math.hypot``) or ValueError (the truth of an array).
     A point without duals or jets comes back as the coordinates the check
@@ -76,8 +77,9 @@ def _chart_points(L, *points):
     """
     out = []
     for p in points:
-        p = list(p)
-        coords = [primal(v) for v in p]
+        floats = p.__class__ is np.ndarray and p.ndim == 1 and p.dtype.kind == "f"
+        p = p.tolist() if floats else list(p)
+        coords = p if floats else [primal(v) for v in p]
         try:
             bad = None if L.domain_check(coords) else coords
         except (TypeError, ValueError):
@@ -85,7 +87,7 @@ def _chart_points(L, *points):
             bad = next((q for q in batch if not L.domain_check(q)), None)
         if bad is not None:
             raise OutOfDomain(f"{L.name}: point {np.asarray(bad)} outside chart domain")
-        out.append(p if has_dual(p) else coords)
+        out.append(coords if floats or not has_dual(p) else p)
     return out
 
 

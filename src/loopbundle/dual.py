@@ -34,8 +34,9 @@ element.  Numpy reports invalid and overflowing elements, which floats
 pass silently, so batched passes run under ``quiet``.
 
 Solves.  One rule, ``carry``, takes derivatives through a solve: the float
-solve gives the primal and simplified Newton steps the dual or jet parts,
-in the ``rz`` division and in ``gsolve`` (the ``qhr`` right division).
+solve gives the primal and simplified Newton steps the dual or jet parts.
+The ``rz`` divisions, the only divisions without a closed form, use it;
+so does ``gsolve`` on carriers.
 
 Level dispatch.  The parts of a level-``k`` dual are numbers or duals of
 lower levels.  A binary operator on two duals compares their levels: at

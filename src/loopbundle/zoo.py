@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LoopDescriptor
-from .dual import (_CARRIERS, anyof, carry, gcos, gfloor, gsin, gsolve, near_zero,
-                   pack, pack_matrix, primal)
+from .dual import _CARRIERS, anyof, carry, gcos, gfloor, gsin, near_zero, pack, primal
 from .errors import (DomainSingularity, NoSolutionInChart, PoleSingularity,
                      UnknownKind)
 
@@ -215,7 +214,8 @@ def _disk_guard(div):
 # and so are the scalar and the imaginary vector part of the result,
 #   (m0 u0 - uv.s,  m0 uv - u0 s - uv x r) / N,
 # while its imaginary scalar and real vector parts vanish.  Only those
-# nonzero parts are computed.
+# nonzero parts are computed.  The right division y*a = b is
+# (d + k b d^+ a) / (1 - k^2 N(a) N(b)), d = b - a (see _qhr_right_div).
 
 def _qhr_fraction(t, z, w, u0, uv, singular):
     z0, z1, z2, z3 = t * z[0], t * z[1], t * z[2], t * z[3]
@@ -257,48 +257,37 @@ def _qhr_left_div(K):
 
 
 def _qhr_right_div(K):
+    """The right division y*a = b in closed form, the analogue of the
+    Moebius w/z: y = (d + k b d^+ a) / s with d = b - a, k = K/4,
+    s = 1 - k^2 N(a) N(b) and N(p) = p p^+ = p0^2 - pv.pv.
+
+    Proof: y*a = b is y - k b y^+ a = d.  a^+ a = N(a) and b b^+ = N(b) are
+    real scalars, so b a^+ d b^+ a = N(a) N(b) d, and y - k b y^+ a =
+    (d + k b d^+ a - k b d^+ a - k^2 N(a) N(b) d) / s = d.  With
+    m0 = b0 d0 - bv.dv, mv = d0 bv - b0 dv and r = bv x dv, b d^+ a has the
+    real scalar m0 a0 + mv.av and the imaginary vector
+    i (m0 av + a0 mv + r x av); its imaginary scalar -r.av and real vector
+    a0 r - mv x av vanish for d = b - a.  One reciprocal 1/s, as dual and
+    jet quotients take, keeps a carrier's primal the float result.
+    """
     k4 = K / 4.0
 
     def div(b, a):
-        # y*a = b  =>  T y = b - a with T y = y - (K/4) b y^+ a, complex-linear
-        # in the complexified quaternion y: T = I - k L_b R_a C, C = diag(1,-1,-1,-1).
-        # With p = a0 b0, d = av.bv, c = av x bv, g = b0 av + a0 bv and
-        # h = b0 av - a0 bv, the matrix M = L_b R_a C has
-        #   Re M = [[p + d, -c^T], [c, -(av bv^T + bv av^T) - (p - d) I]],
-        #   Im M = [[0, g^T], [g, [h]x]],
-        # [h]x the cross-product matrix.  The 8 real unknowns (Re y, Im y)
-        # solve [[R, S], [-S, R]] with R = I - k Re M and S = k Im M.  Below,
-        # a is scaled by k first, so p, d, c, g and h carry the factor k.
         a0, a1, a2, a3 = a
         b0, b1, b2, b3 = b
-        ka1, ka2, ka3 = k4 * a1, k4 * a2, k4 * a3
-        ka0 = k4 * a0
-        p = ka0 * b0
-        d = ka1 * b1 + ka2 * b2 + ka3 * b3
-        c1 = ka2 * b3 - ka3 * b2
-        c2 = ka3 * b1 - ka1 * b3
-        c3 = ka1 * b2 - ka2 * b1
-        g1 = b0 * ka1 + ka0 * b1
-        g2 = b0 * ka2 + ka0 * b2
-        g3 = b0 * ka3 + ka0 * b3
-        h1 = b0 * ka1 - ka0 * b1
-        h2 = b0 * ka2 - ka0 * b2
-        h3 = b0 * ka3 - ka0 * b3
-        diag = 1.0 + (p - d)
-        r = [[1.0 - (p + d), c1, c2, c3],
-             [-c1, diag + 2.0 * (ka1 * b1), ka1 * b2 + b1 * ka2, ka1 * b3 + b1 * ka3],
-             [-c2, ka2 * b1 + b2 * ka1, diag + 2.0 * (ka2 * b2), ka2 * b3 + b2 * ka3],
-             [-c3, ka3 * b1 + b3 * ka1, ka3 * b2 + b3 * ka2, diag + 2.0 * (ka3 * b3)]]
-        s = [[0.0, g1, g2, g3],
-             [g1, 0.0, -h3, h2],
-             [g2, h3, 0.0, -h1],
-             [g3, -h2, h1, 0.0]]
-        mat = ([r[i] + s[i] for i in range(4)] +
-               [[-x for x in s[i]] + r[i] for i in range(4)])
-        rhs = [b0 - a0, 0.0, 0.0, 0.0, 0.0, b1 - a1, b2 - a2, b3 - a3]
-        sol = gsolve(pack_matrix(mat), pack(rhs))
-        # H_R coordinates: real part of the scalar, imaginary parts of i,j,k.
-        return [sol[0], sol[5], sol[6], sol[7]]
+        d0, d1, d2, d3 = b0 - a0, b1 - a1, b2 - a2, b3 - a3
+        s = 1.0 - (k4 * k4) * ((a0 * a0 - (a1 * a1 + a2 * a2 + a3 * a3))
+                               * (b0 * b0 - (b1 * b1 + b2 * b2 + b3 * b3)))
+        if near_zero(s, SINGULAR_DENOM):
+            raise DomainSingularity("QHR right division singular")
+        m0 = b0 * d0 - (b1 * d1 + b2 * d2 + b3 * d3)
+        m1, m2, m3 = d0 * b1 - b0 * d1, d0 * b2 - b0 * d2, d0 * b3 - b0 * d3
+        r1, r2, r3 = b2 * d3 - b3 * d2, b3 * d1 - b1 * d3, b1 * d2 - b2 * d1
+        inv = 1.0 / s
+        return [(d0 + k4 * (m0 * a0 + (m1 * a1 + m2 * a2 + m3 * a3))) * inv,
+                (d1 + k4 * (m0 * a1 + a0 * m1 + (r2 * a3 - r3 * a2))) * inv,
+                (d2 + k4 * (m0 * a2 + a0 * m2 + (r3 * a1 - r1 * a3))) * inv,
+                (d3 + k4 * (m0 * a3 + a0 * m3 + (r1 * a2 - r2 * a1))) * inv]
     return div
 
 

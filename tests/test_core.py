@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopbundle import bundle, core, reconstruct
-from loopbundle.dual import jacobian
+from loopbundle.dual import Dual, jacobian, next_level, pack, primal
 from loopbundle.errors import OutOfDomain
 from loopbundle.report import worst_residual
 from loopbundle.zoo import catalog_names, make_loop
@@ -156,6 +156,14 @@ OPERATIONS = {
 }
 
 
+def _point_forms(point):
+    """One point as a float array, a list of floats, a list of numpy
+    floats and a pack of seeded duals."""
+    lvl = next_level()
+    return [np.array(point, dtype=float), [float(v) for v in point],
+            [np.float64(v) for v in point], pack([Dual(float(v), 1.0, lvl) for v in point])]
+
+
 @pytest.mark.parametrize("name", ALL_LOOPS)
 @pytest.mark.parametrize("op", sorted(OPERATIONS))
 def test_out_of_chart_argument_raises_for_floats_and_duals(name, op):
@@ -163,14 +171,33 @@ def test_out_of_chart_argument_raises_for_floats_and_duals(name, op):
     arity, fn = OPERATIONS[op]
     bad = OUTSIDE[name]
     assert not L.domain_check(bad)
+    good = list(L.sample(np.random.default_rng(5)))
+    zeros = [0.0] * (L.dim - 1)
     for slot in range(arity):
         def call(x):
             args = [list(L.identity)] * arity
             args[slot] = x
             return list(fn(L, *args))
 
-        with pytest.raises(OutOfDomain):
-            call(bad)
+        # every form of a point reads the same coordinates, and the float
+        # forms give the same results bit for bit; a dual quotient
+        # multiplies by the divisor's reciprocal, so a dual's primal result
+        # may differ in the last bits where a closed form divides by it
+        forms = _point_forms(good)
+        for x in forms:
+            assert [primal(v) for v in core._chart_points(L, x)[0]] == good
+        results = [[primal(v) for v in call(x)] for x in forms]
+        assert results[1] == results[0] and results[2] == results[0], results
+        np.testing.assert_allclose(results[3], results[0], rtol=1e-15, atol=1e-15)
+        for out in (bad, [math.nan] + zeros, zeros + [math.inf]):
+            messages = set()
+            # the last form is a batch of two points, the second outside:
+            # it is checked point by point and named as the single point is
+            for x in _point_forms(out) + [np.array([good, out]).T]:
+                with pytest.raises(OutOfDomain) as err:
+                    call(x)
+                messages.add(str(err.value))
+            assert len(messages) == 1, messages
         # a seeded dual argument is checked on its primal coordinates
         with pytest.raises(OutOfDomain):
             jacobian(call, bad)

@@ -260,8 +260,8 @@ def test_gauge_transform_matches_nested_dual_reference(name):
 
 @pytest.mark.parametrize("name", ["qhr:K=1", "qhr:K=0"])
 def test_default_back_transition_on_qhr(name):
-    # The omitted q_back is the right division e / q on jets, which goes
-    # through the object-dtype solve of the qhr right division.
+    # The omitted q_back is the right division e / q on jets, the qhr
+    # closed form.
     L = make_loop(name)
     form = gauge.make_test_potential(L, 2, seed=55, kind="trig")
     q_map, q_back = _test_transition(L, 55)

@@ -225,8 +225,9 @@ def test_rz_divisions_keep_the_float_primal():
 
 @pytest.mark.parametrize("K", [1.0, 0.0, -2.5])
 def test_qhr_right_divisions_keep_the_float_primal(K):
-    # The 8x8 solve of a carrier right division takes its primal from the
-    # float solve, so it equals the float division bit for bit.
+    # The closed form multiplies by the reciprocal of its denominator, as
+    # dual and jet quotients do, so a carrier's primal equals the float
+    # division bit for bit; dividing by the denominator would not.
     L = make_loop(f"qhr:K={K:g}")
     space = jet_space(1)
     rng = np.random.default_rng(3)

@@ -1,15 +1,19 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopbundle import core, zoo
-from loopbundle.dual import Dual, Jet, jacobian, jet_space, primal
+from loopbundle.dual import (Dual, Jet, gsolve, jacobian, jet_space, pack, pack_matrix,
+                             primal)
 from loopbundle.errors import (DomainSingularity, NoSolutionInChart,
                                PoleSingularity, UnknownKind)
 from loopbundle.report import worst_residual
 from loopbundle.zoo import (LoopSpec, catalog_names, chart_inverse, chart_map,
                             make_loop, parse_spec, qsu2_matrix, qsu2_product)
+from test_dual import _assert_parts_close, _carrier_maker
 
 
 def test_catalog_names_build():
@@ -278,6 +282,9 @@ def test_dual_jacobians_match_reference_differences(name):
      "Moebius right division singular"),
     ("qh2", "product", [0.0, 1.0], [0.0, -1.0],
      "Moebius product denominator vanishes"),
+    # y*a = b with s = 1 - (K/4)^2 N(a) N(b) = 1 - 16/16
+    ("qhr:K=1", "right_div", [-2.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+     "QHR right division singular"),
 ])
 def test_singular_inputs_raise(name, op, a, b, message):
     L = make_loop(name)
@@ -286,6 +293,98 @@ def test_singular_inputs_raise(name, op, a, b, message):
     # the dual path checks the same primal denominator
     with pytest.raises(DomainSingularity, match=message):
         jacobian(lambda v: getattr(L, op)(v, b), a)
+
+
+# -- the qhr right division against the 8x8 real system it replaced ---------
+
+def _ref_qhr_right_div_8x8(K):
+    """y*a = b as the 8x8 real linear system, solved by ``gsolve``: its
+    float solve gives the primal and ``carry`` the dual or jet parts."""
+    k4 = K / 4.0
+
+    def div(b, a):
+        # T y = b - a with T y = y - (K/4) b y^+ a, complex-linear in the
+        # complexified quaternion y: T = I - k L_b R_a C, C = diag(1,-1,-1,-1).
+        # With p = a0 b0, d = av.bv, c = av x bv, g = b0 av + a0 bv and
+        # h = b0 av - a0 bv, the matrix M = L_b R_a C has
+        #   Re M = [[p + d, -c^T], [c, -(av bv^T + bv av^T) - (p - d) I]],
+        #   Im M = [[0, g^T], [g, [h]x]],
+        # [h]x the cross-product matrix.  The 8 real unknowns (Re y, Im y)
+        # solve [[R, S], [-S, R]] with R = I - k Re M and S = k Im M.  Below,
+        # a is scaled by k first, so p, d, c, g and h carry the factor k.
+        a0, a1, a2, a3 = a
+        b0, b1, b2, b3 = b
+        ka1, ka2, ka3 = k4 * a1, k4 * a2, k4 * a3
+        ka0 = k4 * a0
+        p = ka0 * b0
+        d = ka1 * b1 + ka2 * b2 + ka3 * b3
+        c1 = ka2 * b3 - ka3 * b2
+        c2 = ka3 * b1 - ka1 * b3
+        c3 = ka1 * b2 - ka2 * b1
+        g1 = b0 * ka1 + ka0 * b1
+        g2 = b0 * ka2 + ka0 * b2
+        g3 = b0 * ka3 + ka0 * b3
+        h1 = b0 * ka1 - ka0 * b1
+        h2 = b0 * ka2 - ka0 * b2
+        h3 = b0 * ka3 - ka0 * b3
+        diag = 1.0 + (p - d)
+        r = [[1.0 - (p + d), c1, c2, c3],
+             [-c1, diag + 2.0 * (ka1 * b1), ka1 * b2 + b1 * ka2, ka1 * b3 + b1 * ka3],
+             [-c2, ka2 * b1 + b2 * ka1, diag + 2.0 * (ka2 * b2), ka2 * b3 + b2 * ka3],
+             [-c3, ka3 * b1 + b3 * ka1, ka3 * b2 + b3 * ka2, diag + 2.0 * (ka3 * b3)]]
+        s = [[0.0, g1, g2, g3],
+             [g1, 0.0, -h3, h2],
+             [g2, h3, 0.0, -h1],
+             [g3, -h2, h1, 0.0]]
+        mat = ([r[i] + s[i] for i in range(4)] +
+               [[-x for x in s[i]] + r[i] for i in range(4)])
+        rhs = [b0 - a0, 0.0, 0.0, 0.0, 0.0, b1 - a1, b2 - a2, b3 - a3]
+        sol = gsolve(pack_matrix(mat), pack(rhs))
+        # H_R coordinates: real part of the scalar, imaginary parts of i,j,k.
+        return [sol[0], sol[5], sol[6], sol[7]]
+    return div
+
+
+@pytest.mark.parametrize("kind", ["dual", "nested2", "nested3", "jet"])
+@pytest.mark.parametrize("K", [1.0, 0.0, -2.5, 4.0])
+def test_qhr_right_division_parts_match_the_8x8_solve(K, kind):
+    # The closed form's primal is the float division bit for bit, and its
+    # dual or jet parts are the solve's, to rounding.
+    rng = random.Random(f"{K}{kind}")
+    make = _carrier_maker(kind, rng)
+    L = make_loop(f"qhr:K={K:g}")
+    ref = _ref_qhr_right_div_8x8(K)
+    nrng = np.random.default_rng(rng.randrange(2 ** 32))
+    for _ in range(20):
+        a, b = list(L.sample(nrng)), list(L.sample(nrng))
+        want = L.right_div(b, a)
+        ac = [make(v) if rng.random() < 0.5 else v for v in a]
+        bc = [make(v) if rng.random() < 0.5 else v for v in b]
+        i = rng.randrange(4)
+        bc[i] = make(b[i])
+        got = L.right_div(bc, ac)
+        assert [primal(v) for v in got] == want
+        for g, w in zip(got, ref(bc, ac)):
+            _assert_parts_close(g, w)
+
+
+cube = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-4.0, 4.0), st.lists(cube, min_size=8, max_size=8))
+def test_qhr_right_division_round_trips_or_raises_at_its_singular_set(K, xs):
+    L = make_loop(f"qhr:K={K!r}")
+    radius = min(0.4, 0.8 / math.sqrt(1.0 + abs(K)))
+    a, b = [radius * x for x in xs[:4]], [radius * x for x in xs[4:]]
+    norm = lambda p: p[0] ** 2 - (p[1] ** 2 + p[2] ** 2 + p[3] ** 2)
+    s = 1.0 - (K / 4.0) ** 2 * norm(a) * norm(b)
+    try:
+        y = L.right_div(b, a)
+    except DomainSingularity:
+        assert abs(s) < 1e-9
+        return
+    assert max(abs(u - v) for u, v in zip(L.product(y, a), b)) < 1e-13
 
 
 # -- composites against compositions of the reference formulas --------------
