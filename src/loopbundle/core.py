@@ -72,13 +72,16 @@ def _chart_points(L, *points):
     element by element: the checks are scalar, so on arrays they raise
     TypeError (``math.hypot``) or ValueError (the truth of an array).
     A point without duals or jets comes back as the coordinates the check
-    read, sparing the closed forms numpy scalars.  Composites in other
-    modules use this too.
+    read, sparing the closed forms numpy scalars.  A point whose length
+    (coordinate rows, for a batch) is not ``L.dim`` is outside the domain.
+    Composites in other modules use this too.
     """
     out = []
     for p in points:
         floats = p.__class__ is np.ndarray and p.ndim == 1 and p.dtype.kind == "f"
         p = p.tolist() if floats else list(p)
+        if len(p) != L.dim:
+            raise OutOfDomain(f"{L.name}: point {np.asarray(p)} is not of dimension {L.dim}")
         coords = p if floats else [primal(v) for v in p]
         try:
             bad = None if L.domain_check(coords) else coords

@@ -1,4 +1,4 @@
-"""Forward-mode automatic differentiation: level-tagged dual numbers and
+"""Forward-mode automatic differentiation: first-order dual numbers and
 truncated Taylor jets.
 
 Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
@@ -12,13 +12,12 @@ Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
   that Jacobian's first and second derivatives in a (``taylor_frame``):
   the coefficients of the monomials alpha^p beta^q with |p| <= 2 and
   |q| <= 1.  Higher monomials are truncated.
-- ``Dual`` gives the first derivatives from one dual level: one
-  directional pass (``dirderiv``) where a derivative is applied to one
-  vector (pushforwards, the canonical form, the Lie-equation velocity,
-  the connection form and the gauge fields), a ``jacobian`` where the
-  full matrix is needed (frames, Ad and associator differentials, a
-  gauge-transformed potential).  Levels still nest, which the tests'
-  nested-dual reference routes use; no library route does.
+- ``Dual`` gives the first derivatives in one pass: one directional pass
+  (``dirderiv``) where a derivative is applied to one vector
+  (pushforwards, the canonical form, the Lie-equation velocity, the
+  connection form and the gauge fields), a ``jacobian`` where the full
+  matrix is needed (frames, Ad and associator differentials, a
+  gauge-transformed potential).
 
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.
@@ -33,28 +32,22 @@ a batched pass is bit-identical to the pass at point i alone.  A
 element.  Numpy reports invalid and overflowing elements, which floats
 pass silently, so batched passes run under ``quiet``.
 
+Nesting.  ``Dual`` passes do not nest: ``seed`` raises TypeError on a
+coordinate that is already a ``Dual``, and a ``Dual`` that a function
+captures inside another pass goes undetected and gives a wrong
+derivative.  A caller that nests brings a leveled carrier, a subclass of
+``Dual`` (the tests' references do), whose passes enclose the library's:
+to a pass here it is a constant, and ``gsin``/``gcos`` ask it (``_trig``).
+
 Solves.  One rule, ``carry``, takes derivatives through a solve: the float
 solve gives the primal and simplified Newton steps the dual or jet parts.
-The ``rz`` divisions, the only divisions without a closed form, use it;
-so does ``gsolve`` on carriers.
-
-Level dispatch.  The parts of a level-``k`` dual are numbers or duals of
-lower levels.  A binary operator on two duals compares their levels: at
-equal levels it combines the ``re`` and ``du`` parts; otherwise the
-lower-level operand is a constant with respect to the higher epsilon, and
-the result has the higher level.  A constant still enters the derivative
-part as an explicit zero (``du + 0.0``, ``ar * 0.0 + ad * b``, ...), the
-same operations the generic rule "split both operands at the higher
-level" performs.  Those zero terms carry NaN and inf from the constant
-into the derivative and fix the sign of zero results, so every result and
-every constructed node is bit-identical to that generic rule;
-``tests/test_dual.py`` keeps it as the reference.
+The ``rz`` divisions, the only divisions without a closed form, use it.
 
 Seeding.  ``seed`` (and so ``jacobian`` and ``dirderiv``, which call it)
-wraps only the coordinates whose direction entry is nonzero or a dual; a
-coordinate with a plain zero direction stays the number or lower-level
-dual it was.  The derivative terms it would have fed are exact zeros that
-dense seeding (every coordinate a dual) computed as ``0.0 * x`` terms.
+wraps only the coordinates whose direction entry is not a plain zero; a
+coordinate with a zero direction stays the number (or the caller's
+carrier) it was.  The derivative terms it would have fed are exact zeros
+that dense seeding (every coordinate a dual) computed as ``0.0 * x`` terms.
 Results can differ from dense seeding only in
 - the sign of a zero derivative part;
 - a derivative part that dense seeding made NaN because a NaN or inf in an
@@ -73,102 +66,72 @@ import math
 import numpy as np
 
 _NUMBERS = (int, float, np.floating, np.integer)
-# Operands a Dual combines with as constants: numbers and batch arrays.
-_CONSTANTS = _NUMBERS + (np.ndarray,)
 
 
 class Dual:
-    """Number ``re + du*eps`` with ``eps**2 == 0``.
+    """Number ``re + du*eps`` with ``eps**2 == 0``: one first-order pass.
 
-    Each epsilon carries a level tag; distinct levels are independent
-    nilpotents, so nesting ``jacobian`` calls gives exact higher
-    derivatives (mixed terms like ``eps1*eps2`` are kept, not dropped).
     ``re`` and ``du`` may be float arrays of one batch shape, and so may a
-    constant operand (see the module docstring).
+    constant operand (see the module docstring).  So may a ``Dual`` of
+    another class, a caller's leveled carrier.
     """
 
+    # Only the benchmark tracer's replacement __init__ writes ``lvl``.
     __slots__ = ("re", "du", "lvl")
     __array_ufunc__ = None  # numpy operands defer to the reflected operators
 
-    def __init__(self, re, du=0.0, lvl=0):
+    def __init__(self, re, du=0.0):
         self.re = re
         self.du = du
-        self.lvl = lvl
 
     def __add__(self, other):
         if other.__class__ is Dual:
-            lvl, olvl = self.lvl, other.lvl
-            if lvl == olvl:
-                return Dual(self.re + other.re, self.du + other.du, lvl)
-            if lvl > olvl:
-                return Dual(self.re + other, self.du + 0.0, lvl)
-            return Dual(self + other.re, 0.0 + other.du, olvl)
+            return Dual(self.re + other.re, self.du + other.du)
         if isinstance(other, _CONSTANTS):
-            return Dual(self.re + other, self.du, self.lvl)
+            return Dual(self.re + other, self.du)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is Dual:
-            lvl, olvl = self.lvl, other.lvl
-            if lvl == olvl:
-                return Dual(self.re - other.re, self.du - other.du, lvl)
-            if lvl > olvl:
-                return Dual(self.re - other, self.du - 0.0, lvl)
-            return Dual(self - other.re, 0.0 - other.du, olvl)
+            return Dual(self.re - other.re, self.du - other.du)
         if isinstance(other, _CONSTANTS):
-            return Dual(self.re - other, self.du, self.lvl)
+            return Dual(self.re - other, self.du)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _CONSTANTS):
-            return Dual(other - self.re, -self.du, self.lvl)
+            return Dual(other - self.re, -self.du)
         return NotImplemented
 
     def __mul__(self, other):
         if other.__class__ is Dual:
-            lvl, olvl = self.lvl, other.lvl
-            if lvl == olvl:
-                ar, br = self.re, other.re
-                return Dual(ar * br, ar * other.du + self.du * br, lvl)
-            if lvl > olvl:
-                ar = self.re
-                return Dual(ar * other, ar * 0.0 + self.du * other, lvl)
-            br = other.re
-            return Dual(self * br, self * other.du + 0.0 * br, olvl)
+            ar, br = self.re, other.re
+            return Dual(ar * br, ar * other.du + self.du * br)
         if isinstance(other, _CONSTANTS):
-            return Dual(self.re * other, self.du * other, self.lvl)
+            return Dual(self.re * other, self.du * other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.__class__ is Dual:
-            lvl, olvl = self.lvl, other.lvl
-            if lvl == olvl:
-                inv = _reciprocal(other.re)
-                q = self.re * inv
-                return Dual(q, (self.du - q * other.du) * inv, lvl)
-            if lvl > olvl:
-                inv = _reciprocal(other)
-                q = self.re * inv
-                return Dual(q, (self.du - q * 0.0) * inv, lvl)
-            inv = _reciprocal(other.re)
-            q = self * inv
-            return Dual(q, (0.0 - q * other.du) * inv, olvl)
+            inv = 1.0 / other.re
+            q = self.re * inv
+            return Dual(q, (self.du - q * other.du) * inv)
         if isinstance(other, _CONSTANTS):
-            return Dual(self.re / other, self.du / other, self.lvl)
+            return Dual(self.re / other, self.du / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, _CONSTANTS):
-            inv = _reciprocal(self)
-            return inv * other
+            inv = 1.0 / self.re
+            return Dual(inv, -(self.du * inv) * inv) * other
         return NotImplemented
 
     def __neg__(self):
-        return Dual(-self.re, -self.du, self.lvl)
+        return Dual(-self.re, -self.du)
 
     def __pos__(self):
         return self
@@ -182,20 +145,19 @@ class Dual:
         return out
 
     def __repr__(self):
-        return f"Dual({self.re!r}, {self.du!r}, lvl={self.lvl})"
+        return f"Dual({self.re!r}, {self.du!r})"
 
 
-def _reciprocal(x):
-    if x.__class__ is not Dual:
-        return 1.0 / x
-    inv = _reciprocal(x.re)
-    return Dual(inv, -(x.du * inv) * inv, x.lvl)
+# Operands a Dual combines with as constants: numbers, batch arrays and a
+# caller's carrier (a Dual of another class).
+_CONSTANTS = _NUMBERS + (np.ndarray, Dual)
 
 
 def has_dual(xs):
-    """Whether any entry of ``xs`` is a dual or a jet; batch arrays are not."""
+    """Whether any entry of ``xs`` is a carrier: a dual of any class or a
+    jet, not a batch array.  A float, the common entry, is ruled out first."""
     for x in xs:
-        if x.__class__ in _CARRIERS:
+        if x.__class__ is not float and isinstance(x, _CARRIERS):
             return True
     return False
 
@@ -235,13 +197,15 @@ def gsin(x):
         return x._trig(0)
     try:
         return math.sin(x)
-    except TypeError:  # a dual or a batch array
+    except TypeError:  # a dual, a caller's carrier or a batch array
         pass
     except ValueError:  # inf; NaN, as math.sin(nan) is
         return math.nan
-    if isinstance(x, Dual):
-        return Dual(gsin(x.re), gcos(x.re) * x.du, x.lvl)
-    return np.sin(x)
+    if x.__class__ is Dual:
+        return Dual(gsin(x.re), gcos(x.re) * x.du)
+    if x.__class__ is np.ndarray:
+        return np.sin(x)
+    return x._trig(0)
 
 
 def gcos(x):
@@ -249,13 +213,15 @@ def gcos(x):
         return x._trig(1)
     try:
         return math.cos(x)
-    except TypeError:  # a dual or a batch array
+    except TypeError:  # a dual, a caller's carrier or a batch array
         pass
     except ValueError:  # inf; NaN, as math.cos(nan) is
         return math.nan
-    if isinstance(x, Dual):
-        return Dual(gcos(x.re), -gsin(x.re) * x.du, x.lvl)
-    return np.cos(x)
+    if x.__class__ is Dual:
+        return Dual(gcos(x.re), -gsin(x.re) * x.du)
+    if x.__class__ is np.ndarray:
+        return np.cos(x)
+    return x._trig(1)
 
 
 def gfloor(x):
@@ -303,32 +269,24 @@ def floats_if_plain(a):
         return a
 
 
-_fresh_level = itertools.count(1)
-
-
-def next_level():
-    """Allocate a fresh epsilon level for a new differentiation pass."""
-    return next(_fresh_level)
-
-
-def seed(x, direction, lvl=None):
+def seed(x, direction):
     """Attach dual parts along ``direction`` to the vector ``x``.
 
     A coordinate whose direction entry is a plain number equal to zero is
     returned unchanged (the same object), so no dual arithmetic is spent on
-    it; see the module docstring for what that can change.
+    it; see the module docstring for what that can change.  A coordinate
+    that is already a ``Dual`` raises TypeError: passes do not nest.
     """
-    if lvl is None:
-        lvl = next_level()
-    return [xi if vi.__class__ is not Dual and vi == 0.0 else Dual(xi, vi, lvl)
-            for xi, vi in zip(x, direction)]
+    for xi in x:
+        if xi.__class__ is Dual:
+            raise TypeError("a Dual pass does not nest: a coordinate is already a Dual")
+    return [xi if vi == 0.0 else Dual(xi, vi) for xi, vi in zip(x, direction)]
 
 
-def dual_parts(ys, lvl=None):
-    """Extract derivatives with respect to the level-``lvl`` epsilon."""
-    if lvl is None:
-        return [y.du if isinstance(y, Dual) else 0.0 for y in ys]
-    return [y.du if isinstance(y, Dual) and y.lvl == lvl else 0.0 for y in ys]
+def dual_parts(ys):
+    """The derivative parts of a pass's outputs; an output that is not a
+    ``Dual`` (a number, a caller's carrier) contributes 0."""
+    return [y.du if y.__class__ is Dual else 0.0 for y in ys]
 
 
 def dirderiv(f, x, v):
@@ -338,23 +296,18 @@ def dirderiv(f, x, v):
     the derivative at every batch point, and column i is the pass at
     point i.
     """
-    lvl = next_level()
-    return pack(dual_parts(f(seed(list(x), list(v), lvl)), lvl))
+    return pack(dual_parts(f(seed(list(x), list(v)))))
 
 
 def jacobian(f, x):
     """Jacobian matrix of ``f: R^n -> R^m`` at ``x`` (one dual seed per column).
 
-    Entries of ``x`` may already be dual; each seed gets a fresh epsilon
-    level, so nesting jacobians gives exact mixed second derivatives.
+    Entries of ``x`` may be a caller's leveled carrier, not a ``Dual``.
     """
     x = list(x)
     n = len(x)
-    cols = []
-    for i in range(n):
-        direction = [1.0 if j == i else 0.0 for j in range(n)]
-        lvl = next_level()
-        cols.append(dual_parts(f(seed(x, direction, lvl)), lvl))
+    cols = [dual_parts(f(seed(x, [1.0 if j == i else 0.0 for j in range(n)])))
+            for i in range(n)]
     m = len(cols[0])
     return pack_matrix([[cols[j][i] for j in range(n)] for i in range(m)])
 
@@ -376,61 +329,38 @@ def gmatmul(a, b):
 
 
 def carry(root, residual, solve0):
-    """The root (a list) of residual(y) = 0 with the parts of the duals or
-    jets that ``residual`` closes over, given the float ``root``.
+    """The root (a list) of residual(y) = 0 with the parts of the carriers
+    that ``residual`` closes over, given the float ``root``.
 
-    ``JET_DEGREE`` simplified Newton steps y <- y - solve0(residual(y)),
-    ``solve0`` the inverse float Jacobian at ``root``, each gain one Taylor
-    order (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
-    ch. 13): exact for degree-3 jets and duals nested 3 deep.  ``root`` then
-    replaces the primal, which the steps can move by rounding."""
+    Simplified Newton steps y <- y - solve0(residual(y)), ``solve0`` the
+    inverse float Jacobian at ``root``, each gain one Taylor order
+    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+    ch. 13), so the residual's order (:func:`_order`) sets their number.
+    ``root`` then replaces the primal, which the steps can move by rounding."""
     ys = list(root)
-    for _ in range(JET_DEGREE):
-        ys = [y - d for y, d in zip(ys, solve0(residual(ys)))]
+    rs = residual(ys)
+    for step in range(max(map(_order, rs)), 0, -1):
+        ys = [y - d for y, d in zip(ys, solve0(rs))]
+        if step > 1:
+            rs = residual(ys)
     return [(y - primal(y)) + r for y, r in zip(ys, root)]
 
 
+def _order(x):
+    """The Taylor order of a carrier: 1 for a ``Dual`` over floats, the
+    depth of a leveled carrier's tree of parts, ``JET_DEGREE`` for a jet."""
+    if isinstance(x, Dual):
+        return 1 + max(_order(x.re), _order(x.du))
+    return JET_DEGREE if x.__class__ is Jet else 0
+
+
 def gsolve(a, b):
-    """Solve ``a @ x = b``; entries may be duals or jets.
-
-    ``b`` may be a vector or a matrix of right-hand sides.  With duals or
-    jets the float solve gives the primal, and :func:`carry` the parts.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype != object and b.dtype != object:
-        return np.linalg.solve(a, b)
-    floats = np.vectorize(primal, otypes=[float])
-    a0 = floats(a)
-    x0 = np.linalg.solve(a0, floats(b)).reshape(len(b), -1)
-    inv0 = np.linalg.inv(a0)
-    rows = a.tolist()
-    cols = [carry(xk, lambda x: [gdot(row, x) - bi for row, bi in zip(rows, bk)],
-                  lambda r: _float_matvec(inv0, r))
-            for xk, bk in zip(x0.T.tolist(), b.reshape(len(b), -1).T.tolist())]
-    out = pack_matrix(list(zip(*cols)))
-    return out[:, 0] if b.ndim == 1 else out
-
-
-def _float_matvec(m, xs):
-    """m @ xs for a float matrix and a list of numbers, duals or jets: the
-    float product of each part, split at the highest dual level."""
-    lvl = max((x.lvl for x in xs if x.__class__ is Dual), default=None)
-    if lvl is not None:
-        re, du = zip(*[(x.re, x.du) if x.__class__ is Dual and x.lvl == lvl else (x, 0.0)
-                       for x in xs])
-        return [Dual(r, d, lvl) for r, d in zip(_float_matvec(m, re), _float_matvec(m, du))]
-    jet = next((x for x in xs if x.__class__ is Jet), None)
-    if jet is not None:
-        one = np.eye(1, jet.space.size)[0]
-        c = np.array([x.c if x.__class__ is Jet else x * one for x in xs])
-        return [Jet(row, jet.space) for row in m @ c]
-    return (m @ np.array(xs, dtype=float)).tolist()
+    """Solve ``a @ x = b`` on floats; ``b`` may be a vector or a matrix."""
+    return np.linalg.solve(a, b)
 
 
 def ginv(a):
-    a = np.asarray(a)
-    return np.linalg.inv(a) if a.dtype != object else gsolve(a, np.eye(len(a)))
+    return np.linalg.inv(a)
 
 
 # -- Taylor jets ---------------------------------------------------------------

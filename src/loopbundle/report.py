@@ -112,9 +112,13 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        """Reject a sample count or tolerance that is not positive (or NaN)."""
+        """Reject a sample count or tolerance that is not positive (or NaN),
+        and a tolerance name that no case reads."""
         if self.samples <= 0:
             raise ValueError("samples must be positive")
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ValueError(f"unknown tolerance name: {', '.join(map(repr, unknown))}")
         if not all(t > 0 for t in self.tolerances.values()):
             raise ValueError("tolerances must be positive")
 

@@ -41,7 +41,8 @@ def pushforward_right(L, b, v):
 def left_frame_matrix(L, a):
     """Frame columns Gamma_i = (L_a)_* e_i as a dim x dim matrix.
 
-    Accepts dual entries in ``a``.
+    Accepts a caller's leveled carrier in ``a``; this pass would capture a
+    ``Dual`` undetected and give a wrong derivative (see :mod:`dual`).
     """
     return jacobian(lambda b: list(core.product(L, a, b)), list(L.identity))
 
@@ -49,7 +50,8 @@ def left_frame_matrix(L, a):
 def right_frame_matrix(L, y):
     """Right-frame columns: the differential of a -> a.y at the identity.
 
-    Accepts dual entries in ``y``.
+    Accepts a caller's leveled carrier in ``y``; this pass would capture a
+    ``Dual`` undetected and give a wrong derivative (see :mod:`dual`).
     """
     return jacobian(lambda a: list(core.product(L, a, y)), list(L.identity))
 

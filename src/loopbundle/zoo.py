@@ -111,7 +111,7 @@ def _rz_solve(x, target):
         y, t = np.array([_rz_root(*xt) for xt in zip(xs.tolist(), ts.tolist())]).T
     else:
         y, t = _rz_root(x0, t0)
-    if x.__class__ in _CARRIERS or target.__class__ in _CARRIERS:
+    if isinstance(x, _CARRIERS) or isinstance(target, _CARRIERS):
         shifted = target + (t - t0)
         gp = 1.0 + _rz_fprime(y) - _rz_fprime(x0 + y)
         y, = carry([y], lambda ys: [ys[0] + _rz_f(ys[0]) - _rz_f(x + ys[0]) - shifted],

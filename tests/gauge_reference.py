@@ -3,7 +3,8 @@
 curvature, the gauge transformation and the curvature in another
 trivialization, the form on combined coordinates, the field bracket and
 the curvature of two horizontal fields.  They differentiate by nesting
-``dirderiv`` and ``jacobian`` and solve with the object-dtype ``gsolve``.
+leveled passes (``ref_dirderiv`` and ``ref_jacobian``) around the
+library's, and solve with ``ref_gsolve``.
 
 The matrix forms of the connection form and of the horizontal and
 fundamental fields, which build the Ad^-1 differential and the left frame
@@ -14,7 +15,9 @@ passes.
 import numpy as np
 
 from loopbundle import core, gauge, tangent
-from loopbundle.dual import dirderiv, ginv, gsolve, jacobian, pack, primal
+from loopbundle.dual import jacobian, pack, primal
+
+from leveled_dual import ref_dirderiv, ref_gsolve, ref_jacobian
 
 
 def _floats(m):
@@ -25,23 +28,23 @@ def covariant_derivative_apply(form, mu, f, x, y):
     """(D_mu f)(x, y) = (d_mu f) - A^i_mu(x) (Lbar_i f); accepts duals."""
     db = form.potential.base_dim
     ex = [1.0 if k == mu else 0.0 for k in range(db)]
-    d_base = dirderiv(lambda xs: [f(xs, list(y))], list(x), ex)[0]
+    d_base = ref_dirderiv(lambda xs: [f(xs, list(y))], list(x), ex)[0]
     rbar = tangent.right_frame_matrix(form.fiber, list(y))
     a = np.asarray(form.potential.A(list(x)))
     vy = np.asarray(rbar) @ a[:, mu]
-    d_fiber = dirderiv(lambda ys: [f(list(x), ys)], list(y), list(vy))[0]
+    d_fiber = ref_dirderiv(lambda ys: [f(list(x), ys)], list(y), list(vy))[0]
     return d_base - d_fiber
 
 
 def curvature(form, x, y, side="right"):
-    """F^i_{mu nu}(x; y) from a dual Jacobian of the potential, with the
-    structure functions of the frame on ``side``."""
+    """F^i_{mu nu}(x; y) from a leveled Jacobian of the potential, with
+    the structure functions of the frame on ``side``."""
     L = form.fiber
     db = form.potential.base_dim
     nf = L.dim
     a = np.asarray(form.potential.A(list(x)), dtype=float)
-    flat = jacobian(lambda xs: list(np.asarray(form.potential.A(xs)).reshape(-1)),
-                    [float(v) for v in x])
+    flat = ref_jacobian(lambda xs: list(np.asarray(form.potential.A(xs)).reshape(-1)),
+                        [float(v) for v in x])
     da = _floats(flat).reshape(nf, db, db)  # da[i][mu][nu] = d_nu A^i_mu
     c = tangent.structure_tensor_raw(L, y, side=side)
     f = np.zeros((nf, db, db))
@@ -67,7 +70,7 @@ def commutator_residual(form, mu, nu, f, x, y, side="right"):
     rbar = _floats(tangent.right_frame_matrix(L, list(y)))
     correction = 0.0
     for i in range(L.dim):
-        lbar_f = dirderiv(lambda ys: [f(list(x), ys)], list(y), list(rbar[:, i]))[0]
+        lbar_f = ref_dirderiv(lambda ys: [f(list(x), ys)], list(y), list(rbar[:, i]))[0]
         correction = correction + fcur[i, mu, nu] * primal(lbar_f)
     return abs(primal(comm) + correction)
 
@@ -76,7 +79,7 @@ def canonical_pullback(L, q_map, x):
     """theta^i_mu(x): pullback of the canonical form along ``q_map``."""
     dq = jacobian(lambda xs: list(q_map(xs)), list(x))
     frame = tangent.left_frame_matrix(L, list(q_map(list(x))))
-    return gsolve(frame, np.asarray(dq))
+    return ref_gsolve(frame, np.asarray(dq))
 
 
 def gauge_transform(form, q_map, q_back=None):
@@ -110,7 +113,7 @@ def gauge_transform_via_global(form, q_map):
         dq = jacobian(lambda xx: list(q_map(xx)), list(xs))
         frame = tangent.left_frame_matrix(L, yq)
         return (adinv @ np.asarray(form.potential.A(list(xs)))
-                + gsolve(frame, np.asarray(dq)))
+                + ref_gsolve(frame, np.asarray(dq)))
 
     pot = gauge.GaugePotential(chart=form.potential.chart + "'", A=a_new,
                                base_dim=form.potential.base_dim)
@@ -136,7 +139,7 @@ def omega_matrices(form, x, y):
     Ad^-1_y(e)_* A(x) and the inverse of the left frame at y."""
     L = form.fiber
     dx_block = gauge.ad_inverse_matrix(L, y) @ np.asarray(form.potential.A(list(x)))
-    dy_block = ginv(tangent.left_frame_matrix(L, list(y)))
+    dy_block = ref_gsolve(tangent.left_frame_matrix(L, list(y)), np.eye(L.dim))
     return dx_block, dy_block
 
 
@@ -186,8 +189,8 @@ def omega_of(form, z, v):
 
 def field_bracket(f, g):
     def bracket(z):
-        return (dirderiv(lambda zz: list(g(zz)), list(z), list(f(z)))
-                - dirderiv(lambda zz: list(f(zz)), list(z), list(g(z))))
+        return (ref_dirderiv(lambda zz: list(g(zz)), list(z), list(f(z)))
+                - ref_dirderiv(lambda zz: list(f(zz)), list(z), list(g(z))))
     return bracket
 
 

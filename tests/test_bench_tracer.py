@@ -1,8 +1,9 @@
 """The benchmark tracer (loopbench/tracer.py) looks up library functions
 by name and patches ``Dual.__init__``; removing a name it needs, or a
 ``Dual`` slot it sets, breaks the benchmark, whose own tests are not
-collected here.  Install it, trace a few calls and uninstall it to catch
-that early."""
+collected here.  The ``lvl`` slot, which no library code reads, and
+``gsolve``, ``ginv``, ``gmatvec`` and ``gmatmul`` are kept for it.
+Install it, trace a few calls and uninstall it to catch that early."""
 
 import importlib.util
 from pathlib import Path

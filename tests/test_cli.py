@@ -148,6 +148,27 @@ def test_bad_tolerance_is_usage_error(capsys):
         assert "tolerances must be positive" in capsys.readouterr().err
 
 
+def test_misspelt_tolerance_name_is_usage_error(capsys):
+    for flag in ("--tol.jacobbi=1e-30", "--tol.=1"):
+        code = run(["verify", "--loop", "qc", "--suite", "jacobi", "--samples", "3", flag])
+        assert code == 2
+        assert "unknown tolerance name" in capsys.readouterr().err
+
+
+def test_misspelt_tolerance_name_in_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("loop = qc\nsamples = 3\ntol.jacobbi = 1e-30\n")
+    assert run(["verify", "--suite", "jacobi", "--config", str(cfg)]) == 2
+    assert "unknown tolerance name: 'jacobbi'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a,b", [("0.1", "0.3,-0.1"), ("0.1,0.2,0.3", "0.3,-0.1")])
+def test_reconstruct_point_of_wrong_dimension_is_usage_error(capsys, a, b):
+    assert run(["reconstruct", "--loop", "qc", "--a", a, "--b", b]) == 2
+    captured = capsys.readouterr()
+    assert "is not of dimension 2" in captured.err and not captured.out
+
+
 def test_bundle_check_unknown_atlas(capsys):
     assert run(["bundle-check", "--atlas", "torus"]) == 2
 

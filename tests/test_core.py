@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopbundle import bundle, core, reconstruct
-from loopbundle.dual import Dual, jacobian, next_level, pack, primal
+from loopbundle.dual import Dual, jacobian, pack, primal
 from loopbundle.errors import OutOfDomain
 from loopbundle.report import worst_residual
 from loopbundle.zoo import catalog_names, make_loop
@@ -159,9 +159,8 @@ OPERATIONS = {
 def _point_forms(point):
     """One point as a float array, a list of floats, a list of numpy
     floats and a pack of seeded duals."""
-    lvl = next_level()
     return [np.array(point, dtype=float), [float(v) for v in point],
-            [np.float64(v) for v in point], pack([Dual(float(v), 1.0, lvl) for v in point])]
+            [np.float64(v) for v in point], pack([Dual(float(v), 1.0) for v in point])]
 
 
 @pytest.mark.parametrize("name", ALL_LOOPS)
@@ -198,6 +197,11 @@ def test_out_of_chart_argument_raises_for_floats_and_duals(name, op):
                     call(x)
                 messages.add(str(err.value))
             assert len(messages) == 1, messages
+        # a point, or a batch, with a coordinate too few or too many
+        for out in (good[:-1], good + [0.0]):
+            for x in _point_forms(out) + [np.array([out, out]).T]:
+                with pytest.raises(OutOfDomain, match=f"is not of dimension {L.dim}"):
+                    call(x)
         # a seeded dual argument is checked on its primal coordinates
         with pytest.raises(OutOfDomain):
             jacobian(call, bad)

@@ -6,21 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopbundle import zoo
-from loopbundle.dual import (Dual, Jet, dirderiv, dual_parts, gcos, ginv, gsin,
-                             gsolve, jacobian, jet_space, next_level, pack, pack_matrix,
-                             primal, seed)
+from loopbundle.dual import (Dual, dirderiv, dual_parts, gcos, ginv, gsin,
+                             gsolve, jacobian, pack, primal, seed)
+from leveled_dual import (RefDual, _assert_parts_close, _carrier_maker,
+                          _coefficients, next_level, ref_dirderiv, ref_gsolve,
+                          ref_jacobian)
 
 
 def test_arithmetic_first_derivatives():
-    x = Dual(2.0, 1.0, lvl=next_level())
+    x = Dual(2.0, 1.0)
     y = x * x * x - 4.0 * x + 1.0
     assert y.re == pytest.approx(1.0)
     assert y.du == pytest.approx(3 * 4.0 - 4.0)
 
 
 def test_division_derivative():
-    lvl = next_level()
-    x = Dual(3.0, 1.0, lvl)
+    x = Dual(3.0, 1.0)
     y = 1.0 / x
     assert y.re == pytest.approx(1.0 / 3.0)
     assert y.du == pytest.approx(-1.0 / 9.0)
@@ -34,23 +35,37 @@ def test_division_derivative():
 ])
 def test_scalar_functions(fn, ref, dref):
     t = 0.7
-    out = fn(Dual(t, 1.0, next_level()))
-    assert out.re == pytest.approx(ref(t), abs=1e-14)
-    assert out.du == pytest.approx(dref(t), abs=1e-14)
+    for x in (Dual(t, 1.0), RefDual(t, 1.0, next_level())):
+        out = fn(x)
+        assert out.__class__ is x.__class__
+        assert out.re == pytest.approx(ref(t), abs=1e-14)
+        assert out.du == pytest.approx(dref(t), abs=1e-14)
 
 
 def test_nested_levels_mixed_second_derivative():
     # f(x, y) = x^2 y; d2f/dxdy = 2x, which an untagged dual would drop.
+    # The outer epsilon is the leveled carrier's; the library pass is inside.
     def inner(x, y):
         return x * x * y
 
-    outer_lvl = next_level()
-    x = Dual(1.5, 1.0, outer_lvl)
+    x = RefDual(1.5, 1.0, next_level())
     col = jacobian(lambda ys: [inner(x, ys[0])], [2.0])
     entry = col[0][0]  # df/dy carrying the outer epsilon
     assert primal(entry) == pytest.approx(1.5 ** 2)
-    assert isinstance(entry, Dual)
+    assert isinstance(entry, RefDual)
     assert entry.du == pytest.approx(2 * 1.5)
+
+
+def test_library_pass_inside_a_library_pass_raises():
+    f = lambda v: [v[0] * v[0] * v[1]]
+    inner = lambda v: list(jacobian(f, v).reshape(-1))
+    with pytest.raises(TypeError, match="does not nest"):
+        jacobian(inner, [1.5, 2.0])
+    with pytest.raises(TypeError, match="does not nest"):
+        dirderiv(inner, [1.5, 2.0], [1.0, 0.0])
+    # the same nesting with the outer pass leveled gives d2f/dx dy = 2x
+    hess = ref_jacobian(inner, [1.5, 2.0])
+    assert np.asarray(hess, dtype=float)[1, 0] == 3.0
 
 
 def test_jacobian_plain():
@@ -69,11 +84,12 @@ def test_dirderiv_matches_jacobian_action():
 
 
 def test_dual_parts_ignores_other_levels():
-    lvl_a = next_level()
-    lvl_b = next_level()
-    xs = seed([1.0, 2.0], [1.0, 0.0], lvl_a)
-    assert dual_parts(xs, lvl_b) == [0.0, 0.0]
-    assert dual_parts(xs, lvl_a) == [1.0, 0.0]
+    # A leveled carrier's epsilon is another level: an output that did not
+    # reach the library pass contributes 0, not the carrier's part.
+    outer = RefDual(1.0, 5.0, next_level())
+    xs = seed([outer, 2.0], [1.0, 0.0])
+    assert dual_parts([outer, 2.0]) == [0.0, 0.0]
+    assert dual_parts(xs) == [1.0, 0.0]
 
 
 def test_gsolve_matches_numpy_and_propagates_duals():
@@ -82,16 +98,16 @@ def test_gsolve_matches_numpy_and_propagates_duals():
     b = rng.standard_normal(3)
     assert np.allclose(gsolve(a, b), np.linalg.solve(a, b))
 
-    # derivative of solve(A(t), b) by duals vs the closed form -A^-1 A' A^-1 b
-    lvl = next_level()
+    # derivative of solve(A(t), b) by the references' carrier solve vs the
+    # closed form -A^-1 A' A^-1 b
     at = np.empty((2, 2), dtype=object)
     a0 = np.array([[2.0, 1.0], [0.5, 3.0]])
     da = np.array([[1.0, 0.0], [0.0, -1.0]])
     for i in range(2):
         for j in range(2):
-            at[i, j] = Dual(a0[i, j], da[i, j], lvl)
+            at[i, j] = Dual(a0[i, j], da[i, j])
     b2 = np.array([1.0, 2.0])
-    sol = gsolve(at, b2)
+    sol = ref_gsolve(at, b2)
     expect = -np.linalg.inv(a0) @ da @ np.linalg.solve(a0, b2)
     got = np.array([s.du for s in sol])
     assert np.allclose(got, expect)
@@ -103,16 +119,15 @@ def test_ginv_dual_free():
 
 
 def test_pack_keeps_duals():
-    lvl = next_level()
-    out = pack([Dual(1.0, 2.0, lvl), 3.0])
-    assert out.dtype == object
-    assert primal(out[0]) == 1.0
+    for x in (Dual(1.0, 2.0), RefDual(1.0, 2.0, next_level())):
+        out = pack([x, 3.0])
+        assert out.dtype == object
+        assert primal(out[0]) == 1.0
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_product_rule(a, b, t):
-    lvl = next_level()
-    x = Dual(t, 1.0, lvl)
+    x = Dual(t, 1.0)
     f = a * x + b
     g = x * x + 1.0
     h = f * g
@@ -121,105 +136,11 @@ def test_product_rule(a, b, t):
 
 # -- equivalence with the reference operators ---------------------------------
 #
-# ``RefDual`` implements the generic rule: every operation on two duals
-# splits both operands with ``_ref_parts`` at the higher of their levels.
-# The level-dispatching operators of ``Dual`` must perform the same
-# operations, operand for operand: every component of every result tree,
-# the number of nodes built and the exceptions raised must match.
-
-_REF_NUMBERS = (int, float, np.floating, np.integer)
-
-
-class RefDual:
-    __slots__ = ("re", "du", "lvl")
-    __array_ufunc__ = None  # numpy scalars defer to the reflected operators, as for Dual
-    nodes = 0
-
-    def __init__(self, re, du=0.0, lvl=0):
-        self.re = re
-        self.du = du
-        self.lvl = lvl
-        RefDual.nodes += 1
-
-    def __add__(self, other):
-        if isinstance(other, RefDual):
-            lvl = max(self.lvl, other.lvl)
-            ar, ad = _ref_parts(self, lvl)
-            br, bd = _ref_parts(other, lvl)
-            return RefDual(ar + br, ad + bd, lvl)
-        if isinstance(other, _REF_NUMBERS):
-            return RefDual(self.re + other, self.du, self.lvl)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, RefDual):
-            lvl = max(self.lvl, other.lvl)
-            ar, ad = _ref_parts(self, lvl)
-            br, bd = _ref_parts(other, lvl)
-            return RefDual(ar - br, ad - bd, lvl)
-        if isinstance(other, _REF_NUMBERS):
-            return RefDual(self.re - other, self.du, self.lvl)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _REF_NUMBERS):
-            return RefDual(other - self.re, -self.du, self.lvl)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, RefDual):
-            lvl = max(self.lvl, other.lvl)
-            ar, ad = _ref_parts(self, lvl)
-            br, bd = _ref_parts(other, lvl)
-            return RefDual(ar * br, ar * bd + ad * br, lvl)
-        if isinstance(other, _REF_NUMBERS):
-            return RefDual(self.re * other, self.du * other, self.lvl)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, RefDual):
-            lvl = max(self.lvl, other.lvl)
-            ar, ad = _ref_parts(self, lvl)
-            br, bd = _ref_parts(other, lvl)
-            inv = 1.0 / br if isinstance(br, _REF_NUMBERS) else _ref_reciprocal(br)
-            q = ar * inv
-            return RefDual(q, (ad - q * bd) * inv, lvl)
-        if isinstance(other, _REF_NUMBERS):
-            return RefDual(self.re / other, self.du / other, self.lvl)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _REF_NUMBERS):
-            inv = _ref_reciprocal(self)
-            return inv * other
-        return NotImplemented
-
-    def __neg__(self):
-        return RefDual(-self.re, -self.du, self.lvl)
-
-    def __pow__(self, n):
-        out = 1.0
-        for _ in range(n):
-            out = out * self if isinstance(out, RefDual) else self * out
-        return out
-
-
-def _ref_parts(x, lvl):
-    if isinstance(x, RefDual) and x.lvl == lvl:
-        return x.re, x.du
-    return x, 0.0
-
-
-def _ref_reciprocal(x):
-    if isinstance(x, _REF_NUMBERS):
-        return 1.0 / x
-    inv = _ref_reciprocal(x.re)
-    return RefDual(inv, -(x.du * inv) * inv, x.lvl)
-
+# At one level, ``RefDual``'s generic rule (split both operands at the
+# higher of their levels) combines the ``re`` and ``du`` parts as the
+# library's ``Dual`` does.  The two must perform the same operations,
+# operand for operand: every component of every result tree, the number of
+# nodes built and the exceptions raised must match.
 
 _BINARY = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
            "*": lambda x, y: x * y, "/": lambda x, y: x / y}
@@ -240,22 +161,21 @@ def _random_number(rng):
     return rng.uniform(-2.0, 2.0)
 
 
-def _random_leaf(rng, top):
-    """A number, or a dual of level <= ``top`` whose parts have lower levels."""
-    if top == 0 or rng.random() < 0.3:
+def _random_leaf(rng):
+    """A number, or a one-level dual with number parts."""
+    if rng.random() < 0.3:
         return ("num", _random_number(rng))
-    lvl = rng.randint(1, top)
     if rng.random() < 0.3:
         # a seed direction, as ``jacobian`` attaches them
         du = ("num", rng.choice([0.0, 1.0]))
     else:
-        du = _random_leaf(rng, lvl - 1)
-    return ("dual", lvl, _random_leaf(rng, lvl - 1), du)
+        du = ("num", _random_number(rng))
+    return ("dual", ("num", _random_number(rng)), du)
 
 
 def _random_expr(rng, depth):
     if depth == 0 or rng.random() < 0.15:
-        return _random_leaf(rng, 3)
+        return _random_leaf(rng)
     u = rng.random()
     if u < 0.7:
         return ("bin", rng.choice(sorted(_BINARY)),
@@ -267,33 +187,33 @@ def _random_expr(rng, depth):
     return ("recip", _random_expr(rng, depth - 1))
 
 
-def _evaluate(spec, cls):
+def _evaluate(spec, make):
     tag = spec[0]
     if tag == "num":
         return spec[1]
     if tag == "dual":
-        return cls(_evaluate(spec[2], cls), _evaluate(spec[3], cls), spec[1])
+        return make(_evaluate(spec[1], make), _evaluate(spec[2], make))
     if tag == "bin":
-        return _BINARY[spec[1]](_evaluate(spec[2], cls), _evaluate(spec[3], cls))
+        return _BINARY[spec[1]](_evaluate(spec[2], make), _evaluate(spec[3], make))
     if tag == "neg":
-        return -_evaluate(spec[1], cls)
+        return -_evaluate(spec[1], make)
     if tag == "pow":
-        return _evaluate(spec[1], cls) ** spec[2]
-    return 1.0 / _evaluate(spec[1], cls)
+        return _evaluate(spec[1], make) ** spec[2]
+    return 1.0 / _evaluate(spec[1], make)
 
 
-def _tree(x, cls):
+def _tree(x):
     """Every component of ``x``, with floats by bit pattern and NaN as 'nan'."""
-    if isinstance(x, cls):
-        return ("dual", x.lvl, _tree(x.re, cls), _tree(x.du, cls))
+    if isinstance(x, Dual):
+        return ("dual", _tree(x.re), _tree(x.du))
     if isinstance(x, (float, np.floating)):
         return (type(x).__name__, "nan" if math.isnan(x) else float(x).hex())
     return (type(x).__name__, repr(x))
 
 
-def _outcome(spec, cls):
+def _outcome(spec, make):
     try:
-        return _tree(_evaluate(spec, cls), cls)
+        return _tree(_evaluate(spec, make))
     except (ZeroDivisionError, OverflowError) as exc:
         return ("raised", type(exc).__name__)
 
@@ -308,20 +228,21 @@ def test_level_dispatch_matches_reference_operators(monkeypatch):
         nodes[0] += 1
 
     monkeypatch.setattr(Dual, "__init__", counting_init)
+    lvl = next_level()
     rng = random.Random(20260806)
-    seen_nan = seen_mixed = 0
+    seen_nan = seen_large = 0
     with np.errstate(all="ignore"):
         for _ in range(600):
             spec = _random_expr(rng, rng.randint(1, 6))
             nodes[0] = RefDual.nodes = 0
             got = _outcome(spec, Dual)
-            want = _outcome(spec, RefDual)
+            want = _outcome(spec, lambda re, du: RefDual(re, du, lvl))
             assert got == want, spec
             assert nodes[0] == RefDual.nodes, spec
             seen_nan += "'nan'" in repr(want)
-            seen_mixed += nodes[0] > 10
-    # The sample exercises non-finite parts and nested mixed-level trees.
-    assert seen_nan > 50 and seen_mixed > 100
+            seen_large += nodes[0] > 10
+    # The sample exercises non-finite parts and large expression trees.
+    assert seen_nan > 50 and seen_large > 100
 
 
 # -- sparse seeding against dense seeding -------------------------------------
@@ -333,21 +254,8 @@ def test_level_dispatch_matches_reference_operators(monkeypatch):
 # reciprocal.  A quotient one of whose operands is an unseeded number rounds
 # differently, see ``test_quotient_of_unseeded_number_rounds_differently``.
 
-def dense_seed(x, direction, lvl=None):
-    if lvl is None:
-        lvl = next_level()
-    return [Dual(xi, vi, lvl) for xi, vi in zip(x, direction)]
-
-
-def _coefficients(x, monomial=frozenset(), out=None):
-    """Map each product of epsilon levels to its coefficient in ``x``."""
-    out = {} if out is None else out
-    if isinstance(x, Dual):
-        _coefficients(x.re, monomial, out)
-        _coefficients(x.du, monomial | {x.lvl}, out)
-    else:
-        out[monomial] = out.get(monomial, 0.0) + float(x)
-    return out
+def dense_seed(x, direction):
+    return [Dual(xi, vi) for xi, vi in zip(x, direction)]
 
 
 def _assert_equal_components(got, want):
@@ -394,13 +302,14 @@ def _apply(tree, xs):
 
 
 def _random_input(rng, levels):
-    """A float, or a dual over some of the outer ``levels`` with finite parts."""
+    """A float, or a leveled carrier over some of the outer ``levels``
+    with finite parts."""
     if not levels or rng.random() < 0.3:
         return rng.uniform(-1.5, 1.5)
     lvl = levels[-1]
     inner = levels[:-1]
     du = rng.choice([0.0, 1.0]) if rng.random() < 0.3 else _random_input(rng, inner)
-    return Dual(_random_input(rng, inner), du, lvl)
+    return RefDual(_random_input(rng, inner), du, lvl)
 
 
 def test_sparse_seeding_matches_dense_seeding(monkeypatch):
@@ -416,12 +325,14 @@ def test_sparse_seeding_matches_dense_seeding(monkeypatch):
         levels = [next_level() for _ in range(outer)]
         x = [_random_input(rng, levels) for _ in range(n)]
         v = [rng.choice([0.0, 0.0, 1.0, rng.uniform(-1.0, 1.0)]) for _ in range(n)]
-        # nest one more jacobian inside, so levels 1-3 occur per input
+        # nest the library jacobian in one more leveled pass, so 1-3 outer
+        # levels occur per input
         nested = lambda xs: list(np.asarray(jacobian(f, xs), dtype=object).reshape(-1))
-        for g in (f, nested):
-            sparse = (jacobian(g, x), dirderiv(g, x, v))
+        for passes in ((jacobian, dirderiv, f), (ref_jacobian, ref_dirderiv, nested)):
+            jac, der, g = passes
+            sparse = (jac(g, x), der(g, x, v))
             monkeypatch.setattr(dual_module, "seed", dense_seed)
-            dense = (jacobian(g, x), dirderiv(g, x, v))
+            dense = (jac(g, x), der(g, x, v))
             monkeypatch.undo()
             for got, want in zip(sparse, dense):
                 _assert_equal_components(got, want)
@@ -430,23 +341,23 @@ def test_sparse_seeding_matches_dense_seeding(monkeypatch):
 
 
 def test_seed_leaves_zero_directions_alone():
-    outer_lvl = next_level()
     lvl = next_level()
-    outer = Dual(0.5, 1.0, outer_lvl)
+    outer = RefDual(0.5, 1.0, lvl)
     x = [outer, 2.5, np.float64(-1.0), 3.0, 4.0, 5.0]
-    direction = [0.0, 1.0, -0.0, np.float64(0.0), Dual(0.0, 0.0, outer_lvl), math.nan]
-    out = seed(x, direction, lvl)
+    direction = [0.0, 1.0, -0.0, np.float64(0.0), RefDual(0.0, 0.0, lvl), math.nan]
+    out = seed(x, direction)
     assert out[0] is outer and out[2] is x[2] and out[3] is x[3]
-    assert isinstance(out[1], Dual) and (out[1].re, out[1].du, out[1].lvl) == (2.5, 1.0, lvl)
-    # a dual direction and a NaN direction are seeded
-    assert isinstance(out[4], Dual) and out[4].lvl == lvl
-    assert isinstance(out[5], Dual) and math.isnan(out[5].du)
+    assert out[1].__class__ is Dual and (out[1].re, out[1].du) == (2.5, 1.0)
+    # a carrier direction and a NaN direction are seeded
+    assert out[4].__class__ is Dual and out[4].du is direction[4]
+    assert out[5].__class__ is Dual and math.isnan(out[5].du)
+    with pytest.raises(TypeError, match="does not nest"):
+        seed([1.0, out[1]], [1.0, 0.0])
 
 
 def test_nan_in_unseeded_coordinate_keeps_primal_nan():
     f = lambda v: [v[0] * v[1] + v[1], v[0] + 0.0 * v[1], v[1] - v[0]]
-    lvl = next_level()
-    out = f(seed([math.nan, 2.0], [0.0, 1.0], lvl))
+    out = f(seed([math.nan, 2.0], [0.0, 1.0]))
     assert all(math.isnan(primal(y)) for y in out)
     # where the derivative of a function of the seeded coordinate does not
     # involve the non-finite one, sparse seeding keeps it finite: dense
@@ -464,17 +375,16 @@ def test_quotient_of_unseeded_number_rounds_differently(monkeypatch):
     # agree to rounding and here differ in the last bit.
     x, y = 5.0, 7.0
     f = lambda v: [v[0] / v[1] * v[2]]
-    sparse = f(seed([x, y, 1.0], [0.0, 0.0, 1.0], next_level()))[0]
+    sparse = f(seed([x, y, 1.0], [0.0, 0.0, 1.0]))[0]
     monkeypatch.setattr(dual_module, "seed", dense_seed)
-    dense = f(dual_module.seed([x, y, 1.0], [0.0, 0.0, 1.0], next_level()))[0]
+    dense = f(dual_module.seed([x, y, 1.0], [0.0, 0.0, 1.0]))[0]
     assert sparse.re == sparse.du == x / y
     assert dense.re == dense.du == x * (1.0 / y)
     assert x / y != x * (1.0 / y) and abs(x / y - x * (1.0 / y)) <= 1.2e-16
 
 
 def test_library_routes_never_nest_duals(monkeypatch, capsys):
-    # Nested duals are left only for the tests' references: no library
-    # route builds a Dual whose primal part is itself a Dual.
+    # No library route builds a Dual whose primal part is itself a Dual.
     from loopbundle import cli, gauge
     from loopbundle.zoo import make_loop
 
@@ -507,38 +417,6 @@ def test_library_routes_never_nest_duals(monkeypatch, capsys):
 
 # -- derivatives through a solve: carry against the routes it replaced -------
 
-def ref_gsolve(a, b):
-    """Gaussian elimination with partial pivoting in carrier arithmetic: the
-    object-dtype solve that ``gsolve`` ran before ``carry``."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n = a.shape[0]
-    vec = b.ndim == 1
-    rhs = b.reshape(n, -1)
-    aug = [[a[i, j] for j in range(n)] + [rhs[i, k] for k in range(rhs.shape[1])]
-           for i in range(n)]
-    width = n + rhs.shape[1]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(primal(aug[r][col])))
-        if abs(primal(aug[piv][col])) == 0.0:
-            raise np.linalg.LinAlgError("singular matrix in gsolve")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1.0 / aug[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col] * inv
-            # A zero factor is skipped only when it is a number: a dual's
-            # or a jet's other parts still update the row.
-            if factor.__class__ not in (Dual, Jet) and factor == 0.0:
-                continue
-            for c in range(col, width):
-                aug[r][c] = aug[r][c] - factor * aug[col][c]
-    out = pack_matrix([[aug[i][n + k] * (1.0 / aug[i][i])
-                        for k in range(rhs.shape[1])] for i in range(n)])
-    return out[:, 0] if vec else out
-
-
 def ref_rz_left_div(a, b):
     """The ``rz`` left division that re-ran 3 full Newton steps in carrier
     arithmetic from the float root, then put the float root back."""
@@ -553,62 +431,9 @@ def ref_rz_left_div(a, b):
     return zoo._rz_mod1((y - primal(y)) + root)
 
 
-def _assert_parts_close(got, want, tol=1e-14):
-    """Every part, the primal included, within ``tol`` times the largest
-    part of ``want`` (at least 1): third-order parts of the rz division
-    reach about 20 and sum terms of about 100."""
-    if isinstance(got, Jet) or isinstance(want, Jet):
-        cg, cw = dict(enumerate(got.c)), dict(enumerate(want.c))
-    else:
-        cg, cw = _coefficients(got), _coefficients(want)
-    assert set(cg) == set(cw)
-    scale = max(1.0, max(abs(v) for v in cw.values()))
-    for mono in cg:
-        assert abs(cg[mono] - cw[mono]) <= tol * scale, (mono, cg[mono], cw[mono])
-
-
-def _carrier_maker(kind, rng):
-    """Random carriers of one kind around a float: one-level duals, duals
-    nested 2 or 3 levels deep, or degree-3 jets in two variables."""
-    if kind == "jet":
-        space = jet_space(2)
-        def make(v):
-            c = 0.3 * np.array([rng.uniform(-1.0, 1.0) for _ in range(space.size)])
-            c[0] = v
-            return Jet(c, space)
-        return make
-    levels = [next_level() for _ in range({"dual": 1, "nested2": 2, "nested3": 3}[kind])]
-    def make(v):
-        x = v
-        for lvl in levels:
-            x = Dual(x, rng.uniform(-0.3, 0.3), lvl)
-        return x
-    return make
-
-
-@pytest.mark.parametrize("kind", ["dual", "nested2", "nested3", "jet"])
-def test_gsolve_matches_pivoting_elimination(kind):
-    # The float solve gives the primal bit for bit; carry's steps give the
-    # derivative parts that the elimination gave, to rounding.  Some
-    # entries stay floats, as in the qhr right division.
-    rng = random.Random(kind)
-    make = _carrier_maker(kind, rng)
-    for n, width in ((2, None), (4, None), (8, None), (3, 3)):
-        a0 = np.eye(n) * 2.0 + np.array([[rng.uniform(-0.5, 0.5) for _ in range(n)]
-                                         for _ in range(n)])
-        b0 = np.array([rng.uniform(-1.0, 1.0) for _ in range(n * (width or 1))])
-        b0 = b0 if width is None else b0.reshape(n, width)
-        a = pack_matrix([[make(v) if rng.random() < 0.7 else v for v in row] for row in a0])
-        b = np.empty(b0.shape, dtype=object)
-        b.flat[:] = [make(v) if rng.random() < 0.5 else v for v in b0.flat]
-        got, want = gsolve(a, b), ref_gsolve(a, b)
-        assert np.array_equal(np.vectorize(primal)(got), np.linalg.solve(a0, b0))
-        for g, w in zip(got.flat, want.flat):
-            _assert_parts_close(g, w)
-
-
 @pytest.mark.parametrize("kind", ["dual", "nested2", "nested3", "jet"])
 def test_rz_division_derivatives_match_full_newton(kind):
+    # carry runs 1, 2, 3 and 3 simplified Newton steps on these carriers
     rng = random.Random(kind)
     make = _carrier_maker(kind, rng)
     L = zoo.make_loop("rz")
@@ -619,3 +444,33 @@ def test_rz_division_derivatives_match_full_newton(kind):
             got = L.left_div([args[0]], [args[1]])[0]
             assert primal(got) == want
             _assert_parts_close(got, ref_rz_left_div(*args))
+
+
+def test_rz_dual_division_node_count(monkeypatch):
+    # One carry step on a one-level dual; three steps built 38 and 48.
+    nodes = [0]
+
+    def counting_init(obj, re, du=0.0, lvl=0):
+        obj.re = re
+        obj.du = du
+        obj.lvl = lvl
+        nodes[0] += 1
+
+    L = zoo.make_loop("rz")
+    a, b = Dual(0.03, 1.0), Dual(0.4, 1.0)
+    monkeypatch.setattr(Dual, "__init__", counting_init)
+    for args, count in ((([0.03], [b]), 10), (([a], [0.4]), 20)):
+        nodes[0] = 0
+        L.left_div(*args)
+        assert nodes[0] == count
+
+
+def test_carry_steps_follow_the_carrier_order():
+    from loopbundle.dual import _order, jet_space
+
+    lvl = next_level()
+    assert _order(0.5) == 0 and _order(np.zeros(3)) == 0
+    assert _order(Dual(0.5, 1.0)) == _order(Dual(np.zeros(3), np.ones(3))) == 1
+    assert _order(Dual(RefDual(0.5, 1.0, lvl), 2.0)) == 2
+    assert _order(RefDual(0.5, RefDual(1.0, 1.0, lvl), lvl + 1)) == 2
+    assert _order(jet_space(1).variable(0.5, ((0,), ()))) == 3

@@ -1,5 +1,6 @@
 """The jet route of the gauge checks against the nested-dual routines it
-replaced, which are kept as the reference: below for the connection form
+replaced, which are kept as the reference, their outer passes leveled
+(``leveled_dual``): below for the connection form
 and its derivatives, the curvature tensor, the structure equation and the
 Bianchi identity; in ``gauge_reference`` for the covariant-derivative
 commutator, the component curvature and the gauge transformation.  The
@@ -15,11 +16,12 @@ import numpy as np
 import pytest
 
 from loopbundle import gauge, tangent
-from loopbundle.dual import (Dual, dirderiv, floats_if_plain, gmatvec, gsin, jacobian,
-                             pack, primal, taylor_frame)
+from loopbundle.dual import (Dual, floats_if_plain, gmatvec, gsin, pack, primal,
+                             taylor_frame)
 from loopbundle.zoo import make_loop
 
 import gauge_reference as ref
+from leveled_dual import ref_dirderiv, ref_jacobian
 
 
 # -- the nested-dual reference ------------------------------------------------
@@ -40,13 +42,13 @@ def ref_omega_coeffs(form, z):
 
 
 def ref_d_omega_tensor(form, z, u, v):
-    """domega(u, v) from a dual Jacobian of the components, with
+    """domega(u, v) from a leveled Jacobian of the components, with
     domega(d_a, d_b) = (d_a omega_b - d_b omega_a) / 2."""
     z, u, v = list(z), list(u), list(v)
     nf = form.fiber.dim
     nz = len(z)
     # flat[p*nz + b][a] = d_a omega^p_b
-    flat = jacobian(lambda zz: list(np.asarray(ref_omega_coeffs(form, zz)).reshape(-1)), z)
+    flat = ref_jacobian(lambda zz: list(np.asarray(ref_omega_coeffs(form, zz)).reshape(-1)), z)
     out = []
     for p in range(nf):
         acc = 0.0
@@ -93,7 +95,7 @@ def ref_bianchi_residual(form, x, y, vx1, vx2, vx3):
     total = np.zeros(form.fiber.dim)
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         fi, fj, fk = fields[i], fields[j], fields[k]
-        deriv = dirderiv(
+        deriv = ref_dirderiv(
             lambda zz: list(ref_curvature_tensor(form, zz, fj(zz), fk(zz))),
             z, list(fi(z)))
         comm_val = ref_curvature_tensor(form, z, fk(z), ref.field_bracket(fi, fj)(z))
@@ -127,13 +129,13 @@ def test_connection_jet_matches_nested_jacobians(name):
         return list(np.asarray(ref_omega_coeffs(form, zz)).reshape(-1))
 
     def flat_grad(zz):
-        return list(np.asarray(jacobian(flat_omega, zz)).reshape(-1))
+        return list(np.asarray(ref_jacobian(flat_omega, zz)).reshape(-1))
 
     om, dom, d2om, _, _ = gauge._connection_jet(form, x, y)
     want = _floats(ref_omega_coeffs(form, z)).reshape(L.dim, n)
     # jacobian(flat_omega)[p*n + b][a] = d_a omega^p_b
-    want_d = _floats(jacobian(flat_omega, z)).reshape(L.dim, n, n).transpose(2, 0, 1)
-    want_d2 = _floats(jacobian(flat_grad, z)).reshape(L.dim, n, n, n).transpose(3, 2, 0, 1)
+    want_d = _floats(ref_jacobian(flat_omega, z)).reshape(L.dim, n, n).transpose(2, 0, 1)
+    want_d2 = _floats(ref_jacobian(flat_grad, z)).reshape(L.dim, n, n, n).transpose(3, 2, 0, 1)
     assert np.max(np.abs(om - want)) <= 1e-14
     assert np.max(np.abs(dom - want_d)) <= 1e-14
     assert np.max(np.abs(d2om - want_d2)) <= 1e-15 * np.max(np.abs(want_d2))

@@ -1,7 +1,8 @@
 """Taylor jets: the elementaries against nested duals, and the jet
 structure functions, Jacobi residual and Maurer-Cartan identity against
 the nested-dual routines they replaced, which are kept below as the
-reference."""
+reference.  Their outer passes are leveled (``leveled_dual``) around the
+library's passes."""
 
 import dataclasses
 import math
@@ -11,12 +12,13 @@ import numpy as np
 import pytest
 
 from loopbundle import core, reconstruct, tangent
-from loopbundle.dual import (Dual, Jet, dirderiv, floats_if_plain, gcos,
-                             gfloor, gsin, gsolve, jacobian, jet_space, pack,
-                             pack_matrix, primal, taylor_frame)
+from loopbundle.dual import (Dual, Jet, floats_if_plain, gcos, gfloor, gsin,
+                             jet_space, pack, pack_matrix, primal, taylor_frame)
 from loopbundle.errors import DomainSingularity
 from loopbundle.report import worst_residual
 from loopbundle.zoo import make_loop
+
+from leveled_dual import ref_dirderiv, ref_gsolve, ref_jacobian
 
 
 # -- the nested-dual reference ------------------------------------------------
@@ -30,7 +32,7 @@ def ref_structure_tensor(L, a, frame=tangent.left_frame_matrix):
         fr = frame(L, x)
         return [fr[k][i] for k in range(n) for i in range(n)]
 
-    grad = jacobian(flat_frame, a)
+    grad = ref_jacobian(flat_frame, a)
     rhs = np.empty((n, n * n), dtype=object)
     for i in range(n):
         for j in range(n):
@@ -39,13 +41,13 @@ def ref_structure_tensor(L, a, frame=tangent.left_frame_matrix):
                 for m in range(n):
                     acc = acc + r[m][i] * grad[k * n + j][m] - r[m][j] * grad[k * n + i][m]
                 rhs[k, i * n + j] = acc
-    return floats_if_plain(gsolve(r, rhs).reshape(n, n, n))
+    return floats_if_plain(ref_gsolve(r, rhs).reshape(n, n, n))
 
 
 def ref_structure_derivative(L, a):
     """dc[p, m, i, j] = d_m C^p_ij: a Jacobian of the nested-dual tensor."""
     n = L.dim
-    flat = jacobian(lambda x: list(np.asarray(ref_structure_tensor(L, x)).reshape(-1)), a)
+    flat = ref_jacobian(lambda x: list(np.asarray(ref_structure_tensor(L, x)).reshape(-1)), a)
     dc = np.array([[primal(v) for v in row] for row in flat]).reshape(n, n, n, n)
     return dc.transpose(0, 3, 1, 2)
 
@@ -78,7 +80,7 @@ def ref_parametric_form(L, a, b):
     lstar = tangent.left_associator_differential(L, a, b)
     frame = tangent.left_frame_matrix(L, b)
     n = L.dim
-    omega = gsolve(frame, np.eye(n))
+    omega = ref_gsolve(frame, np.eye(n))
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
@@ -92,7 +94,7 @@ def ref_parametric_form(L, a, b):
 def ref_parametric_derivative(L, a, b):
     """dlam[p][i][j] = d lambda^i_j / d b^p: a Jacobian of the dual form."""
     n = L.dim
-    flat = jacobian(lambda x: list(ref_parametric_form(L, a, x).reshape(-1)), b)
+    flat = ref_jacobian(lambda x: list(ref_parametric_form(L, a, x).reshape(-1)), b)
     return np.array([[primal(v) for v in row]
                      for row in flat]).reshape(n, n, n).transpose(2, 0, 1)
 
@@ -191,9 +193,10 @@ def test_taylor_frame_of_the_associator_matches_nested_jacobians(name):
     r, dr, d2r = taylor_frame(lambda x, c: core._left_associator(L, a, x, c),
                               b, list(L.identity))
     want_r = floats(lstar(b)).reshape(n, n)
-    want_dr = floats(jacobian(lstar, b)).reshape(n, n, n).transpose(2, 0, 1)
-    want_d2r = floats(jacobian(lambda x: list(np.asarray(jacobian(lstar, x)).reshape(-1)),
-                               b)).reshape(n, n, n, n).transpose(3, 2, 0, 1)
+    want_dr = floats(ref_jacobian(lstar, b)).reshape(n, n, n).transpose(2, 0, 1)
+    want_d2r = floats(ref_jacobian(
+        lambda x: list(np.asarray(ref_jacobian(lstar, x)).reshape(-1)),
+        b)).reshape(n, n, n, n).transpose(3, 2, 0, 1)
     scale = 1.0 + np.max(np.abs(want_d2r))
     assert np.max(np.abs(r - want_r)) <= 1e-14 * scale
     assert np.max(np.abs(dr - want_dr)) <= 1e-14 * scale
@@ -219,7 +222,7 @@ def test_rz_divisions_keep_the_float_primal():
     rng = np.random.default_rng(2)
     for a, b in zip(rng.uniform(0.0, 0.1, 1000), rng.uniform(0.0, 1.0, 1000)):
         want = L.left_div([a], [b])[0]
-        assert primal(L.left_div([a], [Dual(b, 1.0, 1)])[0]) == want
+        assert primal(L.left_div([a], [Dual(b, 1.0)])[0]) == want
         assert primal(L.left_div([a], [space.variable(b, ((0,), ()))])[0]) == want
 
 
@@ -235,7 +238,7 @@ def test_qhr_right_divisions_keep_the_float_primal(K):
         a, b = list(L.sample(rng)), list(L.sample(rng))
         want = L.right_div(b, a)
         k = int(rng.integers(4))
-        for make in (lambda v: Dual(v, 1.0, 1), lambda v: space.variable(v, ((0,), ()))):
+        for make in (lambda v: Dual(v, 1.0), lambda v: space.variable(v, ((0,), ()))):
             bc, ac = list(b), list(a)
             bc[k] = make(b[k])
             ac[3 - k] = make(a[3 - k])
@@ -244,14 +247,15 @@ def test_qhr_right_divisions_keep_the_float_primal(K):
 
 
 def test_gsolve_keeps_jet_factors_with_zero_primal():
-    # x(s) = A(s)^-1 b with A = [[2, s], [s, 3]] and b = (1, 1).  At s = 0
-    # the off-diagonal entries have primal 0 and a jet part, which must
-    # still reach x'(0) = -A^-1 A' A^-1 b = (-1/6, -1/6).
+    # The references' carrier solve: x(s) = A(s)^-1 b with
+    # A = [[2, s], [s, 3]] and b = (1, 1).  At s = 0 the off-diagonal
+    # entries have primal 0 and a jet part, which must still reach
+    # x'(0) = -A^-1 A' A^-1 b = (-1/6, -1/6).
     space = jet_space(1)
     s = space.variable(0.0, ((0,), ()))
     a = pack_matrix([[2.0, s], [s, 3.0]])
     assert a.dtype == object
-    x = gsolve(a, pack([1.0, 1.0]))
+    x = ref_gsolve(a, pack([1.0, 1.0]))
     k = space.index[((0,), ())]
     assert [primal(v) for v in x] == pytest.approx([0.5, 1.0 / 3.0], abs=1e-15)
     assert [v.c[k] for v in x] == pytest.approx([-1.0 / 6.0, -1.0 / 6.0], abs=1e-15)
@@ -268,7 +272,7 @@ def test_taylor_frame_matches_nested_jacobians(name):
         return list(np.asarray(tangent.left_frame_matrix(L, x)).reshape(-1))
 
     def flat_grad(x):
-        return list(np.asarray(jacobian(flat_frame, x)).reshape(-1))
+        return list(np.asarray(ref_jacobian(flat_frame, x)).reshape(-1))
 
     def floats(m):
         return np.array([primal(v) for v in np.asarray(m).flat])
@@ -276,8 +280,8 @@ def test_taylor_frame_matches_nested_jacobians(name):
     r, dr, d2r = taylor_frame(L.product, a, list(L.identity))
     want_r = floats(tangent.left_frame_matrix(L, a)).reshape(n, n)
     # jacobian(flat_frame)[k*n + i][m] = d_m R[k, i]
-    want_dr = floats(jacobian(flat_frame, a)).reshape(n, n, n).transpose(2, 0, 1)
-    want_d2r = floats(jacobian(flat_grad, a)).reshape(n, n, n, n).transpose(3, 2, 0, 1)
+    want_dr = floats(ref_jacobian(flat_frame, a)).reshape(n, n, n).transpose(2, 0, 1)
+    want_d2r = floats(ref_jacobian(flat_grad, a)).reshape(n, n, n, n).transpose(3, 2, 0, 1)
     scale = 1.0 + np.max(np.abs(want_d2r))
     assert np.max(np.abs(r - want_r)) <= 1e-14 * scale
     assert np.max(np.abs(dr - want_dr)) <= 1e-14 * scale
@@ -301,8 +305,8 @@ def _derivative(f, idxs):
     rest = _derivative(f, idxs[1:])
 
     def g(z):
-        return list(dirderiv(rest, z, [1.0 if k == idxs[0] else 0.0
-                                       for k in range(len(z))]))
+        return list(ref_dirderiv(rest, z, [1.0 if k == idxs[0] else 0.0
+                                           for k in range(len(z))]))
 
     return g
 
@@ -382,7 +386,7 @@ def test_inf_in_the_jet_pass_is_silent(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sin_cos_floor_are_nan_on_non_finite_values(bad):
     space = jet_space(1)
-    for x in (bad, Dual(bad, 1.0, 1), space.variable(bad, ((0,), ()))):
+    for x in (bad, Dual(bad, 1.0), space.variable(bad, ((0,), ()))):
         for fn in (gsin, gcos, gfloor):
             assert math.isnan(primal(fn(x)))
     for fn in (gsin, gcos):
@@ -443,6 +447,6 @@ def test_singular_denominator_raises_as_on_floats():
 def test_structure_tensor_is_float_only():
     L = make_loop("qc")
     with pytest.raises(TypeError):
-        tangent.structure_tensor_raw(L, [Dual(0.1, 1.0, 1), 0.2])
+        tangent.structure_tensor_raw(L, [Dual(0.1, 1.0), 0.2])
     with pytest.raises(ValueError):
         tangent.structure_tensor_raw(L, [0.1, 0.2], side="middle")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loopbundle import core, reconstruct
-from loopbundle.dual import Dual, dirderiv, dual_parts, next_level, primal
+from loopbundle.dual import Dual, dirderiv, dual_parts, primal
 from loopbundle.errors import NoSolutionInChart, OutOfDomain, StepUnderflow
 from loopbundle.tangent import left_associator_differential, left_frame_matrix
 from loopbundle.zoo import catalog_names, make_loop
@@ -150,10 +150,9 @@ def _lie_velocity(L, a, phi, path, t):
 def _matrix_lie_velocity(L, a, phi, path, t):
     """The velocity from matrices: the frame at phi times l_(a,b)* times
     the frame at b solved against db/dt."""
-    lvl = next_level()
-    out = path(Dual(t, 1.0, lvl))
+    out = path(Dual(t, 1.0))
     bpt = [primal(v) for v in out]
-    bdot = [primal(d) for d in dual_parts(out, lvl)]
+    bdot = [primal(d) for d in dual_parts(out)]
     q = np.asarray(left_frame_matrix(L, phi), dtype=float)
     lstar = np.asarray(left_associator_differential(L, a, bpt), dtype=float)
     omega_dot = np.linalg.solve(np.asarray(left_frame_matrix(L, bpt), dtype=float),

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopbundle import core, zoo
-from loopbundle.dual import (Dual, Jet, gsolve, jacobian, jet_space, pack, pack_matrix,
+from loopbundle.dual import (Dual, Jet, jacobian, jet_space, pack, pack_matrix,
                              primal)
 from loopbundle.errors import (DomainSingularity, NoSolutionInChart,
                                PoleSingularity, UnknownKind)
 from loopbundle.report import worst_residual
 from loopbundle.zoo import (LoopSpec, catalog_names, chart_inverse, chart_map,
                             make_loop, parse_spec, qsu2_matrix, qsu2_product)
-from test_dual import _assert_parts_close, _carrier_maker
+from leveled_dual import _assert_parts_close, _carrier_maker, ref_gsolve
 
 
 def test_catalog_names_build():
@@ -298,8 +298,8 @@ def test_singular_inputs_raise(name, op, a, b, message):
 # -- the qhr right division against the 8x8 real system it replaced ---------
 
 def _ref_qhr_right_div_8x8(K):
-    """y*a = b as the 8x8 real linear system, solved by ``gsolve``: its
-    float solve gives the primal and ``carry`` the dual or jet parts."""
+    """y*a = b as the 8x8 real linear system, solved by ``ref_gsolve``:
+    elimination in carrier arithmetic."""
     k4 = K / 4.0
 
     def div(b, a):
@@ -339,7 +339,7 @@ def _ref_qhr_right_div_8x8(K):
         mat = ([r[i] + s[i] for i in range(4)] +
                [[-x for x in s[i]] + r[i] for i in range(4)])
         rhs = [b0 - a0, 0.0, 0.0, 0.0, 0.0, b1 - a1, b2 - a2, b3 - a3]
-        sol = gsolve(pack_matrix(mat), pack(rhs))
+        sol = ref_gsolve(pack_matrix(mat), pack(rhs))
         # H_R coordinates: real part of the scalar, imaginary parts of i,j,k.
         return [sol[0], sol[5], sol[6], sol[7]]
     return div
