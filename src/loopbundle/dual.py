@@ -9,9 +9,10 @@ Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
   function of the covariant-derivative commutator and the gauge
   transformation.  One pass of a map f(a, e) on jets in the
   point offset alpha and the argument beta gives its Jacobian in e and
-  that Jacobian's first and second derivatives in a (``taylor_frame``):
-  the coefficients of the monomials alpha^p beta^q with |p| <= 2 and
-  |q| <= 1.  Higher monomials are truncated.
+  that Jacobian's derivatives in a up to the order its caller reads
+  (``taylor_frame``): the coefficients of the monomials alpha^p beta^q
+  with |p| <= order and |q| <= 1.  Higher monomials are truncated, so a
+  first-order caller carries no second-order coefficients.
 - ``Dual`` gives the first derivatives in one pass: one directional pass
   (``dirderiv``) where a derivative is applied to one vector
   (pushforwards, the canonical form, the Lie-equation velocity, the
@@ -66,6 +67,17 @@ import math
 import numpy as np
 
 _NUMBERS = (int, float, np.floating, np.integer)
+
+
+def _power(x, n):
+    """``x**n`` of a dual or jet for an integer n >= 0: 1.0 times x, n times."""
+    if not isinstance(n, int) or n < 0:
+        raise TypeError(f"{x.__class__.__name__}.__pow__ supports nonnegative "
+                        "integer exponents")
+    out = 1.0
+    for _ in range(n):
+        out = x * out
+    return out
 
 
 class Dual:
@@ -136,13 +148,7 @@ class Dual:
     def __pos__(self):
         return self
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("Dual.__pow__ supports nonnegative integer exponents")
-        out = 1.0
-        for _ in range(n):
-            out = out * self if isinstance(out, Dual) else self * out
-        return out
+    __pow__ = _power
 
     def __repr__(self):
         return f"Dual({self.re!r}, {self.du!r})"
@@ -348,10 +354,10 @@ def carry(root, residual, solve0):
 
 def _order(x):
     """The Taylor order of a carrier: 1 for a ``Dual`` over floats, the
-    depth of a leveled carrier's tree of parts, ``JET_DEGREE`` for a jet."""
+    depth of a leveled carrier's tree of parts, its space's degree for a jet."""
     if isinstance(x, Dual):
         return 1 + max(_order(x.re), _order(x.du))
-    return JET_DEGREE if x.__class__ is Jet else 0
+    return x.space.degree if x.__class__ is Jet else 0
 
 
 def gsolve(a, b):
@@ -365,45 +371,46 @@ def ginv(a):
 
 # -- Taylor jets ---------------------------------------------------------------
 
-# Highest total degree of a monomial: 2 in alpha plus 1 in beta.  The
-# non-constant part N of a jet has N**(JET_DEGREE + 1) == 0.
-JET_DEGREE = 3
-
-
 class JetSpace:
-    """Monomials alpha^p beta^q (|p| <= 2, |q| <= 1) in dimension ``n``,
-    with the (i, j -> k) table of their truncated products.
+    """Monomials alpha^p beta^q (|p| <= ``order``, |q| <= 1) in dimension
+    ``n``, with the (i, j -> k) table of their truncated products.
 
     ``index`` maps a monomial, written as the sorted tuples of its alpha and
     beta variable indices (``((0, 0), (1,))`` is alpha_0^2 beta_1), to its
-    coefficient position; the constant term is at 0.
+    coefficient position; the constant term is at 0.  The non-constant part
+    N of a jet has N**(degree + 1) == 0, ``degree = order + 1``.
     """
 
-    def __init__(self, n):
-        alphas = [()] + [(m,) for m in range(n)] + list(
-            itertools.combinations_with_replacement(range(n), 2))
+    def __init__(self, n, order):
+        alphas = [p for d in range(order + 1)
+                  for p in itertools.combinations_with_replacement(range(n), d)]
         betas = [()] + [(i,) for i in range(n)]
         monos = [(p, q) for q in betas for p in alphas]
         index = {mono: k for k, mono in enumerate(monos)}
         pairs = [(i, j, index[(tuple(sorted(pi + pj)), qi + qj)])
                  for i, (pi, qi) in enumerate(monos)
                  for j, (pj, qj) in enumerate(monos)
-                 if len(pi) + len(pj) <= 2 and len(qi) + len(qj) <= 1]
+                 if len(pi) + len(pj) <= order and len(qi) + len(qj) <= 1]
         pairs.sort(key=lambda t: t[2])
         self.size = len(monos)
+        self.degree = order + 1
         self.index = index
         self._i = np.array([t[0] for t in pairs])
         self._j = np.array([t[1] for t in pairs])
         k = np.array([t[2] for t in pairs])
         # Every monomial is 1 times itself, so each k starts a nonempty run.
         self._starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-        # Positions of beta_i, alpha_m beta_i and alpha_l alpha_m beta_i.
-        self.beta = np.array([index[((), (i,))] for i in range(n)])
-        self.alpha_beta = np.array([[index[((m,), (i,))] for i in range(n)]
-                                    for m in range(n)])
-        self.alpha2_beta = np.array([[[index[(tuple(sorted((l, m))), (i,))]
-                                       for i in range(n)] for m in range(n)]
-                                     for l in range(n)])
+        # derivatives[d] = (pos, scale): pos[m_1, ..., m_d, i] is the position
+        # of alpha_m1 ... alpha_md beta_i, whose coefficient times
+        # scale[m_1, ..., m_d] (the factorials of the repeated m) is the d-th
+        # derivative; scale has two trailing unit axes, for k and i.
+        self.derivatives = []
+        for d in range(order + 1):
+            ms = list(itertools.product(range(n), repeat=d))
+            pos = [[index[(tuple(sorted(m)), (i,))] for i in range(n)] for m in ms]
+            scale = [math.prod(math.factorial(m.count(v)) for v in set(m)) for m in ms]
+            self.derivatives.append((np.reshape(pos, (n,) * d + (n,)),
+                                     np.reshape(scale, (n,) * d + (1, 1)).astype(float)))
 
     def mul(self, x, y):
         return np.add.reduceat(x[self._i] * y[self._j], self._starts)
@@ -416,8 +423,8 @@ class JetSpace:
 
 
 @functools.lru_cache(maxsize=None)
-def jet_space(n):
-    return JetSpace(n)
+def jet_space(n, order):
+    return JetSpace(n, order)
 
 
 class Jet:
@@ -485,9 +492,11 @@ class Jet:
     def __neg__(self):
         return Jet(-self.c, self.space)
 
+    __pow__ = _power
+
     def _reciprocal(self):
         inv = 1.0 / float(self.c[0])  # ZeroDivisionError, as for floats
-        return self._series([inv * (-inv) ** k for k in range(JET_DEGREE + 1)])
+        return self._series([inv * (-inv) ** k for k in range(self.space.degree + 1)])
 
     def _trig(self, shift):
         """sin (shift 0) or cos (shift 1): the k-th derivative of sin is
@@ -495,7 +504,7 @@ class Jet:
         s, c = gsin(float(self.c[0])), gcos(float(self.c[0]))
         cycle = (s, c, -s, -c)
         return self._series([cycle[(k + shift) % 4] / math.factorial(k)
-                             for k in range(JET_DEGREE + 1)])
+                             for k in range(self.space.degree + 1)])
 
     def _series(self, taylor):
         """f(x0 + N) = sum_k taylor[k] N^k, with taylor[k] = f^(k)(x0) / k!."""
@@ -514,23 +523,20 @@ class Jet:
 _CARRIERS = (Dual, Jet)
 
 
-def taylor_frame(f, a, e):
-    """One jet pass of ``f(a + alpha, e + beta)`` for a map f: R^n x R^n -> R^k.
+def taylor_frame(f, a, e, order):
+    """One jet pass of ``f(a + alpha, e + beta)`` for a map f: R^n x R^n -> R^k,
+    carrying the derivatives in a to ``order``, the highest the caller reads.
 
-    Returns ``(R, dR, d2R)`` at alpha = beta = 0 with
-    ``R[k, i] = df^k/dbeta^i``, ``dR[m, k, i] = d R[k, i] / da^m`` and
-    ``d2R[l, m, k, i] = d^2 R[k, i] / da^l da^m``.  ``a`` and ``e`` hold real numbers.
+    Returns ``(R, dR, ..., d^order R)`` at alpha = beta = 0 with
+    ``R[k, i] = df^k/dbeta^i``, ``dR[m, k, i] = d R[k, i] / da^m``,
+    ``d2R[l, m, k, i] = d^2 R[k, i] / da^l da^m`` and so on.  ``a`` and
+    ``e`` hold real numbers.
     """
-    n = len(a)
-    space = jet_space(n)
+    space = jet_space(len(a), order)
     # inf times a zero coefficient is NaN: one errstate per pass, not per multiply.
     with quiet():
         ys = f([space.variable(v, ((m,), ())) for m, v in enumerate(a)],
                [space.variable(v, ((), (i,))) for i, v in enumerate(e)])
     coeffs = np.array([y.c for y in ys])
-    r = coeffs[:, space.beta]
-    dr = coeffs[:, space.alpha_beta].transpose(1, 0, 2)
-    d2r = coeffs[:, space.alpha2_beta].transpose(1, 2, 0, 3)
-    # The coefficient of alpha_m^2 is half the second derivative.
-    d2r[np.diag_indices(n)] *= 2.0
-    return r, dr, d2r
+    return tuple(np.moveaxis(coeffs[:, pos], 0, d) * scale
+                 for d, (pos, scale) in enumerate(space.derivatives))

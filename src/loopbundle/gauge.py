@@ -11,7 +11,9 @@ the object differentiated: the connection form in z = (x, y) for the
 curvature tensor, structure equation and Bianchi; A(x) v for the component
 curvature; f(z + v) and the right frame for the covariant-derivative
 commutator; the transformation map of ``gauge_transform`` for the curvature
-in another trivialization.  A first derivative applied to one vector (the
+in another trivialization.  Each pass carries the order its caller reads:
+Bianchi takes the connection form's second derivatives, every other check
+only first ones.  A first derivative applied to one vector (the
 connection form on a tangent pair, the horizontal and fundamental fields)
 is one directional pass (``dual.dirderiv``) of the same kind of map; a
 transformed potential is a one-level dual Jacobian.  So residuals measure
@@ -68,8 +70,8 @@ def _potential_jet(form, x):
     def f(xs, vs):
         return [gdot(row, vs) for row in form.potential.A(xs)]
 
-    a, da, _ = taylor_frame(f, [float(v) for v in x], [0.0] * form.potential.base_dim)
-    return a, da
+    return taylor_frame(f, [float(v) for v in x], [0.0] * form.potential.base_dim,
+                        order=1)
 
 
 def _field_strength(a, da, c):
@@ -100,13 +102,13 @@ def commutator_residual(form, mu, nu, f, x, y):
     L = form.fiber
     db = form.potential.base_dim
     z = [float(v) for v in list(x) + list(y)]
-    r, dr, _ = tangent._frame_derivatives(L, z[db:], "right")
+    r, dr = tangent._frame_derivatives(L, z[db:], "right", order=1)
 
     def shifted(zs, vs):
         w = [p + q for p, q in zip(zs, vs)]
         return [f(w[:db], w[db:])]
 
-    grad, hess, _ = taylor_frame(shifted, z, [0.0] * len(z))
+    grad, hess = taylor_frame(shifted, z, [0.0] * len(z), order=1)
     a, da = _potential_jet(form, z[:db])
     with quiet():
         fcur = _field_strength(a, da, tangent._structure(r, dr))
@@ -155,20 +157,22 @@ def _connection_map(form):
     return f
 
 
-def _connection_jet(form, x, y):
-    """omega^p_a at z = (x, y), dom[m] = d_m omega and d2om[l, m], from one
-    jet pass of the map of :func:`_connection_map`; with Lambda = (0; R),
-    R = (L_y)_* at e the inverse of omega's fiber block (L_y^-1)_* at y,
-    and P = I - Lambda omega.
+def _connection_jet(form, x, y, order):
+    """omega^p_a at z = (x, y) and its derivatives to ``order`` (dom[m] =
+    d_m omega, d2om[l, m], ...) from one jet pass of the map of
+    :func:`_connection_map`, followed by Lambda = (0; R), R = (L_y)_* at e
+    the inverse of omega's fiber block (L_y^-1)_* at y, and P = I - Lambda
+    omega.
     """
     L = form.fiber
     db = form.potential.base_dim
     z = [float(v) for v in list(x) + list(y)]
     core._chart_points(L, z[db:])
-    om, dom, d2om = taylor_frame(_connection_map(form), z, [0.0] * len(z))
+    derivs = taylor_frame(_connection_map(form), z, [0.0] * len(z), order)
+    om = derivs[0]
     lam = np.zeros((len(z), L.dim))
     lam[db:] = np.linalg.inv(om[:, db:])
-    return om, dom, d2om, lam, np.eye(len(z)) - lam @ om
+    return *derivs, lam, np.eye(len(z)) - lam @ om
 
 
 def _exterior(dom):
@@ -183,7 +187,7 @@ def curvature_tensor(form, z, u, v):
     float tangent pairs."""
     db = form.potential.base_dim
     with quiet():
-        _, dom, _, _, p = _connection_jet(form, z[:db], z[db:])
+        _, dom, _, p = _connection_jet(form, z[:db], z[db:], order=1)
         return np.einsum("pab,a,b->p", _exterior(dom), p @ np.asarray(u, dtype=float),
                          p @ np.asarray(v, dtype=float))
 
@@ -232,7 +236,7 @@ def structure_equation_residual(form, x, y, vx_x, vy_x, vx_y, vy_y):
     u = np.array(list(vx_x) + list(vy_x), dtype=float)
     v = np.array(list(vx_y) + list(vy_y), dtype=float)
     with quiet():
-        om, dom, _, _, p = _connection_jet(form, x, y)
+        om, dom, _, p = _connection_jet(form, x, y, order=1)
         dw = _exterior(dom)
         res = (np.einsum("pab,a,b->p", dw, u, v) - np.einsum("pab,a,b->p", dw, p @ u, p @ v)
                + 0.5 * np.einsum("pij,i,j->p", c, om @ u, om @ v))
@@ -247,7 +251,7 @@ def bianchi_residual(form, x, y, vx1, vx2, vx3):
     - domega(Lambda (d_h omega) u, v) - domega(u, Lambda (d_h omega) v)."""
     db = form.potential.base_dim
     with quiet():
-        _, dom, d2om, lam, p = _connection_jet(form, x, y)
+        _, dom, d2om, lam, p = _connection_jet(form, x, y, order=2)
         h = p[:, :db] @ np.array([vx1, vx2, vx3], dtype=float).T  # columns h_i
         dw = _exterior(dom)
         g = np.einsum("aq,mi,mqb,bj->iaj", lam, h, dom, h)  # Lambda (d_{h_i} omega) h_j
@@ -322,7 +326,8 @@ def curvature_gauge_residual(form, q_map, x, q_back=None):
     x = [float(v) for v in x]
     pair = _transition(L, q_map, q_back)
     c = tangent.structure_tensor_raw(L, L.identity, side="right")
-    a1, da1, _ = taylor_frame(_transformed_map(form, q_map, pair), x, [0.0] * len(x))
+    a1, da1 = taylor_frame(_transformed_map(form, q_map, pair), x, [0.0] * len(x),
+                           order=1)
     a0, da0 = _potential_jet(form, x)
     adinv = ad_inverse_matrix(L, *pair(x))
     with quiet():

@@ -11,8 +11,9 @@ product at phi; no frame matrix is built.
 
 A generalized Maurer-Cartan identity is what makes the result path
 independent.  Its residual takes the parametric form lambda(b; a) and
-its derivatives in b from two jet passes (``dual.taylor_frame``), one of
-the left associator and one of the product, and numpy algebra.
+its first derivatives in b from two first-order jet passes
+(``dual.taylor_frame``), one of the left associator and one of the
+product, and numpy algebra.
 """
 
 import numpy as np
@@ -107,9 +108,9 @@ def _parametric_form(L, a, b):
     one of the product gives the frame R and its derivatives; then
     lambda = l* R^-1 and d_p lambda = (d_p l* - lambda d_p R) R^-1.
     """
-    lstar, dlstar, _ = taylor_frame(
-        lambda x, c: core._left_associator(L, a, x, c), b, L.identity)
-    r, dr, _ = tangent._frame_derivatives(L, b, "left")
+    lstar, dlstar = taylor_frame(
+        lambda x, c: core._left_associator(L, a, x, c), b, L.identity, order=1)
+    r, dr = tangent._frame_derivatives(L, b, "left", order=1)
     rinv = np.linalg.inv(r)
     lam = lstar @ rinv
     return lam, (dlstar - lam @ dr) @ rinv

@@ -5,10 +5,10 @@ A derivative applied to one vector is one directional pass
 of translations, the canonical form and the left transformation law.
 The full differentials (frames, l_(a,b)*, Ad and Ad^-1) are dual-number
 Jacobians, for callers that need the matrix.  The structure functions
-and the modified Jacobi identity take the frame and its first and second
-derivatives from one pass of the product on Taylor jets
-(``dual.taylor_frame``), then C = R^-1 B and its derivative by numpy
-linear algebra.  There is no finite-difference truncation error anywhere
+take the frame and its first derivatives from one pass of the product on
+Taylor jets (``dual.taylor_frame``), the modified Jacobi identity its
+first and second, then C = R^-1 B and its derivative by numpy linear
+algebra.  There is no finite-difference truncation error anywhere
 in this module.
 """
 
@@ -56,8 +56,8 @@ def right_frame_matrix(L, y):
     return jacobian(lambda a: list(core.product(L, a, y)), list(L.identity))
 
 
-def _frame_derivatives(L, a, side):
-    """The frame at ``a`` and its first and second derivatives in ``a``,
+def _frame_derivatives(L, a, side, order):
+    """The frame at ``a`` and its derivatives in ``a`` up to ``order``,
     from one jet pass of the product (see :func:`dual.taylor_frame`)."""
     a = [float(v) for v in a]
     core._chart_points(L, a)
@@ -67,7 +67,7 @@ def _frame_derivatives(L, a, side):
         f = lambda x, y: L.product(y, x)
     else:
         raise ValueError(f"unknown frame side: {side!r}")
-    return taylor_frame(f, a, L.identity)
+    return taylor_frame(f, a, L.identity, order)
 
 
 def _structure(r, dr):
@@ -98,7 +98,7 @@ def structure_tensor_raw(L, a, side="left"):
     one (:func:`right_frame_matrix`).  ``a`` must be floats; a dual
     coordinate raises ``TypeError``.
     """
-    r, dr, _ = _frame_derivatives(L, a, side)
+    r, dr = _frame_derivatives(L, a, side, order=1)
     with quiet():
         return _structure(r, dr)
 
@@ -106,7 +106,7 @@ def structure_tensor_raw(L, a, side="left"):
 def jacobi_residual(L, a):
     """Max-norm residual of the modified Jacobi identity at ``a``:
     the cyclic sum over (i, j, k) of G_k C^p_ij + C^q_ij C^p_kq."""
-    r, dr, d2r = _frame_derivatives(L, a, "left")
+    r, dr, d2r = _frame_derivatives(L, a, "left", order=2)
     with quiet():
         c = _structure(r, dr)
         dc = _structure_derivative(r, dr, d2r, c)

@@ -234,9 +234,10 @@ def _assert_parts_close(got, want, tol=1e-14):
 def _carrier_maker(kind, rng):
     """Random carriers of one kind around a float: a library ``Dual``, a
     library ``Dual`` over ``RefDual`` nested 1 or 2 levels deep (3 levels
-    in all), or degree-3 jets in two variables."""
-    if kind == "jet":
-        space = jet_space(2)
+    in all), or jets in two variables of order 2 ("jet", degree 3) or 1
+    ("jet1", degree 2)."""
+    if kind in ("jet", "jet1"):
+        space = jet_space(2, 1 if kind == "jet1" else 2)
         def make(v):
             c = 0.3 * np.array([rng.uniform(-1.0, 1.0) for _ in range(space.size)])
             c[0] = v

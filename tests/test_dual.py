@@ -431,9 +431,9 @@ def ref_rz_left_div(a, b):
     return zoo._rz_mod1((y - primal(y)) + root)
 
 
-@pytest.mark.parametrize("kind", ["dual", "nested2", "nested3", "jet"])
+@pytest.mark.parametrize("kind", ["dual", "nested2", "nested3", "jet", "jet1"])
 def test_rz_division_derivatives_match_full_newton(kind):
-    # carry runs 1, 2, 3 and 3 simplified Newton steps on these carriers
+    # carry runs 1, 2, 3, 3 and 2 simplified Newton steps on these carriers
     rng = random.Random(kind)
     make = _carrier_maker(kind, rng)
     L = zoo.make_loop("rz")
@@ -473,4 +473,6 @@ def test_carry_steps_follow_the_carrier_order():
     assert _order(Dual(0.5, 1.0)) == _order(Dual(np.zeros(3), np.ones(3))) == 1
     assert _order(Dual(RefDual(0.5, 1.0, lvl), 2.0)) == 2
     assert _order(RefDual(0.5, RefDual(1.0, 1.0, lvl), lvl + 1)) == 2
-    assert _order(jet_space(1).variable(0.5, ((0,), ()))) == 3
+    # a jet's order is its space's degree: one more than the order in alpha
+    assert _order(jet_space(1, 1).variable(0.5, ((0,), ()))) == 2
+    assert _order(jet_space(1, 2).variable(0.5, ((0,), ()))) == 3

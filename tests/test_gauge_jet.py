@@ -15,9 +15,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from loopbundle import gauge, tangent
-from loopbundle.dual import (Dual, floats_if_plain, gmatvec, gsin, pack, primal,
-                             taylor_frame)
+from loopbundle import dual, gauge, reconstruct, tangent
+from loopbundle.dual import (Dual, floats_if_plain, gmatvec, gsin, jet_space, pack,
+                             primal, taylor_frame)
 from loopbundle.zoo import make_loop
 
 import gauge_reference as ref
@@ -131,7 +131,7 @@ def test_connection_jet_matches_nested_jacobians(name):
     def flat_grad(zz):
         return list(np.asarray(ref_jacobian(flat_omega, zz)).reshape(-1))
 
-    om, dom, d2om, _, _ = gauge._connection_jet(form, x, y)
+    om, dom, d2om, lam, p = gauge._connection_jet(form, x, y, order=2)
     want = _floats(ref_omega_coeffs(form, z)).reshape(L.dim, n)
     # jacobian(flat_omega)[p*n + b][a] = d_a omega^p_b
     want_d = _floats(ref_jacobian(flat_omega, z)).reshape(L.dim, n, n).transpose(2, 0, 1)
@@ -139,6 +139,16 @@ def test_connection_jet_matches_nested_jacobians(name):
     assert np.max(np.abs(om - want)) <= 1e-14
     assert np.max(np.abs(dom - want_d)) <= 1e-14
     assert np.max(np.abs(d2om - want_d2)) <= 1e-15 * np.max(np.abs(want_d2))
+    # A first-order pass carries the same omega, dom, Lambda and P, and no
+    # d2om.  On rz the division's carry runs 2 Newton steps instead of 3,
+    # and a zero part's sign can follow the dropped alpha^2 terms.
+    first = gauge._connection_jet(form, x, y, order=1)
+    assert len(first) == 4
+    for got, want in zip(first, (om, dom, lam, p)):
+        if name == "rz":
+            assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want)))
+        else:
+            assert got.tobytes() == want.tobytes()
     # the directional passes of the form and the fields against their matrix forms
     rng = np.random.default_rng(44)
     vx, vy, w = rng.standard_normal(2), rng.standard_normal(L.dim), rng.standard_normal(L.dim)
@@ -250,7 +260,8 @@ def test_gauge_transform_matches_nested_dual_reference(name):
         assert got.dtype == float
         assert np.max(np.abs(got - _floats(want.potential.A(x)).reshape(L.dim, 2))) <= 1e-14
         # A' and dA' of the jet pass, through the curvature in the new chart
-        a1, da1, _ = taylor_frame(gauge._transformed_map(form, q_map, pair), x, [0.0, 0.0])
+        a1, da1 = taylor_frame(gauge._transformed_map(form, q_map, pair), x, [0.0, 0.0],
+                               order=1)
         assert np.max(np.abs(gauge._field_strength(a1, da1, c)
                              - ref.curvature(want, x, L.identity))) <= 1e-14
         assert abs(gauge.curvature_gauge_residual(form, q_map, x, q_back)
@@ -278,11 +289,15 @@ def test_default_back_transition_on_qhr(name):
 # for the structure functions in the structure equation; the commutator
 # makes one pass of f(z + v), one of A(x) v and one of the product, the
 # component curvature one of A(x) v and one of the product; no Dual nodes.
+# Each pass carries the order its caller reads: only the Jacobi and
+# Bianchi residuals read second derivatives, so only they build an
+# order-2 jet space.
 @pytest.mark.parametrize("name", ["rz", "qc", "qhr:K=1"])
 def test_jet_route_call_counts(monkeypatch, name):
     L = make_loop(name)
     nodes = [0]
     passes = Counter()
+    spaces = set()
 
     def counting_init(obj, re, du=0.0, lvl=0):
         obj.re = re
@@ -293,33 +308,95 @@ def test_jet_route_call_counts(monkeypatch, name):
     def counted(module):
         fn = module.taylor_frame
 
-        def wrapper(*args):
-            passes[module.__name__] += 1
-            return fn(*args)
+        def wrapper(f, a, e, order):
+            passes[module.__name__.split(".")[-1], order] += 1
+            return fn(f, a, e, order)
         return wrapper
+
+    def recorded(n, order):
+        spaces.add(order)
+        return jet_space(n, order)
 
     form2 = gauge.make_test_potential(L, 2, seed=49)
     form3 = gauge.make_test_potential(L, 3, seed=50)
+    q_map, _ = _test_transition(L, 49)
     rng = np.random.default_rng(49)
     x, y = _point(L, 2, rng)
+    a, b = (list(0.3 * L.sample(rng)) for _ in range(2))
     u, v = rng.standard_normal(2 + L.dim), rng.standard_normal(2 + L.dim)
-    for module in (gauge, tangent):
+    for module in (gauge, tangent, reconstruct):
         monkeypatch.setattr(module, "taylor_frame", counted(module))
+    monkeypatch.setattr(dual, "jet_space", recorded)
     monkeypatch.setattr(Dual, "__init__", counting_init)
     calls = (
-        (lambda: gauge.curvature_tensor(form2, x + y, u, v), 1, 0),
+        (lambda: gauge.curvature_tensor(form2, x + y, u, v), {("gauge", 1): 1}),
         (lambda: gauge.structure_equation_residual(form2, x, y, u[:2], u[2:], v[:2], v[2:]),
-         1, 1),
-        (lambda: gauge.bianchi_residual(form3, [0.1, -0.2, 0.3], y, *np.eye(3)), 1, 0),
-        (lambda: gauge.commutator_residual(form2, 0, 1, _cubic(u), x, y), 2, 1),
-        (lambda: gauge.curvature(form2, x, y), 1, 1),
+         {("gauge", 1): 1, ("tangent", 1): 1}),
+        (lambda: gauge.bianchi_residual(form3, [0.1, -0.2, 0.3], y, *np.eye(3)),
+         {("gauge", 2): 1}),
+        (lambda: gauge.commutator_residual(form2, 0, 1, _cubic(u), x, y),
+         {("gauge", 1): 2, ("tangent", 1): 1}),
+        (lambda: gauge.curvature(form2, x, y), {("gauge", 1): 1, ("tangent", 1): 1}),
+        (lambda: tangent.structure_tensor_raw(L, a), {("tangent", 1): 1}),
+        (lambda: tangent.jacobi_residual(L, a), {("tangent", 2): 1}),
+        (lambda: reconstruct.maurer_cartan_residual(L, b, a),
+         {("reconstruct", 1): 1, ("tangent", 1): 2}),
     )
-    for call, in_gauge, in_tangent in calls:
+    for call, want in calls:
         passes.clear()
+        spaces.clear()
         call()
-        assert passes == Counter({"loopbundle.gauge": in_gauge,
-                                  "loopbundle.tangent": in_tangent})
+        assert passes == Counter(want)
+        assert spaces == {order for _, order in want}
     assert nodes[0] == 0
+    # the curvature in another trivialization; Ad^-1 is a Dual Jacobian
+    passes.clear()
+    spaces.clear()
+    gauge.curvature_gauge_residual(form2, q_map, [0.1, -0.2])
+    assert passes == Counter({("gauge", 1): 2, ("tangent", 1): 1})
+    assert spaces == {1}
+
+
+# -- powers --------------------------------------------------------------------
+
+def _square_potential(L, square):
+    def a_fun(xs):
+        out = np.empty((L.dim, 2), dtype=object)
+        for i in range(L.dim):
+            out[i, 0] = 0.3 + (0.2 + 0.1 * i) * square(xs[0]) - 0.4 * xs[1]
+            out[i, 1] = -0.1 * i + 0.5 * square(xs[1]) * xs[0]
+        return floats_if_plain(out)
+
+    return gauge.LocalConnectionForm(
+        potential=gauge.GaugePotential(chart="square", A=a_fun, base_dim=2), fiber=L)
+
+
+@pytest.mark.parametrize("name", ["qc", "qsu2", "qhr:K=1"])
+def test_potential_with_a_power_takes_jets(name):
+    # A potential may write x**2: the jet routes give what x*x gives, bit
+    # for bit, as the float and dual routes already did.
+    L = make_loop(name)
+    power = _square_potential(L, lambda v: v ** 2)
+    product = _square_potential(L, lambda v: v * v)
+    rng = np.random.default_rng(57)
+    x, y = _point(L, 2, rng)
+    u, v = rng.standard_normal(2 + L.dim), rng.standard_normal(2 + L.dim)
+    assert (gauge.curvature(power, x, y).tobytes()
+            == gauge.curvature(product, x, y).tobytes())
+    # the structure equation holds on mixed pairs along the section y = e
+    args = (x, list(L.identity), u[:2], u[2:], v[:2], v[2:])
+    got = gauge.structure_equation_residual(power, *args)
+    assert got == gauge.structure_equation_residual(product, *args)
+    assert got < 1e-12
+
+
+def test_jet_and_dual_powers_take_nonnegative_integers():
+    jet = jet_space(2, 1).variable(0.5, ((0,), ()))
+    assert (jet ** 0, (jet ** 3).c.tobytes()) == (1.0, (jet * jet * jet).c.tobytes())
+    for x in (jet, Dual(0.5, 1.0)):
+        for n in (-1, 2.0, 0.5):
+            with pytest.raises(TypeError, match="nonnegative integer"):
+                x ** n
 
 
 # -- non-finite values ---------------------------------------------------------

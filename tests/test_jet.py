@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from loopbundle import core, reconstruct, tangent
-from loopbundle.dual import (Dual, Jet, floats_if_plain, gcos, gfloor, gsin,
+from loopbundle import core, gauge, reconstruct, tangent
+from loopbundle.dual import (Dual, Jet, floats_if_plain, gcos, gdot, gfloor, gsin,
                              jet_space, pack, pack_matrix, primal, taylor_frame)
 from loopbundle.errors import DomainSingularity
 from loopbundle.report import worst_residual
@@ -158,7 +158,7 @@ def test_structure_derivative_matches_nested_dual_reference(name):
     # the d_l R C term of d_l C leaves it at rounding level.
     L, pts = _points(name)
     for a in pts:
-        r, dr, d2r = tangent._frame_derivatives(L, a, "left")
+        r, dr, d2r = tangent._frame_derivatives(L, a, "left", order=2)
         got = tangent._structure_derivative(r, dr, d2r, tangent._structure(r, dr))
         assert np.max(np.abs(got - ref_structure_derivative(L, a))) <= 1e-13
 
@@ -191,7 +191,7 @@ def test_taylor_frame_of_the_associator_matches_nested_jacobians(name):
         return np.array([primal(v) for v in np.asarray(m).flat])
 
     r, dr, d2r = taylor_frame(lambda x, c: core._left_associator(L, a, x, c),
-                              b, list(L.identity))
+                              b, list(L.identity), order=2)
     want_r = floats(lstar(b)).reshape(n, n)
     want_dr = floats(ref_jacobian(lstar, b)).reshape(n, n, n).transpose(2, 0, 1)
     want_d2r = floats(ref_jacobian(
@@ -205,7 +205,7 @@ def test_taylor_frame_of_the_associator_matches_nested_jacobians(name):
 
 def test_rz_division_keeps_the_jet():
     L = make_loop("rz")
-    space = jet_space(1)
+    space = jet_space(1, 2)
     x = space.variable(0.02, ((0,), ()))
     out = L.left_div([0.01], [x])[0]
     assert out.__class__ is Jet
@@ -218,7 +218,7 @@ def test_rz_divisions_keep_the_float_primal():
     # The carrier Newton steps may move the root by an ulp; the float root
     # replaces their primal, for duals and jets alike.
     L = make_loop("rz")
-    space = jet_space(1)
+    space = jet_space(1, 2)
     rng = np.random.default_rng(2)
     for a, b in zip(rng.uniform(0.0, 0.1, 1000), rng.uniform(0.0, 1.0, 1000)):
         want = L.left_div([a], [b])[0]
@@ -232,7 +232,7 @@ def test_qhr_right_divisions_keep_the_float_primal(K):
     # dual and jet quotients do, so a carrier's primal equals the float
     # division bit for bit; dividing by the denominator would not.
     L = make_loop(f"qhr:K={K:g}")
-    space = jet_space(1)
+    space = jet_space(1, 2)
     rng = np.random.default_rng(3)
     for _ in range(100):
         a, b = list(L.sample(rng)), list(L.sample(rng))
@@ -251,7 +251,7 @@ def test_gsolve_keeps_jet_factors_with_zero_primal():
     # A = [[2, s], [s, 3]] and b = (1, 1).  At s = 0 the off-diagonal
     # entries have primal 0 and a jet part, which must still reach
     # x'(0) = -A^-1 A' A^-1 b = (-1/6, -1/6).
-    space = jet_space(1)
+    space = jet_space(1, 2)
     s = space.variable(0.0, ((0,), ()))
     a = pack_matrix([[2.0, s], [s, 3.0]])
     assert a.dtype == object
@@ -277,7 +277,7 @@ def test_taylor_frame_matches_nested_jacobians(name):
     def floats(m):
         return np.array([primal(v) for v in np.asarray(m).flat])
 
-    r, dr, d2r = taylor_frame(L.product, a, list(L.identity))
+    r, dr, d2r = taylor_frame(L.product, a, list(L.identity), order=2)
     want_r = floats(tangent.left_frame_matrix(L, a)).reshape(n, n)
     # jacobian(flat_frame)[k*n + i][m] = d_m R[k, i]
     want_dr = floats(ref_jacobian(flat_frame, a)).reshape(n, n, n).transpose(2, 0, 1)
@@ -286,6 +286,91 @@ def test_taylor_frame_matches_nested_jacobians(name):
     assert np.max(np.abs(r - want_r)) <= 1e-14 * scale
     assert np.max(np.abs(dr - want_dr)) <= 1e-14 * scale
     assert np.max(np.abs(d2r - want_d2r)) <= 1e-13 * scale
+
+
+def _order_maps(L, seed):
+    """The maps whose jet passes the library truncates at order 1: the
+    product, the left associator, the connection map, the potential map
+    (x, v) -> A(x) v of both test kinds and a shifted test function."""
+    rng = np.random.default_rng(seed)
+    a, b = (list(0.7 * L.sample(rng)) for _ in range(2))
+    x, y = list(rng.uniform(-0.3, 0.3, 2)), list(0.3 * L.sample(rng))
+    coef = rng.standard_normal(2 + L.dim)
+
+    def shifted(zs, vs):
+        w = [p + q for p, q in zip(zs, vs)]
+        return [gdot(coef, [v + 0.3 * v * v * v for v in w])]
+
+    def potential(kind):
+        form = gauge.make_test_potential(L, 2, seed=seed, kind=kind)
+        return lambda xs, vs: [gdot(row, vs) for row in form.potential.A(xs)]
+
+    e, z = list(L.identity), x + y
+    return {
+        "product": (L.product, a, e),
+        "associator": (lambda p, c: core._left_associator(L, a, p, c), b, e),
+        "connection": (gauge._connection_map(gauge.make_test_potential(L, 2, seed=seed)),
+                       z, [0.0] * len(z)),
+        "potential-poly": (potential("poly"), x, [0.0, 0.0]),
+        "potential-trig": (potential("trig"), x, [0.0, 0.0]),
+        "shifted": (shifted, z, [0.0] * len(z)),
+    }
+
+
+@pytest.mark.parametrize("name", ["rz", "qc", "qh2", "qsu2", "qhr:K=1", "qhr:K=0",
+                                  "qhr:K=-2.5"])
+def test_first_order_pass_matches_second_order_pass(name):
+    # The coefficients of a truncated product up to |p| = 1 come from the
+    # same pairs, summed in the same order, at either order, so R and dR
+    # of an order-1 pass are the order-2 pass's bit for bit.  The one
+    # exception is a map through an rz division: dual.carry runs one
+    # simplified Newton step per degree, 2 on order-1 jets and 3 on
+    # order-2 jets, and the third step moves the parts by the rounding of
+    # a residual whose terms reach about 10.
+    L = make_loop(name)
+    for seed in range(3):
+        for key, (f, a, e) in _order_maps(L, seed).items():
+            first, second = taylor_frame(f, a, e, order=1), taylor_frame(f, a, e, order=2)
+            assert len(first) == 2 and len(second) == 3
+            if name == "rz" and key in ("associator", "connection"):
+                scale = 1.0 + max(np.max(np.abs(d)) for d in second)
+                for got, want in zip(first, second):
+                    assert np.max(np.abs(got - want)) <= 1e-14 * scale, key
+            else:
+                for got, want in zip(first, second):
+                    assert got.tobytes() == want.tobytes(), key
+
+
+def test_rz_division_order_one_jets_match_order_two_jets():
+    # The order-1 parts of an rz left division, carried by 2 Newton steps
+    # on order-1 jets and by 3 on order-2 jets, agree to rounding
+    # (see test_first_order_pass_matches_second_order_pass).
+    L = make_loop("rz")
+    one, two = jet_space(2, 1), jet_space(2, 2)
+    keep = [two.index[mono] for mono in one.index]
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        a, b = rng.uniform(0.0, 0.1), rng.uniform(0.0, 1.0)
+        for slots in ((0,), (1,), (0, 1)):
+            args2 = [a, b]
+            for s in slots:
+                c = 0.3 * rng.uniform(-1.0, 1.0, two.size)
+                c[0] = args2[s]
+                args2[s] = Jet(c, two)
+            args1 = [Jet(v.c[keep], one) if v.__class__ is Jet else v for v in args2]
+            got = L.left_div([args1[0]], [args1[1]])[0]
+            want = L.left_div([args2[0]], [args2[1]])[0].c[keep]
+            assert got.c[0] == want[0] == L.left_div([a], [b])[0]
+            assert np.max(np.abs(got.c - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_jet_space_size_follows_the_order():
+    # 25 monomials and 81 product pairs at order 1 in dimension 4, against
+    # 75 and 405 at order 2
+    for order, size, pairs, degree in ((1, 25, 81, 2), (2, 75, 405, 3)):
+        space = jet_space(4, order)
+        assert (space.size, len(space._i), space.degree) == (size, pairs, degree)
+        assert all(len(p) <= order and len(q) <= 1 for p, q in space.index)
 
 
 # -- the jet elementaries ------------------------------------------------------
@@ -314,7 +399,7 @@ def _derivative(f, idxs):
 def test_jet_coefficients_match_nested_dual_derivatives():
     n = 2
     a, e = [0.3, -0.45], [0.2, 0.7]
-    space = jet_space(n)
+    space = jet_space(n, 2)
     xs = [space.variable(v, ((m,), ())) for m, v in enumerate(a)]
     ys = [space.variable(v, ((), (i,))) for i, v in enumerate(e)]
     out = _sample_map(xs, ys)
@@ -331,7 +416,7 @@ def test_jet_coefficients_match_nested_dual_derivatives():
 
 
 def test_jet_arithmetic_with_numbers():
-    space = jet_space(1)
+    space = jet_space(1, 2)
     x = space.variable(0.5, ((0,), ()))
     c = x.c
     two = np.zeros(space.size)
@@ -351,7 +436,7 @@ def test_jet_arithmetic_with_numbers():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_and_inf_reach_the_jet_results():
-    space = jet_space(2)
+    space = jet_space(2, 2)
     x = space.variable(math.nan, ((0,), ()))
     y = space.variable(0.2, ((), (1,)))
     assert np.all(np.isnan((x * y + 1.0).c[[0, space.index[((0,), (1,))]]]))
@@ -385,7 +470,7 @@ def test_inf_in_the_jet_pass_is_silent(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sin_cos_floor_are_nan_on_non_finite_values(bad):
-    space = jet_space(1)
+    space = jet_space(1, 2)
     for x in (bad, Dual(bad, 1.0), space.variable(bad, ((0,), ()))):
         for fn in (gsin, gcos, gfloor):
             assert math.isnan(primal(fn(x)))
@@ -423,7 +508,7 @@ def test_maurer_cartan_algebra_is_silent_on_inf_division_jets(name):
 
 
 def test_singular_denominator_raises_as_on_floats():
-    space = jet_space(2)
+    space = jet_space(2, 2)
     zero = space.variable(0.0, ((0,), ()))
     with pytest.raises(ZeroDivisionError):
         1.0 / 0.0
@@ -438,7 +523,7 @@ def test_singular_denominator_raises_as_on_floats():
         L = make_loop(name)
         with pytest.raises(DomainSingularity):
             L.product(a, b)
-        jets = jet_space(L.dim)
+        jets = jet_space(L.dim, 2)
         with pytest.raises(DomainSingularity):
             L.product([jets.variable(v, ((m,), ())) for m, v in enumerate(a)],
                       [jets.variable(v, ((), (m,))) for m, v in enumerate(b)])

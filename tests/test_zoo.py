@@ -532,7 +532,7 @@ def test_rz_mod1_stays_in_the_chart():
     assert zoo._rz_mod1(0.25) == 0.25
     d = zoo._rz_mod1(Dual(-1e-17, 2.0))
     assert (d.re, d.du) == (0.0, 2.0)
-    space = jet_space(1)
+    space = jet_space(1, 2)
     x = space.variable(0.0, ((0,), ())) - 1e-17
     j = zoo._rz_mod1(x)
     assert j.__class__ is Jet and primal(j) == 0.0
