@@ -198,11 +198,11 @@ def s3_untrivialize(chart, psi1, zeta):
     return s3_point(theta, psi1, psi1 + delta)
 
 
-def _angle_in(angle, lo, hi, margin=0.0):
+def _angle_in(angle, lo, hi):
     a = angle % (2.0 * math.pi)
     if lo < 0.0 and a > math.pi:
         a -= 2.0 * math.pi
-    return lo + margin < a < hi - margin
+    return lo < a < hi
 
 
 def make_s3_bundle():

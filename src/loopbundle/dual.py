@@ -247,32 +247,24 @@ def quiet():
 
 
 def pack(xs):
-    """Turn a list of scalars into a numpy vector (object dtype if dual);
-    batch arrays stack to rows."""
+    """The numpy array of a list of scalars (a vector) or of rows (a
+    matrix); batch arrays stack to rows.
+
+    With no dual or jet anywhere the array is float, numpy scalars
+    included.  Otherwise it is an object array of the same shape holding
+    the same objects.  A flat list is scanned for carriers first, so a
+    pass's list of duals never raises on the way; only rows that hold
+    carriers fall back from the float attempt.
+    """
     xs = list(xs)
     if has_dual(xs):
         out = np.empty(len(xs), dtype=object)
         out[:] = xs
         return out
-    return np.array(xs, dtype=float)
-
-
-def pack_matrix(rows):
-    rows = [list(r) for r in rows]
-    if any(has_dual(r) for r in rows):
-        out = np.empty((len(rows), len(rows[0])), dtype=object)
-        for i, r in enumerate(rows):
-            out[i, :] = r
-        return out
-    return np.array([[float(x) for x in r] for r in rows])
-
-
-def floats_if_plain(a):
-    """The array ``a`` as floats when no entry is dual, else ``a`` itself."""
     try:
-        return a.astype(float)
-    except (TypeError, ValueError):
-        return a
+        return np.array(xs, dtype=float)
+    except TypeError:  # rows that hold carriers
+        return np.array(xs, dtype=object)
 
 
 def seed(x, direction):
@@ -314,8 +306,7 @@ def jacobian(f, x):
     n = len(x)
     cols = [dual_parts(f(seed(x, [1.0 if j == i else 0.0 for j in range(n)])))
             for i in range(n)]
-    m = len(cols[0])
-    return pack_matrix([[cols[j][i] for j in range(n)] for i in range(m)])
+    return pack(list(zip(*cols)))
 
 
 def gdot(a, b):
@@ -331,7 +322,7 @@ def gmatvec(m, v):
 
 def gmatmul(a, b):
     bt = list(zip(*[list(r) for r in b]))
-    return pack_matrix([[gdot(row, col) for col in bt] for row in a])
+    return pack([[gdot(row, col) for col in bt] for row in a])
 
 
 def carry(root, residual, solve0):

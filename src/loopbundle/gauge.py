@@ -26,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import core, tangent
-from .dual import (dirderiv, floats_if_plain, gcos, gdot, gsin, jacobian, pack,
-                   primal, quiet, taylor_frame)
+from .dual import dirderiv, gcos, gdot, gsin, jacobian, pack, quiet, taylor_frame
 from .errors import PartitionInvalid
 
 
@@ -48,13 +47,6 @@ class GaugePotential:
 class LocalConnectionForm:
     potential: GaugePotential
     fiber: object
-
-
-def ad_inverse_matrix(L, y, at=None):
-    """Matrix of Ad^-1_y(at) at the identity; ``at`` defaults to e."""
-    if at is None:
-        at = list(L.identity)
-    return tangent.ad_inverse_differential(L, list(y), list(at))
 
 
 def omega_apply(form, x, y, vx, vy):
@@ -130,16 +122,10 @@ def omega_annihilates_d_residual(form, x, y, mu):
     vx = np.array([1.0 if k == mu else 0.0 for k in range(db)])
     # -Rbar A_mu, Rbar the right frame at y
     vy = -dirderiv(lambda c: core.product(L, c, y), L.identity, a[:, mu])
-    val = omega_apply(form, x, y, vx, vy)
-    return float(np.max(np.abs(np.array([primal(v) for v in val]))))
+    return float(np.max(np.abs(omega_apply(form, x, y, vx, vy))))
 
 
 # -- fields on the product chart and the structure equation ----------------
-
-def _split(form, z):
-    db = form.potential.base_dim
-    return list(z[:db]), list(z[db:])
-
 
 def _connection_map(form):
     """f(z, v) = Ad^-1_y(e)(e + A(x) v_x) + y \\ (y + v_y) at z = (x, y),
@@ -202,7 +188,8 @@ def hor_field(form, vx):
     vx = [float(v) for v in vx]
 
     def field(z):
-        x, y = _split(form, z)
+        db = form.potential.base_dim
+        x, y = list(z[:db]), list(z[db:])
         L = form.fiber
         e = list(L.identity)
         aw = np.asarray(form.potential.A(x)) @ np.asarray(vx)
@@ -217,8 +204,8 @@ def fundamental_field(form, w):
     w = [float(v) for v in w]
 
     def field(z):
-        _, y = _split(form, z)
-        return pack([0.0] * form.potential.base_dim + list(_lift(form.fiber, y, w)))
+        db = form.potential.base_dim
+        return pack([0.0] * db + list(_lift(form.fiber, list(z[db:]), w)))
 
     return field
 
@@ -329,7 +316,7 @@ def curvature_gauge_residual(form, q_map, x, q_back=None):
     a1, da1 = taylor_frame(_transformed_map(form, q_map, pair), x, [0.0] * len(x),
                            order=1)
     a0, da0 = _potential_jet(form, x)
-    adinv = ad_inverse_matrix(L, *pair(x))
+    adinv = tangent.ad_inverse_differential(L, *pair(x))
     with quiet():
         rotated = np.einsum("ij,jmn->imn", adinv, _field_strength(a0, da0, c))
         return float(np.max(np.abs(_field_strength(a1, da1, c) - rotated)))
@@ -370,12 +357,12 @@ def vertical_reproduction_residual(form, x, y, w):
     lifted = _lift(form.fiber, list(y), w)
     val = omega_apply(form, list(x), list(y),
                       np.zeros(form.potential.base_dim), lifted)
-    return float(np.max(np.abs(np.array([primal(v) for v in val]) - np.asarray(w))))
+    return float(np.max(np.abs(val - np.asarray(w))))
 
 
 # -- deterministic test data ----------------------------------------------
 
-def make_test_potential(L, base_dim, seed, chart="test", kind="poly"):
+def make_test_potential(L, base_dim, seed, kind="poly"):
     """Reproducible smooth potential family for verification sweeps."""
     rng = np.random.default_rng(seed)
     nf = L.dim
@@ -392,21 +379,20 @@ def make_test_potential(L, base_dim, seed, chart="test", kind="poly"):
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
 
-    def a_fun(xs):
-        out = np.empty((nf, base_dim), dtype=object)
-        for i in range(nf):
-            for mu in range(base_dim):
-                acc = c0[i, mu]
-                for k in range(base_dim):
-                    acc = acc + c1[i, mu, k] * first(xs[k]) + second(c2[i, mu, k], xs[k])
-                out[i, mu] = acc
-        return floats_if_plain(out)
+    def entry(xs, i, mu):
+        acc = c0[i, mu]
+        for k in range(base_dim):
+            acc = acc + c1[i, mu, k] * first(xs[k]) + second(c2[i, mu, k], xs[k])
+        return acc
 
-    pot = GaugePotential(chart=chart, A=a_fun, base_dim=base_dim)
+    def a_fun(xs):
+        return pack([[entry(xs, i, mu) for mu in range(base_dim)] for i in range(nf)])
+
+    pot = GaugePotential(chart="test", A=a_fun, base_dim=base_dim)
     return LocalConnectionForm(potential=pot, fiber=L)
 
 
-def make_test_transition(L, base_dim, seed, radius=0.4):
+def make_test_transition(L, base_dim, seed):
     """Reproducible smooth loop-valued map on a test base chart."""
     rng = np.random.default_rng(seed)
     nf = L.dim
@@ -420,7 +406,7 @@ def make_test_transition(L, base_dim, seed, radius=0.4):
             acc = c0[i]
             for k in range(base_dim):
                 acc = acc + c1[i, k] * gsin(xs[k] + phases[i, k])
-            out.append(radius * acc)
+            out.append(0.4 * acc)
         return out
 
     return q_map

@@ -146,8 +146,9 @@ def batalin_transform(L, b, c, a):
     return pack(L.left_div(a, L.product(L.product(a, b), c)))
 
 
-def batalin_axiom_check(L, a, b, c):
-    """Residuals of the transformation-quasigroup axioms for (a, b, c)."""
+def batalin_axiom_check(L, a, b, c, tol):
+    """Residuals of the transformation-quasigroup axioms for (a, b, c),
+    each a case of tolerance ``tol``."""
     report = VerificationReport(suite=f"batalin[{L.name}]")
     e = pack(L.identity)
     phi_t = batalin_transform(L, b, c, a)
@@ -159,9 +160,8 @@ def batalin_axiom_check(L, a, b, c):
     # Invertibility: recover c from the transformed point.
     back = core.left_divide(L, core.product(L, a, b), core.product(L, a, phi_t))
     invert = core.distance(L, back, c)
-    tol = 1e-10
-    report.add("modified_associativity", assoc, tol, 1)
-    report.add("right_unit", right_unit, tol, 1)
-    report.add("left_unit", left_unit, tol, 1)
-    report.add("invertibility", invert, tol, 1)
+    report.add("batalin_modified_associativity", assoc, tol, 1)
+    report.add("batalin_right_unit", right_unit, tol, 1)
+    report.add("batalin_left_unit", left_unit, tol, 1)
+    report.add("batalin_invertibility", invert, tol, 1)
     return report

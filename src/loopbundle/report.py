@@ -46,8 +46,22 @@ class VerificationReport:
     cases: list = field(default_factory=list)
     wall_time: float = 0.0
 
-    def add(self, name, max_residual, tolerance, samples):
-        self.cases.append(CaseResult(name, float(max_residual), float(tolerance), samples))
+    def add(self, name, residual, tolerance, samples):
+        """Fold ``residual`` into the case ``name``, the one residual
+        accumulator of every suite.
+
+        The first call for a name appends a case at
+        ``worst_residual(0.0, residual)``, with this call's tolerance and
+        sample count; a later call keeps the worse residual, NaN if either
+        is NaN (:func:`worst_residual`).  Cases keep the order of their
+        first call.
+        """
+        for case in self.cases:
+            if case.name == name:
+                case.max_residual = float(worst_residual(case.max_residual, residual))
+                return
+        self.cases.append(CaseResult(name, float(worst_residual(0.0, residual)),
+                                     float(tolerance), samples))
 
     def extend(self, other):
         self.cases.extend(other.cases)

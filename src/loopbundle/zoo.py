@@ -430,7 +430,6 @@ def make_loop(spec):
             # NaN and inf fail the comparison, so they are rejected too.
             domain_check=lambda p: math.hypot(*p) < 1e3,
             sample=sample,
-            params={"K": K},
         )
     raise UnknownKind(f"unknown loop kind: {kind}")
 
@@ -446,5 +445,5 @@ def parse_spec(name):
     return LoopSpec(kind=name)
 
 
-def catalog_names(K=1.0):
-    return ["rz", "qc", "qh2", f"qhr:K={K:g}", "qsu2"]
+def catalog_names():
+    return ["rz", "qc", "qh2", "qhr:K=1", "qsu2"]

@@ -24,6 +24,12 @@ def _floats(m):
     return np.array([[primal(v) for v in row] for row in np.asarray(m)])
 
 
+def split(form, z):
+    """The base and fiber coordinates of a point z = (x, y), as lists."""
+    db = form.potential.base_dim
+    return list(z[:db]), list(z[db:])
+
+
 def covariant_derivative_apply(form, mu, f, x, y):
     """(D_mu f)(x, y) = (d_mu f) - A^i_mu(x) (Lbar_i f); accepts duals."""
     db = form.potential.base_dim
@@ -92,7 +98,7 @@ def gauge_transform(form, q_map, q_back=None):
     def a_new(xs):
         qab = list(q_map(xs))
         qba = list(q_back(xs))
-        adinv = gauge.ad_inverse_matrix(L, qab, at=qba)
+        adinv = tangent.ad_inverse_differential(L, qab, qba)
         lstar = np.asarray(tangent.left_associator_differential(L, qba, qab))
         theta = canonical_pullback(L, q_map, xs)
         return adinv @ np.asarray(form.potential.A(list(xs))) + lstar @ theta
@@ -109,7 +115,7 @@ def gauge_transform_via_global(form, q_map):
 
     def a_new(xs):
         yq = list(q_map(xs))
-        adinv = gauge.ad_inverse_matrix(L, yq)
+        adinv = tangent.ad_inverse_differential(L, yq, list(L.identity))
         dq = jacobian(lambda xx: list(q_map(xx)), list(xs))
         frame = tangent.left_frame_matrix(L, yq)
         return (adinv @ np.asarray(form.potential.A(list(xs)))
@@ -128,8 +134,8 @@ def curvature_gauge_residual(form, q_map, x, q_back=None):
         q_back = lambda xs: list(core.right_divide(L, L.identity, q_map(xs)))
     e = [float(v) for v in L.identity]
     f_beta = curvature(gauge_transform(form, q_map, q_back), list(x), e)
-    adinv = _floats(gauge.ad_inverse_matrix(L, list(q_map(list(x))),
-                                            at=list(q_back(list(x)))))
+    adinv = _floats(tangent.ad_inverse_differential(L, list(q_map(list(x))),
+                                                    list(q_back(list(x)))))
     rotated = np.einsum("ij,jmn->imn", adinv, curvature(form, list(x), e))
     return float(np.max(np.abs(f_beta - rotated)))
 
@@ -138,7 +144,8 @@ def omega_matrices(form, x, y):
     """The two coefficient blocks of the coordinate connection form:
     Ad^-1_y(e)_* A(x) and the inverse of the left frame at y."""
     L = form.fiber
-    dx_block = gauge.ad_inverse_matrix(L, y) @ np.asarray(form.potential.A(list(x)))
+    dx_block = (tangent.ad_inverse_differential(L, list(y), list(L.identity))
+                @ np.asarray(form.potential.A(list(x))))
     dy_block = ref_gsolve(tangent.left_frame_matrix(L, list(y)), np.eye(L.dim))
     return dx_block, dy_block
 
@@ -154,9 +161,10 @@ def hor_field(form, vx):
     vx = [float(v) for v in vx]
 
     def field(z):
-        x, y = gauge._split(form, z)
+        x, y = split(form, z)
         L = form.fiber
-        w = gauge.ad_inverse_matrix(L, y) @ (np.asarray(form.potential.A(x)) @ np.asarray(vx))
+        w = (tangent.ad_inverse_differential(L, y, list(L.identity))
+             @ (np.asarray(form.potential.A(x)) @ np.asarray(vx)))
         lifted = np.asarray(tangent.left_frame_matrix(L, y)) @ w
         return pack(vx + [-u for u in lifted])
 
@@ -166,7 +174,7 @@ def hor_field(form, vx):
 def fundamental_field(form, w):
     """Vertical field of ``w`` from the left frame matrix."""
     def field(z):
-        _, y = gauge._split(form, z)
+        _, y = split(form, z)
         lifted = np.asarray(tangent.left_frame_matrix(form.fiber, y)) @ np.asarray(w)
         return pack([0.0] * form.potential.base_dim + list(lifted))
 
@@ -182,8 +190,8 @@ def vertical_reproduction_residual(form, x, y, w):
 
 def omega_of(form, z, v):
     """Connection form as a function on combined (base, fiber) coordinates."""
-    x, y = gauge._split(form, z)
-    vx, vy = gauge._split(form, v)
+    x, y = split(form, z)
+    vx, vy = split(form, v)
     return omega_apply(form, x, y, vx, vy)
 
 

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from loopbundle.dual import Dual, Jet, gcos, gsin, jet_space, pack, pack_matrix, primal
+from loopbundle.dual import Dual, Jet, gcos, gsin, jet_space, pack, primal
 
 _REF_NUMBERS = (int, float, np.floating, np.integer)
 
@@ -159,8 +159,7 @@ def ref_jacobian(f, x):
         lvl = next_level()
         direction = [1.0 if j == i else 0.0 for j in range(n)]
         cols.append(_ref_dual_parts(f(ref_seed(x, direction, lvl)), lvl))
-    m = len(cols[0])
-    return pack_matrix([[cols[j][i] for j in range(n)] for i in range(m)])
+    return pack(list(zip(*cols)))
 
 
 # -- the carrier solve ---------------------------------------------------------
@@ -195,8 +194,8 @@ def ref_gsolve(a, b):
                 continue
             for c in range(col, width):
                 aug[r][c] = aug[r][c] - factor * aug[col][c]
-    out = pack_matrix([[aug[i][n + k] * (1.0 / aug[i][i])
-                        for k in range(rhs.shape[1])] for i in range(n)])
+    out = pack([[aug[i][n + k] * (1.0 / aug[i][i])
+                 for k in range(rhs.shape[1])] for i in range(n)])
     return out[:, 0] if vec else out
 
 

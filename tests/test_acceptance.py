@@ -11,7 +11,7 @@ import pytest
 
 from loopbundle import bundle, core, gauge, reconstruct, tangent
 from loopbundle.dual import gcos, gsin, jacobian, primal
-from loopbundle.report import worst_residual
+from loopbundle.report import DEFAULT_TOLERANCES, worst_residual
 from loopbundle.zoo import catalog_names, make_loop, qsu2_product
 
 ALL_LOOPS = catalog_names()
@@ -37,7 +37,8 @@ def test_criterion_1_loop_axioms():
     for name in ALL_LOOPS:
         L = make_loop(name)
         t0 = time.perf_counter()
-        report = core.check_loop_axioms(L, 10_000, seed=101)
+        report = core.check_loop_axioms(L, 10_000, seed=101,
+                                         tol=DEFAULT_TOLERANCES["axioms"])
         slowest = max(slowest, time.perf_counter() - t0)
         worst = worst_residual(worst, report.max_residual)
     ok = _report("criterion-1 loop axioms (1e4 samples per loop)", worst, 1e-11)

@@ -84,6 +84,36 @@ def test_reports_are_deterministic(tmp_path, capsys):
     assert d1 == d2
 
 
+QC_ALL_CASES = [
+    "identity", "division_round_trip", "chart_closure",
+    "structure_antisymmetry", "structure_closed_form",
+    "canonical_form_left_law", "canonical_form_right_law",
+    "modified_jacobi",
+    "product_reconstruction", "maurer_cartan",
+    "batalin_modified_associativity", "batalin_right_unit", "batalin_left_unit",
+    "batalin_invertibility",
+    "cocycle[s3-over-s1]", "transition_right_law[s3-over-s1]",
+    "chart_round_trip[s3-over-s1]",
+    "cocycle[qs2-over-s2:n=2]", "transition_right_law[qs2-over-s2:n=2]",
+    "chart_round_trip[qs2-over-s2:n=2]",
+    "s3_norm_preservation", "winding_closed_form",
+    "commutator", "omega_annihilates_d", "gauge_two_route",
+    "structure_eq_horizontal", "structure_eq_vertical", "structure_eq_mixed",
+    "bianchi", "abelian_maxwell", "glue_vertical_reproduction",
+]
+
+
+def test_all_suites_report_each_case_once_in_order(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert run(["verify", "--loop", "qc", "--suite", "all", "--samples", "5",
+                "--report", str(path)]) == 0
+    cases = json.loads(path.read_text())["cases"]
+    assert [c["name"] for c in cases] == QC_ALL_CASES
+    tol = {c["name"]: float(c["tolerance"]) for c in cases}
+    assert tol["identity"] == 1e-11 and tol["chart_closure"] == 0.0
+    assert tol["batalin_invertibility"] == 1e-10
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("loop = qc\nsamples = 15\nseed = 13\ntol.jacobi = 1e-4\n")

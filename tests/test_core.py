@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from loopbundle import bundle, core, reconstruct
 from loopbundle.dual import Dual, jacobian, pack, primal
 from loopbundle.errors import OutOfDomain
-from loopbundle.report import worst_residual
+from loopbundle.report import DEFAULT_TOLERANCES, worst_residual
 from loopbundle.zoo import catalog_names, make_loop
 
 ALL_LOOPS = catalog_names()
@@ -17,7 +17,7 @@ ALL_LOOPS = catalog_names()
 @pytest.mark.parametrize("name", ALL_LOOPS)
 def test_axiom_sweep(name):
     L = make_loop(name)
-    report = core.check_loop_axioms(L, 500, seed=11)
+    report = core.check_loop_axioms(L, 500, seed=11, tol=DEFAULT_TOLERANCES["axioms"])
     assert report.passed, [c.as_dict() for c in report.cases]
 
 
@@ -34,7 +34,7 @@ def test_nan_product_fails_axiom_cases():
     qc = make_loop("qc")
     L = dataclasses.replace(
         qc, product=lambda a, b: [v * math.nan for v in qc.product(a, b)])
-    report = core.check_loop_axioms(L, 20, seed=11)
+    report = core.check_loop_axioms(L, 20, seed=11, tol=DEFAULT_TOLERANCES["axioms"])
     assert not report.passed
     cases = {c.name: c for c in report.cases}
     for name in ("identity", "division_round_trip"):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from loopbundle import zoo
 from loopbundle.dual import (Dual, dirderiv, dual_parts, gcos, ginv, gsin,
-                             gsolve, jacobian, pack, primal, seed)
+                             gsolve, jacobian, jet_space, pack, primal, seed)
 from leveled_dual import (RefDual, _assert_parts_close, _carrier_maker,
                           _coefficients, next_level, ref_dirderiv, ref_gsolve,
                           ref_jacobian)
@@ -123,6 +123,34 @@ def test_pack_keeps_duals():
         out = pack([x, 3.0])
         assert out.dtype == object
         assert primal(out[0]) == 1.0
+
+
+def test_pack_plain_input_gives_floats():
+    for xs in ([1.0, np.float64(2.5), 3], [[1.0, np.float64(2.0)], [np.int64(3), 4.5]],
+               np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object)):
+        out = pack(xs)
+        assert out.dtype == float
+        assert np.array_equal(out, np.array(xs, dtype=float))
+
+
+def test_pack_batch_arrays_stack_to_rows():
+    rows = [np.arange(3.0), np.ones(3)]
+    out = pack(rows)
+    assert out.dtype == float and out.shape == (2, 3)
+    assert np.array_equal(out, np.vstack(rows))
+
+
+def test_pack_keeps_carriers_in_place():
+    jet = jet_space(1, 2).variable(0.5, ((0,), ()))
+    for carrier in (Dual(1.0, 2.0), jet):
+        vec = [np.float64(2.0), carrier, 3.0]
+        rows = [[1.0, 2.0], [carrier, np.float64(4.0)]]
+        for xs, shape in ((vec, (3,)), (rows, (2, 2)),
+                          (np.array(rows, dtype=object), (2, 2))):
+            out = pack(xs)
+            assert out.dtype == object and out.shape == shape
+            flat = [v for r in xs for v in r] if len(shape) == 2 else xs
+            assert all(a is b for a, b in zip(out.flat, flat, strict=True))
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from loopbundle import dual, gauge, reconstruct, tangent
-from loopbundle.dual import (Dual, floats_if_plain, gmatvec, gsin, jet_space, pack,
-                             primal, taylor_frame)
+from loopbundle.dual import Dual, gmatvec, gsin, jet_space, pack, primal, taylor_frame
 from loopbundle.zoo import make_loop
 
 import gauge_reference as ref
@@ -31,14 +30,14 @@ def ref_omega_coeffs(form, z):
 
     Shape fiber_dim x (base_dim + fiber_dim); accepts dual entries.
     """
-    x, y = gauge._split(form, z)
+    x, y = ref.split(form, z)
     dx_block, dy_block = ref.omega_matrices(form, x, y)
     nf = form.fiber.dim
     db = form.potential.base_dim
     out = np.empty((nf, db + nf), dtype=object)
     out[:, :db] = np.asarray(dx_block)
     out[:, db:] = np.asarray(dy_block)
-    return floats_if_plain(out)
+    return pack(out)
 
 
 def ref_d_omega_tensor(form, z, u, v):
@@ -63,7 +62,7 @@ def ref_hor_project(form, z, v):
     """Horizontal part of a tangent pair: remove the fundamental lift of
     its connection-form value."""
     db = form.potential.base_dim
-    _, y = gauge._split(form, z)
+    _, y = ref.split(form, z)
     w = ref.omega_of(form, z, v)
     lift = gmatvec(tangent.left_frame_matrix(form.fiber, y), w)
     return pack(list(v[:db]) + [v[db + i] - lift[i] for i in range(form.fiber.dim)])
@@ -365,7 +364,7 @@ def _square_potential(L, square):
         for i in range(L.dim):
             out[i, 0] = 0.3 + (0.2 + 0.1 * i) * square(xs[0]) - 0.4 * xs[1]
             out[i, 1] = -0.1 * i + 0.5 * square(xs[1]) * xs[0]
-        return floats_if_plain(out)
+        return pack(out)
 
     return gauge.LocalConnectionForm(
         potential=gauge.GaugePotential(chart="square", A=a_fun, base_dim=2), fiber=L)

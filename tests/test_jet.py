@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from loopbundle import core, gauge, reconstruct, tangent
-from loopbundle.dual import (Dual, Jet, floats_if_plain, gcos, gdot, gfloor, gsin,
-                             jet_space, pack, pack_matrix, primal, taylor_frame)
+from loopbundle.dual import (Dual, Jet, gcos, gdot, gfloor, gsin, jet_space, pack,
+                             primal, taylor_frame)
 from loopbundle.errors import DomainSingularity
 from loopbundle.report import worst_residual
 from loopbundle.zoo import make_loop
@@ -41,7 +41,7 @@ def ref_structure_tensor(L, a, frame=tangent.left_frame_matrix):
                 for m in range(n):
                     acc = acc + r[m][i] * grad[k * n + j][m] - r[m][j] * grad[k * n + i][m]
                 rhs[k, i * n + j] = acc
-    return floats_if_plain(ref_gsolve(r, rhs).reshape(n, n, n))
+    return pack(ref_gsolve(r, rhs).reshape(n, n, n))
 
 
 def ref_structure_derivative(L, a):
@@ -253,7 +253,7 @@ def test_gsolve_keeps_jet_factors_with_zero_primal():
     # x'(0) = -A^-1 A' A^-1 b = (-1/6, -1/6).
     space = jet_space(1, 2)
     s = space.variable(0.0, ((0,), ()))
-    a = pack_matrix([[2.0, s], [s, 3.0]])
+    a = pack([[2.0, s], [s, 3.0]])
     assert a.dtype == object
     x = ref_gsolve(a, pack([1.0, 1.0]))
     k = space.index[((0,), ())]

@@ -8,6 +8,7 @@ import pytest
 from loopbundle import core, reconstruct
 from loopbundle.dual import Dual, dirderiv, dual_parts, primal
 from loopbundle.errors import NoSolutionInChart, OutOfDomain, StepUnderflow
+from loopbundle.report import DEFAULT_TOLERANCES
 from loopbundle.tangent import left_associator_differential, left_frame_matrix
 from loopbundle.zoo import catalog_names, make_loop
 
@@ -116,7 +117,8 @@ def test_companion_transformation_axioms(name):
     L = make_loop(name)
     rng = np.random.default_rng(11)
     a, b, c = (0.3 * L.sample(rng) for _ in range(3))
-    report = reconstruct.batalin_axiom_check(L, list(a), list(b), list(c))
+    report = reconstruct.batalin_axiom_check(L, list(a), list(b), list(c),
+                                             DEFAULT_TOLERANCES["batalin"])
     assert report.passed, [x.as_dict() for x in report.cases]
 
 

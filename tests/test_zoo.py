@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopbundle import core, zoo
-from loopbundle.dual import (Dual, Jet, jacobian, jet_space, pack, pack_matrix,
-                             primal)
+from loopbundle.dual import Dual, Jet, jacobian, jet_space, pack, primal
 from loopbundle.errors import (DomainSingularity, NoSolutionInChart,
                                PoleSingularity, UnknownKind)
 from loopbundle.report import worst_residual
@@ -339,7 +338,7 @@ def _ref_qhr_right_div_8x8(K):
         mat = ([r[i] + s[i] for i in range(4)] +
                [[-x for x in s[i]] + r[i] for i in range(4)])
         rhs = [b0 - a0, 0.0, 0.0, 0.0, 0.0, b1 - a1, b2 - a2, b3 - a3]
-        sol = ref_gsolve(pack_matrix(mat), pack(rhs))
+        sol = ref_gsolve(pack(mat), pack(rhs))
         # H_R coordinates: real part of the scalar, imaginary parts of i,j,k.
         return [sol[0], sol[5], sol[6], sol[7]]
     return div
