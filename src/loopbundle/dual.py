@@ -292,9 +292,17 @@ def dirderiv(f, x, v):
 
     Coordinates of ``x`` may be batch arrays; then each output row holds
     the derivative at every batch point, and column i is the pass at
-    point i.
+    point i.  A part that does not depend on the batch point (a scalar)
+    is broadcast to the batch shape, so every row has one column per
+    point.
     """
-    return pack(dual_parts(f(seed(list(x), list(v)))))
+    x = list(x)
+    parts = dual_parts(f(seed(x, list(v))))
+    shapes = [xi.shape for xi in x if xi.__class__ is np.ndarray]
+    if shapes:
+        shape = np.broadcast_shapes(*shapes)
+        parts = [np.broadcast_to(p, shape) for p in parts]
+    return pack(parts)
 
 
 def jacobian(f, x):

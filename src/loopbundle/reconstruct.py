@@ -9,6 +9,13 @@ forms, on duals whose parts carry a batch axis, gives it at every stage
 parameter t.  Each stage's velocity is then one directional pass of the
 product at phi; no frame matrix is built.
 
+Chart checks.  ``reconstruct_product`` checks a and the batch of path
+nodes b = path(t) against the chart once, before the first step.  Every
+other point is an intermediate of the reconstruction and is not checked:
+the quotients b \\ path(t + s) of the factor pass and the RK4 stage
+points phi.  Both passes compose the descriptor's raw closed forms, and
+the stages run on lists of Python floats.
+
 A generalized Maurer-Cartan identity is what makes the result path
 independent.  Its residual takes the parametric form lambda(b; a) and
 its first derivatives in b from two first-order jet passes
@@ -33,20 +40,28 @@ def _canonical_factors(L, a, path, ts):
     One pass of s -> l_(a,b)(b \\ path(t + s)) with b = path(t), batched
     over t: the derivative of c -> b \\ c at c = b is (L_b)_*^-1 =
     omega(b), so the chain rule gives each factor, db/dt included, in its
-    column of that single pass.
+    column of that single pass.  ``a`` and the batch of nodes b are
+    checked against the chart once, here; the pass then composes the raw
+    closed forms, so the intermediate b \\ path(t + s) is not checked.
     """
     ts = np.array(list(ts))
     with quiet():  # a non-finite element stays silent, as on floats
-        b = [primal(v) for v in path(ts)]
-        w = dirderiv(lambda s: core.associator(
-            L, "left", a, b, core.left_divide(L, b, path(s[0]))), [ts], [1.0])
+        a, b = core._chart_points(L, a, [primal(v) for v in path(ts)])
+        w = dirderiv(lambda s: core._left_associator(
+            L, a, b, L.left_div(b, path(s[0]))), [ts], [1.0])
     return dict(zip(ts.tolist(), w.T.tolist(), strict=True))
 
 
 def _velocity(L, phi, w):
     """Right side of the generalized Lie equation for the phi-free
-    factor w: d/ds phi.(e + s w), the frame at phi applied to w."""
-    return dirderiv(lambda c: core.product(L, phi, c), L.identity, w)
+    factor w: d/ds phi.(e + s w), the frame at phi applied to w, as a
+    list of floats.
+
+    One pass of the raw closed-form product on Python floats (phi and
+    the identity's coordinates): the stage point phi is an intermediate
+    of the reconstruction and is not checked against the chart.
+    """
+    return dirderiv(lambda c: L.product(phi, c), L.identity.tolist(), w).tolist()
 
 
 def reconstruct_product(L, a, b, steps, path=None, tol=None):
@@ -72,20 +87,25 @@ def reconstruct_product(L, a, b, steps, path=None, tol=None):
     if path is None:
         target = [float(v) for v in b]
         path = lambda t: [t * v for v in target]
-    phi = np.asarray(a, dtype=float)
+    phi = [float(v) for v in a]
     h = 1.0 / steps
+    half, sixth = 0.5 * h, h / 6.0
     # The parameters of each step's stages k1, k2 = k3 and k4.  The factors
     # are keyed by the exact float t: n*h and (n-1)*h + h can differ in
     # the last bit, and then each gets its own.
-    stages = [(n * h, n * h + 0.5 * h, n * h + h) for n in range(steps)]
+    stages = [(n * h, n * h + half, n * h + h) for n in range(steps)]
     canonical = _canonical_factors(L, a, path, dict.fromkeys(t for ts in stages for t in ts))
+    # The stages on lists of floats, in numpy's elementwise order:
+    # phi + (0.5 h) k and phi + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), so the
+    # result is the array integrator's bit for bit.
     for t1, t2, t4 in stages:
-        k1 = _velocity(L, phi.tolist(), canonical[t1])
-        k2 = _velocity(L, (phi + 0.5 * h * k1).tolist(), canonical[t2])
-        k3 = _velocity(L, (phi + 0.5 * h * k2).tolist(), canonical[t2])
-        k4 = _velocity(L, (phi + h * k3).tolist(), canonical[t4])
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return phi
+        k1 = _velocity(L, phi, canonical[t1])
+        k2 = _velocity(L, [p + half * k for p, k in zip(phi, k1)], canonical[t2])
+        k3 = _velocity(L, [p + half * k for p, k in zip(phi, k2)], canonical[t2])
+        k4 = _velocity(L, [p + h * k for p, k in zip(phi, k3)], canonical[t4])
+        phi = [p + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+               for p, c1, c2, c3, c4 in zip(phi, k1, k2, k3, k4)]
+    return np.array(phi)
 
 
 def bezier_path(b, control):

@@ -83,6 +83,19 @@ def test_dirderiv_matches_jacobian_action():
     assert np.allclose(d, j @ direction)
 
 
+@pytest.mark.parametrize("f", [
+    lambda s: [s[0] * s[0], 2.0 * s[0]],  # one part constant in the batch
+    lambda s: [2.0 * s[0], 3.0 - s[0]],   # every part constant
+    lambda s: [s[0] * gsin(s[0]), s[0] / (1.0 + s[0])],
+])
+def test_batched_dirderiv_has_one_column_per_point(f):
+    points = [0.1, 0.2, 0.3]
+    got = dirderiv(f, [np.array(points)], [1.0])
+    assert got.dtype == float and got.shape == (2, len(points))
+    for i, t in enumerate(points):
+        assert np.array_equal(got[:, i], dirderiv(f, [t], [1.0])), i
+
+
 def test_dual_parts_ignores_other_levels():
     # A leveled carrier's epsilon is another level: an output that did not
     # reach the library pass contributes 0, not the carrier's part.

@@ -177,7 +177,7 @@ def _rk4_reference(L, a, path, steps, velocity=_lie_velocity):
 
 @pytest.mark.parametrize("name,steps", [
     (name, steps) for name in ("rz", "qc", "qh2", "qsu2") for steps in (16, 20, 48)
-] + [("qhr:K=1", 20), ("qhr:K=0", 20)])
+] + [("qhr:K=1", 20), ("qhr:K=0", 20), ("qhr:K=-2.5", 20)])
 def test_reconstruction_equals_stagewise_rk4_bit_for_bit(name, steps):
     # 20 and 48 steps make n*h and (n-1)*h + h differ in the last bit, so
     # shared stages must be matched by their exact parameter.
@@ -189,6 +189,35 @@ def test_reconstruction_equals_stagewise_rk4_bit_for_bit(name, steps):
         got = reconstruct.reconstruct_product(L, a, b, steps, path=path)
         want = _rk4_reference(L, a, path or straight, steps)
         assert np.array_equal(got, want)
+
+
+def test_reconstruction_checks_its_inputs_once(monkeypatch):
+    # a and the batch of path nodes are checked once each, whatever the
+    # step count; the stages and b \\ path(t + s) are intermediates, so
+    # the integrator composes raw closed forms and no checked operation.
+    base = make_loop("qc")
+    calls = [0]
+
+    def check(p):  # takes a batch of points in one call
+        calls[0] += 1
+        return bool(np.all(np.hypot(p[0], p[1]) < 1e3))
+
+    L = dataclasses.replace(base, domain_check=check)
+    a, b = [0.3, 0.2], [-0.4, 0.5]
+    counts, results = [], []
+    for steps in (16, 64):
+        calls[0] = 0
+        results.append(reconstruct.reconstruct_product(L, a, b, steps))
+        counts.append(calls[0])
+    assert counts == [2, 2]  # a, then every node in one batch
+
+    def checked(*args):
+        raise AssertionError("a checked core operation was called")
+
+    for name in ("product", "associator", "left_divide"):
+        monkeypatch.setattr(core, name, checked)
+    for steps, want in zip((16, 64), results):
+        assert np.array_equal(reconstruct.reconstruct_product(base, a, b, steps), want)
 
 
 @pytest.mark.parametrize("name", catalog_names())
