@@ -27,7 +27,6 @@ POLE_EPS = 1e-9
 class BaseChart:
     id: str
     contains: Callable
-    base_dim: int
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class BundleAtlas:
     charts: list
     transition: Callable
     overlap_sampler: Callable
-    fiber_sampler: Callable = None
     name: str = ""
     params: dict = field(default_factory=dict)
 
@@ -222,20 +220,17 @@ def make_s3_bundle():
             return [-q[0], -q[1]]
         raise UnknownKind(f"no transition {alpha!r} -> {beta!r}")
 
-    def overlap_sampler(pair, rng):
+    def overlap_sampler(rng):
         # Angles away from 0 and pi, where one of the charts ends.
         half = rng.uniform(0.1, math.pi - 0.1)
         return np.array([half if rng.random() < 0.5 else half + math.pi])
 
     charts = [
-        BaseChart(id="minus", base_dim=1,
-                  contains=lambda b: _angle_in(b[0], -math.pi, math.pi)),
-        BaseChart(id="plus", base_dim=1,
-                  contains=lambda b: _angle_in(b[0], 0.0, 2.0 * math.pi)),
+        BaseChart(id="minus", contains=lambda b: _angle_in(b[0], -math.pi, math.pi)),
+        BaseChart(id="plus", contains=lambda b: _angle_in(b[0], 0.0, 2.0 * math.pi)),
     ]
     return BundleAtlas(fiber_loop=fiber, charts=charts, transition=transition,
                        overlap_sampler=overlap_sampler,
-                       fiber_sampler=lambda rng: fiber.sample(rng),
                        name="s3-over-s1")
 
 
@@ -285,21 +280,18 @@ def make_winding_bundle(n):
             return core.right_divide(fiber, fiber.identity, q)
         raise UnknownKind(f"no transition {alpha!r} -> {beta!r}")
 
-    def overlap_sampler(pair, rng):
+    def overlap_sampler(rng):
         while True:
             theta = rng.uniform(half - STRIP_HALF_WIDTH, half + STRIP_HALF_WIDTH)
             if abs(math.cos(0.5 * n * theta)) > 1e-3:
                 return np.array([theta, rng.uniform(0.0, 2.0 * math.pi)])
 
     charts = [
-        BaseChart(id="minus", base_dim=2,
-                  contains=lambda b: half - STRIP_HALF_WIDTH < b[0] <= math.pi),
-        BaseChart(id="plus", base_dim=2,
-                  contains=lambda b: 0.0 <= b[0] < half + STRIP_HALF_WIDTH),
+        BaseChart(id="minus", contains=lambda b: half - STRIP_HALF_WIDTH < b[0] <= math.pi),
+        BaseChart(id="plus", contains=lambda b: 0.0 <= b[0] < half + STRIP_HALF_WIDTH),
     ]
     return BundleAtlas(fiber_loop=fiber, charts=charts, transition=transition,
                        overlap_sampler=overlap_sampler,
-                       fiber_sampler=lambda rng: fiber.sample(rng),
                        name="qs2-over-s2", params={"n": n})
 
 

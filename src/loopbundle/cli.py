@@ -3,11 +3,16 @@
 Subcommands: ``verify`` runs residual suites for a catalog loop,
 ``reconstruct`` integrates a single product from frame data,
 ``bundle-check`` exercises an atlas, and ``gauge-check`` is a shortcut
-for the gauge suite.  Exit status: 0 all cases pass, 1 a verification
-case failed, 2 usage or configuration error.
+for the gauge suite.  Each command takes only the options it reads
+(``COMMANDS``, with specs from the one ``OPTIONS`` table) plus every
+``--tol.<name>``, spelled in full.  :func:`resolve_config` layers the
+defaults, ``LOOPBUNDLE_SEED``, the ``--config`` file and the flags into
+one validated RunConfig.  Exit status: 0 all cases pass, 1 a
+verification case failed, 2 usage or configuration error.
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -16,7 +21,7 @@ import numpy as np
 from . import bundle, core, gauge, reconstruct, tangent
 from .dual import gcos, gsin, jacobian
 from .errors import LoopError, UnknownLoop, UnknownSuite
-from .report import RunConfig, VerificationReport, default_seed
+from .report import DEFAULT_TOLERANCES, RunConfig, VerificationReport, read_config
 from .zoo import catalog_names, make_loop
 
 SUITES = ("axioms", "tangent", "jacobi", "reconstruct", "bundle", "gauge", "all")
@@ -118,8 +123,8 @@ def _add_atlas_cases(report, atlas, rng, n, tol, suffix=""):
     """Cocycle, transition right-law and chart round-trip cases over n
     sampled overlap points of ``atlas``."""
     for _ in range(n):
-        x = atlas.overlap_sampler(("plus", "minus"), rng)
-        q = atlas.fiber_sampler(rng)
+        x = atlas.overlap_sampler(rng)
+        q = atlas.fiber_loop.sample(rng)
         report.add("cocycle" + suffix, bundle.cocycle_residual(
             atlas, "minus", "minus", "plus", x, q), tol, n)
         a = 0.5 * atlas.fiber_loop.sample(rng)
@@ -280,8 +285,6 @@ def run_suite(config, suite):
     else:
         report = SUITE_RUNNERS[suite](config)
     report.wall_time = time.perf_counter() - t0
-    if config.report_path:
-        report.write(config.report_path)
     return report
 
 
@@ -295,110 +298,86 @@ def _print_report(report):
           f"{report.wall_time:.2f}s)")
 
 
-def _extract_tolerance_flags(argv):
-    """Pull --tol.<name>=value (or space-separated) flags out of argv."""
-    rest = []
-    tols = {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol."):
-            key, eq, value = arg[6:].partition("=")
-            if not eq:
-                if i + 1 >= len(argv):
-                    raise ValueError(f"missing value for --tol.{key}")
-                value = argv[i + 1]
-                i += 1
-            tols[key] = float(value)
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, tols
+OPTIONS = {
+    "--loop": {"help": f"catalog loop ({', '.join(catalog_names())}); default {RunConfig.loop}"},
+    "--suite": {"default": "all", "help": f"one of {SUITES}"},
+    "--atlas": {"default": "s3-over-s1", "help": "s3-over-s1 or qs2-over-s2:n=<int>"},
+    "--a": {"required": True, "help": "comma-separated coordinates"},
+    "--b": {"required": True, "help": "comma-separated coordinates"},
+    "--samples": {"type": int, "help": f"default {RunConfig.samples}"},
+    "--seed": {"type": int, "help": f"default LOOPBUNDLE_SEED, else {RunConfig.seed}"},
+    "--steps": {"type": int,
+                "help": f"RK4 steps, at least {reconstruct.MIN_STEPS}; default {RunConfig.steps}"},
+    "--report": {"help": "write the report as JSON to this file"},
+    "--config": {"help": "key = value file of defaults shared by every command"},
+    **{f"--tol.{name}": {"type": float, "metavar": "TOL", "help": f"default {value:g}"}
+       for name, value in DEFAULT_TOLERANCES.items()},
+}
+# Every command also takes every --tol.<name>: a config file carries them all.
+COMMANDS = {
+    "verify": ("run a verification suite",
+               ("--loop", "--suite", "--samples", "--seed", "--steps", "--report", "--config")),
+    "reconstruct": ("integrate one product", ("--loop", "--a", "--b", "--steps", "--config")),
+    "bundle-check": ("verify a bundle atlas",
+                     ("--atlas", "--samples", "--seed", "--report", "--config")),
+    "gauge-check": ("run the gauge suite",
+                    ("--loop", "--samples", "--seed", "--report", "--config")),
+}
 
 
-def _build_config(args, tols):
-    if getattr(args, "config", None):
-        config = RunConfig.from_file(args.config)
-    else:
-        config = RunConfig(seed=default_seed())
-    if args.loop is not None:
-        config.loop = args.loop
-    if args.samples is not None:
-        config.samples = args.samples
-    if args.seed is not None:
-        config.seed = args.seed
-    if getattr(args, "steps", None) is not None:
-        config.steps = args.steps
-    if args.report is not None:
-        config.report_path = args.report
-    config.tolerances.update(tols)
-    config.validate()
+def _parser():
+    parser = argparse.ArgumentParser(prog="loopbundle")
+    sub = parser.add_subparsers(dest="command", required=True)
+    tolerances = tuple(f"--tol.{name}" for name in DEFAULT_TOLERANCES)
+    for command, (text, options) in COMMANDS.items():
+        # No abbreviations: --tol.max=1 must not become --tol.maxwell.
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for option in options + tolerances:
+            p.add_argument(option, **OPTIONS[option])
+    return parser
+
+
+def resolve_config(args):
+    """The RunConfig of one command: the defaults, then LOOPBUNDLE_SEED,
+    then the ``--config`` file, then the flags, validated once.
+
+    The file holds defaults shared by every command, so a setting the
+    command has no option for is ignored there; an unknown key is an error.
+    """
+    options = vars(args)
+    values = {"seed": os.environ.get("LOOPBUNDLE_SEED", RunConfig.seed)}
+    if args.config:
+        values.update(read_config(args.config))
+    values.update((key, value) for key, value in options.items() if value is not None)
+    config = RunConfig.from_values({
+        key: value for key, value in values.items()
+        if key.startswith("tol.") or (key in options and key in RunConfig.keys())})
+    if config.steps < reconstruct.MIN_STEPS:
+        raise ValueError(f"steps must be at least {reconstruct.MIN_STEPS}")
     return config
 
 
-def _add_common(parser):
-    parser.add_argument("--loop", default=None,
-                        help=f"catalog loop ({', '.join(catalog_names())})")
-    parser.add_argument("--samples", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--report", default=None, help="report file path")
-    parser.add_argument("--config", default=None, help="key=value config file")
-
-
-def _parse_coords(text):
-    return [float(v) for v in text.split(",")]
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv, tols = _extract_tolerance_flags(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    parser = argparse.ArgumentParser(prog="loopbundle")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p_verify)
-    p_verify.add_argument("--suite", default="all", help=f"one of {SUITES}")
-    p_verify.add_argument("--steps", type=int, default=None)
-
-    p_rec = sub.add_parser("reconstruct", help="integrate one product")
-    _add_common(p_rec)
-    p_rec.add_argument("--steps", type=int, default=None)
-    p_rec.add_argument("--a", required=True, help="comma-separated coordinates")
-    p_rec.add_argument("--b", required=True, help="comma-separated coordinates")
-
-    p_bundle = sub.add_parser("bundle-check", help="verify a bundle atlas")
-    _add_common(p_bundle)
-    p_bundle.add_argument("--atlas", default="s3-over-s1",
-                          help="s3-over-s1 or qs2-over-s2:n=<int>")
-
-    p_gauge = sub.add_parser("gauge-check", help="run the gauge suite")
-    _add_common(p_gauge)
-    p_gauge.add_argument("--steps", type=int, default=None)
-
-    try:
-        args = parser.parse_args(argv)
+        args, extra = _parser().parse_known_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        config = _build_config(args, tols)
-        if args.command == "verify":
-            report = run_suite(config, args.suite)
-        elif args.command == "gauge-check":
-            report = run_suite(config, "gauge")
-        elif args.command == "reconstruct":
+        for arg in extra:
+            if arg.startswith("--tol."):
+                raise ValueError(f"unknown tolerance name: {arg[6:].partition('=')[0]!r}")
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+        config = resolve_config(args)
+        if args.command == "reconstruct":
             return _cmd_reconstruct(config, args)
-        elif args.command == "bundle-check":
+        if args.command == "bundle-check":
             report = _bundle_check(config, args.atlas)
-            if config.report_path:
-                report.write(config.report_path)
         else:
-            raise ValueError(f"unknown command {args.command!r}")
+            report = run_suite(config, args.suite if args.command == "verify" else "gauge")
+        if config.report:
+            report.write(config.report)
     except (LoopError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -409,8 +388,7 @@ def main(argv=None):
 
 def _cmd_reconstruct(config, args):
     L = _loop_for(config)
-    a = _parse_coords(args.a)
-    b = _parse_coords(args.b)
+    a, b = ([float(v) for v in text.split(",")] for text in (args.a, args.b))
     got = reconstruct.reconstruct_product(L, a, b, config.steps)
     direct = core.product(L, a, b)
     err = core.distance(L, got, direct)

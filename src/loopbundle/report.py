@@ -1,8 +1,7 @@
 """Run configuration and machine-readable verification reports."""
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ReportWriteFailure
 
@@ -115,12 +114,22 @@ DEFAULT_TOLERANCES = {
 
 @dataclass
 class RunConfig:
+    """Settings of one verification run, validated on construction.
+
+    ``loop``, ``samples``, ``seed`` and ``steps`` feed the suites;
+    ``tolerances`` maps each name in ``DEFAULT_TOLERANCES`` to the
+    tolerance of the cases that read it; ``report`` is the file the CLI
+    writes the JSON report to ("" for none).  As config-file keys and CLI
+    flags the settings keep their field names and a tolerance is
+    ``tol.<name>``; ``cli.resolve_config`` layers them.
+    """
+
     loop: str = "qc"
     samples: int = 100
     seed: int = 0
     steps: int = 256
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    report_path: str = ""
+    report: str = ""
 
     def __post_init__(self):
         self.validate()
@@ -140,37 +149,38 @@ class RunConfig:
         return self.tolerances[name]
 
     @classmethod
-    def from_file(cls, path):
-        """Flat key=value config file; unknown keys rejected."""
-        values = {}
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, raw = line.partition("=")
-                values[key.strip()] = raw.strip()
-        cfg = cls()
-        for key, raw in values.items():
-            cfg.apply(key, raw)
-        return cfg
+    def keys(cls):
+        """The settings a config key or flag names, besides ``tol.<name>``."""
+        return [f.name for f in fields(cls) if f.name != "tolerances"]
 
-    def apply(self, key, raw):
-        if key == "loop":
-            self.loop = raw
-        elif key == "samples":
-            self.samples = int(raw)
-        elif key == "seed":
-            self.seed = int(raw)
-        elif key == "steps":
-            self.steps = int(raw)
-        elif key == "report":
-            self.report_path = raw
-        elif key.startswith("tol."):
-            self.tolerances[key[4:]] = float(raw)
-        else:
-            raise KeyError(f"unknown config key: {key}")
+    @classmethod
+    def from_values(cls, values):
+        """A config from ``{key: value}``, each key a setting or
+        ``tol.<name>``; a value is converted by the setting's type (float
+        for a tolerance), so strings from a file are accepted."""
+        types = {f.name: f.type for f in fields(cls)}
+        tolerances = dict(DEFAULT_TOLERANCES)
+        settings = {}
+        for key, value in values.items():
+            if key.startswith("tol."):
+                tolerances[key[4:]] = float(value)
+            else:
+                settings[key] = types[key](value)
+        return cls(tolerances=tolerances, **settings)
 
 
-def default_seed():
-    return int(os.environ.get("LOOPBUNDLE_SEED", "0"))
+def read_config(path):
+    """The ``key = value`` lines of a config file, skipping blank and ``#``
+    lines; a key that is neither a setting nor ``tol.<name>`` is rejected."""
+    values = {}
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            if not key.startswith("tol.") and key not in RunConfig.keys():
+                raise ValueError(f"unknown config key: {key}")
+            values[key] = raw.strip()
+    return values

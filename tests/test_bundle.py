@@ -69,8 +69,8 @@ def test_cocycle_condition(name):
     atlas = bundle.make_atlas(name)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        x = atlas.overlap_sampler(("minus", "plus"), rng)
-        q = atlas.fiber_sampler(rng)
+        x = atlas.overlap_sampler(rng)
+        q = atlas.fiber_loop.sample(rng)
         # two charts: the only nontrivial triple reuses one of them
         res = bundle.cocycle_residual(atlas, "minus", "minus", "plus", x, q)
         assert res < 1e-10
@@ -81,9 +81,9 @@ def test_transition_right_law(name):
     atlas = bundle.make_atlas(name)
     rng = np.random.default_rng(6)
     for _ in range(20):
-        x = atlas.overlap_sampler(("minus", "plus"), rng)
-        q = atlas.fiber_sampler(rng)
-        a = atlas.fiber_sampler(rng)
+        x = atlas.overlap_sampler(rng)
+        q = atlas.fiber_loop.sample(rng)
+        a = atlas.fiber_loop.sample(rng)
         res = bundle.transition_right_law_residual(atlas, "minus", "plus",
                                                    x, q, a)
         assert res < 1e-10
@@ -93,9 +93,9 @@ def test_change_chart_round_trip():
     atlas = bundle.make_atlas("qs2-over-s2:n=2")
     rng = np.random.default_rng(7)
     for _ in range(20):
-        x = atlas.overlap_sampler(("minus", "plus"), rng)
+        x = atlas.overlap_sampler(rng)
         p = bundle.TotalPoint(chart="minus", base=x,
-                              fiber=atlas.fiber_sampler(rng))
+                              fiber=atlas.fiber_loop.sample(rng))
         back = bundle.change_chart(atlas, bundle.change_chart(atlas, p, "plus"),
                                    "minus")
         assert np.max(np.abs(back.fiber - p.fiber)) < 1e-10
@@ -138,8 +138,8 @@ def test_right_action_is_loop_product():
     atlas = bundle.make_atlas("s3-over-s1")
     rng = np.random.default_rng(8)
     p = bundle.TotalPoint(chart="minus", base=np.array([1.0]),
-                          fiber=atlas.fiber_sampler(rng))
-    a = atlas.fiber_sampler(rng)
+                          fiber=atlas.fiber_loop.sample(rng))
+    a = atlas.fiber_loop.sample(rng)
     out = bundle.right_action(atlas, p, a)
     assert np.allclose(out.fiber,
                        core.product(atlas.fiber_loop, p.fiber, a))

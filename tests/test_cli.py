@@ -2,11 +2,20 @@ import json
 
 import pytest
 
-from loopbundle import cli
+from loopbundle import cli, core
+from loopbundle.report import DEFAULT_TOLERANCES
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def _report(tmp_path, argv):
+    path = tmp_path / "report.json"
+    assert run(argv + ["--report", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data.pop("wall_time")
+    return data
 
 
 def test_verify_axioms_passes(capsys):
@@ -62,13 +71,14 @@ def test_missing_tolerance_value(capsys):
 
 
 def test_report_file_written(tmp_path, capsys):
-    path = tmp_path / "report.json"
-    code = run(["verify", "--loop", "qc", "--suite", "jacobi",
-                "--samples", "10", "--seed", "7", "--report", str(path)])
-    assert code == 0
-    data = json.loads(path.read_text())
-    assert data["suite"].startswith("jacobi")
-    assert data["cases"]
+    for argv, suite in (
+            (["verify", "--loop", "qc", "--suite", "jacobi", "--samples", "10", "--seed", "7"],
+             "jacobi[qc]"),
+            (["gauge-check", "--samples", "5"], "gauge[qc]"),
+            (["bundle-check", "--atlas", "qs2-over-s2:n=3"], "bundle[qs2-over-s2:n=3]")):
+        data = _report(tmp_path, argv)
+        assert data["suite"] == suite and data["cases"]
+        assert capsys.readouterr().out.count("PASS ") == len(data["cases"]) + 1
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
@@ -145,6 +155,86 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
     assert d1 == d2
 
 
+@pytest.mark.parametrize("with_config", [False, True])
+def test_seed_env_sets_the_seed(tmp_path, capsys, monkeypatch, with_config):
+    argv = ["verify", "--loop", "qc", "--suite", "axioms", "--samples", "10"]
+    if with_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 10\n")
+        argv += ["--config", str(cfg)]
+    reports = []
+    for seed in ("1", "2"):
+        monkeypatch.setenv("LOOPBUNDLE_SEED", seed)
+        reports.append(_report(tmp_path, argv))
+    assert reports[0] != reports[1]
+
+
+def test_seed_resolves_env_then_file_then_flag(tmp_path, capsys, monkeypatch):
+    argv = ["verify", "--loop", "qc", "--suite", "axioms", "--samples", "5"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 7\n")
+    monkeypatch.setenv("LOOPBUNDLE_SEED", "5")
+    from_file = _report(tmp_path, argv + ["--config", str(cfg)])
+    from_flag = _report(tmp_path, argv + ["--config", str(cfg), "--seed", "3"])
+    monkeypatch.delenv("LOOPBUNDLE_SEED")
+    assert from_file == _report(tmp_path, argv + ["--seed", "7"])
+    assert from_flag == _report(tmp_path, argv + ["--seed", "3"])
+    assert from_file != from_flag
+
+
+def test_config_keys_a_command_does_not_read_are_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("loop = octonion\nsamples = 0\nsteps = 8\nseed = 1\n")
+    assert run(["bundle-check", "--config", str(cfg), "--samples", "20"]) == 0
+    cfg.write_text("samples = 0\nseed = x\nreport = r.json\nsteps = 64\n")
+    assert run(["reconstruct", "--loop", "qc", "--a", "0.2,0.1", "--b", "0.1,0.3",
+                "--config", str(cfg)]) == 0
+    cfg.write_text("loops = qc\n")
+    assert run(["verify", "--config", str(cfg)]) == 2
+    assert "unknown config key: loops" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_steps_below_minimum_rejected_before_any_suite(tmp_path, capsys, monkeypatch, source):
+    def suite_ran(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(core, "check_loop_axioms", suite_ran)
+    argv = ["verify", "--suite", "all"]
+    if source == "flag":
+        argv += ["--steps", "8"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 8\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 2
+    assert "steps must be at least 16" in capsys.readouterr().err
+
+
+RECONSTRUCT = ["reconstruct", "--loop", "qc", "--a", "0.2,0.1", "--b", "0.1,0.3"]
+
+
+@pytest.mark.parametrize("argv", [
+    RECONSTRUCT + ["--samples", "5"],
+    RECONSTRUCT + ["--seed", "3"],
+    RECONSTRUCT + ["--report", "unused.json"],
+    ["bundle-check", "--loop", "qc"],
+    ["gauge-check", "--steps", "64"],
+    ["verify", "--sam", "5"],
+], ids=["reconstruct-samples", "reconstruct-seed", "reconstruct-report", "bundle-check-loop",
+        "gauge-check-steps", "verify-abbreviation"])
+def test_option_the_command_does_not_read_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_help_lists_every_tolerance(capsys, command):
+    assert run([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"--tol.{name}" in out for name in DEFAULT_TOLERANCES)
+
+
 def test_reconstruct_command(capsys):
     code = run(["reconstruct", "--loop", "qc", "--a", "0.2,0.1",
                 "--b=-0.1,0.3", "--steps", "64"])
@@ -179,10 +269,13 @@ def test_bad_tolerance_is_usage_error(capsys):
 
 
 def test_misspelt_tolerance_name_is_usage_error(capsys):
-    for flag in ("--tol.jacobbi=1e-30", "--tol.=1"):
-        code = run(["verify", "--loop", "qc", "--suite", "jacobi", "--samples", "3", flag])
+    # --tol.max is not expanded to --tol.maxwell, and the space form is read
+    # as one unknown flag and its value.
+    for flags, name in ((["--tol.jacobbi=1e-30"], "jacobbi"), (["--tol.=1"], ""),
+                        (["--tol.max=1"], "max"), (["--tol.jacobbi", "1e-30"], "jacobbi")):
+        code = run(["verify", "--loop", "qc", "--suite", "jacobi", "--samples", "3"] + flags)
         assert code == 2
-        assert "unknown tolerance name" in capsys.readouterr().err
+        assert f"unknown tolerance name: {name!r}" in capsys.readouterr().err
 
 
 def test_misspelt_tolerance_name_in_config_file_is_usage_error(tmp_path, capsys):
