@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dual import has_dual, pack, primal
+from .dual import allof, has_dual, pack, primal
 from .errors import OutOfDomain
 from .report import VerificationReport
 
@@ -35,7 +35,8 @@ class LoopDescriptor:
     ``product(a, b)``, ``left_div(a, b)`` (the x with a.x = b) and
     ``right_div(b, a)`` (the y with y.a = b) operate on sequences of
     scalars (floats, dual numbers or Taylor jets) and return lists of
-    scalars.
+    scalars.  ``domain_check`` takes a point or a batch (array
+    coordinates), giving one truth per element; NaN and inf are outside.
     """
 
     name: str
@@ -65,12 +66,12 @@ def _chart_points(L, *points):
 
     The check reads primal coordinates: one ``tolist`` of a 1-D float
     array, else ``primal`` of each coordinate, so floats and duals follow
-    the same rule.  A batch point (coordinates that are arrays) is checked
-    element by element: the checks are scalar, so on arrays they raise
-    TypeError (``math.hypot``) or ValueError (the truth of an array).
-    A point without duals or jets comes back as the coordinates the check
-    read, sparing the closed forms numpy scalars.  A point whose length
-    (coordinate rows, for a batch) is not ``L.dim`` is outside the domain.
+    the same rule.  ``L.domain_check`` is called once per point; on a
+    batch point (coordinates that are arrays) it gives one truth per
+    element, and the first element outside is named.  A point without
+    duals or jets comes back as the coordinates the check read, sparing
+    the closed forms numpy scalars.  A point whose length (coordinate
+    rows, for a batch) is not ``L.dim`` is outside the domain.
     Composites in other modules use this too.
     """
     out = []
@@ -80,13 +81,11 @@ def _chart_points(L, *points):
         if len(p) != L.dim:
             raise OutOfDomain(f"{L.name}: point {np.asarray(p)} is not of dimension {L.dim}")
         coords = p if floats else [primal(v) for v in p]
-        try:
-            bad = None if L.domain_check(coords) else coords
-        except (TypeError, ValueError):
-            batch = zip(*[a.tolist() for a in np.broadcast_arrays(*coords)])
-            bad = next((q for q in batch if not L.domain_check(q)), None)
-        if bad is not None:
-            raise OutOfDomain(f"{L.name}: point {np.asarray(bad)} outside chart domain")
+        inside = L.domain_check(coords)
+        if inside is not True and not allof(inside):  # a point inside skips the call
+            if inside.__class__ is np.ndarray:  # a batch: its first point outside
+                coords = [np.broadcast_to(c, inside.shape).flat[inside.argmin()] for c in coords]
+            raise OutOfDomain(f"{L.name}: point {np.asarray(coords)} outside chart domain")
         out.append(coords if floats or not has_dual(p) else p)
     return out
 

@@ -173,6 +173,11 @@ def anyof(mask):
     return mask.any() if mask.__class__ is np.ndarray else mask
 
 
+def allof(mask):
+    """A comparison's truth: a bool, or whether every batch element holds."""
+    return mask.all() if mask.__class__ is np.ndarray else mask
+
+
 def near_zero(x, bound):
     """Whether |primal(x)| < bound, on a batch for any element: the
     singular test of a closed form, in one call on its hot float path."""

@@ -33,10 +33,6 @@ class ProjectionSingular(LoopError):
     """Bundle projection undefined at the requested total-space point."""
 
 
-class StepUnderflow(LoopError):
-    """ODE step count too small for the requested accuracy."""
-
-
 class PartitionInvalid(LoopError):
     """Partition-of-unity weights do not sum to one on the sampled points."""
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from . import core, tangent
 from .dual import dirderiv, pack, primal, quiet, taylor_frame
-from .errors import StepUnderflow
 from .report import VerificationReport
 
 MIN_STEPS = 16
@@ -64,26 +63,17 @@ def _velocity(L, phi, w):
     return dirderiv(lambda c: L.product(phi, c), L.identity.tolist(), w).tolist()
 
 
-def reconstruct_product(L, a, b, steps, path=None, tol=None):
+def reconstruct_product(L, a, b, steps, path=None):
     """Integrate the loop product a.b from frame data with fixed-step RK4.
 
     ``path`` maps t in [0, 1] to chart parameters with path(0)=e and
     path(1)=b; the default is the straight ray t*b.  The phi-free factors
     of all RK4 stages come from one batched pass, so ``path`` must also
     take a numpy array of parameters and a dual number whose parts are
-    such arrays: arithmetic only, as :func:`bezier_path` is.  When ``tol``
-    is given, the result is compared against a run at doubled step count
-    and StepUnderflow is raised if they disagree by more than ``tol``.
+    such arrays: arithmetic only, as :func:`bezier_path` is.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}")
-    if tol is not None:
-        coarse = reconstruct_product(L, a, b, steps, path=path)
-        fine = reconstruct_product(L, a, b, 2 * steps, path=path)
-        if float(np.max(np.abs(coarse - fine))) > tol:
-            raise StepUnderflow(
-                f"{L.name}: {steps} steps insufficient for tolerance {tol}")
-        return fine
     if path is None:
         target = [float(v) for v in b]
         path = lambda t: [t * v for v in target]

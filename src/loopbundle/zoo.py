@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LoopDescriptor
-from .dual import _CARRIERS, anyof, carry, gcos, gfloor, gsin, near_zero, pack, primal
+from .dual import _CARRIERS, allof, anyof, carry, gcos, gfloor, gsin, near_zero, pack, primal
 from .errors import (DomainSingularity, NoSolutionInChart, PoleSingularity,
                      UnknownKind)
 
@@ -190,11 +190,15 @@ def _mobius_right_div(sign):
     return div
 
 
+def _in_disk(p):
+    """The qh2 chart, x^2 + y^2 < 1, on a point or a batch; NaN is outside."""
+    return p[0] * p[0] + p[1] * p[1] < 1.0
+
+
 def _disk_guard(div):
     def guarded(*args):
         out = div(*args)
-        r2 = primal(out[0]) ** 2 + primal(out[1]) ** 2
-        if anyof(r2 >= 1.0):
+        if not allof(_in_disk([primal(out[0]), primal(out[1])])):
             raise NoSolutionInChart("QH2 division leaves the unit disk")
         return out
     return guarded
@@ -387,7 +391,7 @@ def make_loop(spec):
             # pi |sin(pi x)| < 1 (x < 0.10312 or x > 0.89688); sampling
             # stays well inside that window so that products of samples
             # also remain inside it.
-            domain_check=lambda p: 0.0 <= p[0] < 1.0,
+            domain_check=lambda p: (0.0 <= p[0]) & (p[0] < 1.0),
             sample=lambda rng: np.array([rng.uniform(0.0, 0.04)]),
             distance=lambda p, q: float(np.min(np.abs([p[0] - q[0],
                                                        p[0] - q[0] + 1.0,
@@ -401,7 +405,7 @@ def make_loop(spec):
             left_div=_mobius_left_div(sign),
             right_div=_mobius_right_div(sign),
             identity=np.zeros(2),
-            domain_check=lambda p: math.hypot(p[0], p[1]) < 1e3,
+            domain_check=lambda p: p[0] * p[0] + p[1] * p[1] < 1e6,
             sample=_disk_sampler(0.9),
             distance=_chordal_distance,
         )
@@ -413,7 +417,7 @@ def make_loop(spec):
             left_div=_disk_guard(_mobius_left_div(sign)),
             right_div=_disk_guard(_mobius_right_div(sign)),
             identity=np.zeros(2),
-            domain_check=lambda p: math.hypot(p[0], p[1]) < 1.0,
+            domain_check=_in_disk,
             sample=_disk_sampler(0.95),
         )
     if kind == "qhr":
@@ -428,7 +432,7 @@ def make_loop(spec):
             right_div=_qhr_right_div(K),
             identity=np.zeros(4),
             # NaN and inf fail the comparison, so they are rejected too.
-            domain_check=lambda p: math.hypot(*p) < 1e3,
+            domain_check=lambda p: p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + p[3] * p[3] < 1e6,
             sample=sample,
         )
     raise UnknownKind(f"unknown loop kind: {kind}")

@@ -6,7 +6,9 @@ the curvature of two horizontal fields.  They differentiate by nesting
 leveled passes (``ref_dirderiv`` and ``ref_jacobian``) around the
 library's, and solve with ``ref_gsolve``.
 
-The matrix forms of the connection form and of the horizontal and
+The connection map with Ad^-1_y(e) composed in full is the reference
+for the library's, which drops the products by the identity.  The matrix
+forms of the connection form and of the horizontal and
 fundamental fields, which build the Ad^-1 differential and the left frame
 and invert the frame, are the references for the library's directional
 passes.
@@ -15,7 +17,7 @@ passes.
 import numpy as np
 
 from loopbundle import core, gauge, tangent
-from loopbundle.dual import jacobian, pack, primal
+from loopbundle.dual import gdot, jacobian, pack, primal
 
 from leveled_dual import ref_dirderiv, ref_gsolve, ref_jacobian
 
@@ -138,6 +140,23 @@ def curvature_gauge_residual(form, q_map, x, q_back=None):
                                                     list(q_back(list(x)))))
     rotated = np.einsum("ij,jmn->imn", adinv, curvature(form, list(x), e))
     return float(np.max(np.abs(f_beta - rotated)))
+
+
+def ref_connection_map(form):
+    """The connection map written as Ad^-1_y(e)(e + A(x) v_x) + y \\ (y + v_y),
+    with both products by the identity of (e.y) \\ ((e.c).y) evaluated:
+    the reference for ``gauge._connection_map``, which drops them."""
+    L = form.fiber
+    db = form.potential.base_dim
+    e = list(L.identity)
+
+    def f(zs, vs):
+        ys = zs[db:]
+        c = [ei + gdot(row, vs[:db]) for ei, row in zip(e, form.potential.A(zs[:db]))]
+        back = L.left_div(ys, [yi + vi for yi, vi in zip(ys, vs[db:])])
+        return [p + q for p, q in zip(core._ad_inverse(L, ys, e, c), back)]
+
+    return f
 
 
 def omega_matrices(form, x, y):

@@ -143,16 +143,13 @@ def test_config_flag_overrides_file(tmp_path, capsys):
 
 
 def test_seed_env_default(tmp_path, capsys, monkeypatch):
+    # the axioms residuals vary with the seed, so a report tells seeds apart
+    argv = ["verify", "--loop", "qc", "--suite", "axioms", "--samples", "10"]
     monkeypatch.setenv("LOOPBUNDLE_SEED", "42")
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    run(["verify", "--loop", "qc", "--suite", "jacobi", "--samples", "10",
-         "--report", str(p1)])
-    run(["verify", "--loop", "qc", "--suite", "jacobi", "--samples", "10",
-         "--report", str(p2)])
-    d1, d2 = json.loads(p1.read_text()), json.loads(p2.read_text())
-    d1.pop("wall_time", None)
-    d2.pop("wall_time", None)
-    assert d1 == d2
+    from_env = _report(tmp_path, argv)
+    monkeypatch.delenv("LOOPBUNDLE_SEED")
+    assert from_env == _report(tmp_path, argv + ["--seed", "42"])
+    assert from_env != _report(tmp_path, argv + ["--seed", "43"])
 
 
 @pytest.mark.parametrize("with_config", [False, True])

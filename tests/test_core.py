@@ -191,7 +191,7 @@ def test_out_of_chart_argument_raises_for_floats_and_duals(name, op):
         for out in (bad, [math.nan] + zeros, zeros + [math.inf]):
             messages = set()
             # the last form is a batch of two points, the second outside:
-            # it is checked point by point and named as the single point is
+            # its first point outside is named as the single point is
             for x in _point_forms(out) + [np.array([good, out]).T]:
                 with pytest.raises(OutOfDomain) as err:
                     call(x)

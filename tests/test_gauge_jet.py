@@ -161,6 +161,28 @@ def test_connection_jet_matches_nested_jacobians(name):
                - ref.vertical_reproduction_residual(form, x, y, w)) <= 1e-14
 
 
+@pytest.mark.parametrize("name", ["qc", "qh2", "qsu2", "qhr:K=1", "qhr:K=-2.5", "qhr:K=0",
+                                  "rz"])
+def test_connection_map_drops_products_by_the_identity(name):
+    # e.p = p holds bit for bit in every closed form but rz's, so dropping
+    # the two products by e from Ad^-1_y(e) changes no jet coefficient;
+    # on rz, e.y = (y + f(y)) - f(y) rounds.
+    L = make_loop(name)
+    rng = np.random.default_rng(48)
+    for seed in range(5):
+        form = gauge.make_test_potential(L, 2, seed=seed)
+        x, y = _point(L, 2, rng)
+        z = x + y
+        for order in (1, 2):
+            got = taylor_frame(gauge._connection_map(form), z, [0.0] * len(z), order)
+            want = taylor_frame(ref.ref_connection_map(form), z, [0.0] * len(z), order)
+            for g, w in zip(got, want, strict=True):
+                if name == "rz":
+                    assert np.max(np.abs(g - w)) <= 1e-12 * (1.0 + np.max(np.abs(w)))
+                else:
+                    assert g.tobytes() == w.tobytes()
+
+
 @pytest.mark.parametrize("name", GAUGE_LOOPS)
 def test_curvature_and_structure_equation_match_nested_dual_reference(name):
     L = make_loop(name)

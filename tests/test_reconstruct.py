@@ -7,7 +7,7 @@ import pytest
 
 from loopbundle import core, reconstruct
 from loopbundle.dual import Dual, dirderiv, dual_parts, primal
-from loopbundle.errors import NoSolutionInChart, OutOfDomain, StepUnderflow
+from loopbundle.errors import NoSolutionInChart, OutOfDomain
 from loopbundle.report import DEFAULT_TOLERANCES
 from loopbundle.tangent import left_associator_differential, left_frame_matrix
 from loopbundle.zoo import catalog_names, make_loop
@@ -50,21 +50,6 @@ def test_path_must_have_enough_steps():
     L = make_loop("qc")
     with pytest.raises(ValueError):
         reconstruct.reconstruct_product(L, [0.2, 0.1], [0.3, -0.2], steps=4)
-
-
-def test_step_underflow_raised_for_tight_tolerance():
-    L = make_loop("qc")
-    with pytest.raises(StepUnderflow):
-        reconstruct.reconstruct_product(L, [0.4, 0.1], [0.5, -0.6], steps=16,
-                                        tol=1e-16)
-
-
-def test_step_doubling_accepts_reachable_tolerance():
-    L = make_loop("qc")
-    a, b = [0.2, 0.1], [0.3, -0.2]
-    out = reconstruct.reconstruct_product(L, a, b, steps=64, tol=1e-6)
-    expect = np.asarray(core.product(L, a, b))
-    assert np.max(np.abs(out - expect)) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["rz", "qc", "qh2", "qhr:K=1"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopbundle import core, zoo
 from loopbundle.dual import Dual, Jet, jacobian, jet_space, pack, primal
-from loopbundle.errors import (DomainSingularity, NoSolutionInChart,
+from loopbundle.errors import (DomainSingularity, NoSolutionInChart, OutOfDomain,
                                PoleSingularity, UnknownKind)
 from loopbundle.report import worst_residual
 from loopbundle.zoo import (LoopSpec, catalog_names, chart_inverse, chart_map,
@@ -47,7 +47,7 @@ def test_qh2_product_closed_form():
     assert abs(complex(got[0], got[1]) - expect) < 1e-15
 
 
-@pytest.mark.parametrize("name,point,inside", [
+CHART_ROWS = [
     ("qc", [0.3, -0.4], True),
     ("qc", [-999.0, 40.0], True),
     ("qc", [1e3, 0.0], False),
@@ -63,11 +63,62 @@ def test_qh2_product_closed_form():
     ("qhr:K=1", [0.1, math.nan, 0.0, 0.0], False),
     ("qhr:K=1", [0.0, 0.0, -math.inf, 0.0], False),
     ("qhr:K=1", [math.inf, 0.0, math.nan, 0.0], False),
-])
+    ("rz", [0.0], True),
+    ("rz", [0.999], True),
+    ("rz", [1.0], False),
+    ("rz", [-1e-300], False),
+    ("rz", [math.nan], False),
+]
+
+
+@pytest.mark.parametrize("name,point,inside", CHART_ROWS)
 def test_chart_domain_check(name, point, inside):
     L = make_loop(name)
-    assert L.domain_check(np.array(point)) is inside
+    assert L.domain_check(np.array(point)) == inside  # a numpy bool
     assert L.domain_check(point) is inside
+
+
+@pytest.mark.parametrize("name", ["rz", "qc", "qsu2", "qh2", "qhr:K=1"])
+def test_chart_domain_check_on_a_batch(name):
+    # every row of the table above for this loop, as one batch point whose
+    # coordinates are arrays: one truth per element, in one call
+    rows = [(point, inside) for n, point, inside in CHART_ROWS if n == name]
+    batch = list(np.array([point for point, _ in rows]).T)
+    got = make_loop(name).domain_check(batch)
+    assert got.tolist() == [inside for _, inside in rows]
+
+
+@pytest.mark.parametrize("op", ["left_div", "right_div"])
+@pytest.mark.parametrize("point", [[-0.6574996767601854, -0.753454826157648],
+                                   [-0.886183538201192, 0.4633343680553132]])
+def test_qh2_division_guard_is_the_chart(op, point):
+    # Near the unit circle x^2 + y^2 and hypot(x, y) round to opposite
+    # sides of 1.  The guard on the divisions reads the chart's predicate,
+    # so a division by the identity gives the point itself exactly when
+    # the chart holds it, and raises otherwise.
+    L = make_loop("qh2")
+    e = [0.0, 0.0]
+    raw, checked = {
+        "left_div": (lambda: L.left_div(e, point), lambda: core.left_divide(L, e, point)),
+        "right_div": (lambda: L.right_div(point, e), lambda: core.right_divide(L, point, e)),
+    }[op]
+    if L.domain_check(point):
+        assert raw() == point
+        assert checked().tolist() == point
+    else:
+        with pytest.raises(NoSolutionInChart):
+            raw()
+        with pytest.raises(OutOfDomain):
+            checked()
+
+
+def test_qh2_division_with_a_nan_result_raises():
+    # NaN is outside the chart, so the guard rejects it.
+    L = make_loop("qh2")
+    with pytest.raises(NoSolutionInChart):
+        L.left_div([math.nan, 0.0], [0.1, 0.2])
+    with pytest.raises(NoSolutionInChart):
+        L.right_div([0.1, 0.2], [0.0, math.nan])
 
 
 def test_qh2_stays_in_disk():
