@@ -541,6 +541,5 @@ def taylor_frame(f, a, e, order):
     with quiet():
         ys = f([space.variable(v, ((m,), ())) for m, v in enumerate(a)],
                [space.variable(v, ((), (i,))) for i, v in enumerate(e)])
-    coeffs = np.array([y.c for y in ys])
-    return tuple(np.moveaxis(coeffs[:, pos], 0, d) * scale
-                 for d, (pos, scale) in enumerate(space.derivatives))
+    coeffs = np.array([y.c for y in ys]).T
+    return tuple(coeffs[pos].swapaxes(-1, -2) * scale for pos, scale in space.derivatives)

@@ -6,7 +6,9 @@ the coordinate connection form
     omega^i = (Ad^-1_y(e))^i_j A^j_mu dx^mu + (inverse left frame)^i_j dy^j.
 
 Ad^-1_y(e) c = (e.y) \\ ((e.c).y) is y \\ (c.y) by the loop axiom e.p = p
-alone.  :func:`_connection_map` is the one definition of omega.
+alone, so omega is the v-derivative of one left division (:func:`_connection_map`,
+the one definition of omega), and D_mu = (e_mu, -Rbar A_mu), Rbar the right
+frame at y, has one definition, :func:`_covariant_direction`.
 
 Every derivative beyond the first comes from one Taylor-jet pass
 (``dual.taylor_frame``) of a map whose Jacobian in its second argument is
@@ -54,7 +56,7 @@ class LocalConnectionForm:
 
 def omega_apply(form, x, y, vx, vy):
     """Evaluate the connection form on the tangent pair (vx, vy): one pass
-    of the map of :func:`_connection_map` along (vx, vy)."""
+    of the one-division map of :func:`_connection_map` along (vx, vy)."""
     f = _connection_map(form)
     z = list(x) + core._chart_points(form.fiber, y)[0]
     return dirderiv(lambda vs: f(z, vs), [0.0] * len(z), list(vx) + list(vy))
@@ -87,12 +89,13 @@ def commutator_residual(form, mu, nu, f, x, y):
     """|([D_mu, D_nu] + F^i_{mu nu} Lbar_i) f| at (x, y).
 
     D_mu = d_mu - A^i_mu Lbar_i is the vector field X_mu = (e_mu; -R A_mu)
-    on z = (x, y), where the columns of the right frame R at y are the
-    Lbar_i, so D_mu D_nu f = X_mu^a (d_a X_nu^b) d_b f + X_mu^a X_nu^b
-    d_a d_b f.  The gradient and Hessian of f come from one jet pass of
-    f(z + v), A and dA from one of A(x) v, and R, dR and the right
-    structure tensor from one of the product.  ``f(xs, ys)`` takes lists
-    of scalars and, like the potential, must accept Taylor jets.
+    on z = (x, y) (:func:`_covariant_direction`, here as the matrix R of the
+    right frame at y, whose columns are the Lbar_i), so D_mu D_nu f =
+    X_mu^a (d_a X_nu^b) d_b f + X_mu^a X_nu^b d_a d_b f.  The gradient and
+    Hessian of f come from one jet pass of f(z + v), A and dA from one of
+    A(x) v, and R, dR and the right structure tensor from one of the
+    product.  ``f(xs, ys)`` takes lists of scalars and, like the
+    potential, must accept Taylor jets.
     """
     L = form.fiber
     db = form.potential.base_dim
@@ -118,23 +121,20 @@ def commutator_residual(form, mu, nu, f, x, y):
 
 
 def omega_annihilates_d_residual(form, x, y, mu):
-    """Norm of the connection form applied to the covariant direction D_mu.
-    It holds by construction: both terms are (L_y)_*^-1 (R_y)_* A_mu through
-    the same dual operations, so it reads exactly 0."""
-    L = form.fiber
+    """Norm of the connection form applied to the covariant direction D_mu
+    (:func:`_covariant_direction` of e_mu).  It holds by construction: the
+    argument of omega's division moves by Rbar A_mu - Rbar A_mu, both
+    terms through the same dual operations, so it reads exactly 0."""
     db = form.potential.base_dim
-    a = np.asarray(form.potential.A(list(x)), dtype=float)
-    vx = np.array([1.0 if k == mu else 0.0 for k in range(db)])
-    # -Rbar A_mu, Rbar the right frame at y
-    vy = -dirderiv(lambda c: core.product(L, c, y), L.identity, a[:, mu])
-    return float(np.max(np.abs(omega_apply(form, x, y, vx, vy))))
+    d = _covariant_direction(form, x, y, [1.0 if k == mu else 0.0 for k in range(db)])
+    return float(np.max(np.abs(omega_apply(form, x, y, d[:db], d[db:]))))
 
 
 # -- fields on the product chart and the structure equation ----------------
 
 def _connection_map(form):
-    """f(z, v) = Ad^-1_y(e)(e + A(x) v_x) + y \\ (y + v_y) at z = (x, y), with
-    Ad^-1_y(e) c = y \\ (c.y), whose v-derivative at v = 0 is omega at z."""
+    """f(z, v) = y \\ ((e + A(x) v_x).y + v_y) at z = (x, y), one left division
+    of e.y = y at v = 0, so its v-derivative there is omega at z."""
     L = form.fiber
     db = form.potential.base_dim
     e = list(L.identity)
@@ -142,8 +142,7 @@ def _connection_map(form):
     def f(zs, vs):
         ys = zs[db:]
         c = [ei + gdot(row, vs[:db]) for ei, row in zip(e, form.potential.A(zs[:db]))]
-        back = L.left_div(ys, [yi + vi for yi, vi in zip(ys, vs[db:])])
-        return [p + q for p, q in zip(L.left_div(ys, L.product(c, ys)), back)]
+        return L.left_div(ys, [p + q for p, q in zip(L.product(c, ys), vs[db:])])
 
     return f
 
@@ -169,7 +168,7 @@ def _connection_jet(form, x, y, order):
 def _exterior(dom):
     """domega[..., p, a, b] = (d_a omega^p_b - d_b omega^p_a) / 2 from
     dom[..., a, p, b] = d_a omega^p_b."""
-    t = np.moveaxis(dom, -3, -2)
+    t = dom.swapaxes(-3, -2)
     return 0.5 * (t - t.swapaxes(-1, -2))
 
 
@@ -188,17 +187,17 @@ def _lift(L, y, w):
     return dirderiv(lambda c: core.product(L, y, c), L.identity, w)
 
 
+def _covariant_direction(form, x, y, vx):
+    """D = (vx, -Rbar A(x) vx), Rbar the right frame at y, from one pass
+    d/ds (e + s A(x) vx).y; D_mu for vx = e_mu.  x and y may hold carriers."""
+    L, w = form.fiber, [gdot(row, vx) for row in form.potential.A(list(x))]
+    return list(vx) + [-u for u in dirderiv(lambda c: core.product(L, c, y), L.identity, w)]
+
+
 def hor_field(form, vx):
-    """Horizontal field (vx, -R omega(vx, 0)), R the left frame at y."""
-    vx = [float(v) for v in vx]
-
-    def field(z):
-        db = form.potential.base_dim
-        y = list(z[db:])
-        w = omega_apply(form, z[:db], y, vx, [0.0] * form.fiber.dim)
-        return pack(vx + [-u for u in _lift(form.fiber, y, w)])
-
-    return field
+    """Horizontal field z -> D of :func:`_covariant_direction`; omega(D) = 0."""
+    vx, db = [float(v) for v in vx], form.potential.base_dim
+    return lambda z: pack(_covariant_direction(form, z[:db], list(z[db:]), vx))
 
 
 def fundamental_field(form, w):
@@ -217,9 +216,11 @@ def structure_equation_residual(form, x, y, vx_x, vy_x, vx_y, vy_y):
 
     The quasialgebra bracket of the two connection-form values uses the
     structure functions of the left frame at the evaluation fiber point;
-    the curvature side horizontalizes both arguments first.  For mixed
-    horizontal/vertical pairs the identity holds along the canonical
-    section y = e, where the tests evaluate it.
+    the curvature side horizontalizes both arguments first.  On horizontal
+    fields omega(h) ~ 0, so that case checks omega(h) ~ 0 and never reads C;
+    on vertical ones P u = P v = 0, so it checks omega's division against
+    the product and C itself.  Mixed horizontal/vertical pairs hold along
+    the canonical section y = e, where the tests evaluate them.
     """
     c = tangent.structure_tensor_raw(form.fiber, [float(v) for v in y])
     u = np.array(list(vx_x) + list(vy_x), dtype=float)

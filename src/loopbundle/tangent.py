@@ -112,7 +112,7 @@ def jacobi_residual(L, a):
         dc = _structure_derivative(r, dr, d2r, c)
         # s[p, i, j, k] = G^m_k d_m C^p_ij + C^q_ij C^p_kq
         s = np.einsum("mk,pmij->pijk", r, dc) + np.einsum("qij,pkq->pijk", c, c)
-        cyclic = s + np.einsum("pjki->pijk", s) + np.einsum("pkij->pijk", s)
+        cyclic = s + s.transpose(0, 3, 1, 2) + s.transpose(0, 2, 3, 1)  # + s[pjki] + s[pkij]
     return float(np.max(np.abs(cyclic)))  # NaN if any entry is NaN
 
 

@@ -6,8 +6,9 @@ the curvature of two horizontal fields.  They differentiate by nesting
 leveled passes (``ref_dirderiv`` and ``ref_jacobian``) around the
 library's, and solve with ``ref_gsolve``.
 
-The connection map with Ad^-1_y(e) composed in full is the reference
-for the library's, which drops the products by the identity.  The matrix
+The connection map with Ad^-1_y(e) composed in full, and its own division
+for the dy block, is the reference for the library's, which drops the
+products by the identity and makes one division.  The matrix
 forms of the connection form and of the horizontal and
 fundamental fields, which build the Ad^-1 differential and the left frame
 and invert the frame, are the references for the library's directional
@@ -144,8 +145,9 @@ def curvature_gauge_residual(form, q_map, x, q_back=None):
 
 def ref_connection_map(form):
     """The connection map written as Ad^-1_y(e)(e + A(x) v_x) + y \\ (y + v_y),
-    with both products by the identity of (e.y) \\ ((e.c).y) evaluated:
-    the reference for ``gauge._connection_map``, which drops them."""
+    two divisions with both products by the identity of (e.y) \\ ((e.c).y)
+    evaluated: the reference for ``gauge._connection_map``, which drops
+    them and merges the divisions into y \\ ((e + A(x) v_x).y + v_y)."""
     L = form.fiber
     db = form.potential.base_dim
     e = list(L.identity)
@@ -176,7 +178,9 @@ def omega_apply(form, x, y, vx, vy):
 
 
 def hor_field(form, vx):
-    """Horizontal field of ``vx`` from the Ad^-1 differential and the frame."""
+    """Horizontal field of ``vx`` from the Ad^-1 differential and the left
+    frame: (vx, -R Ad^-1_y(e)_* A vx), which is the library's
+    (vx, -Rbar A vx) as R Ad^-1_y(e)_* = Rbar."""
     vx = [float(v) for v in vx]
 
     def field(z):

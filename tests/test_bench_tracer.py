@@ -81,8 +81,8 @@ def test_directional_routes_build_no_frames_or_solves():
     assert tr.counts["reconstruct._velocity"] == 4 * steps
     # Each velocity is one pass, and one batched pass gives the phi-free
     # factors at all 2 * steps + 1 distinct t.  The horizontal field makes
-    # two passes.
-    assert tr.counts["dual.dirderiv"] == 4 * steps + 1 + 2
+    # one pass, d/ds (e + s A vx).y.
+    assert tr.counts["dual.dirderiv"] == 4 * steps + 1 + 1
     # The velocity passes and the one batched pass; a pass per distinct t
     # built 4,147.
     assert reconstruct_nodes == 1491

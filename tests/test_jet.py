@@ -13,7 +13,7 @@ import pytest
 
 from loopbundle import core, gauge, reconstruct, tangent
 from loopbundle.dual import (Dual, Jet, gcos, gdot, gfloor, gsin, jet_space, pack,
-                             primal, taylor_frame)
+                             primal, quiet, taylor_frame)
 from loopbundle.errors import DomainSingularity
 from loopbundle.report import worst_residual
 from loopbundle.zoo import make_loop
@@ -371,6 +371,39 @@ def test_jet_space_size_follows_the_order():
         space = jet_space(4, order)
         assert (space.size, len(space._i), space.degree) == (size, pairs, degree)
         assert all(len(p) <= order and len(q) <= 1 for p, q in space.index)
+
+
+def _moveaxis_frame(f, a, e, order):
+    """``taylor_frame``'s blocks in the layout they replaced: coefficients
+    indexed output first, the output axis then moved into place."""
+    space = jet_space(len(a), order)
+    with quiet():
+        ys = f([space.variable(v, ((m,), ())) for m, v in enumerate(a)],
+               [space.variable(v, ((), (i,))) for i, v in enumerate(e)])
+    coeffs = np.array([y.c for y in ys])
+    return tuple(np.moveaxis(coeffs[:, pos], 0, d) * scale
+                 for d, (pos, scale) in enumerate(space.derivatives))
+
+
+@pytest.mark.parametrize("name", ["rz", "qc", "qhr:K=1"])  # n = 1, 2, 4
+def test_taylor_frame_blocks_match_the_moveaxis_layout(name):
+    # The blocks are a pure permutation of the coefficients, so they equal
+    # the moveaxis layout bit for bit, with n or n + 1 outputs.  Blocks 0-2
+    # are read from passes of order 1 and 2; a jet space of order 0 has no
+    # alpha variable, so there is no order-0 pass.
+    L = make_loop(name)
+    a, e = list(0.5 * L.sample(np.random.default_rng(51))), list(L.identity)
+
+    def wide(p, q):
+        return list(L.product(p, q)) + [gsin(p[0]) * q[-1] + p[-1] * q[0]]
+
+    for order in (1, 2):
+        for f in (L.product, wide):
+            got = taylor_frame(f, a, e, order)
+            want = _moveaxis_frame(f, a, e, order)
+            assert len(got) == len(want) == order + 1
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 # -- the jet elementaries ------------------------------------------------------
