@@ -9,7 +9,7 @@ callable receives both the base point and the current fiber coordinate.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,7 +50,6 @@ class BundleAtlas:
     transition: Callable
     overlap_sampler: Callable
     name: str = ""
-    params: dict = field(default_factory=dict)
 
     def chart(self, chart_id):
         for c in self.charts:
@@ -103,8 +102,7 @@ def cocycle_residual(atlas, alpha, beta, gamma, x, q_test):
     lhs = L.product(q_ba, q)
     rhs = L.product(q_bg, L.product(q_ga, q))
     res = core.distance(L, lhs, rhs)
-    rhs2 = L.product(L.product(q_bg, q_ga),
-                     core.associator(L, "left", q_bg, q_ga, q))
+    rhs2 = L.product(L.product(q_bg, q_ga), core._left_associator(L, q_bg, q_ga, q))
     return worst_residual(res, core.distance(L, lhs, rhs2))
 
 
@@ -125,7 +123,7 @@ def transition_right_law_residual(atlas, alpha, beta, x, q_alpha, a):
     # then its defining right division.
     q_beta = L.product(q_ba, q_alpha)
     lhs = L.right_div(L.product(q_beta, a), L.product(q_alpha, a))
-    rhs = core.associator(L, "right", q_alpha, a, q_ba)
+    rhs = core._right_associator(L, q_alpha, a, q_ba)
     return core.distance(L, lhs, rhs)
 
 
@@ -292,20 +290,16 @@ def make_winding_bundle(n):
     ]
     return BundleAtlas(fiber_loop=fiber, charts=charts, transition=transition,
                        overlap_sampler=overlap_sampler,
-                       name="qs2-over-s2", params={"n": n})
+                       name=f"qs2-over-s2:n={n}")
 
 
 def make_atlas(name):
-    """Atlas constructor by CLI name: s3-over-s1 or qs2-over-s2:n=<int>."""
+    """Atlas constructor by CLI name, s3-over-s1 or qs2-over-s2[:n=<int>]
+    (n = 1 when omitted); ``make_atlas(atlas.name)`` rebuilds an atlas."""
     if name == "s3-over-s1":
         return make_s3_bundle()
-    base, _, arg = name.partition(":")
-    if base == "qs2-over-s2":
-        n = 1
-        if arg:
-            key, _, val = arg.partition("=")
-            if key != "n":
-                raise UnknownKind(f"unknown atlas parameter {key!r}")
-            n = int(val)
-        return make_winding_bundle(n)
+    if name == "qs2-over-s2":
+        return make_winding_bundle(1)
+    if name.startswith("qs2-over-s2:n="):
+        return make_winding_bundle(int(name.removeprefix("qs2-over-s2:n=")))
     raise UnknownKind(f"unknown atlas {name!r}")

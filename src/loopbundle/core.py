@@ -13,8 +13,10 @@ composes the raw closed forms on plain lists and packs once at the end:
 its intermediate points are not checked, so a composite whose result is
 defined does not fail because an intermediate point passed the chart's
 numerical cut.  Results are not checked either; the next public call that
-takes a result as an argument checks it.  Singular denominators still
-raise from the closed forms themselves.
+takes a result as an argument checks it.  A derivative pass elsewhere
+checks its fixed points once, before the pass, and differentiates the raw
+bodies (``_left_associator``, ``_ad_map``, ...), never a checked wrapper.
+Singular denominators still raise from the closed forms themselves.
 """
 
 import time
@@ -111,29 +113,35 @@ def _left_associator(L, a, b, c):
     return L.left_div(prod(a, b), prod(a, prod(b, c)))
 
 
+def _right_associator(L, a, b, c):
+    """r_(a,b) c = R^-1_(a.b) ((c.a).b) on the raw closed forms."""
+    return L.right_div(L.product(L.product(c, a), b), L.product(a, b))
+
+
 def associator(L, kind, a, b, c):
     """Left, adjoint, or right associator of (a, b) applied to c.
 
     Composed exactly from product and divisions; no independent closed form.
     """
     a, b, c = _chart_points(L, a, b, c)
-    prod, ldiv = L.product, L.left_div
     if kind == "left":
         return pack(_left_associator(L, a, b, c))
     if kind == "adjoint":
         # lhat_(a,b) c = a.(b.(L^-1_(a.b) c))
-        return pack(prod(a, prod(b, ldiv(prod(a, b), c))))
+        return pack(L.product(a, L.product(b, L.left_div(L.product(a, b), c))))
     if kind == "right":
-        # r_(a,b) c = R^-1_(a.b) ((c.a).b)
-        return pack(L.right_div(prod(prod(c, a), b), prod(a, b)))
+        return pack(_right_associator(L, a, b, c))
     raise ValueError(f"unknown associator kind: {kind}")
+
+
+def _ad_map(L, b, a, c):
+    """Ad_b(a) c = L^-1_a (R^-1_b ((a.b).c)) on the raw closed forms."""
+    return L.left_div(a, L.right_div(L.product(L.product(a, b), c), b))
 
 
 def ad_map(L, b, a, c):
     """Ad_b(a) c = L^-1_a (R^-1_b ((a.b).c)), composed right to left."""
-    b, a, c = _chart_points(L, b, a, c)
-    step = L.right_div(L.product(L.product(a, b), c), b)
-    return pack(L.left_div(a, step))
+    return pack(_ad_map(L, *_chart_points(L, b, a, c)))
 
 
 def _ad_inverse(L, b, a, c):

@@ -534,8 +534,10 @@ def taylor_frame(f, a, e, order):
     Returns ``(R, dR, ..., d^order R)`` at alpha = beta = 0 with
     ``R[k, i] = df^k/dbeta^i``, ``dR[m, k, i] = d R[k, i] / da^m``,
     ``d2R[l, m, k, i] = d^2 R[k, i] / da^l da^m`` and so on.  ``a`` and
-    ``e`` hold real numbers.
+    ``e`` hold real numbers; ``order`` is at least 1, as the pass seeds a.
     """
+    if order < 1:
+        raise ValueError(f"taylor_frame order must be at least 1, got order={order!r}")
     space = jet_space(len(a), order)
     # inf times a zero coefficient is NaN: one errstate per pass, not per multiply.
     with quiet():

@@ -41,9 +41,5 @@ class UnknownSuite(LoopError):
     """CLI was asked to run a suite that does not exist."""
 
 
-class UnknownLoop(LoopError):
-    """CLI was asked for a loop name that is not in the catalog."""
-
-
 class ReportWriteFailure(LoopError):
     """Verification report could not be written."""

@@ -21,7 +21,10 @@ Bianchi takes the connection form's second derivatives, every other check
 only first ones.  A first derivative applied to one vector (the
 connection form on a tangent pair, the horizontal and fundamental fields)
 is one directional pass (``dual.dirderiv``) of the same kind of map; a
-transformed potential is a one-level dual Jacobian.  So residuals measure
+transformed potential is a one-level dual Jacobian.  Every pass composes
+the raw closed forms, and a fixed fiber point y is checked once, before
+it (see :mod:`core`); only a gauge transformation's transition values,
+which move with x, are checked inside their pass.  So residuals measure
 the identities, not discretization error.
 """
 
@@ -57,9 +60,12 @@ class LocalConnectionForm:
 def omega_apply(form, x, y, vx, vy):
     """Evaluate the connection form on the tangent pair (vx, vy): one pass
     of the one-division map of :func:`_connection_map` along (vx, vy)."""
-    f = _connection_map(form)
-    z = list(x) + core._chart_points(form.fiber, y)[0]
-    return dirderiv(lambda vs: f(z, vs), [0.0] * len(z), list(vx) + list(vy))
+    return _omega(form, list(x) + core._chart_points(form.fiber, y)[0], list(vx) + list(vy))
+
+
+def _omega(form, z, v):
+    """omega on v at z = (x, y), y a checked point."""
+    return dirderiv(lambda vs: _connection_map(form)(z, vs), [0.0] * len(z), v)
 
 
 def _potential_jet(form, x):
@@ -126,8 +132,9 @@ def omega_annihilates_d_residual(form, x, y, mu):
     argument of omega's division moves by Rbar A_mu - Rbar A_mu, both
     terms through the same dual operations, so it reads exactly 0."""
     db = form.potential.base_dim
+    y = core._chart_points(form.fiber, y)[0]
     d = _covariant_direction(form, x, y, [1.0 if k == mu else 0.0 for k in range(db)])
-    return float(np.max(np.abs(omega_apply(form, x, y, d[:db], d[db:]))))
+    return float(np.max(np.abs(_omega(form, list(x) + y, d))))
 
 
 # -- fields on the product chart and the structure equation ----------------
@@ -183,32 +190,29 @@ def curvature_tensor(form, z, u, v):
 
 
 def _lift(L, y, w):
-    """The left frame at y applied to w: d/ds y.(e + s w)."""
-    return dirderiv(lambda c: core.product(L, y, c), L.identity, w)
+    """The left frame at the checked point y applied to w: d/ds y.(e + s w)."""
+    return dirderiv(lambda c: L.product(y, c), L.identity.tolist(), w)
 
 
 def _covariant_direction(form, x, y, vx):
-    """D = (vx, -Rbar A(x) vx), Rbar the right frame at y, from one pass
-    d/ds (e + s A(x) vx).y; D_mu for vx = e_mu.  x and y may hold carriers."""
+    """D = (vx, -Rbar A(x) vx), Rbar the right frame at the checked point y, from
+    one pass d/ds (e + s A(x) vx).y; D_mu for vx = e_mu.  x, y may hold carriers."""
     L, w = form.fiber, [gdot(row, vx) for row in form.potential.A(list(x))]
-    return list(vx) + [-u for u in dirderiv(lambda c: core.product(L, c, y), L.identity, w)]
+    return list(vx) + [-u for u in dirderiv(lambda c: L.product(c, y), L.identity.tolist(), w)]
 
 
 def hor_field(form, vx):
     """Horizontal field z -> D of :func:`_covariant_direction`; omega(D) = 0."""
     vx, db = [float(v) for v in vx], form.potential.base_dim
-    return lambda z: pack(_covariant_direction(form, z[:db], list(z[db:]), vx))
+    return lambda z: pack(_covariant_direction(
+        form, z[:db], core._chart_points(form.fiber, z[db:])[0], vx))
 
 
 def fundamental_field(form, w):
     """Vertical field generated by the tangent vector ``w`` at the identity."""
-    w = [float(v) for v in w]
-
-    def field(z):
-        db = form.potential.base_dim
-        return pack([0.0] * db + list(_lift(form.fiber, list(z[db:]), w)))
-
-    return field
+    w, db = [float(v) for v in w], form.potential.base_dim
+    return lambda z: pack([0.0] * db + list(_lift(
+        form.fiber, core._chart_points(form.fiber, z[db:])[0], w)))
 
 
 def structure_equation_residual(form, x, y, vx_x, vy_x, vx_y, vy_y):
@@ -255,13 +259,10 @@ def bianchi_residual(form, x, y, vx1, vx2, vx3):
 
 # -- gauge transformations -------------------------------------------------
 
-def _transition(L, q_map, q_back):
-    """xs -> (q_ab, q_ba) = (q_map(xs), q_back(xs)), checked against the
-    chart; q_ba is the right division e / q_ab when ``q_back`` is None."""
-    if q_back is None:
-        e = [float(v) for v in L.identity]
-        q_back = lambda xs: L.right_div(e, list(q_map(xs)))
-    return lambda xs: core._chart_points(L, q_map(xs), q_back(xs))
+def _transition(L, q_map):
+    """xs -> (q_ab, q_ba) = (q_map(xs), e / q_ab), checked against the chart."""
+    e = [float(v) for v in L.identity]
+    return lambda xs: core._chart_points(L, q_map(xs), L.right_div(e, list(q_map(xs))))
 
 
 def _transformed_map(form, q_map, pair):
@@ -283,17 +284,16 @@ def _transformed_map(form, q_map, pair):
     return f
 
 
-def gauge_transform(form, q_map, q_back=None):
+def gauge_transform(form, q_map):
     """Local connection form in the other trivialization.
 
     ``q_map`` is q_{alpha beta}(x) (the transition carrying the section
-    of the *target* chart), ``q_back`` its right inverse q_{beta
-    alpha}(x), computed by right division when omitted.  The new potential
-    is the dual Jacobian in v at v = 0 of the map of
-    :func:`_transformed_map`.  It takes floats only; ``q_map`` and
-    ``q_back`` must accept duals.
+    of the *target* chart); its right inverse q_{beta alpha}(x) is the
+    right division e / q_{alpha beta}.  The new potential is the dual
+    Jacobian in v at v = 0 of the map of :func:`_transformed_map`.  It
+    takes floats only; ``q_map`` must accept duals.
     """
-    f = _transformed_map(form, q_map, _transition(form.fiber, q_map, q_back))
+    f = _transformed_map(form, q_map, _transition(form.fiber, q_map))
     db = form.potential.base_dim
 
     def a_new(xs):
@@ -304,19 +304,19 @@ def gauge_transform(form, q_map, q_back=None):
     return LocalConnectionForm(potential=pot, fiber=form.fiber)
 
 
-def curvature_gauge_residual(form, q_map, x, q_back=None):
+def curvature_gauge_residual(form, q_map, x):
     """Compare curvature of the transformed form with the Ad-rotated
     curvature of the original, both at the identity fiber point.
     It covers unit-phase transitions on ``qc`` only: generic transitions on
     a nonassociative fiber miss this law by about 1e-3.
 
     A' and dA' come from one jet pass of the map of :func:`gauge_transform`,
-    so ``q_map``, ``q_back`` and the potential must accept Taylor jets.
-    An omitted ``q_back`` is the right division e / q_ab on jets.
+    so ``q_map`` and the potential must accept Taylor jets; q_ba is the
+    right division e / q_ab on jets.
     """
     L = form.fiber
     x = [float(v) for v in x]
-    pair = _transition(L, q_map, q_back)
+    pair = _transition(L, q_map)
     c = tangent.structure_tensor_raw(L, L.identity, side="right")
     a1, da1 = taylor_frame(_transformed_map(form, q_map, pair), x, [0.0] * len(x),
                            order=1)
@@ -359,9 +359,9 @@ def glue_connections(forms, weights, samples):
 
 def vertical_reproduction_residual(form, x, y, w):
     """Check that the glued form still reproduces fundamental vectors."""
-    lifted = _lift(form.fiber, list(y), w)
-    val = omega_apply(form, list(x), list(y),
-                      np.zeros(form.potential.base_dim), lifted)
+    y = core._chart_points(form.fiber, y)[0]
+    val = _omega(form, list(x) + y,
+                 [0.0] * form.potential.base_dim + list(_lift(form.fiber, y, w)))
     return float(np.max(np.abs(val - np.asarray(w))))
 
 

@@ -1,15 +1,16 @@
 """Tangent-space structure of a smooth loop.
 
 A derivative applied to one vector is one directional pass
-(``dual.dirderiv``) of a composite of the closed forms: the pushforwards
-of translations, the canonical form and the left transformation law.
-The full differentials (frames, l_(a,b)*, Ad and Ad^-1) are dual-number
-Jacobians, for callers that need the matrix.  The structure functions
-take the frame and its first derivatives from one pass of the product on
-Taylor jets (``dual.taylor_frame``), the modified Jacobi identity its
-first and second, then C = R^-1 B and its derivative by numpy linear
-algebra.  There is no finite-difference truncation error anywhere
-in this module.
+(``dual.dirderiv``) of a composite of the raw closed forms: the
+pushforwards of translations, the canonical form and the left
+transformation law.  The full differentials (frames, l_(a,b)*, Ad and
+Ad^-1) are dual-number Jacobians at the identity.  Each pass checks its
+fixed points once, before the pass (see :mod:`core`).  The structure
+functions take the frame and its first derivatives from one pass of the
+product on Taylor jets (``dual.taylor_frame``), the modified Jacobi
+identity its first and second, then C = R^-1 B and its derivative by
+numpy linear algebra.  There is no finite-difference truncation error
+anywhere in this module.
 """
 
 from dataclasses import dataclass
@@ -28,14 +29,16 @@ class TangentVector:
 
 def pushforward_left(L, a, v):
     """Differential of the left translation by ``a`` applied to ``v``."""
-    vec = dirderiv(lambda b: core.product(L, a, b), v.base, v.vec)
-    return TangentVector(base=core.product(L, a, v.base), vec=vec)
+    a, x = core._chart_points(L, a, v.base)
+    vec = dirderiv(lambda b: L.product(a, b), x, v.vec)
+    return TangentVector(base=pack(L.product(a, x)), vec=vec)
 
 
 def pushforward_right(L, b, v):
     """Differential of the right translation by ``b`` applied to ``v``."""
-    vec = dirderiv(lambda a: core.product(L, a, b), v.base, v.vec)
-    return TangentVector(base=core.product(L, v.base, b), vec=vec)
+    b, x = core._chart_points(L, b, v.base)
+    vec = dirderiv(lambda a: L.product(a, b), x, v.vec)
+    return TangentVector(base=pack(L.product(x, b)), vec=vec)
 
 
 def left_frame_matrix(L, a):
@@ -44,7 +47,8 @@ def left_frame_matrix(L, a):
     Accepts a caller's leveled carrier in ``a``; this pass would capture a
     ``Dual`` undetected and give a wrong derivative (see :mod:`dual`).
     """
-    return jacobian(lambda b: list(core.product(L, a, b)), list(L.identity))
+    a = core._chart_points(L, a)[0]
+    return jacobian(lambda b: L.product(a, b), L.identity.tolist())
 
 
 def right_frame_matrix(L, y):
@@ -53,7 +57,8 @@ def right_frame_matrix(L, y):
     Accepts a caller's leveled carrier in ``y``; this pass would capture a
     ``Dual`` undetected and give a wrong derivative (see :mod:`dual`).
     """
-    return jacobian(lambda a: list(core.product(L, a, y)), list(L.identity))
+    y = core._chart_points(L, y)[0]
+    return jacobian(lambda a: L.product(a, y), L.identity.tolist())
 
 
 def _frame_derivatives(L, a, side, order):
@@ -121,19 +126,21 @@ def canonical_form(L, v):
     one pass of s -> x \\ (x + s v), as the left division's derivative in
     its second argument at x is (L_x)_*^-1.  It exists where the left
     division by x does."""
-    x = list(v.base)
-    vec = dirderiv(lambda c: core.left_divide(L, x, c), x, v.vec)
+    x = core._chart_points(L, v.base)[0]
+    vec = dirderiv(lambda c: L.left_div(x, c), x, v.vec)
     return TangentVector(base=pack(list(L.identity)), vec=vec)
 
 
 def left_associator_differential(L, a, b):
     """Matrix of l_(a,b)* at the identity (dual Jacobian of the composition)."""
-    return jacobian(lambda c: list(core.associator(L, "left", a, b, c)), list(L.identity))
+    a, b = core._chart_points(L, a, b)
+    return jacobian(lambda c: core._left_associator(L, a, b, c), L.identity.tolist())
 
 
 def ad_differential(L, b, a):
     """Matrix of (Ad_b(a))_* at the identity."""
-    return jacobian(lambda c: list(core.ad_map(L, b, a, c)), list(L.identity))
+    b, a = core._chart_points(L, b, a)
+    return jacobian(lambda c: core._ad_map(L, b, a, c), L.identity.tolist())
 
 
 def ad_inverse_differential(L, b, a):
@@ -142,12 +149,12 @@ def ad_inverse_differential(L, b, a):
     Built from the inverse operator composition, not a matrix inverse,
     so it exists even where the forward differential is singular.
     """
-    return jacobian(lambda c: list(core.ad_inverse_map(L, b, a, c)),
-                    list(L.identity))
+    b, a = core._chart_points(L, b, a)
+    return jacobian(lambda c: core._ad_inverse(L, b, a, c), L.identity.tolist())
 
 
-def verify_ad_form_laws(L, b, a, v):
-    """Residuals of the canonical-form transformation laws.
+def verify_ad_form_laws(L, b, v):
+    """Residuals of the canonical-form transformation laws at a = v.base.
 
     Left law:  omega(L_b* v) = l_(b,a)* omega(v), the right side one pass
     of s -> l_(b,a)(e + s omega(v)).
@@ -157,7 +164,9 @@ def verify_ad_form_laws(L, b, a, v):
     """
     omega_v = canonical_form(L, v).vec
     lhs_l = canonical_form(L, pushforward_left(L, b, v)).vec
-    rhs_l = dirderiv(lambda c: core.associator(L, "left", b, a, c), L.identity, omega_v)
+    b, a = core._chart_points(L, b, v.base)
+    rhs_l = dirderiv(lambda c: core._left_associator(L, b, a, c), L.identity.tolist(),
+                     omega_v)
     res_left = float(np.max(np.abs(lhs_l - rhs_l)))
 
     lhs_r = canonical_form(L, pushforward_right(L, b, v)).vec

@@ -99,7 +99,7 @@ def test_criterion_4_canonical_form_transformation_laws():
             a, b = L.sample(rng), L.sample(rng)
             v = tangent.TangentVector(base=np.asarray(a, dtype=float),
                                       vec=rng.standard_normal(L.dim))
-            res_l, res_r = tangent.verify_ad_form_laws(L, list(b), list(a), v)
+            res_l, res_r = tangent.verify_ad_form_laws(L, list(b), v)
             worst = worst_residual(worst, res_l, res_r)
     ok = _report("criterion-4 canonical-form transformation laws "
                  "(1e3 triples per loop)", worst, 1e-8)

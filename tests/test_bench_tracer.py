@@ -70,7 +70,9 @@ def test_directional_routes_build_no_frames_or_solves():
         reconstruct.reconstruct_product(L, [0.3, 0.2], [-0.4, 0.5], steps)
         reconstruct_nodes = tr.extra["dual.nodes"]
         form = gauge.make_test_potential(L, 2, seed=3)
+        core_calls = tr.layer_calls("core")
         gauge.hor_field(form, [1.0, 0.5])([0.2, -0.1, 0.1, 0.25])
+        core_calls = tr.layer_calls("core") - core_calls
     finally:
         tr.counting = tr.enabled = False
         tr.uninstall()
@@ -83,6 +85,8 @@ def test_directional_routes_build_no_frames_or_solves():
     # factors at all 2 * steps + 1 distinct t.  The horizontal field makes
     # one pass, d/ds (e + s A vx).y.
     assert tr.counts["dual.dirderiv"] == 4 * steps + 1 + 1
+    # That pass runs the raw product: no checked core wrapper inside it.
+    assert core_calls == 0
     # The velocity passes and the one batched pass; a pass per distinct t
     # built 4,147.
     assert reconstruct_nodes == 1491

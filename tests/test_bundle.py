@@ -163,8 +163,8 @@ def test_projection_and_domain_singularities():
 
 
 def test_make_atlas_parsing():
-    assert bundle.make_atlas("qs2-over-s2").params["n"] == 1
-    assert bundle.make_atlas("qs2-over-s2:n=4").params["n"] == 4
+    assert bundle.make_atlas("qs2-over-s2").name == "qs2-over-s2:n=1"
+    assert bundle.make_atlas("qs2-over-s2:n=4").name == "qs2-over-s2:n=4"
     with pytest.raises(UnknownKind):
         bundle.make_atlas("nope")
     with pytest.raises(UnknownKind):

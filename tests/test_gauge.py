@@ -218,8 +218,8 @@ def test_gauge_transform_round_trip():
     form = gauge.make_test_potential(L, 2, seed=29)
     q_map = gauge.make_test_transition(L, 2, seed=29)
     q_back = lambda xs: list(core.right_divide(L, L.identity, q_map(xs)))
-    there = gauge.gauge_transform(form, q_map, q_back)
-    back = gauge.gauge_transform(there, q_back, q_map)
+    there = gauge.gauge_transform(form, q_map)
+    back = gauge.gauge_transform(there, q_back)
     x = [0.15, -0.25]
     a0 = np.asarray(form.potential.A(x), dtype=float)
     a1 = _as_float(back.potential.A(x))

@@ -299,11 +299,11 @@ def test_commutator_matches_nested_dual_reference(monkeypatch, name):
 
 
 def _test_transition(L, seed):
-    """A smooth transition into the chart and its right inverse, None for
-    the right division e / q.  On rz the transition stays in the window
-    where the divisions exist.  On qhr the inverse is given: on that
-    family e / q = -q, which ``test_default_back_transition_on_qhr``
-    compares with the right division."""
+    """A smooth transition into the chart and, for the reference, its right
+    inverse, None for the right division e / q.  On rz the transition stays
+    in the window where the divisions exist.  On qhr the inverse is given:
+    on that family e / q = -q, which ``test_default_back_transition_on_qhr``
+    compares with the library's right division."""
     if L.name == "rz":
         return lambda xs: [0.05 + 0.04 * gsin(xs[0] - 2.0 * xs[1])], None
     q_map = gauge.make_test_transition(L, 2, seed=seed)
@@ -318,12 +318,12 @@ def test_gauge_transform_matches_nested_dual_reference(name):
     form = gauge.make_test_potential(L, 2, seed=55, kind="trig")
     q_map, q_back = _test_transition(L, 55)
     want = ref.gauge_transform(form, q_map, q_back)
-    pair = gauge._transition(L, q_map, q_back)
+    pair = gauge._transition(L, q_map)
     c = tangent.structure_tensor_raw(L, L.identity, side="right")
     rng = np.random.default_rng(55)
     for _ in range(2):
         x = list(rng.uniform(-0.4, 0.4, 2))
-        got = gauge.gauge_transform(form, q_map, q_back).potential.A(x)
+        got = gauge.gauge_transform(form, q_map).potential.A(x)
         assert got.dtype == float
         assert np.max(np.abs(got - _floats(want.potential.A(x)).reshape(L.dim, 2))) <= 1e-14
         # A' and dA' of the jet pass, through the curvature in the new chart
@@ -331,7 +331,7 @@ def test_gauge_transform_matches_nested_dual_reference(name):
                                order=1)
         assert np.max(np.abs(gauge._field_strength(a1, da1, c)
                              - ref.curvature(want, x, L.identity))) <= 1e-14
-        assert abs(gauge.curvature_gauge_residual(form, q_map, x, q_back)
+        assert abs(gauge.curvature_gauge_residual(form, q_map, x)
                    - ref.curvature_gauge_residual(form, q_map, x, q_back)) <= 1e-14
         if name == "qhr:K=0":
             via_global = ref.gauge_transform_via_global(form, q_map).potential.A(x)
@@ -340,8 +340,8 @@ def test_gauge_transform_matches_nested_dual_reference(name):
 
 @pytest.mark.parametrize("name", ["qhr:K=1", "qhr:K=0"])
 def test_default_back_transition_on_qhr(name):
-    # The omitted q_back is the right division e / q on jets, the qhr
-    # closed form.
+    # The library's q_ba is the right division e / q on jets, the qhr
+    # closed form; the reference is given q_ba = -q explicitly.
     L = make_loop(name)
     form = gauge.make_test_potential(L, 2, seed=55, kind="trig")
     q_map, q_back = _test_transition(L, 55)
@@ -349,7 +349,7 @@ def test_default_back_transition_on_qhr(name):
     for _ in range(3):
         x = list(rng.uniform(-0.4, 0.4, 2))
         assert abs(gauge.curvature_gauge_residual(form, q_map, x)
-                   - gauge.curvature_gauge_residual(form, q_map, x, q_back)) <= 1e-14
+                   - ref.curvature_gauge_residual(form, q_map, x, q_back=q_back)) <= 1e-14
 
 
 # One jet pass of the connection form per call, plus one of the product

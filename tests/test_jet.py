@@ -406,6 +406,14 @@ def test_taylor_frame_blocks_match_the_moveaxis_layout(name):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def test_taylor_frame_rejects_order_zero():
+    # An order-0 jet space has no alpha variable to seed a with; the error
+    # names the argument instead of a missing monomial.
+    L = make_loop("qc")
+    with pytest.raises(ValueError, match="order"):
+        taylor_frame(L.product, [0.1, 0.2], list(L.identity), order=0)
+
+
 # -- the jet elementaries ------------------------------------------------------
 
 def _sample_map(x, y):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from loopbundle import core, tangent
+from loopbundle import core, gauge, tangent
 from loopbundle.dual import Dual, jacobian
 from loopbundle.errors import NoSolutionInChart
 from loopbundle.zoo import catalog_names, make_loop
@@ -118,7 +118,7 @@ def test_canonical_form_transformation_laws(name):
         a, b = L.sample(rng), L.sample(rng)
         v = tangent.TangentVector(base=np.asarray(a, dtype=float),
                                   vec=rng.standard_normal(L.dim))
-        res_left, res_right = tangent.verify_ad_form_laws(L, list(b), list(a), v)
+        res_left, res_right = tangent.verify_ad_form_laws(L, list(b), v)
         assert res_left < 1e-10
         assert res_right < 1e-10
 
@@ -155,8 +155,47 @@ def test_canonical_form_inverts_frame():
         lstar = np.asarray(tangent.left_associator_differential(L, b, a), dtype=float)
         want_left = np.max(np.abs(frame_solve(list(core.product(L, b, a)), push_l)
                                   - lstar @ omega))
-        res_left, _ = tangent.verify_ad_form_laws(L, b, a, v)
+        res_left, _ = tangent.verify_ad_form_laws(L, b, v)
         assert abs(res_left - want_left) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["qc", "qhr:K=1"])
+def test_derivative_passes_check_each_fixed_point_once(name):
+    # A pass checks its fixed points once, before it, and differentiates the
+    # raw closed forms.  A checked core wrapper inside the pass would check
+    # them, and the seeded identity, again for every Jacobian column.
+    base = make_loop(name)
+    calls = [0]
+
+    def counting_check(p):
+        calls[0] += 1
+        return base.domain_check(p)
+
+    L = dataclasses.replace(base, domain_check=counting_check)
+    rng = np.random.default_rng(12)
+    a, b = list(0.5 * L.sample(rng)), list(0.5 * L.sample(rng))
+    v = tangent.TangentVector(base=np.asarray(a), vec=rng.standard_normal(L.dim))
+    form = gauge.make_test_potential(L, 2, seed=12)
+    z = [0.1, -0.2] + list(0.4 * L.sample(rng))
+    cases = {
+        "left_frame_matrix": (1, lambda: tangent.left_frame_matrix(L, a)),
+        "right_frame_matrix": (1, lambda: tangent.right_frame_matrix(L, a)),
+        "left_associator_differential":
+            (2, lambda: tangent.left_associator_differential(L, a, b)),
+        "ad_differential": (2, lambda: tangent.ad_differential(L, b, a)),
+        "ad_inverse_differential": (2, lambda: tangent.ad_inverse_differential(L, b, a)),
+        "pushforward_left": (2, lambda: tangent.pushforward_left(L, b, v)),
+        "pushforward_right": (2, lambda: tangent.pushforward_right(L, b, v)),
+        "canonical_form": (1, lambda: tangent.canonical_form(L, v)),
+        "hor_field": (1, lambda: gauge.hor_field(form, [1.0, 0.5])(z)),
+        "fundamental_field": (1, lambda: gauge.fundamental_field(form, np.ones(L.dim))(z)),
+        "omega_annihilates_d_residual":
+            (1, lambda: gauge.omega_annihilates_d_residual(form, z[:2], z[2:], 0)),
+    }
+    for label, (points, call) in cases.items():
+        calls[0] = 0
+        call()
+        assert calls[0] == points, label
 
 
 def test_rz_canonical_form_exists_on_the_division_window():
