@@ -15,10 +15,13 @@ Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
   first-order caller carries no second-order coefficients.
 - ``Dual`` gives the first derivatives in one pass: one directional pass
   (``dirderiv``) where a derivative is applied to one vector
-  (pushforwards, the canonical form, the Lie-equation velocity, the
-  connection form and the gauge fields), a ``jacobian`` where the full
-  matrix is needed (frames, Ad and associator differentials, a
-  gauge-transformed potential).
+  (pushforwards, the canonical form and its batched Lie-equation
+  factors, the connection form and the gauge fields), a ``jacobian``
+  where the full matrix is needed (frames, Ad and associator
+  differentials, a gauge-transformed potential).  The Lie-equation
+  velocity, evaluated thousands of times on plain floats, calls ``seed``
+  and ``dual_parts`` itself, the same ``Dual`` work without the list
+  copies and packing of ``dirderiv``.
 
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.

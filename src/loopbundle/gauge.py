@@ -260,9 +260,15 @@ def bianchi_residual(form, x, y, vx1, vx2, vx3):
 # -- gauge transformations -------------------------------------------------
 
 def _transition(L, q_map):
-    """xs -> (q_ab, q_ba) = (q_map(xs), e / q_ab), checked against the chart."""
+    """xs -> (q_ab, q_ba) = (q_map(xs), e / q_ab), checked against the chart;
+    q_map is evaluated once per pair."""
     e = [float(v) for v in L.identity]
-    return lambda xs: core._chart_points(L, q_map(xs), L.right_div(e, list(q_map(xs))))
+
+    def pair(xs):
+        qab = q_map(xs)
+        return core._chart_points(L, qab, L.right_div(e, list(qab)))
+
+    return pair
 
 
 def _transformed_map(form, q_map, pair):

@@ -6,8 +6,9 @@ the frame at phi applied to the associator-corrected canonical form of
 db/dt.  That factor does not depend on phi, so before the first RK4 step
 one directional pass (``dual.dirderiv``) of a composite of the closed
 forms, on duals whose parts carry a batch axis, gives it at every stage
-parameter t.  Each stage's velocity is then one directional pass of the
-product at phi; no frame matrix is built.
+parameter t.  Each stage's velocity is then the product at phi with the
+identity seeded along that factor (``dual.seed``), its derivative parts
+read off directly; no frame matrix is built.
 
 Chart checks.  ``reconstruct_product`` checks a and the batch of path
 nodes b = path(t) against the chart once, before the first step.  Every
@@ -18,15 +19,15 @@ the stages run on lists of Python floats.
 
 A generalized Maurer-Cartan identity is what makes the result path
 independent.  Its residual takes the parametric form lambda(b; a) and
-its first derivatives in b from two first-order jet passes
-(``dual.taylor_frame``), one of the left associator and one of the
-product, and numpy algebra.
+its first derivatives in b from one first-order jet pass
+(``dual.taylor_frame``) of the left associator, whose inner product is
+also the frame, and numpy algebra.
 """
 
 import numpy as np
 
 from . import core, tangent
-from .dual import dirderiv, pack, primal, quiet, taylor_frame
+from .dual import dirderiv, dual_parts, pack, primal, quiet, seed, taylor_frame
 from .report import VerificationReport
 
 MIN_STEPS = 16
@@ -56,11 +57,13 @@ def _velocity(L, phi, w):
     factor w: d/ds phi.(e + s w), the frame at phi applied to w, as a
     list of floats.
 
-    One pass of the raw closed-form product on Python floats (phi and
-    the identity's coordinates): the stage point phi is an intermediate
-    of the reconstruction and is not checked against the chart.
+    The raw closed-form product of phi (Python floats) and the identity
+    seeded along w, read off with ``dual_parts``: the same ``Dual`` work
+    as a ``dirderiv`` pass, without its list copies and packing.  The
+    stage point phi is an intermediate of the reconstruction and is not
+    checked against the chart.
     """
-    return dirderiv(lambda c: L.product(phi, c), L.identity.tolist(), w).tolist()
+    return dual_parts(L.product(phi, seed(L.identity.tolist(), w)))
 
 
 def reconstruct_product(L, a, b, steps, path=None):
@@ -112,15 +115,22 @@ def bezier_path(b, control):
 
 def _parametric_form(L, a, b):
     """lambda(b; a) = l_(a,b)* . omega(b), the matrix of the Lie equation,
-    and dlam[p] = d lambda / d b^p, for float points ``a`` and ``b``.
+    and dlam[p] = d lambda / d b^p, for float points ``a`` and ``b``
+    that the caller has checked against the chart.
 
-    One jet pass of (x, c) -> l_(a,x) c gives l* and its derivatives in b,
-    one of the product gives the frame R and its derivatives; then
-    lambda = l* R^-1 and d_p lambda = (d_p l* - lambda d_p R) R^-1.
+    One jet pass of (x, c) -> (l_(a,x) c, x.c) at x = b, c = e: the left
+    associator (a.x) \\ (a.(x.c)) computes the product x.c on the way, so
+    the same pass gives l* and the frame R with their derivatives in b,
+    as the first and last dim rows.  Then lambda = l* R^-1 and
+    d_p lambda = (d_p l* - lambda d_p R) R^-1.
     """
-    lstar, dlstar = taylor_frame(
-        lambda x, c: core._left_associator(L, a, x, c), b, L.identity, order=1)
-    r, dr = tangent._frame_derivatives(L, b, "left", order=1)
+    def associator_and_product(x, c):
+        xc = L.product(x, c)
+        return L.left_div(L.product(a, x), L.product(a, xc)) + xc
+
+    rows, drows = taylor_frame(associator_and_product, b, L.identity, order=1)
+    n = L.dim
+    lstar, r, dlstar, dr = rows[:n], rows[n:], drows[:, :n], drows[:, n:]
     rinv = np.linalg.inv(r)
     lam = lstar @ rinv
     return lam, (dlstar - lam @ dr) @ rinv

@@ -91,6 +91,35 @@ def _rz_root(x, t):
     return y, t
 
 
+def _rz_root_batch(x, t):
+    """:func:`_rz_root` on float arrays: the same shift, bracket, midpoint
+    fallback, stop rule, step cap and polish, run on every element at
+    once.  An element stops where the scalar loop breaks (an active mask),
+    so each is the scalar root at that element bit for bit.  Run it under
+    ``dual.quiet``, as every batched pass is."""
+    g0 = lambda y: y + _rz_f(y) - _rz_f(x + y)
+    gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
+    t = t - gfloor(t - g0(np.zeros_like(t)) + 0.5)
+    lo, hi = t - 0.5, t + 0.5
+    y = t
+    active = np.ones(t.shape, dtype=bool)
+    for _ in range(60):
+        r = g0(y) - t
+        below, above = r < 0.0, r > 0.0
+        lo = np.where(active & below, y, lo)
+        hi = np.where(active & above, y, hi)
+        active &= below | above  # a root, or NaN, stops
+        step = y - r / gp0(y)
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        y, y_old = np.where(active, step, y), y
+        active &= ~(abs(y - y_old) < 1e-12)
+        if not active.any():
+            break
+    for _ in range(4):
+        y = y - (g0(y) - t) / gp0(y)
+    return y, t
+
+
 def _rz_solve(x, target):
     """Solve y + f(y) - f(x+y) = target for y.
 
@@ -99,16 +128,17 @@ def _rz_solve(x, target):
     pi |sin(pi x)| < 1: x in [0, 0.10312) or (0.89688, 1) modulo 1.
     Elsewhere some targets have several roots, and the solve raises if any
     element of a batch lies there.  The rule reads the primal value, so
-    floats, duals and jets follow it alike.  Each float root, one per
-    batch element, comes from :func:`_rz_root`; :func:`dual.carry`, with
-    the float g' at the root, gives a dual or jet argument its parts.
+    floats, duals and jets follow it alike.  The float root comes from
+    :func:`_rz_root`, or on a batch from :func:`_rz_root_batch`, one
+    array Newton whose element i is ``_rz_root`` at element i;
+    :func:`dual.carry`, with the float g' at the root, gives a dual or
+    jet argument its parts.
     """
     x0, t0 = primal(x), primal(target)
     if anyof(math.pi * abs(gsin(math.pi * x0)) >= 1.0):
         raise NoSolutionInChart(f"R/Z left translation by {x0} is not invertible")
     if x0.__class__ is np.ndarray or t0.__class__ is np.ndarray:
-        xs, ts = np.broadcast_arrays(x0, t0)
-        y, t = np.array([_rz_root(*xt) for xt in zip(xs.tolist(), ts.tolist())]).T
+        y, t = _rz_root_batch(*np.broadcast_arrays(x0, t0))
     else:
         y, t = _rz_root(x0, t0)
     if isinstance(x, _CARRIERS) or isinstance(target, _CARRIERS):

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from loopbundle import dual, gauge, reconstruct, tangent
+from loopbundle import core, dual, gauge, reconstruct, tangent
 from loopbundle.dual import Dual, gmatvec, gsin, jet_space, pack, primal, taylor_frame
 from loopbundle.zoo import make_loop
 
@@ -352,6 +352,44 @@ def test_default_back_transition_on_qhr(name):
                    - ref.curvature_gauge_residual(form, q_map, x, q_back=q_back)) <= 1e-14
 
 
+def _two_call_transition(L, q_map):
+    """The pair (q_ab, e / q_ab) with q_map evaluated once for q_ab and
+    again inside the division."""
+    e = [float(v) for v in L.identity]
+    return lambda xs: core._chart_points(L, q_map(xs), L.right_div(e, list(q_map(xs))))
+
+
+def test_transition_evaluates_q_map_once_per_pair(monkeypatch):
+    # Each pair takes q_ab once: the jet pass, the theta term and the Ad^-1
+    # differential make 3 calls, and one Jacobian column of the transformed
+    # potential 2; the results are those of evaluating q_map twice per pair.
+    L = make_loop("qc")
+    form = gauge.make_test_potential(L, 2, seed=61, kind="trig")
+    q_map, _ = _test_transition(L, 61)
+    calls = [0]
+
+    def counted(xs):
+        calls[0] += 1
+        return q_map(xs)
+
+    def run():
+        got = []
+        for x in ([0.1, -0.2], [-0.3, 0.25]):
+            calls[0] = 0
+            got.append((gauge.curvature_gauge_residual(form, counted, x), calls[0]))
+            calls[0] = 0
+            got.append((gauge.gauge_transform(form, counted).potential.A(x), calls[0]))
+        return got
+
+    got = run()
+    monkeypatch.setattr(gauge, "_transition", _two_call_transition)
+    want = run()
+    assert [n for _, n in got] == [3, 4, 3, 4]
+    assert [n for _, n in want] == [5, 6, 5, 6]
+    for (g, _), (w, _) in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 # One jet pass of the connection form per call, plus one of the product
 # for the structure functions in the structure equation; the commutator
 # makes one pass of f(z + v), one of A(x) v and one of the product, the
@@ -407,7 +445,7 @@ def test_jet_route_call_counts(monkeypatch, name):
         (lambda: tangent.structure_tensor_raw(L, a), {("tangent", 1): 1}),
         (lambda: tangent.jacobi_residual(L, a), {("tangent", 2): 1}),
         (lambda: reconstruct.maurer_cartan_residual(L, b, a),
-         {("reconstruct", 1): 1, ("tangent", 1): 2}),
+         {("reconstruct", 1): 1, ("tangent", 1): 1}),
     )
     for call, want in calls:
         passes.clear()

@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from loopbundle import core, reconstruct
-from loopbundle.dual import Dual, dirderiv, dual_parts, primal
+from loopbundle import core, reconstruct, tangent
+from loopbundle.dual import Dual, dirderiv, dual_parts, primal, quiet, taylor_frame
 from loopbundle.errors import NoSolutionInChart, OutOfDomain
 from loopbundle.report import DEFAULT_TOLERANCES
 from loopbundle.tangent import left_associator_differential, left_frame_matrix
@@ -63,8 +63,8 @@ def test_maurer_cartan_identity(name):
 
 
 # One jet pass of the left associator (3 products and 1 left division),
-# one of the product for the frame, a.b itself and one pass for the
-# structure functions at a.b: the same count in every dimension.  The
+# whose inner product x.c is also the frame, a.b itself and one pass for
+# the structure functions at a.b: the same count in every dimension.  The
 # nested-dual route evaluated the closed forms per dual column.
 @pytest.mark.parametrize("name", ["rz", "qc", "qhr:K=1"])
 def test_maurer_cartan_call_counts(monkeypatch, name):
@@ -93,7 +93,7 @@ def test_maurer_cartan_call_counts(monkeypatch, name):
     a, b = 0.3 * L.sample(rng), 0.3 * L.sample(rng)
     monkeypatch.setattr(Dual, "__init__", counting_init)
     assert reconstruct.maurer_cartan_residual(L, list(b), list(a)) < 1e-12
-    assert calls == {"product": 6, "left_div": 1}
+    assert calls == {"product": 5, "left_div": 1}
     assert nodes[0] == 0
 
 
@@ -174,6 +174,57 @@ def test_reconstruction_equals_stagewise_rk4_bit_for_bit(name, steps):
         got = reconstruct.reconstruct_product(L, a, b, steps, path=path)
         want = _rk4_reference(L, a, path or straight, steps)
         assert np.array_equal(got, want)
+
+
+SEVEN_LOOPS = ["rz", "qc", "qh2", "qsu2", "qhr:K=1", "qhr:K=-2.5", "qhr:K=0"]
+
+
+def _dirderiv_velocity(L, phi, w):
+    """A stage velocity as one ``dirderiv`` pass of the raw product.
+    ``reconstruct_product`` as a whole is compared bit for bit with the
+    per-stage ``dirderiv`` route by
+    ``test_reconstruction_equals_stagewise_rk4_bit_for_bit``."""
+    return dirderiv(lambda c: L.product(phi, c), L.identity.tolist(), w).tolist()
+
+
+@pytest.mark.parametrize("name", SEVEN_LOOPS)
+def test_velocity_equals_the_dirderiv_pass_bit_for_bit(name):
+    L = make_loop(name)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        phi = (0.5 * L.sample(rng)).tolist()
+        w = rng.standard_normal(L.dim).tolist()
+        got = reconstruct._velocity(L, phi, w)
+        assert got.__class__ is list and all(v.__class__ is float for v in got)
+        assert got == _dirderiv_velocity(L, phi, w)
+    # A zero direction entry leaves its coordinate unseeded, as in the pass.
+    w = [0.0] * L.dim
+    assert reconstruct._velocity(L, phi, w) == _dirderiv_velocity(L, phi, w)
+
+
+def _two_pass_parametric_form(L, a, b):
+    """lambda and its derivatives from two jet passes: the left associator,
+    then the product for the frame (``tangent._frame_derivatives``)."""
+    lstar, dlstar = taylor_frame(
+        lambda x, c: core._left_associator(L, a, x, c), b, L.identity, order=1)
+    r, dr = tangent._frame_derivatives(L, b, "left", order=1)
+    rinv = np.linalg.inv(r)
+    lam = lstar @ rinv
+    return lam, (dlstar - lam @ dr) @ rinv
+
+
+@pytest.mark.parametrize("name", SEVEN_LOOPS)
+def test_parametric_form_one_pass_equals_two_passes_bit_for_bit(name):
+    # The associator pass's inner product x.c is the frame pass's product.
+    L = make_loop(name)
+    rng = np.random.default_rng(37)
+    with quiet():
+        for _ in range(10):
+            a, b = (list(0.3 * L.sample(rng)) for _ in range(2))
+            lam, dlam = reconstruct._parametric_form(L, a, b)
+            want_lam, want_dlam = _two_pass_parametric_form(L, a, b)
+            assert lam.shape == (L.dim, L.dim) and dlam.shape == (L.dim,) * 3
+            assert np.array_equal(lam, want_lam) and np.array_equal(dlam, want_dlam)
 
 
 def test_reconstruction_checks_its_inputs_once(monkeypatch):

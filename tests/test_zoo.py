@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopbundle import core, zoo
-from loopbundle.dual import Dual, Jet, jacobian, jet_space, pack, primal
+from loopbundle.dual import Dual, Jet, jacobian, jet_space, pack, primal, quiet
 from loopbundle.errors import (DomainSingularity, NoSolutionInChart, OutOfDomain,
                                PoleSingularity, UnknownKind)
 from loopbundle.report import worst_residual
@@ -669,3 +669,36 @@ def test_rz_solve_converges_at_the_window_edge(monkeypatch):
     for a in (RZ_BOUND - 1e-9, 1.0 - RZ_BOUND + 1e-9):
         for b in np.linspace(0.0, 1.0, 21):
             assert (_rz_f_calls(monkeypatch, a, b) - 11) // 2 < 60
+
+
+def _first_step_falls_back(x, t):
+    """Whether the first Newton step of ``_rz_root`` at the shifted target
+    t leaves its bracket, so that the midpoint replaces it."""
+    r = t + zoo._rz_f(t) - zoo._rz_f(x + t) - t
+    y = t - r / (1.0 + zoo._rz_fprime(t) - zoo._rz_fprime(x + t))
+    lo, hi = (t, t + 0.5) if r < 0.0 else (t - 0.5, t)
+    return not lo <= y <= hi
+
+
+def test_rz_batch_root_equals_the_scalar_root_bit_for_bit():
+    # The array Newton against _rz_root element by element: across the
+    # window, targets several periods apart, a within 1e-9 of the window
+    # edges (where steps leave the bracket) and non-finite elements.
+    rng = np.random.default_rng(41)
+    edges = np.repeat([RZ_BOUND - 1e-9, 1.0 - RZ_BOUND + 1e-9, -RZ_BOUND + 1e-9], 61)
+    xs = np.concatenate([rng.uniform(-RZ_BOUND, RZ_BOUND, 400) % 1.0, edges,
+                         [0.05, math.nan, 0.02, 0.03]])
+    ts = np.concatenate([rng.uniform(-6.0, 6.0, 400), np.tile(np.linspace(-3.0, 3.0, 61), 3),
+                         [math.nan, 0.3, math.inf, 1e6]])
+    want = [zoo._rz_root(x, t) for x, t in zip(xs.tolist(), ts.tolist())]
+    assert sum(_first_step_falls_back(x, t) for x, (_, t) in zip(xs.tolist(), want)) >= 10
+    with quiet():
+        y, t = zoo._rz_root_batch(xs, ts)
+        got = zoo._rz_solve(xs, ts)
+        # a scalar argument broadcasts against the batch
+        y1, _ = zoo._rz_root_batch(*np.broadcast_arrays(0.07, ts))
+    assert np.array_equal(y, [v for v, _ in want], equal_nan=True)
+    assert np.array_equal(t, [v for _, v in want], equal_nan=True)
+    assert np.array_equal(got, [zoo._rz_solve(x, t) for x, t in zip(xs.tolist(), ts.tolist())],
+                          equal_nan=True)
+    assert np.array_equal(y1, [zoo._rz_root(0.07, t)[0] for t in ts.tolist()], equal_nan=True)
