@@ -1,8 +1,8 @@
 """Forward-mode automatic differentiation: first-order dual numbers and
 truncated Taylor jets.
 
-Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
-``gfloor``) of this module.
+Two engines, and the complex step below, share the elementaries
+(``primal``, ``gsin``, ``gcos``, ``gfloor``) of this module.
 
 - ``Jet`` carries the frames, the structure functions, Maurer-Cartan and
   every gauge derivative: the connection form, the potential, the test
@@ -18,13 +18,21 @@ Two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
   (pushforwards, the canonical form and its batched Lie-equation
   factors, the connection form and the gauge fields), a ``jacobian``
   where the full matrix is needed (frames, Ad and associator
-  differentials, a gauge-transformed potential).  The Lie-equation
-  velocity, evaluated thousands of times on plain floats, calls ``seed``
-  and ``dual_parts`` itself, the same ``Dual`` work without the list
-  copies and packing of ``dirderiv``.
+  differentials, a gauge-transformed potential).
 
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.
+
+Complex steps.  The Lie-equation velocity, evaluated thousands of times
+on plain floats, is the one first-order pass that runs on Python
+``complex`` numbers instead (``complex_step``), whose arithmetic runs in
+C (Martins, Sturdza & Alonso, "The complex-step derivative
+approximation", *ACM TOMS* 29(3), 2003).  With h = 2**-600, x + i h v is
+the dual number x + v eps in floating point: a product's imaginary part
+is the dual formula term for term, the product of two imaginary parts,
+h**2 d1 d2, rounds to 0, and scaling by the power of two h is exact.  So
+the velocity is the ``Dual`` pass's bit for bit; ``complex_step`` states
+the bounds of that.
 
 Batches.  The parts of a ``Dual`` may be float numpy arrays with a
 trailing batch axis, and the elementaries accept such arrays, so one pass
@@ -63,6 +71,7 @@ A NaN in any coordinate still makes the primal values it reaches NaN.
 ``tests/test_dual.py`` keeps dense seeding as the reference.
 """
 
+import cmath
 import functools
 import itertools
 import math
@@ -202,8 +211,10 @@ def primal(x):
         return float(x.c[0])
     try:
         return float(x)
-    except TypeError:  # a batch array
-        return x
+    except TypeError:  # a batch array or a complex step
+        if x.__class__ is np.ndarray:
+            return x
+        return x.real if x.__class__ is complex else x
 
 
 def gsin(x):
@@ -211,7 +222,7 @@ def gsin(x):
         return x._trig(0)
     try:
         return math.sin(x)
-    except TypeError:  # a dual, a caller's carrier or a batch array
+    except TypeError:  # a dual, a caller's carrier, a batch array or a complex step
         pass
     except ValueError:  # inf; NaN, as math.sin(nan) is
         return math.nan
@@ -219,6 +230,8 @@ def gsin(x):
         return Dual(gsin(x.re), gcos(x.re) * x.du)
     if x.__class__ is np.ndarray:
         return np.sin(x)
+    if x.__class__ is complex:
+        return cmath.sin(x)
     return x._trig(0)
 
 
@@ -227,7 +240,7 @@ def gcos(x):
         return x._trig(1)
     try:
         return math.cos(x)
-    except TypeError:  # a dual, a caller's carrier or a batch array
+    except TypeError:  # a dual, a caller's carrier, a batch array or a complex step
         pass
     except ValueError:  # inf; NaN, as math.cos(nan) is
         return math.nan
@@ -235,6 +248,8 @@ def gcos(x):
         return Dual(gcos(x.re), -gsin(x.re) * x.du)
     if x.__class__ is np.ndarray:
         return np.cos(x)
+    if x.__class__ is complex:
+        return cmath.cos(x)
     return x._trig(1)
 
 
@@ -311,6 +326,47 @@ def dirderiv(f, x, v):
         shape = np.broadcast_shapes(*shapes)
         parts = [np.broadcast_to(p, shape) for p in parts]
     return pack(parts)
+
+
+# The complex step h and its inverse, both powers of two (see complex_step).
+_STEP = 2.0 ** -600
+_UNSTEP = 2.0 ** 600
+
+
+def complex_step(f, x, v):
+    """Directional derivative of vector map ``f`` at ``x`` along ``v``, both
+    plain floats, as a list of floats: one evaluation of ``f`` on the
+    Python complex numbers x + i h v with h = 2**-600, read as imag / h.
+
+    With this h, x + i h v is the dual number x + v eps in floating point,
+    so the result is the ``Dual`` pass's ``dual_parts`` bit for bit as long
+    as ``f`` composes the elementaries of this module and the four
+    arithmetic operations:
+
+    - a product's imaginary part is a d + b c, the dual formula term for
+      term, and scaling by a power of two is exact;
+    - the product of two imaginary parts is h**2 d1 d2, which rounds to 0
+      whenever |d1 d2| < 2**125, so eps**2 = 0;
+    - ``cmath.cos(x + iy)`` is (cos x cosh y, -sin x sinh y), and for tiny
+      y cosh y and sinh y round to 1 and y, so ``gcos`` and ``gsin`` give
+      the dual rules; ``primal`` gives the real part;
+    - a complex quotient rounds differently from the dual reciprocal, but
+      not where the divisor's real part is exactly 1, as every catalog
+      denominator's is when the step is taken at the identity;
+    - a derivative part below 2**-422 in magnitude is subnormal times h,
+      so it comes out with an absolute error of about 2**-474.
+
+    A coordinate with a zero direction entry is a complex number too, where
+    ``seed`` leaves it a float: a derivative part may then differ from the
+    pass in the sign of a zero, or be NaN where an inf or NaN meets that
+    zero part, as under dense seeding.
+    A numpy scalar in ``f`` would make a numpy complex, which ``float``
+    and ``math`` functions take silently as its real part (numpy warns
+    with ``ComplexWarning``), losing the derivative; a caller that runs
+    foreign closed forms turns that warning into an error.
+    """
+    ys = f([complex(xi, _STEP * vi) for xi, vi in zip(x, v)])
+    return [y.imag * _UNSTEP for y in ys]
 
 
 def jacobian(f, x):

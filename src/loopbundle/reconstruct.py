@@ -6,16 +6,20 @@ the frame at phi applied to the associator-corrected canonical form of
 db/dt.  That factor does not depend on phi, so before the first RK4 step
 one directional pass (``dual.dirderiv``) of a composite of the closed
 forms, on duals whose parts carry a batch axis, gives it at every stage
-parameter t.  Each stage's velocity is then the product at phi with the
-identity seeded along that factor (``dual.seed``), its derivative parts
-read off directly; no frame matrix is built.
+parameter t.  Each stage's velocity is then one complex-step evaluation
+of the product at phi (``dual.complex_step``): the identity stepped along
+that factor by i h w, the derivative read off the imaginary parts, bit
+for bit the ``Dual`` pass's, in the built-in complex arithmetic.  No
+frame matrix is built.  A numpy scalar in a descriptor's closed form
+would drop those imaginary parts with a ``ComplexWarning``, so the RK4
+loop turns that warning into an error.
 
 Chart checks.  ``reconstruct_product`` checks a and the batch of path
 nodes b = path(t) against the chart once, before the first step.  Every
 other point is an intermediate of the reconstruction and is not checked:
 the quotients b \\ path(t + s) of the factor pass and the RK4 stage
 points phi.  Both passes compose the descriptor's raw closed forms, and
-the stages run on lists of Python floats.
+the stages run on lists of Python floats and complex numbers.
 
 A generalized Maurer-Cartan identity is what makes the result path
 independent.  Its residual takes the parametric form lambda(b; a) and
@@ -24,10 +28,12 @@ its first derivatives in b from one first-order jet pass
 also the frame, and numpy algebra.
 """
 
+import warnings
+
 import numpy as np
 
 from . import core, tangent
-from .dual import dirderiv, dual_parts, pack, primal, quiet, seed, taylor_frame
+from .dual import complex_step, dirderiv, pack, primal, quiet, taylor_frame
 from .report import VerificationReport
 
 MIN_STEPS = 16
@@ -57,13 +63,13 @@ def _velocity(L, phi, w):
     factor w: d/ds phi.(e + s w), the frame at phi applied to w, as a
     list of floats.
 
-    The raw closed-form product of phi (Python floats) and the identity
-    seeded along w, read off with ``dual_parts``: the same ``Dual`` work
-    as a ``dirderiv`` pass, without its list copies and packing.  The
-    stage point phi is an intermediate of the reconstruction and is not
-    checked against the chart.
+    One complex-step evaluation (``dual.complex_step``) of the raw
+    closed-form product of phi (Python floats) and the identity stepped
+    along w: bit for bit the ``dirderiv`` pass of c -> phi.c, on the
+    built-in complex numbers.  The stage point phi is an intermediate of
+    the reconstruction and is not checked against the chart.
     """
-    return dual_parts(L.product(phi, seed(L.identity.tolist(), w)))
+    return complex_step(lambda c: L.product(phi, c), L.identity.tolist(), w)
 
 
 def reconstruct_product(L, a, b, steps, path=None):
@@ -90,14 +96,17 @@ def reconstruct_product(L, a, b, steps, path=None):
     canonical = _canonical_factors(L, a, path, dict.fromkeys(t for ts in stages for t in ts))
     # The stages on lists of floats, in numpy's elementwise order:
     # phi + (0.5 h) k and phi + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), so the
-    # result is the array integrator's bit for bit.
-    for t1, t2, t4 in stages:
-        k1 = _velocity(L, phi, canonical[t1])
-        k2 = _velocity(L, [p + half * k for p, k in zip(phi, k1)], canonical[t2])
-        k3 = _velocity(L, [p + half * k for p, k in zip(phi, k2)], canonical[t2])
-        k4 = _velocity(L, [p + h * k for p, k in zip(phi, k3)], canonical[t4])
-        phi = [p + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-               for p, c1, c2, c3, c4 in zip(phi, k1, k2, k3, k4)]
+    # result is the array integrator's bit for bit.  A numpy complex
+    # scalar in the closed form raises instead of losing the velocity.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        for t1, t2, t4 in stages:
+            k1 = _velocity(L, phi, canonical[t1])
+            k2 = _velocity(L, [p + half * k for p, k in zip(phi, k1)], canonical[t2])
+            k3 = _velocity(L, [p + half * k for p, k in zip(phi, k2)], canonical[t2])
+            k4 = _velocity(L, [p + h * k for p, k in zip(phi, k3)], canonical[t4])
+            phi = [p + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                   for p, c1, c2, c3, c4 in zip(phi, k1, k2, k3, k4)]
     return np.array(phi)
 
 

@@ -6,8 +6,8 @@ collected here.  The ``lvl`` slot, which no library code reads, and
 ``reconstruct._velocity`` keeps its name, which the tracer wraps to
 count the RK4 stage velocities.  Install it, trace a few calls and
 uninstall it to catch that early; the counts it reads (passes, stage
-velocities, ``Dual`` nodes) are pinned for the routes that feed the
-benchmark's per-layer metrics."""
+velocities, ``Dual`` nodes of the passes that build them) are pinned for
+the routes that feed the benchmark's per-layer metrics."""
 
 import importlib.util
 from pathlib import Path
@@ -85,16 +85,15 @@ def test_directional_routes_build_no_frames_or_solves():
     assert tr.counts["tangent.left_frame_matrix"] == 0
     # One velocity per RK4 stage, four per step.
     assert tr.counts["reconstruct._velocity"] == 4 * steps
-    # A velocity seeds the product directly, without a ``dirderiv``; one
+    # A velocity is a complex step of the product, not a ``dirderiv``; one
     # batched pass gives the phi-free factors at all 2 * steps + 1
     # distinct t.  The horizontal field makes one pass, d/ds (e + s A vx).y.
     assert tr.counts["dual.dirderiv"] == 1 + 1
     # That pass runs the raw product: no checked core wrapper inside it.
     assert core_calls == 0
-    # The velocities and the one batched pass: the same Dual work as when
-    # each velocity was a ``dirderiv`` pass.  A pass per distinct t built
-    # 4,147.
-    assert reconstruct_nodes == 1491
+    # Only the one batched factor pass builds ``Dual`` nodes: the
+    # velocities run on complex numbers.
+    assert reconstruct_nodes == 83
 
 
 def test_qhr_ad_differential_dual_nodes():

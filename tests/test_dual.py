@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopbundle import zoo
-from loopbundle.dual import (Dual, dirderiv, dual_parts, gcos, ginv, gsin,
-                             gsolve, jacobian, jet_space, pack, primal, seed)
+from loopbundle.dual import (Dual, complex_step, dirderiv, dual_parts, gcos, ginv,
+                             gsin, gsolve, jacobian, jet_space, pack, primal, seed)
 from leveled_dual import (RefDual, _assert_parts_close, _carrier_maker,
                           _coefficients, next_level, ref_dirderiv, ref_gsolve,
                           ref_jacobian)
@@ -40,6 +40,32 @@ def test_scalar_functions(fn, ref, dref):
         assert out.__class__ is x.__class__
         assert out.re == pytest.approx(ref(t), abs=1e-14)
         assert out.du == pytest.approx(dref(t), abs=1e-14)
+
+
+@pytest.mark.parametrize("x", [0.0, math.pi / 2, -math.pi / 2, 1e-300, 1e6])
+def test_complex_step_elementaries_equal_the_dual_rules(x):
+    # complex(x, h d) is Dual(x, d) scaled by h in its imaginary part: the
+    # real part is the primal and the imaginary part h times the dual
+    # part, bit for bit.
+    h = 2.0 ** -600
+    for d in (1.0, -0.37, 3.5e7):
+        z, want = complex(x, h * d), Dual(x, d)
+        for fn in (gsin, gcos):
+            out, ref = fn(z), fn(want)
+            assert out.__class__ is complex
+            assert out.real == ref.re and out.imag == h * ref.du, (fn.__name__, d)
+        assert primal(z).__class__ is float and primal(z) == primal(want) == x
+
+
+def test_complex_step_equals_the_dual_pass():
+    # At a zero point the quotient's divisor has real part exactly 1.
+    p, q = 0.3, -1.7
+    f = lambda v: [p * gsin(v[0]) + gcos(q + v[1]) * v[0],
+                   (p + v[0] * v[1]) / (1.0 + q * v[1] + p * v[0])]
+    for v in ([1.0, 0.0], [0.2, -2.5], [1e-100, 3e-100], [1e30, -2e30]):
+        got = complex_step(f, [0.0, 0.0], v)
+        assert all(d.__class__ is float for d in got)
+        assert got == dirderiv(f, [0.0, 0.0], v).tolist(), v
 
 
 def test_nested_levels_mixed_second_derivative():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 from collections import Counter
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from loopbundle import core, reconstruct, tangent
-from loopbundle.dual import Dual, dirderiv, dual_parts, primal, quiet, taylor_frame
+from loopbundle.dual import Dual, dirderiv, dual_parts, gsin, primal, quiet, taylor_frame
 from loopbundle.errors import NoSolutionInChart, OutOfDomain
 from loopbundle.report import DEFAULT_TOLERANCES
 from loopbundle.tangent import left_associator_differential, left_frame_matrix
@@ -197,9 +198,51 @@ def test_velocity_equals_the_dirderiv_pass_bit_for_bit(name):
         got = reconstruct._velocity(L, phi, w)
         assert got.__class__ is list and all(v.__class__ is float for v in got)
         assert got == _dirderiv_velocity(L, phi, w)
-    # A zero direction entry leaves its coordinate unseeded, as in the pass.
+        # Far from unit size, the complex step stays the dual pass.
+        for scale in (1e-100, 1e30):
+            ws = [scale * v for v in w]
+            assert reconstruct._velocity(L, phi, ws) == _dirderiv_velocity(L, phi, ws), scale
+        # A NaN entry makes NaN the components it makes NaN in the pass.
+        wn = [math.nan] + w[1:]
+        got, want = reconstruct._velocity(L, phi, wn), _dirderiv_velocity(L, phi, wn)
+        assert np.isnan(want).any() and np.array_equal(got, want, equal_nan=True)
+    # A zero direction gives zero, as the unseeded pass does.
     w = [0.0] * L.dim
     assert reconstruct._velocity(L, phi, w) == _dirderiv_velocity(L, phi, w)
+
+
+def _numpy_scalar_loop():
+    """x.y = (x0 + y0, x1 + y1 + x0 sin(y0)) with a numpy scalar inside
+    the sine: a closed form that a complex step would see through
+    ``float`` as its real part only."""
+    def product(a, b):
+        return [a[0] + b[0], a[1] + b[1] + a[0] * gsin(np.float64(1.0) * b[0])]
+
+    def left_div(a, c):
+        y0 = c[0] - a[0]
+        return [y0, c[1] - a[1] - a[0] * gsin(y0)]
+
+    def right_div(c, a):
+        y0 = c[0] - a[0]
+        return [y0, c[1] - a[1] - y0 * gsin(a[0])]
+
+    return core.LoopDescriptor(
+        name="numpy-sine", dim=2, product=product, left_div=left_div,
+        right_div=right_div, identity=np.zeros(2),
+        domain_check=lambda p: p[0] * p[0] + p[1] * p[1] < 1e6)
+
+
+def test_numpy_scalar_in_the_product_raises_complex_warning():
+    L = _numpy_scalar_loop()
+    a, b = [0.3, 0.2], [-0.4, 0.5]
+    with pytest.raises(np.exceptions.ComplexWarning):
+        reconstruct.reconstruct_product(L, a, b, 16)
+    # Without the guard the stage drops the sine's derivative silently.
+    phi, w = [0.3, 0.2], [1.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+        assert reconstruct._velocity(L, phi, w) == [1.0, 0.0]
+    assert _dirderiv_velocity(L, phi, w) == [1.0, 0.3]
 
 
 def _two_pass_parametric_form(L, a, b):

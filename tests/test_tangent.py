@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from loopbundle import core, gauge, tangent
-from loopbundle.dual import Dual, jacobian
+from loopbundle.dual import Dual, dirderiv, jacobian
 from loopbundle.errors import NoSolutionInChart
 from loopbundle.zoo import catalog_names, make_loop
 
@@ -191,11 +191,36 @@ def test_derivative_passes_check_each_fixed_point_once(name):
         "fundamental_field": (1, lambda: gauge.fundamental_field(form, np.ones(L.dim))(z)),
         "omega_annihilates_d_residual":
             (1, lambda: gauge.omega_annihilates_d_residual(form, z[:2], z[2:], 0)),
+        # b.a and a.b are intermediates of the laws' passes, not checked.
+        "verify_ad_form_laws": (2, lambda: tangent.verify_ad_form_laws(L, b, v)),
     }
     for label, (points, call) in cases.items():
         calls[0] = 0
         call()
         assert calls[0] == points, label
+
+
+def _composed_ad_form_laws(L, b, v):
+    """The transformation-law residuals composed from the public, checked
+    functions: each checks its points again, b.a and a.b included."""
+    omega_v = tangent.canonical_form(L, v).vec
+    lhs_l = tangent.canonical_form(L, tangent.pushforward_left(L, b, v)).vec
+    rhs_l = dirderiv(lambda c: core._left_associator(L, b, list(v.base), c),
+                     L.identity.tolist(), omega_v)
+    lhs_r = tangent.canonical_form(L, tangent.pushforward_right(L, b, v)).vec
+    rhs_r = np.linalg.inv(tangent.ad_differential(L, b, v.base)) @ omega_v
+    return (float(np.max(np.abs(lhs_l - rhs_l))), float(np.max(np.abs(lhs_r - rhs_r))))
+
+
+@pytest.mark.parametrize("name", ["rz", "qc", "qh2", "qsu2", "qhr:K=1", "qhr:K=-2.5", "qhr:K=0"])
+def test_ad_form_laws_equal_the_composed_route(name):
+    # The raw passes are the checked functions' passes, bit for bit.
+    L = make_loop(name)
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        a, b = L.sample(rng), list(L.sample(rng))
+        v = tangent.TangentVector(base=a, vec=rng.standard_normal(L.dim))
+        assert tangent.verify_ad_form_laws(L, b, v) == _composed_ad_form_laws(L, b, v)
 
 
 def test_rz_canonical_form_exists_on_the_division_window():
