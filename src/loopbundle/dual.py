@@ -44,10 +44,13 @@ a batched pass is bit-identical to the pass at point i alone.  A
 element.  Numpy reports invalid and overflowing elements, which floats
 pass silently, so batched passes run under ``quiet``.
 
-Nesting.  ``Dual`` passes do not nest: ``seed`` raises TypeError on a
-coordinate that is already a ``Dual``, and a ``Dual`` that a function
-captures inside another pass goes undetected and gives a wrong
-derivative.  A caller that nests brings a leveled carrier, a subclass of
+Nesting.  A ``Dual`` pass may run inside a jet pass: a jet is a constant
+to a ``Dual``, so the dual parts come out as jets and one Taylor pass
+differentiates a first-order pass (nested forward mode); a
+gauge-transformed potential is such a pass.  A ``Dual`` inside a ``Dual``
+is not supported: ``seed`` raises TypeError on a coordinate that is
+already a ``Dual``, and a ``Dual`` that a function captures inside
+another pass goes undetected and gives a wrong derivative.  A caller that nests brings a leveled carrier, a subclass of
 ``Dual`` (the tests' references do), whose passes enclose the library's:
 to a pass here it is a constant, and ``gsin``/``gcos`` ask it (``_trig``).
 
@@ -164,11 +167,6 @@ class Dual:
 
     def __repr__(self):
         return f"Dual({self.re!r}, {self.du!r})"
-
-
-# Operands a Dual combines with as constants: numbers, batch arrays and a
-# caller's carrier (a Dual of another class).
-_CONSTANTS = _NUMBERS + (np.ndarray, Dual)
 
 
 def has_dual(xs):
@@ -388,6 +386,9 @@ def gdot(a, b):
     return out
 
 
+# gmatvec, gmatmul, gsolve and ginv: no library code calls them.  They are
+# kept only because loopbench/tracer.py looks them up by name; ROADMAP item
+# 6 deletes them after the next benchmark change.
 def gmatvec(m, v):
     return pack([gdot(row, v) for row in m])
 
@@ -584,6 +585,10 @@ class Jet:
 
 # The classes that carry derivative parts.
 _CARRIERS = (Dual, Jet)
+
+# Operands a Dual combines with as constants: numbers, batch arrays, a
+# caller's carrier (a Dual of another class) and a jet of an enclosing pass.
+_CONSTANTS = _NUMBERS + (np.ndarray, Dual, Jet)
 
 
 def taylor_frame(f, a, e, order):

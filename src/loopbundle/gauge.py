@@ -15,17 +15,18 @@ Every derivative beyond the first comes from one Taylor-jet pass
 the object differentiated: the connection form in z = (x, y) for the
 curvature tensor, structure equation and Bianchi; A(x) v for the component
 curvature; f(z + v) and the right frame for the covariant-derivative
-commutator; the transformation map of ``gauge_transform`` for the curvature
-in another trivialization.  Each pass carries the order its caller reads:
+commutator.  Each pass carries the order its caller reads:
 Bianchi takes the connection form's second derivatives, every other check
 only first ones.  A first derivative applied to one vector (the
 connection form on a tangent pair, the horizontal and fundamental fields)
-is one directional pass (``dual.dirderiv``) of the same kind of map; a
-transformed potential is a one-level dual Jacobian.  Every pass composes
-the raw closed forms, and a fixed fiber point y is checked once, before
-it (see :mod:`core`); only a gauge transformation's transition values,
-which move with x, are checked inside their pass.  So residuals measure
-the identities, not discretization error.
+is one directional pass (``dual.dirderiv``) of the same kind of map.  A
+transformed potential (``gauge_transform``) is a dual Jacobian on floats or
+jets, so a jet pass encloses it like any potential, and every check runs
+on a transformed form.  Every pass composes the raw closed forms, and a
+fixed fiber point y is checked once, before it (see :mod:`core`); only a
+gauge transformation's transition values, which move with x, are checked
+inside their pass.  So residuals measure the identities, not
+discretization error.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import core, tangent
-from .dual import dirderiv, gcos, gdot, gsin, jacobian, pack, quiet, taylor_frame
+from .dual import Jet, dirderiv, gcos, gdot, gsin, jacobian, pack, quiet, taylor_frame
 from .errors import PartitionInvalid
 
 
@@ -43,8 +44,7 @@ class GaugePotential:
     """A^i_mu(x): callable from base coordinates to a fiber_dim x base_dim
     matrix.  It must accept floats, and Taylor jets for every curvature,
     commutator, structure-equation and Bianchi check; ``gauge_transform``
-    calls it on floats only.  A gauge-transformed potential takes floats
-    only."""
+    calls it on the coordinates its own potential is given."""
 
     chart: str
     A: Callable
@@ -271,66 +271,57 @@ def _transition(L, q_map):
     return pair
 
 
-def _transformed_map(form, q_map, pair):
-    """f(x, v) = Ad^-1_(q_ab)(q_ba)(e + A(x) v) + l_(q_ba, q_ab)(q_ab \\ q_ab(x + v))
-    with (q_ab, q_ba) = pair(x).  Its v-Jacobian at v = 0 is the potential
-    in the other trivialization: Ad^-1 A plus l_* of the pullback of the
-    canonical form along q_ab, as the v-Jacobian of q_ab \\ q_ab(x + v) is
-    (L_(q_ab))_*^-1 dq_ab."""
-    L = form.fiber
-    e = [float(v) for v in L.identity]
-
-    def f(xs, vs):
-        qab, qba = pair(xs)
-        c = [ei + gdot(row, vs) for ei, row in zip(e, form.potential.A(xs))]
-        theta = L.left_div(qab, list(q_map([p + q for p, q in zip(xs, vs)])))
-        return [p + q for p, q in zip(core._ad_inverse(L, qab, qba, c),
-                                      core._left_associator(L, qba, qab, theta))]
-
-    return f
-
-
 def gauge_transform(form, q_map):
     """Local connection form in the other trivialization.
 
     ``q_map`` is q_{alpha beta}(x) (the transition carrying the section
     of the *target* chart); its right inverse q_{beta alpha}(x) is the
-    right division e / q_{alpha beta}.  The new potential is the dual
-    Jacobian in v at v = 0 of the map of :func:`_transformed_map`.  It
-    takes floats only; ``q_map`` must accept duals.
+    right division e / q_{alpha beta}.  The new potential at x is the dual
+    Jacobian in v at v = 0 of Ad^-1_(q_ab)(q_ba)(e + A(x) v) +
+    l_(q_ba, q_ab)(q_ab \\ q_ab(x + v)), (q_ab, q_ba) and A taken at x once:
+    Ad^-1 A plus l_* of the pullback of the canonical form along q_ab, as
+    the v-Jacobian of q_ab \\ q_ab(x + v) is (L_(q_ab))_*^-1 dq_ab.  x may
+    hold floats or Taylor jets, constants to that dual pass, so every jet
+    check runs on a transformed form; ``q_map`` must accept duals over them.
+    A ``Dual`` coordinate raises TypeError, as the pass would capture it and
+    give a wrong derivative (see :mod:`dual`).
     """
-    f = _transformed_map(form, q_map, _transition(form.fiber, q_map))
+    L = form.fiber
+    pair = _transition(L, q_map)
+    e = [float(v) for v in L.identity]
     db = form.potential.base_dim
 
     def a_new(xs):
-        xs = [float(v) for v in xs]
-        return jacobian(lambda vs: f(xs, vs), [0.0] * db)
+        xs = [v if v.__class__ is Jet else float(v) for v in xs]
+        qab, qba = pair(xs)
+        a = form.potential.A(xs)
+
+        def f(vs):
+            c = [ei + gdot(row, vs) for ei, row in zip(e, a)]
+            theta = L.left_div(qab, list(q_map([p + q for p, q in zip(xs, vs)])))
+            return [p + q for p, q in zip(core._ad_inverse(L, qab, qba, c),
+                                          core._left_associator(L, qba, qab, theta))]
+
+        return jacobian(f, [0.0] * db)
 
     pot = GaugePotential(chart=form.potential.chart + "'", A=a_new, base_dim=db)
-    return LocalConnectionForm(potential=pot, fiber=form.fiber)
+    return LocalConnectionForm(potential=pot, fiber=L)
 
 
 def curvature_gauge_residual(form, q_map, x):
-    """Compare curvature of the transformed form with the Ad-rotated
-    curvature of the original, both at the identity fiber point.
+    """|F(A') - Ad^-1_(q_ab)(q_ba) F(A)| at x, both curvatures at the
+    identity fiber point and A' = :func:`gauge_transform` of the form.
     It covers unit-phase transitions on ``qc`` only: generic transitions on
-    a nonassociative fiber miss this law by about 1e-3.
-
-    A' and dA' come from one jet pass of the map of :func:`gauge_transform`,
-    so ``q_map`` and the potential must accept Taylor jets; q_ba is the
-    right division e / q_ab on jets.
+    a nonassociative fiber miss this law by about 1e-3.  The potential must
+    accept Taylor jets and ``q_map`` duals over them.
     """
     L = form.fiber
     x = [float(v) for v in x]
-    pair = _transition(L, q_map)
-    c = tangent.structure_tensor_raw(L, L.identity, side="right")
-    a1, da1 = taylor_frame(_transformed_map(form, q_map, pair), x, [0.0] * len(x),
-                           order=1)
-    a0, da0 = _potential_jet(form, x)
-    adinv = tangent.ad_inverse_differential(L, *pair(x))
+    adinv = tangent.ad_inverse_differential(L, *_transition(L, q_map)(x))
     with quiet():
-        rotated = np.einsum("ij,jmn->imn", adinv, _field_strength(a0, da0, c))
-        return float(np.max(np.abs(_field_strength(a1, da1, c) - rotated)))
+        rotated = np.einsum("ij,jmn->imn", adinv, curvature(form, x, L.identity))
+        return float(np.max(np.abs(curvature(gauge_transform(form, q_map), x, L.identity)
+                                   - rotated)))
 
 
 def glue_connections(forms, weights, samples):

@@ -41,7 +41,8 @@ MIN_STEPS = 16
 
 def _canonical_factors(L, a, path, ts):
     """The phi-free factor l_(a,b)* . omega(b) db/dt of the velocity at
-    every parameter in ``ts``, as a dict from t to a list of floats.
+    each parameter of the (steps, 3) array ``ts`` of RK4 stage parameters,
+    as one triple of lists of floats per step.
 
     One pass of s -> l_(a,b)(b \\ path(t + s)) with b = path(t), batched
     over t: the derivative of c -> b \\ c at c = b is (L_b)_*^-1 =
@@ -50,12 +51,12 @@ def _canonical_factors(L, a, path, ts):
     checked against the chart once, here; the pass then composes the raw
     closed forms, so the intermediate b \\ path(t + s) is not checked.
     """
-    ts = np.array(list(ts))
+    flat = ts.ravel()
     with quiet():  # a non-finite element stays silent, as on floats
-        a, b = core._chart_points(L, a, [primal(v) for v in path(ts)])
+        a, b = core._chart_points(L, a, [primal(v) for v in path(flat)])
         w = dirderiv(lambda s: core._left_associator(
-            L, a, b, L.left_div(b, path(s[0]))), [ts], [1.0])
-    return dict(zip(ts.tolist(), w.T.tolist(), strict=True))
+            L, a, b, L.left_div(b, path(s[0]))), [flat], [1.0])
+    return w.T.reshape(*ts.shape, L.dim).tolist()
 
 
 def _velocity(L, phi, w):
@@ -89,22 +90,20 @@ def reconstruct_product(L, a, b, steps, path=None):
     phi = [float(v) for v in a]
     h = 1.0 / steps
     half, sixth = 0.5 * h, h / 6.0
-    # The parameters of each step's stages k1, k2 = k3 and k4.  The factors
-    # are keyed by the exact float t: n*h and (n-1)*h + h can differ in
-    # the last bit, and then each gets its own.
-    stages = [(n * h, n * h + half, n * h + h) for n in range(steps)]
-    canonical = _canonical_factors(L, a, path, dict.fromkeys(t for ts in stages for t in ts))
+    # The parameters of each step's stages k1, k2 = k3 and k4.
+    stages = np.arange(steps)[:, None] * h + [0.0, half, h]
+    canonical = _canonical_factors(L, a, path, stages)
     # The stages on lists of floats, in numpy's elementwise order:
     # phi + (0.5 h) k and phi + (h / 6) (((k1 + 2 k2) + 2 k3) + k4), so the
     # result is the array integrator's bit for bit.  A numpy complex
     # scalar in the closed form raises instead of losing the velocity.
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        for t1, t2, t4 in stages:
-            k1 = _velocity(L, phi, canonical[t1])
-            k2 = _velocity(L, [p + half * k for p, k in zip(phi, k1)], canonical[t2])
-            k3 = _velocity(L, [p + half * k for p, k in zip(phi, k2)], canonical[t2])
-            k4 = _velocity(L, [p + h * k for p, k in zip(phi, k3)], canonical[t4])
+        for w1, w2, w4 in canonical:
+            k1 = _velocity(L, phi, w1)
+            k2 = _velocity(L, [p + half * k for p, k in zip(phi, k1)], w2)
+            k3 = _velocity(L, [p + half * k for p, k in zip(phi, k2)], w2)
+            k4 = _velocity(L, [p + h * k for p, k in zip(phi, k3)], w4)
             phi = [p + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
                    for p, c1, c2, c3, c4 in zip(phi, k1, k2, k3, k4)]
     return np.array(phi)

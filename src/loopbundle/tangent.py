@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .dual import dirderiv, ginv, jacobian, pack, quiet, taylor_frame
+from .dual import dirderiv, jacobian, pack, quiet, taylor_frame
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,6 @@ def verify_ad_form_laws(L, b, v):
     res_left = float(np.max(np.abs(lhs_l - rhs_l)))
 
     lhs_r = omega_of_push(L.product(a, b), lambda c: L.product(c, b))
-    rhs_r = ginv(jacobian(lambda c: core._ad_map(L, b, a, c), e)) @ omega_v
+    rhs_r = np.linalg.inv(jacobian(lambda c: core._ad_map(L, b, a, c), e)) @ omega_v
     res_right = float(np.max(np.abs(lhs_r - rhs_r)))
     return res_left, res_right

@@ -465,7 +465,6 @@ def make_loop(spec):
             domain_check=lambda p: p[0] * p[0] + p[1] * p[1] + p[2] * p[2] + p[3] * p[3] < 1e6,
             sample=sample,
         )
-    raise UnknownKind(f"unknown loop kind: {kind}")
 
 
 def parse_spec(name):

@@ -86,8 +86,8 @@ def test_directional_routes_build_no_frames_or_solves():
     # One velocity per RK4 stage, four per step.
     assert tr.counts["reconstruct._velocity"] == 4 * steps
     # A velocity is a complex step of the product, not a ``dirderiv``; one
-    # batched pass gives the phi-free factors at all 2 * steps + 1
-    # distinct t.  The horizontal field makes one pass, d/ds (e + s A vx).y.
+    # batched pass gives the phi-free factors at all 3 * steps stage
+    # parameters.  The horizontal field makes one pass, d/ds (e + s A vx).y.
     assert tr.counts["dual.dirderiv"] == 1 + 1
     # That pass runs the raw product: no checked core wrapper inside it.
     assert core_calls == 0

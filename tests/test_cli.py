@@ -81,6 +81,18 @@ def test_report_file_written(tmp_path, capsys):
         assert capsys.readouterr().out.count("PASS ") == len(data["cases"]) + 1
 
 
+def test_unwritable_report_is_one_error_line(tmp_path, capsys):
+    # The suite runs, then writing its report fails: exit 2 with one
+    # error line naming the path, nothing on stdout and no exception.
+    path = tmp_path / "missing" / "r.json"
+    code = run(["verify", "--loop", "qc", "--suite", "jacobi", "--samples", "2",
+                "--report", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     base = ["verify", "--loop", "qh2", "--suite", "tangent",

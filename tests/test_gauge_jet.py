@@ -318,18 +318,15 @@ def test_gauge_transform_matches_nested_dual_reference(name):
     form = gauge.make_test_potential(L, 2, seed=55, kind="trig")
     q_map, q_back = _test_transition(L, 55)
     want = ref.gauge_transform(form, q_map, q_back)
-    pair = gauge._transition(L, q_map)
-    c = tangent.structure_tensor_raw(L, L.identity, side="right")
+    moved = gauge.gauge_transform(form, q_map)
     rng = np.random.default_rng(55)
     for _ in range(2):
         x = list(rng.uniform(-0.4, 0.4, 2))
-        got = gauge.gauge_transform(form, q_map).potential.A(x)
+        got = moved.potential.A(x)
         assert got.dtype == float
         assert np.max(np.abs(got - _floats(want.potential.A(x)).reshape(L.dim, 2))) <= 1e-14
-        # A' and dA' of the jet pass, through the curvature in the new chart
-        a1, da1 = taylor_frame(gauge._transformed_map(form, q_map, pair), x, [0.0, 0.0],
-                               order=1)
-        assert np.max(np.abs(gauge._field_strength(a1, da1, c)
+        # A' on jets, through the curvature in the new chart
+        assert np.max(np.abs(gauge.curvature(moved, x, L.identity)
                              - ref.curvature(want, x, L.identity))) <= 1e-14
         assert abs(gauge.curvature_gauge_residual(form, q_map, x)
                    - ref.curvature_gauge_residual(form, q_map, x, q_back)) <= 1e-14
@@ -352,6 +349,49 @@ def test_default_back_transition_on_qhr(name):
                    - ref.curvature_gauge_residual(form, q_map, x, q_back=q_back)) <= 1e-14
 
 
+@pytest.mark.parametrize("name", ["qc", "qh2", "qhr:K=1", "qhr:K=-2.5"])
+def test_jet_checks_run_on_a_transformed_form(name):
+    # A' takes jets, so every jet check runs on it: the curvature tensor
+    # against the nested-dual reference's transformed form, and the
+    # structure equation, Bianchi and the commutator as residuals.
+    L = make_loop(name)
+    e = list(L.identity)
+    rng = np.random.default_rng(63)
+    form = gauge.make_test_potential(L, 2, seed=63, kind="trig")
+    q_map = gauge.make_test_transition(L, 2, seed=63)
+    moved = gauge.gauge_transform(form, q_map)
+    want = ref.gauge_transform(form, q_map)
+    x, y = _point(L, 2, rng)
+    z = x + y
+    u, v = rng.standard_normal((2, 2 + L.dim))
+    got = gauge.curvature_tensor(moved, z, u, v)
+    assert np.max(np.abs(got - _floats(ref_curvature_tensor(want, z, u, v)))) <= 1e-12
+    h1, h2 = (gauge.hor_field(moved, w)(z) for w in rng.standard_normal((2, 2)))
+    f1, f2 = (gauge.fundamental_field(moved, w)(z) for w in rng.standard_normal((2, L.dim)))
+    for p1, p2 in ((h1, h2), (f1, f2)):
+        assert gauge.structure_equation_residual(
+            moved, x, y, p1[:2], p1[2:], p2[:2], p2[2:]) <= 1e-12
+    assert gauge.commutator_residual(
+        moved, 0, 1, _cubic(rng.standard_normal(2 + L.dim)), x, y) <= 1e-12
+    moved3 = gauge.gauge_transform(gauge.make_test_potential(L, 3, seed=64),
+                                   gauge.make_test_transition(L, 3, seed=64))
+    x3 = list(rng.uniform(-0.3, 0.3, 3))
+    assert gauge.bianchi_residual(moved3, x3, e, *rng.standard_normal((3, 3))) <= 1e-12
+
+
+def test_transformed_potential_rejects_a_dual_coordinate():
+    # A Dual coordinate would be captured by the potential's own dual pass
+    # and give a wrong A' silently, so it raises; floats and jets pass.
+    L = make_loop("qc")
+    moved = gauge.gauge_transform(gauge.make_test_potential(L, 2, seed=65),
+                                  gauge.make_test_transition(L, 2, seed=65))
+    with pytest.raises(TypeError):
+        moved.potential.A([Dual(0.1, 1.0), 0.2])
+    jets = [jet_space(2, 1).variable(v, ((m,), ())) for m, v in enumerate([0.1, 0.2])]
+    on_jets = moved.potential.A(jets)
+    assert np.array_equal(_floats(on_jets), moved.potential.A([0.1, 0.2]).ravel())
+
+
 def _two_call_transition(L, q_map):
     """The pair (q_ab, e / q_ab) with q_map evaluated once for q_ab and
     again inside the division."""
@@ -360,9 +400,11 @@ def _two_call_transition(L, q_map):
 
 
 def test_transition_evaluates_q_map_once_per_pair(monkeypatch):
-    # Each pair takes q_ab once: the jet pass, the theta term and the Ad^-1
-    # differential make 3 calls, and one Jacobian column of the transformed
-    # potential 2; the results are those of evaluating q_map twice per pair.
+    # Each pair takes q_ab once.  The transformed potential evaluates its
+    # pair once per call and the theta term once per Jacobian column: 3
+    # calls on floats, and as many on jets inside the residual, whose Ad^-1
+    # differential adds 1.  The results are those of evaluating q_map twice
+    # per pair.
     L = make_loop("qc")
     form = gauge.make_test_potential(L, 2, seed=61, kind="trig")
     q_map, _ = _test_transition(L, 61)
@@ -384,8 +426,8 @@ def test_transition_evaluates_q_map_once_per_pair(monkeypatch):
     got = run()
     monkeypatch.setattr(gauge, "_transition", _two_call_transition)
     want = run()
-    assert [n for _, n in got] == [3, 4, 3, 4]
-    assert [n for _, n in want] == [5, 6, 5, 6]
+    assert [n for _, n in got] == [4, 3, 4, 3]
+    assert [n for _, n in want] == [6, 4, 6, 4]
     for (g, _), (w, _) in zip(got, want):
         assert np.array_equal(g, w)
 
@@ -454,11 +496,12 @@ def test_jet_route_call_counts(monkeypatch, name):
         assert passes == Counter(want)
         assert spaces == {order for _, order in want}
     assert nodes[0] == 0
-    # the curvature in another trivialization; Ad^-1 is a Dual Jacobian
+    # the curvature in another trivialization: two component curvatures,
+    # A' a Dual Jacobian inside its jet pass, and Ad^-1 a Dual Jacobian
     passes.clear()
     spaces.clear()
     gauge.curvature_gauge_residual(form2, q_map, [0.1, -0.2])
-    assert passes == Counter({("gauge", 1): 2, ("tangent", 1): 1})
+    assert passes == Counter({("gauge", 1): 2, ("tangent", 1): 2})
     assert spaces == {1}
 
 

@@ -312,27 +312,23 @@ def test_reconstruction_matches_matrix_route(name):
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
-def _stage_parameters(steps):
-    h = 1.0 / steps
-    return [t for n in range(steps) for t in (n * h, n * h + 0.5 * h, n * h + h)]
-
-
 @pytest.mark.parametrize("name,steps", [
     (name, steps) for name in catalog_names() for steps in (16, 20, 48)])
 def test_batched_factors_equal_per_node_passes(name, steps):
-    # Column i of the batched pass is the pass at node i alone, bit for bit.
+    # The factor at stage j of step n is the pass at that parameter alone,
+    # bit for bit.
     L = make_loop(name)
     rng = np.random.default_rng(23)
     a, b, control = (list(0.5 * L.sample(rng)) for _ in range(3))
-    nodes = list(dict.fromkeys(_stage_parameters(steps)))
-    # At 20 and 48 steps some n*h and (n-1)*h + h differ in the last bit.
-    assert (len(nodes) > 2 * steps + 1) == (steps != 16)
+    h = 1.0 / steps
+    stages = np.array([(n * h, n * h + 0.5 * h, n * h + h) for n in range(steps)])
     straight = lambda t: [t * v for v in b]
     for path in (straight, reconstruct.bezier_path(b, control)):
-        got = reconstruct._canonical_factors(L, a, path, nodes)
-        assert list(got) == nodes
-        for t in nodes:
-            assert np.array_equal(got[t], _node_factor(L, a, path, t)), t
+        got = reconstruct._canonical_factors(L, a, path, stages)
+        assert np.shape(got) == (steps, 3, L.dim)
+        for n, triple in enumerate(stages.tolist()):
+            for j, t in enumerate(triple):
+                assert np.array_equal(got[n][j], _node_factor(L, a, path, t)), (n, j)
 
 
 @pytest.mark.parametrize("name,control,error", [
