@@ -242,8 +242,8 @@ def suite_gauge(config):
 
     f1 = gauge.make_test_potential(L, 1, config.seed + 4, kind="trig")
     f2 = gauge.make_test_potential(L, 1, config.seed + 5, kind="trig")
-    w1 = lambda xs: 0.5 * (1.0 + float(gsin(xs[0])))
-    w2 = lambda xs: 0.5 * (1.0 - float(gsin(xs[0])))
+    w1 = lambda xs: 0.5 * (1.0 + gsin(xs[0]))
+    w2 = lambda xs: 0.5 * (1.0 - gsin(xs[0]))
     glued = gauge.glue_connections(
         [f1, f2], [w1, w2], [[t] for t in np.linspace(-3, 3, 7)])
     for _ in range(5):

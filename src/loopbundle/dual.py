@@ -23,6 +23,13 @@ Two engines, and the complex step below, share the elementaries
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.
 
+Affine maps.  ``gaffine`` computes b + K xs for a float matrix K, beside
+``gdot``.  On jets of one space it is vector mode on the coefficients:
+one array operation per entry of xs on the stacked coefficient arrays,
+then one jet per row, instead of one scalar product per matrix entry.  On
+floats, duals and a caller's carrier it is the ``gdot`` rule, summed in
+the same order, so a jet's primal is the float result bit for bit.
+
 Complex steps.  The Lie-equation velocity, evaluated thousands of times
 on plain floats, is the one first-order pass that runs on Python
 ``complex`` numbers instead (``complex_step``), whose arithmetic runs in
@@ -384,6 +391,24 @@ def gdot(a, b):
     for x, y in zip(a, b):
         out = out + x * y
     return out
+
+
+def gaffine(b, k, xs):
+    """The list b + k xs for a float vector b, a float matrix k and a list
+    xs of floats, duals or jets: row r is ``gdot(k[r], xs) + b[r]``.
+
+    Jets of one space take one array operation per entry of xs on their
+    stacked coefficients, in the order of ``gdot``, so every primal is the
+    float result bit for bit; any other list takes the ``gdot`` rule.
+    """
+    if xs and all(x.__class__ is Jet for x in xs):
+        acc = 0.0
+        for col, x in zip(k.T, xs):
+            acc = acc + col[:, None] * x.c
+        acc[:, 0] += b
+        space = xs[0].space
+        return [Jet(c, space) for c in acc]
+    return [gdot(row, xs) + bi for row, bi in zip(k.tolist(), b.tolist())]
 
 
 # gmatvec, gmatmul, gsolve and ginv: no library code calls them.  They are

@@ -35,7 +35,8 @@ from typing import Callable
 import numpy as np
 
 from . import core, tangent
-from .dual import Jet, dirderiv, gcos, gdot, gsin, jacobian, pack, quiet, taylor_frame
+from .dual import (Jet, dirderiv, gaffine, gcos, gdot, gsin, jacobian, pack, quiet,
+                   taylor_frame)
 from .errors import PartitionInvalid
 
 
@@ -344,9 +345,11 @@ def glue_connections(forms, weights, samples):
     base = forms[0].potential
 
     def a_glued(xs):
+        # Entry by entry, as a weight on jets or duals does not scale an array.
         acc = None
         for frm, w in zip(forms, weights):
-            term = w(list(xs)) * np.asarray(frm.potential.A(list(xs)))
+            wx = w(list(xs))
+            term = pack([[wx * v for v in row] for row in frm.potential.A(list(xs))])
             acc = term if acc is None else acc + term
         return acc
 
@@ -365,30 +368,34 @@ def vertical_reproduction_residual(form, x, y, w):
 # -- deterministic test data ----------------------------------------------
 
 def make_test_potential(L, base_dim, seed, kind="poly"):
-    """Reproducible smooth potential family for verification sweeps."""
+    """Reproducible smooth potential family for verification sweeps.
+
+    A(x) = c0 + K phi(x), flattened by rows (entry i * base_dim + mu is
+    A^i_mu), with the 2 base_dim features phi = (f(x_0), g(x_0), f(x_1),
+    g(x_1), ...): f, g = x, x^2 for ``poly`` and sin, cos for ``trig``.
+    K is one float matrix, so a jet evaluation is one ``dual.gaffine``.
+    Each entry sums its feature terms in that order and adds c0 last; the
+    per-entry loop this replaced added c0 first and rounded the poly term
+    as (c2 x) x, not c2 (x x), so values moved in the last bits.
+    """
     rng = np.random.default_rng(seed)
     nf = L.dim
     c0 = 0.3 * rng.standard_normal((nf, base_dim))
     c1 = 0.2 * rng.standard_normal((nf, base_dim, base_dim))
     c2 = 0.1 * rng.standard_normal((nf, base_dim, base_dim))
-
-    # A^i_mu = c0 + sum_k c1 first(x_k) + second(c2, x_k); second takes c2
-    # so that the poly term rounds as (c2 x) x, on floats, duals and jets.
     if kind == "poly":
-        first, second = (lambda v: v), (lambda c, v: c * v * v)
+        def features(xs):
+            return [u for v in xs[:base_dim] for u in (v, v * v)]
     elif kind == "trig":
-        first, second = gsin, (lambda c, v: c * gcos(v))
+        def features(xs):
+            return [u for v in xs[:base_dim] for u in (gsin(v), gcos(v))]
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
-
-    def entry(xs, i, mu):
-        acc = c0[i, mu]
-        for k in range(base_dim):
-            acc = acc + c1[i, mu, k] * first(xs[k]) + second(c2[i, mu, k], xs[k])
-        return acc
+    b = c0.ravel()
+    k = np.stack([c1, c2], axis=-1).reshape(nf * base_dim, 2 * base_dim)
 
     def a_fun(xs):
-        return pack([[entry(xs, i, mu) for mu in range(base_dim)] for i in range(nf)])
+        return pack(gaffine(b, k, features(xs))).reshape(nf, base_dim)
 
     pot = GaugePotential(chart="test", A=a_fun, base_dim=base_dim)
     return LocalConnectionForm(potential=pot, fiber=L)

@@ -2,7 +2,8 @@
 ``loopbundle.gauge``: the covariant-derivative commutator, the component
 curvature, the gauge transformation and the curvature in another
 trivialization, the form on combined coordinates, the field bracket and
-the curvature of two horizontal fields.  They differentiate by nesting
+the curvature of two horizontal fields.  The per-entry loop of the test
+potential is the reference for ``make_test_potential``'s one matrix.  They differentiate by nesting
 leveled passes (``ref_dirderiv`` and ``ref_jacobian``) around the
 library's, and solve with ``ref_gsolve``.
 
@@ -18,13 +19,40 @@ passes.
 import numpy as np
 
 from loopbundle import core, gauge, tangent
-from loopbundle.dual import gdot, jacobian, pack, primal
+from loopbundle.dual import gcos, gdot, gsin, jacobian, pack, primal
 
 from leveled_dual import ref_dirderiv, ref_gsolve, ref_jacobian
 
 
 def _floats(m):
     return np.array([[primal(v) for v in row] for row in np.asarray(m)])
+
+
+def make_test_potential(L, base_dim, seed, kind="poly"):
+    """The test potential of ``gauge.make_test_potential`` with each entry
+    in its own scalar loop: A^i_mu = c0 + sum_k c1 f(x_k) + (c2 g)(x_k),
+    the poly term rounded as (c2 x) x."""
+    rng = np.random.default_rng(seed)
+    nf = L.dim
+    c0 = 0.3 * rng.standard_normal((nf, base_dim))
+    c1 = 0.2 * rng.standard_normal((nf, base_dim, base_dim))
+    c2 = 0.1 * rng.standard_normal((nf, base_dim, base_dim))
+    if kind == "poly":
+        first, second = (lambda v: v), (lambda c, v: c * v * v)
+    else:
+        first, second = gsin, (lambda c, v: c * gcos(v))
+
+    def entry(xs, i, mu):
+        acc = c0[i, mu]
+        for k in range(base_dim):
+            acc = acc + c1[i, mu, k] * first(xs[k]) + second(c2[i, mu, k], xs[k])
+        return acc
+
+    def a_fun(xs):
+        return pack([[entry(xs, i, mu) for mu in range(base_dim)] for i in range(nf)])
+
+    pot = gauge.GaugePotential(chart="test", A=a_fun, base_dim=base_dim)
+    return gauge.LocalConnectionForm(potential=pot, fiber=L)
 
 
 def split(form, z):

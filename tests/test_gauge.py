@@ -279,6 +279,38 @@ def test_glued_connection_reproduces_vertical_generators():
     assert res < 1e-12
 
 
+def test_glue_with_weights_that_vary_takes_jets():
+    # Weights that depend on x are jets inside every jet check, so the glue
+    # scales the potential entry by entry.  On the abelian fiber F is the
+    # curl of the glued potential.
+    w1 = lambda xs: 0.5 + 0.1 * xs[0]
+    w2 = lambda xs: 0.5 - 0.1 * xs[0]
+    rng = np.random.default_rng(43)
+    for name in ("qc", "qhr:K=0"):
+        L = make_loop(name)
+        e = list(L.identity)
+        glue2, glue3 = (gauge.glue_connections(
+            [gauge.make_test_potential(L, db, seed=43), gauge.make_test_potential(L, db, seed=44)],
+            [w1, w2], [[0.0] * db, [0.3] * db]) for db in (2, 3))
+        x, y = list(rng.uniform(-0.3, 0.3, 2)), list(0.3 * L.sample(rng))
+        f = gauge.curvature(glue2, x, y)
+        assert np.max(np.abs(f - ref.curvature(glue2, x, y))) <= 1e-14
+        z = x + y
+        h1, h2 = ([primal(v) for v in gauge.hor_field(glue2, vx)(z)]
+                  for vx in ([1.0, 0.0], [0.0, 1.0]))
+        assert gauge.structure_equation_residual(glue2, x, y, h1[:2], h1[2:],
+                                                 h2[:2], h2[2:]) < 1e-10
+        v1, v2 = rng.standard_normal(L.dim), rng.standard_normal(L.dim)
+        assert gauge.structure_equation_residual(glue2, x, y, np.zeros(2), v1,
+                                                 np.zeros(2), v2) < 1e-10
+        assert gauge.bianchi_residual(glue3, rng.uniform(-0.3, 0.3, 3), e,
+                                      *np.eye(3)) < 1e-10
+        if name == "qhr:K=0":
+            flat = jacobian(lambda xs: list(np.asarray(glue2.potential.A(xs)).reshape(-1)), x)
+            da = _as_float(flat).reshape(L.dim, 2, 2)
+            assert np.max(np.abs(f[:, 0, 1] - (da[:, 1, 0] - da[:, 0, 1]))) < 1e-14
+
+
 def test_test_potential_accepts_duals():
     L = make_loop("qc")
     for kind in ("poly", "trig"):

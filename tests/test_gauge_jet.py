@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from loopbundle import core, dual, gauge, reconstruct, tangent
-from loopbundle.dual import Dual, gmatvec, gsin, jet_space, pack, primal, taylor_frame
+from loopbundle.dual import (Dual, gmatvec, gsin, jacobian, jet_space, pack, primal,
+                            taylor_frame)
 from loopbundle.zoo import make_loop
 
 import gauge_reference as ref
@@ -503,6 +504,68 @@ def test_jet_route_call_counts(monkeypatch, name):
     gauge.curvature_gauge_residual(form2, q_map, [0.1, -0.2])
     assert passes == Counter({("gauge", 1): 2, ("tangent", 1): 2})
     assert spaces == {1}
+
+
+# -- the test potential --------------------------------------------------------
+
+def _flat(pot):
+    return lambda xs: list(np.asarray(pot.A(xs)).reshape(-1))
+
+
+def _jet_coeffs(values):
+    return np.array([v.c for v in np.asarray(values).flat])
+
+
+def _close(got, want):
+    """Agreement to 1e-15 relative to the largest entry of ``want``."""
+    return np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["poly", "trig"])
+@pytest.mark.parametrize("base_dim", [1, 2, 3])
+def test_test_potential_matches_the_per_entry_loop(kind, base_dim):
+    # One matrix on the features against the scalar loop it replaced, on
+    # floats, a library Jacobian, jets of order 1 and 2, and a leveled one.
+    # Only the rounding order differs; jet primals are the floats exactly.
+    rng = np.random.default_rng(61 + base_dim)
+    for name in ("qc", "qhr:K=1"):
+        L = make_loop(name)
+        pot = gauge.make_test_potential(L, base_dim, seed=62, kind=kind).potential
+        loop = ref.make_test_potential(L, base_dim, seed=62, kind=kind).potential
+        x = list(rng.uniform(-0.5, 0.5, base_dim))
+        on_floats = pot.A(x)
+        assert on_floats.dtype == float and on_floats.shape == (L.dim, base_dim)
+        assert _close(on_floats, loop.A(x))
+        assert _close(jacobian(_flat(pot), x), jacobian(_flat(loop), x))
+        for order in (1, 2):
+            space = jet_space(base_dim, order)
+            jets = [space.variable(v, ((m,), ())) for m, v in enumerate(x)]
+            got = _jet_coeffs(pot.A(jets))
+            assert _close(got, _jet_coeffs(loop.A(jets)))
+            assert got[:, 0].tobytes() == on_floats.tobytes()
+        assert _close(_floats(ref_jacobian(_flat(pot), x)),
+                      _floats(ref_jacobian(_flat(loop), x)))
+
+
+def test_test_potential_on_jets_multiplies_once_per_coordinate(monkeypatch):
+    # The features x_k^2 are the only jet products of a poly potential: 2 for
+    # base_dim 2, where the per-entry loop made one per entry and
+    # coordinate, nf * base_dim^2 = 8 on qc.
+    L = make_loop("qc")
+    products = [0]
+    mul = dual.JetSpace.mul
+
+    def counted(space, x, y):
+        products[0] += 1
+        return mul(space, x, y)
+
+    monkeypatch.setattr(dual.JetSpace, "mul", counted)
+    space = jet_space(2, 1)
+    jets = [space.variable(v, ((m,), ())) for m, v in enumerate([0.1, -0.2])]
+    for make, want in ((gauge.make_test_potential, 2), (ref.make_test_potential, 8)):
+        products[0] = 0
+        make(L, 2, seed=63).potential.A(jets)
+        assert products[0] == want
 
 
 # -- powers --------------------------------------------------------------------
