@@ -21,7 +21,7 @@ import numpy as np
 from . import bundle, core, gauge, reconstruct, tangent
 from .dual import gcos, gsin, jacobian
 from .errors import LoopError, UnknownSuite
-from .report import DEFAULT_TOLERANCES, RunConfig, VerificationReport, read_config
+from .report import DEFAULT_TOLERANCES, MIN_STEPS, RunConfig, VerificationReport, read_config
 from .zoo import catalog_names, make_loop
 
 SUITES = ("axioms", "tangent", "jacobi", "reconstruct", "bundle", "gauge", "all")
@@ -298,7 +298,7 @@ OPTIONS = {
     "--samples": {"type": int, "help": f"default {RunConfig.samples}"},
     "--seed": {"type": int, "help": f"default LOOPBUNDLE_SEED, else {RunConfig.seed}"},
     "--steps": {"type": int,
-                "help": f"RK4 steps, at least {reconstruct.MIN_STEPS}; default {RunConfig.steps}"},
+                "help": f"RK4 steps, at least {MIN_STEPS}; default {RunConfig.steps}"},
     "--report": {"help": "write the report as JSON to this file"},
     "--config": {"help": "key = value file of defaults shared by every command"},
     **{f"--tol.{name}": {"type": float, "metavar": "TOL", "help": f"default {value:g}"}
@@ -340,12 +340,9 @@ def resolve_config(args):
     if args.config:
         values.update(read_config(args.config))
     values.update((key, value) for key, value in options.items() if value is not None)
-    config = RunConfig.from_values({
+    return RunConfig.from_values({
         key: value for key, value in values.items()
         if key.startswith("tol.") or (key in options and key in RunConfig.keys())})
-    if config.steps < reconstruct.MIN_STEPS:
-        raise ValueError(f"steps must be at least {reconstruct.MIN_STEPS}")
-    return config
 
 
 def main(argv=None):

@@ -34,9 +34,7 @@ import numpy as np
 
 from . import core, tangent
 from .dual import complex_step, dirderiv, pack, primal, quiet, taylor_frame
-from .report import VerificationReport
-
-MIN_STEPS = 16
+from .report import MIN_STEPS, VerificationReport
 
 
 def _canonical_factors(L, a, path, ts):

@@ -111,6 +111,9 @@ DEFAULT_TOLERANCES = {
     "glue": 1e-8,
 }
 
+# The fewest RK4 steps a reconstruction takes.
+MIN_STEPS = 16
+
 
 @dataclass
 class RunConfig:
@@ -136,9 +139,12 @@ class RunConfig:
 
     def validate(self):
         """Reject a sample count or tolerance that is not positive (or NaN),
-        and a tolerance name that no case reads."""
+        a step count below ``MIN_STEPS``, and a tolerance name that no
+        case reads."""
         if self.samples <= 0:
             raise ValueError("samples must be positive")
+        if self.steps < MIN_STEPS:
+            raise ValueError(f"steps must be at least {MIN_STEPS}")
         unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ValueError(f"unknown tolerance name: {', '.join(map(repr, unknown))}")

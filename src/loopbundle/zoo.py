@@ -56,66 +56,62 @@ def _rz_product(a, b):
     return [_rz_mod1(x + y + _rz_f(x) + _rz_f(y) - _rz_f(x + y))]
 
 
-def _rz_root(x, t):
-    """Float root of y + f(y) - f(x+y) = t by bracketed Newton, with the
-    target t shifted by the whole number that puts the root near [0, 1).
+def _sqrt(v):
+    # math.sqrt and np.sqrt round alike, so a point and a batch agree.
+    return np.sqrt(v) if v.__class__ is np.ndarray else math.sqrt(v)
 
-    On the window of :func:`_rz_solve` g(y) = y + f(y) - f(x+y) is
-    increasing and g(y) - y lies in [-1/2, 1/2], so the root lies in
-    [t - 1/2, t + 1/2].  Newton steps keep that bracket and fall back to
-    its midpoint when a step leaves it (rtsafe, Press et al., Numerical
-    Recipes, 9.4).
+
+def _cbrt(v):
+    # np.cbrt for a point too: math.cbrt rounds differently (and needs
+    # Python 3.11), and pow(v, 1/3) differs between Python and numpy.
+    c = np.cbrt(v)
+    return c if v.__class__ is np.ndarray else float(c)
+
+
+def _rz_root(x, t):
+    """Float root y of g(y) = y + f(y) - f(x+y) = t, with the target t
+    shifted by the whole number that puts the root near [0, 1); x and t
+    are floats or float arrays (run a batch under ``dual.quiet``), and
+    element i of a batch is the root at element i bit for bit.
+
+    f(y) - f(x+y) = -1/2 sin(pi x) sin(pi (x+2y)), so E = pi (x+2y) turns
+    g(y) = t into Kepler's equation E - e sin E = M with e = pi sin(pi x)
+    and M = pi (x+2t).  g is 1-periodic in x, so x mod 1 keeps e >= 0,
+    and the window of :func:`_rz_solve` is the elliptic case e < 1.  M is
+    reduced to [-pi, pi] by 2 pi j and its sign folded out.  Markley's
+    starter and one fifth-order Householder step solve that case with
+    fixed arithmetic (F. L. Markley, "Kepler equation solver", Celest.
+    Mech. Dyn. Astron. 63, 101-111, 1995); two Newton steps on g then
+    polish y.
     """
-    # x and y are floats here, so the closed forms return floats.
+    # x and y are floats or float arrays, so the closed forms return them.
     g0 = lambda y: y + _rz_f(y) - _rz_f(x + y)
     gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
     # g(y+1) = g(y)+1, so shift the target near the image of [0,1).
-    t -= gfloor(t - g0(0.0) + 0.5)
-    lo, hi = t - 0.5, t + 0.5
-    y = t
-    for _ in range(60):
-        r = g0(y) - t
-        if r < 0.0:
-            lo = y
-        elif r > 0.0:
-            hi = y
-        else:  # a root, or NaN
-            break
-        y, y_old = y - r / gp0(y), y
-        if not lo <= y <= hi:
-            y = 0.5 * (lo + hi)
-        if abs(y - y_old) < 1e-12:
-            break
-    for _ in range(4):
-        y -= (g0(y) - t) / gp0(y)
-    return y, t
-
-
-def _rz_root_batch(x, t):
-    """:func:`_rz_root` on float arrays: the same shift, bracket, midpoint
-    fallback, stop rule, step cap and polish, run on every element at
-    once.  An element stops where the scalar loop breaks (an active mask),
-    so each is the scalar root at that element bit for bit.  Run it under
-    ``dual.quiet``, as every batched pass is."""
-    g0 = lambda y: y + _rz_f(y) - _rz_f(x + y)
-    gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
-    t = t - gfloor(t - g0(np.zeros_like(t)) + 0.5)
-    lo, hi = t - 0.5, t + 0.5
-    y = t
-    active = np.ones(t.shape, dtype=bool)
-    for _ in range(60):
-        r = g0(y) - t
-        below, above = r < 0.0, r > 0.0
-        lo = np.where(active & below, y, lo)
-        hi = np.where(active & above, y, hi)
-        active &= below | above  # a root, or NaN, stops
-        step = y - r / gp0(y)
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        y, y_old = np.where(active, step, y), y
-        active &= ~(abs(y - y_old) < 1e-12)
-        if not active.any():
-            break
-    for _ in range(4):
+    t = t - gfloor(t - g0(0.0) + 0.5)
+    x1 = x - gfloor(x)
+    e = math.pi * gsin(math.pi * x1)
+    u = x1 + 2.0 * t
+    j = gfloor(0.5 * u + 0.5)
+    m = u - 2.0 * j
+    s = 1 - 2 * (m < 0.0)
+    M = math.pi * (s * m)
+    # Markley's starter E1 for 0 <= M <= pi
+    a = (3.0 * math.pi ** 2 + 1.6 * math.pi * (math.pi - M) / (1.0 + e)) / (math.pi ** 2 - 6.0)
+    d = 3.0 * (1.0 - e) + a * e
+    q = 2.0 * a * d * (1.0 - e) - M * M
+    r = 3.0 * a * d * (d - 1.0 + e) * M + M * M * M
+    c = _cbrt(r + _sqrt(q * q * q + r * r))
+    w = c * c
+    E = (2.0 * r * w / (w * w + w * q + q * q) + M) / d
+    # one fifth-order Householder step
+    f2, f3 = e * gsin(E), e * gcos(E)
+    f0, f1 = E - f2 - M, 1.0 - f3
+    d3 = -f0 / (f1 - 0.5 * f0 * f2 / f1)
+    d4 = -f0 / (f1 + 0.5 * d3 * f2 + d3 * d3 * f3 / 6.0)
+    E = E - f0 / (f1 + 0.5 * d4 * f2 + d4 * d4 * f3 / 6.0 - d4 * d4 * d4 * f2 / 24.0)
+    y = 0.5 * (s * E / math.pi - x1) + j
+    for _ in range(2):
         y = y - (g0(y) - t) / gp0(y)
     return y, t
 
@@ -128,19 +124,14 @@ def _rz_solve(x, target):
     pi |sin(pi x)| < 1: x in [0, 0.10312) or (0.89688, 1) modulo 1.
     Elsewhere some targets have several roots, and the solve raises if any
     element of a batch lies there.  The rule reads the primal value, so
-    floats, duals and jets follow it alike.  The float root comes from
-    :func:`_rz_root`, or on a batch from :func:`_rz_root_batch`, one
-    array Newton whose element i is ``_rz_root`` at element i;
-    :func:`dual.carry`, with the float g' at the root, gives a dual or
-    jet argument its parts.
+    floats, duals and jets follow it alike.  The float root of a point
+    or a batch comes from :func:`_rz_root`; :func:`dual.carry`, with the
+    float g' at the root, gives a dual or jet argument its parts.
     """
     x0, t0 = primal(x), primal(target)
     if anyof(math.pi * abs(gsin(math.pi * x0)) >= 1.0):
         raise NoSolutionInChart(f"R/Z left translation by {x0} is not invertible")
-    if x0.__class__ is np.ndarray or t0.__class__ is np.ndarray:
-        y, t = _rz_root_batch(*np.broadcast_arrays(x0, t0))
-    else:
-        y, t = _rz_root(x0, t0)
+    y, t = _rz_root(x0, t0)
     if isinstance(x, _CARRIERS) or isinstance(target, _CARRIERS):
         shifted = target + (t - t0)
         gp = 1.0 + _rz_fprime(y) - _rz_fprime(x0 + y)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from loopbundle import cli, core
-from loopbundle.report import DEFAULT_TOLERANCES
+from loopbundle.report import DEFAULT_TOLERANCES, MIN_STEPS, RunConfig
 
 
 def run(argv):
@@ -218,6 +218,17 @@ def test_steps_below_minimum_rejected_before_any_suite(tmp_path, capsys, monkeyp
         argv += ["--config", str(cfg)]
     assert run(argv) == 2
     assert "steps must be at least 16" in capsys.readouterr().err
+
+
+def test_run_config_rejects_steps_below_minimum(monkeypatch):
+    def suite_ran(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    # built directly, not through resolve_config: no suite may start
+    monkeypatch.setattr(core, "check_loop_axioms", suite_ran)
+    with pytest.raises(ValueError, match="steps must be at least 16"):
+        cli.run_suite(RunConfig(steps=8), "all")
+    assert RunConfig(steps=MIN_STEPS).steps == 16
 
 
 RECONSTRUCT = ["reconstruct", "--loop", "qc", "--a", "0.2,0.1", "--b", "0.1,0.3"]

@@ -656,34 +656,93 @@ def _rz_f_calls(monkeypatch, a, b):
 
 
 def test_rz_division_evaluates_f_a_few_times(monkeypatch):
-    # the 70-step bisection made 144 evaluations per division
-    for a in np.linspace(0.0, 0.04, 9):
+    # f(a), g(0) for the shift and two Newton steps on g, whatever (a, b):
+    # no loop in the solve depends on the data
+    for a in np.linspace(0.0, 0.04, 9).tolist() + [RZ_BOUND - 1e-14, 1.0 - RZ_BOUND + 1e-14]:
         for b in np.linspace(0.0, 1.0, 9):
-            assert _rz_f_calls(monkeypatch, a, b) <= 40
+            assert _rz_f_calls(monkeypatch, a, b) == 7
 
 
-def test_rz_solve_converges_at_the_window_edge(monkeypatch):
-    # f(a), g(0) for the shift and 4 polish steps make 11 evaluations, and
-    # each Newton iteration 2; fewer than 60 iterations means the step
-    # rule ended the loop, not its cap
-    for a in (RZ_BOUND - 1e-9, 1.0 - RZ_BOUND + 1e-9):
+def ref_rz_root(x, t):
+    """Reference root by bracketed Newton (rtsafe, Press et al., Numerical
+    Recipes, 9.4) on floats: the target shift of ``zoo._rz_root``, Newton
+    steps kept inside [t - 1/2, t + 1/2], and 4 polish steps."""
+    g0 = lambda y: y + zoo._rz_f(y) - zoo._rz_f(x + y)
+    gp0 = lambda y: 1.0 + zoo._rz_fprime(y) - zoo._rz_fprime(x + y)
+    t -= math.floor(t - g0(0.0) + 0.5)
+    lo, hi = t - 0.5, t + 0.5
+    y = t
+    for _ in range(60):
+        r = g0(y) - t
+        if r < 0.0:
+            lo = y
+        elif r > 0.0:
+            hi = y
+        else:
+            break
+        y, y_old = y - r / gp0(y), y
+        if not lo <= y <= hi:
+            y = 0.5 * (lo + hi)
+        if abs(y - y_old) < 1e-12:
+            break
+    for _ in range(4):
+        y -= (g0(y) - t) / gp0(y)
+    return y, t
+
+
+def _assert_root_matches_the_reference(x, t):
+    y, shifted = zoo._rz_root(x, t)
+    want, want_t = ref_rz_root(x, t)
+    assert shifted == want_t
+    # the root is known to rounding over g'(y), the condition number
+    gp = 1.0 + zoo._rz_fprime(y) - zoo._rz_fprime(x + y)
+    assert abs(y - want) * min(gp, 1.0) <= 2e-15, (x, t)
+    # g(y) - t adds terms as large as 1.5, so its rounding is a few
+    # ulp(1) whatever the root; the reference reads 0 on some roots
+    g = lambda v: v + zoo._rz_f(v) - zoo._rz_f(x + v)
+    assert abs(g(y) - shifted) <= abs(g(want) - want_t) + 4.0 * math.ulp(1.0), (x, t)
+
+
+def test_rz_root_matches_the_bracketed_newton():
+    rng = np.random.default_rng(29)
+    for x, t in zip(rng.uniform(-RZ_BOUND, RZ_BOUND, 3000) % 1.0, rng.uniform(-3.0, 3.0, 3000)):
+        _assert_root_matches_the_reference(float(x), float(t))
+
+
+def test_rz_solve_converges_at_the_window_edge():
+    # e = pi sin(pi x) within 3e-13 of 1, where g' nearly vanishes at
+    # one root, and targets a million periods out
+    for x in (RZ_BOUND - 1e-14, 1.0 - RZ_BOUND + 1e-14, RZ_BOUND - 1e-9, 1.0 - RZ_BOUND + 1e-9):
+        for t in np.linspace(-3.0, 3.0, 241).tolist() + [1e6, -1e6, 1e6 + 0.3, -1e6 - 0.7]:
+            _assert_root_matches_the_reference(x, t)
+        L = make_loop("rz")
         for b in np.linspace(0.0, 1.0, 21):
-            assert (_rz_f_calls(monkeypatch, a, b) - 11) // 2 < 60
+            got = L.left_div([x], [b])[0]
+            gp = 1.0 + zoo._rz_fprime(got) - zoo._rz_fprime(x + got)
+            want = ref_rz_solve(x, b - x - zoo._rz_f(x))
+            assert _circle_distance(got, want) * min(gp, 1.0) <= 2e-15, (x, b)
 
 
-def _first_step_falls_back(x, t):
-    """Whether the first Newton step of ``_rz_root`` at the shifted target
-    t leaves its bracket, so that the midpoint replaces it."""
-    r = t + zoo._rz_f(t) - zoo._rz_f(x + t) - t
-    y = t - r / (1.0 + zoo._rz_fprime(t) - zoo._rz_fprime(x + t))
-    lo, hi = (t, t + 0.5) if r < 0.0 else (t - 0.5, t)
-    return not lo <= y <= hi
+@pytest.mark.parametrize("shift", [-1.0, 1.0, -3.0])
+def test_rz_root_outside_the_chart_solves_the_periodic_equation(shift):
+    # g is 1-periodic in x, so x below 0 or at or above 1 has the root of
+    # x mod 1; a Kepler eccentricity pi sin(pi x) < 0 would give none
+    rng = np.random.default_rng(31)
+    for x, t in zip(rng.uniform(-RZ_BOUND, RZ_BOUND, 300) % 1.0, rng.uniform(-3.0, 3.0, 300)):
+        y, shifted = zoo._rz_root(float(x) + shift, float(t))
+        assert y.__class__ is float
+        want, want_t = ref_rz_root(float(x), float(t))
+        gp = 1.0 + zoo._rz_fprime(y) - zoo._rz_fprime(x + y)
+        assert abs(y - want) * min(gp, 1.0) <= 2e-15 and abs(shifted - want_t) <= 1e-15
+    # x = 1 is x = 0, where g(y) = y up to the rounding of f(1 + y)
+    y, shifted = zoo._rz_root(1.0, 0.25)
+    assert abs(y - 0.25) <= 1e-15 and shifted == 0.25
 
 
 def test_rz_batch_root_equals_the_scalar_root_bit_for_bit():
-    # The array Newton against _rz_root element by element: across the
+    # _rz_root on arrays against _rz_root element by element: across the
     # window, targets several periods apart, a within 1e-9 of the window
-    # edges (where steps leave the bracket) and non-finite elements.
+    # edges and non-finite elements.
     rng = np.random.default_rng(41)
     edges = np.repeat([RZ_BOUND - 1e-9, 1.0 - RZ_BOUND + 1e-9, -RZ_BOUND + 1e-9], 61)
     xs = np.concatenate([rng.uniform(-RZ_BOUND, RZ_BOUND, 400) % 1.0, edges,
@@ -691,12 +750,11 @@ def test_rz_batch_root_equals_the_scalar_root_bit_for_bit():
     ts = np.concatenate([rng.uniform(-6.0, 6.0, 400), np.tile(np.linspace(-3.0, 3.0, 61), 3),
                          [math.nan, 0.3, math.inf, 1e6]])
     want = [zoo._rz_root(x, t) for x, t in zip(xs.tolist(), ts.tolist())]
-    assert sum(_first_step_falls_back(x, t) for x, (_, t) in zip(xs.tolist(), want)) >= 10
     with quiet():
-        y, t = zoo._rz_root_batch(xs, ts)
+        y, t = zoo._rz_root(xs, ts)
         got = zoo._rz_solve(xs, ts)
         # a scalar argument broadcasts against the batch
-        y1, _ = zoo._rz_root_batch(*np.broadcast_arrays(0.07, ts))
+        y1, _ = zoo._rz_root(0.07, ts)
     assert np.array_equal(y, [v for v, _ in want], equal_nan=True)
     assert np.array_equal(t, [v for _, v in want], equal_nan=True)
     assert np.array_equal(got, [zoo._rz_solve(x, t) for x, t in zip(xs.tolist(), ts.tolist())],
