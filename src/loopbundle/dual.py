@@ -30,6 +30,21 @@ then one jet per row, instead of one scalar product per matrix entry.  On
 floats, duals and a caller's carrier it is the ``gdot`` rule, summed in
 the same order, so a jet's primal is the float result bit for bit.
 
+Quotients.  A jet quotient ``x / d`` is ``x * r`` with r the reciprocal
+series of d, a few table multiplications to build.  A closed form that
+divides several numerators by one jet denominator inverts it once: it
+wraps d in a ``JetDivisor`` after its singular test, and every quotient
+is the ``x * r`` that ``x / d`` computes, bit for bit.  Every other
+carrier (floats, complex steps, duals) divides element by element, as
+x * (1/d) rounds differently from x / d on floats.
+
+Dispatch.  ``primal``, ``gsin``, ``gcos``, ``gfloor`` and ``near_zero``
+test the exact class of their argument, in the order float, ``Jet``,
+``Dual``, ndarray with an axis (a batch), complex, and read a ``Dual``'s
+primal part by the same ladder.  Only ints, numpy scalars, 0-d arrays
+and a caller's carrier (a ``Dual`` subclass) reach the generic rule
+after it, so no exception is raised on a hot path.
+
 Complex steps.  The Lie-equation velocity, evaluated thousands of times
 on plain floats, is the one first-order pass that runs on Python
 ``complex`` numbers instead (``complex_step``), whose arithmetic runs in
@@ -198,71 +213,86 @@ def allof(mask):
 def near_zero(x, bound):
     """Whether |primal(x)| < bound, on a batch for any element: the
     singular test of a closed form, in one call on its hot float path."""
-    while isinstance(x, Dual):
-        x = x.re
-    if x.__class__ is Jet:
-        x = x.c[0]
-    if x.__class__ is np.ndarray:
+    c = x.__class__
+    if c is float:
+        return abs(x) < bound
+    if c is Jet:
+        return abs(x.c[0]) < bound
+    if c is Dual:
+        return near_zero(x.re, bound)
+    if c is np.ndarray:
         return (abs(x) < bound).any()
-    return abs(x) < bound
+    if isinstance(x, Dual):  # a caller's carrier
+        return near_zero(x.re, bound)
+    return abs(x) < bound  # a complex step, an int or a numpy scalar
 
 
 def primal(x):
     """Strip all dual and jet parts, returning the underlying float (or
-    the float array of a batch)."""
-    while isinstance(x, Dual):
-        x = x.re
-    if x.__class__ is Jet:
+    the float array of a batch: any array with an axis)."""
+    c = x.__class__
+    if c is float:
+        return x
+    if c is Jet:
         return float(x.c[0])
+    if c is Dual:
+        return primal(x.re)
+    if c is np.ndarray and x.ndim:
+        return x
+    if c is complex:
+        return x.real
+    if isinstance(x, Dual):  # a caller's carrier
+        return primal(x.re)
     try:
-        return float(x)
-    except TypeError:  # a batch array or a complex step
-        if x.__class__ is np.ndarray:
-            return x
-        return x.real if x.__class__ is complex else x
+        return float(x)  # an int, a numpy scalar or a 0-d array
+    except TypeError:  # no number: returned as it is
+        return x
 
 
 def gsin(x):
-    if x.__class__ is Jet:
-        return x._trig(0)
+    c = x.__class__
+    if c is not float:
+        if c is Jet:
+            return x._trig(0)
+        if c is Dual:
+            return Dual(gsin(x.re), gcos(x.re) * x.du)
+        if c is np.ndarray and x.ndim:
+            return np.sin(x)
+        if c is complex:
+            return cmath.sin(x)
     try:
-        return math.sin(x)
-    except TypeError:  # a dual, a caller's carrier, a batch array or a complex step
-        pass
+        return math.sin(x)  # a float, an int, a numpy scalar or a 0-d array
+    except TypeError:  # a caller's carrier
+        return x._trig(0)
     except ValueError:  # inf; NaN, as math.sin(nan) is
         return math.nan
-    if x.__class__ is Dual:
-        return Dual(gsin(x.re), gcos(x.re) * x.du)
-    if x.__class__ is np.ndarray:
-        return np.sin(x)
-    if x.__class__ is complex:
-        return cmath.sin(x)
-    return x._trig(0)
 
 
 def gcos(x):
-    if x.__class__ is Jet:
-        return x._trig(1)
+    c = x.__class__
+    if c is not float:
+        if c is Jet:
+            return x._trig(1)
+        if c is Dual:
+            return Dual(gcos(x.re), -gsin(x.re) * x.du)
+        if c is np.ndarray and x.ndim:
+            return np.cos(x)
+        if c is complex:
+            return cmath.cos(x)
     try:
-        return math.cos(x)
-    except TypeError:  # a dual, a caller's carrier, a batch array or a complex step
-        pass
+        return math.cos(x)  # a float, an int, a numpy scalar or a 0-d array
+    except TypeError:  # a caller's carrier
+        return x._trig(1)
     except ValueError:  # inf; NaN, as math.cos(nan) is
         return math.nan
-    if x.__class__ is Dual:
-        return Dual(gcos(x.re), -gsin(x.re) * x.du)
-    if x.__class__ is np.ndarray:
-        return np.cos(x)
-    if x.__class__ is complex:
-        return cmath.cos(x)
-    return x._trig(1)
 
 
 def gfloor(x):
     # Constant between lattice jumps, so the derivative is zero.
-    x = primal(x)
-    if x.__class__ is np.ndarray:
-        return np.where(np.isfinite(x), np.floor(x), math.nan)
+    if x.__class__ is not float:
+        x = primal(x)
+        if x.__class__ is np.ndarray:
+            return np.where(np.isfinite(x), np.floor(x), math.nan)
     try:
         return float(math.floor(x))
     except (ValueError, OverflowError):  # NaN or inf
@@ -282,9 +312,11 @@ def pack(xs):
     included.  Otherwise it is an object array of the same shape holding
     the same objects.  A flat list is scanned for carriers first, so a
     pass's list of duals never raises on the way; only rows that hold
-    carriers fall back from the float attempt.
+    carriers fall back from the float attempt.  A list is read as it is,
+    not copied.
     """
-    xs = list(xs)
+    if xs.__class__ is not list:
+        xs = list(xs)
     if has_dual(xs):
         out = np.empty(len(xs), dtype=object)
         out[:] = xs
@@ -606,6 +638,22 @@ class Jet:
             acc = mul(n, acc)
             acc[0] += t
         return Jet(acc, self.space)
+
+
+class JetDivisor:
+    """A jet denominator d inverted once: ``x / JetDivisor(d)`` is
+    ``x * r`` with ``r = d._reciprocal()``, which is what ``x / d``
+    computes for a jet or a number x, so a closed form that divides
+    several numerators by one jet builds its reciprocal series once."""
+
+    __slots__ = ("r",)
+    __array_ufunc__ = None  # numpy scalars defer to __rtruediv__
+
+    def __init__(self, d):
+        self.r = d._reciprocal()
+
+    def __rtruediv__(self, x):
+        return x * self.r
 
 
 # The classes that carry derivative parts.

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LoopDescriptor
-from .dual import _CARRIERS, allof, anyof, carry, gcos, gfloor, gsin, near_zero, pack, primal
+from .dual import (_CARRIERS, Jet, JetDivisor, allof, anyof, carry, gcos, gfloor, gsin,
+                   near_zero, pack, primal)
 from .errors import (DomainSingularity, NoSolutionInChart, PoleSingularity,
                      UnknownKind)
 
@@ -68,35 +69,12 @@ def _cbrt(v):
     return c if v.__class__ is np.ndarray else float(c)
 
 
-def _rz_root(x, t):
-    """Float root y of g(y) = y + f(y) - f(x+y) = t, with the target t
-    shifted by the whole number that puts the root near [0, 1); x and t
-    are floats or float arrays (run a batch under ``dual.quiet``), and
-    element i of a batch is the root at element i bit for bit.
-
-    f(y) - f(x+y) = -1/2 sin(pi x) sin(pi (x+2y)), so E = pi (x+2y) turns
-    g(y) = t into Kepler's equation E - e sin E = M with e = pi sin(pi x)
-    and M = pi (x+2t).  g is 1-periodic in x, so x mod 1 keeps e >= 0,
-    and the window of :func:`_rz_solve` is the elliptic case e < 1.  M is
-    reduced to [-pi, pi] by 2 pi j and its sign folded out.  Markley's
-    starter and one fifth-order Householder step solve that case with
-    fixed arithmetic (F. L. Markley, "Kepler equation solver", Celest.
-    Mech. Dyn. Astron. 63, 101-111, 1995); two Newton steps on g then
-    polish y.
-    """
-    # x and y are floats or float arrays, so the closed forms return them.
-    g0 = lambda y: y + _rz_f(y) - _rz_f(x + y)
-    gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
-    # g(y+1) = g(y)+1, so shift the target near the image of [0,1).
-    t = t - gfloor(t - g0(0.0) + 0.5)
-    x1 = x - gfloor(x)
-    e = math.pi * gsin(math.pi * x1)
-    u = x1 + 2.0 * t
-    j = gfloor(0.5 * u + 0.5)
-    m = u - 2.0 * j
-    s = 1 - 2 * (m < 0.0)
-    M = math.pi * (s * m)
-    # Markley's starter E1 for 0 <= M <= pi
+def _kepler(e, M):
+    """The eccentric anomaly E with E - e sin E = M, for 0 <= e < 1 and
+    0 <= M <= pi, floats or float arrays: Markley's starter and one
+    fifth-order Householder step (F. L. Markley, "Kepler equation
+    solver", Celest. Mech. Dyn. Astron. 63, 101-111, 1995)."""
+    # Markley's starter E1
     a = (3.0 * math.pi ** 2 + 1.6 * math.pi * (math.pi - M) / (1.0 + e)) / (math.pi ** 2 - 6.0)
     d = 3.0 * (1.0 - e) + a * e
     q = 2.0 * a * d * (1.0 - e) - M * M
@@ -109,7 +87,35 @@ def _rz_root(x, t):
     f0, f1 = E - f2 - M, 1.0 - f3
     d3 = -f0 / (f1 - 0.5 * f0 * f2 / f1)
     d4 = -f0 / (f1 + 0.5 * d3 * f2 + d3 * d3 * f3 / 6.0)
-    E = E - f0 / (f1 + 0.5 * d4 * f2 + d4 * d4 * f3 / 6.0 - d4 * d4 * d4 * f2 / 24.0)
+    return E - f0 / (f1 + 0.5 * d4 * f2 + d4 * d4 * f3 / 6.0 - d4 * d4 * d4 * f2 / 24.0)
+
+
+def _rz_root(x, t):
+    """Float root y of g(y) = y + f(y) - f(x+y) = t, with the target t
+    shifted by the whole number that puts the root near [0, 1); x and t
+    are floats or float arrays (run a batch under ``dual.quiet``), and
+    element i of a batch is the root at element i bit for bit.
+
+    f(y) - f(x+y) = -1/2 sin(pi x) sin(pi (x+2y)), so E = pi (x+2y) turns
+    g(y) = t into Kepler's equation E - e sin E = M with e = pi sin(pi x)
+    and M = pi (x+2t).  g is 1-periodic in x, so x mod 1 keeps e >= 0,
+    and the window of :func:`_rz_solve` is the elliptic case e < 1.  M is
+    reduced to [-pi, pi] by 2 pi j and its sign folded out.
+    :func:`_kepler` solves that case with fixed arithmetic; two Newton
+    steps on g then polish y.
+    """
+    # x and y are floats or float arrays, so the closed forms return them.
+    g0 = lambda y: y + _rz_f(y) - _rz_f(x + y)
+    gp0 = lambda y: 1.0 + _rz_fprime(y) - _rz_fprime(x + y)
+    # g(y+1) = g(y)+1, so shift the target near the image of [0,1).
+    t = t - gfloor(t - g0(0.0) + 0.5)
+    x1 = x - gfloor(x)
+    e = math.pi * gsin(math.pi * x1)
+    u = x1 + 2.0 * t
+    j = gfloor(0.5 * u + 0.5)
+    m = u - 2.0 * j
+    s = 1 - 2 * (m < 0.0)
+    E = _kepler(e, math.pi * (s * m))
     y = 0.5 * (s * E / math.pi - x1) + j
     for _ in range(2):
         y = y - (g0(y) - t) / gp0(y)
@@ -173,6 +179,8 @@ def _mobius_fraction(t, z, w, n, singular):
     m2 = mr * mr + mi * mi
     if near_zero(m2, SINGULAR_DENOM ** 2):  # m2 >= 0
         raise DomainSingularity(singular)
+    if m2.__class__ is Jet:
+        m2 = JetDivisor(m2)
     nx, ny = n
     return [(nx * mr + ny * mi) / m2, (ny * mr - nx * mi) / m2]
 
@@ -202,6 +210,8 @@ def _mobius_right_div(sign):
         den = 1.0 - (cx * cx + cy * cy)
         if near_zero(den, SINGULAR_DENOM):
             raise DomainSingularity("Moebius right division singular")
+        if den.__class__ is Jet:
+            den = JetDivisor(den)
         dx, dy = bx - ax, by - ay
         # (b a) conj(d)
         px, py = cx * dx + cy * dy, cy * dx - cx * dy
@@ -255,6 +265,8 @@ def _qhr_fraction(t, z, w, u0, uv, singular):
     n = m0 * m0 + (r1 * r1 + r2 * r2 + r3 * r3) - (s1 * s1 + s2 * s2 + s3 * s3)
     if near_zero(n, SINGULAR_DENOM):
         raise DomainSingularity(singular)
+    if n.__class__ is Jet:
+        n = JetDivisor(n)
     u1, u2, u3 = uv
     return [(m0 * u0 - (u1 * s1 + u2 * s2 + u3 * s3)) / n,
             (m0 * u1 - u0 * s1 - (u2 * r3 - u3 * r2)) / n,

@@ -1,13 +1,18 @@
+import cmath
 import math
+import os
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from loopbundle import zoo
-from loopbundle.dual import (Dual, complex_step, dirderiv, dual_parts, gcos, ginv,
-                             gsin, gsolve, jacobian, jet_space, pack, primal, seed)
+import loopbundle
+from loopbundle import core, reconstruct, zoo
+from loopbundle.dual import (Dual, Jet, complex_step, dirderiv, dual_parts, gcos, gfloor,
+                             ginv, gsin, gsolve, jacobian, jet_space, near_zero, pack,
+                             primal, quiet, seed)
 from leveled_dual import (RefDual, _assert_parts_close, _carrier_maker,
                           _coefficients, next_level, ref_dirderiv, ref_gsolve,
                           ref_jacobian)
@@ -543,3 +548,171 @@ def test_carry_steps_follow_the_carrier_order():
     # a jet's order is its space's degree: one more than the order in alpha
     assert _order(jet_space(1, 1).variable(0.5, ((0,), ()))) == 2
     assert _order(jet_space(1, 2).variable(0.5, ((0,), ()))) == 3
+
+
+# -- the dispatch ladder of the elementaries ------------------------------------
+#
+# The bodies below are the elementaries as they were before they tested the
+# carrier classes with ``__class__ is``: they reached complex steps, duals and
+# batch arrays through a TypeError.  The library's must give the same value
+# and type on every input.
+
+def ref_primal(x):
+    while isinstance(x, Dual):
+        x = x.re
+    if x.__class__ is Jet:
+        return float(x.c[0])
+    try:
+        return float(x)
+    except TypeError:
+        if x.__class__ is np.ndarray:
+            return x
+        return x.real if x.__class__ is complex else x
+
+
+def ref_gsin(x):
+    if x.__class__ is Jet:
+        return x._trig(0)
+    try:
+        return math.sin(x)
+    except TypeError:
+        pass
+    except ValueError:
+        return math.nan
+    if x.__class__ is Dual:
+        return Dual(ref_gsin(x.re), ref_gcos(x.re) * x.du)
+    if x.__class__ is np.ndarray:
+        return np.sin(x)
+    if x.__class__ is complex:
+        return cmath.sin(x)
+    return x._trig(0)
+
+
+def ref_gcos(x):
+    if x.__class__ is Jet:
+        return x._trig(1)
+    try:
+        return math.cos(x)
+    except TypeError:
+        pass
+    except ValueError:
+        return math.nan
+    if x.__class__ is Dual:
+        return Dual(ref_gcos(x.re), -ref_gsin(x.re) * x.du)
+    if x.__class__ is np.ndarray:
+        return np.cos(x)
+    if x.__class__ is complex:
+        return cmath.cos(x)
+    return x._trig(1)
+
+
+def ref_gfloor(x):
+    x = ref_primal(x)
+    if x.__class__ is np.ndarray:
+        return np.where(np.isfinite(x), np.floor(x), math.nan)
+    try:
+        return float(math.floor(x))
+    except (ValueError, OverflowError):
+        return math.nan
+
+
+def ref_near_zero(x, bound):
+    while isinstance(x, Dual):
+        x = x.re
+    if x.__class__ is Jet:
+        x = x.c[0]
+    if x.__class__ is np.ndarray:
+        return (abs(x) < bound).any()
+    return abs(x) < bound
+
+
+def _assert_same(got, want):
+    """The same class and the same value bit for bit, part by part."""
+    assert got.__class__ is want.__class__, (got, want)
+    if isinstance(want, Dual):
+        _assert_same(got.re, want.re)
+        _assert_same(got.du, want.du)
+        assert getattr(got, "lvl", None) == getattr(want, "lvl", None)
+    elif want.__class__ is Jet:
+        assert got.space is want.space
+        _assert_same(got.c, want.c)
+    elif want.__class__ is np.ndarray:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert repr(got) == repr(want)  # tells -0.0 from 0.0 and keeps NaN
+
+
+def _ladder_inputs():
+    space = jet_space(2, 2)
+    jet = Jet(np.linspace(0.3, -0.4, space.size), space)
+    djet = Jet(np.linspace(-0.2, 0.6, space.size), space)
+    arr = np.array([0.3, -1.2, 2.5, math.inf, math.nan])
+    return [0.3, -0.0, 0.35, 2, np.float64(0.7), np.int64(-3), 0.4 + 0.25j, np.array(0.6),
+            arr, math.inf, -math.inf, math.nan, Dual(0.3, 1.5),
+            Dual(arr, np.array([1.0, -2.0, 0.5, 1.0, 3.0])), Dual(jet, djet), jet,
+            RefDual(0.3, 0.7, next_level()), RefDual(Dual(-0.8, 0.1), 0.2, next_level())]
+
+
+@pytest.mark.parametrize("x", _ladder_inputs(), ids=repr)
+def test_elementaries_give_the_exception_dispatch_value_and_type(x):
+    with quiet():
+        for fn, ref in ((primal, ref_primal), (gsin, ref_gsin), (gcos, ref_gcos),
+                        (gfloor, ref_gfloor)):
+            _assert_same(fn(x), ref(x))
+        for bound in (0.35, 1e-9, 10.0):
+            _assert_same(near_zero(x, bound), ref_near_zero(x, bound))
+
+
+def _library_exceptions(f):
+    """The names of the loopbundle functions in which an exception was
+    raised or passed through while ``f`` ran (``sys.settrace`` events)."""
+    package = os.path.dirname(loopbundle.__file__)
+    events = []
+
+    def local(frame, event, arg):
+        if event == "exception":
+            events.append(frame.f_code.co_name)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    old = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        f()
+    finally:
+        sys.settrace(old)
+    return events
+
+
+def test_hot_paths_raise_no_exception_inside_the_library():
+    rz = zoo.make_loop("rz")
+    xs, ts = np.linspace(0.001, 0.03, 5), np.linspace(0.002, 0.02, 5)
+    # a complex-step stage velocity of the Lie-equation reconstruction
+    assert _library_exceptions(lambda: reconstruct._velocity(rz, [0.02], [0.7])) == []
+    # batched Dual rz divisions, seeded in the divisor and in the target
+    with quiet():
+        assert _library_exceptions(lambda: rz.left_div([Dual(xs, np.ones(5))], [ts])) == []
+        assert _library_exceptions(lambda: rz.left_div([xs], [Dual(ts, np.ones(5))])) == []
+    # the checked float wrappers on every catalog loop
+    for name in zoo.catalog_names():
+        L = zoo.make_loop(name)
+        rng = np.random.default_rng(3)
+        a, b, c = L.sample(rng), L.sample(rng), L.sample(rng)
+        assert _library_exceptions(lambda: core.product(L, a, b)) == [], name
+        assert _library_exceptions(lambda: core.ad_map(L, b, a, c)) == [], name
+
+
+def test_one_element_batch_is_a_batch():
+    # every array with an axis is a batch, so a batch of one point gives
+    # one column; a 0-d array is a number
+    L = zoo.make_loop("qc")
+    a, b = [0.1, 0.2], [0.2, -0.1]
+    out = core.product(L, [np.array([v]) for v in a], [np.array([v]) for v in b])
+    assert out.shape == (2, 1)
+    assert out[:, 0].tolist() == core.product(L, np.array(a), np.array(b)).tolist()
+    assert primal(np.array([0.1])).__class__ is np.ndarray
+    assert primal(Dual(np.array([0.1]), np.array([1.0]))).__class__ is np.ndarray
+    assert primal(np.array(0.1)).__class__ is float

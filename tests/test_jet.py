@@ -4,6 +4,7 @@ the nested-dual routines they replaced, which are kept below as the
 reference.  Their outer passes are leveled (``leveled_dual``) around the
 library's passes."""
 
+import collections
 import dataclasses
 import math
 import warnings
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 
 from loopbundle import core, gauge, reconstruct, tangent
-from loopbundle.dual import (Dual, Jet, gcos, gdot, gfloor, gsin, jet_space, pack,
-                             primal, quiet, taylor_frame)
+from loopbundle.dual import (Dual, Jet, JetDivisor, JetSpace, gcos, gdot, gfloor, gsin,
+                             jet_space, near_zero, pack, primal, quiet, taylor_frame)
 from loopbundle.errors import DomainSingularity
 from loopbundle.report import worst_residual
-from loopbundle.zoo import make_loop
+from loopbundle.zoo import SINGULAR_DENOM, make_loop, parse_spec
 
 from leveled_dual import ref_dirderiv, ref_gsolve, ref_jacobian
 
@@ -576,3 +577,184 @@ def test_structure_tensor_is_float_only():
         tangent.structure_tensor_raw(L, [Dual(0.1, 1.0), 0.2])
     with pytest.raises(ValueError):
         tangent.structure_tensor_raw(L, [0.1, 0.2], side="middle")
+
+
+# -- one reciprocal per jet denominator ----------------------------------------
+#
+# The closed forms as they were before they inverted a jet denominator once:
+# every quotient ``x / d`` built the reciprocal series of d anew.
+
+def ref_mobius_fraction(t, z, w, n, singular):
+    zx, zy = z[0], z[1]
+    wx, wy = w[0], w[1]
+    re = zx * wx + zy * wy
+    if t > 0:
+        mr, mi = 1.0 + re, zx * wy - zy * wx
+    else:
+        mr, mi = 1.0 - re, zy * wx - zx * wy
+    m2 = mr * mr + mi * mi
+    if near_zero(m2, SINGULAR_DENOM ** 2):
+        raise DomainSingularity(singular)
+    nx, ny = n
+    return [(nx * mr + ny * mi) / m2, (ny * mr - nx * mi) / m2]
+
+
+def ref_mobius_right_div(sign):
+    def div(b, a):
+        ax, ay = a[0], a[1]
+        bx, by = b[0], b[1]
+        cx = bx * ax - by * ay
+        cy = bx * ay + by * ax
+        den = 1.0 - (cx * cx + cy * cy)
+        if near_zero(den, SINGULAR_DENOM):
+            raise DomainSingularity("Moebius right division singular")
+        dx, dy = bx - ax, by - ay
+        px, py = cx * dx + cy * dy, cy * dx - cx * dy
+        if sign < 0:
+            return [(dx - px) / den, (dy - py) / den]
+        return [(dx + px) / den, (dy + py) / den]
+    return div
+
+
+def ref_qhr_fraction(t, z, w, u0, uv, singular):
+    z0, z1, z2, z3 = t * z[0], t * z[1], t * z[2], t * z[3]
+    w0, w1, w2, w3 = w
+    m0 = 1.0 + (z0 * w0 - (z1 * w1 + z2 * w2 + z3 * w3))
+    r1 = z2 * w3 - z3 * w2
+    r2 = z3 * w1 - z1 * w3
+    r3 = z1 * w2 - z2 * w1
+    s1 = z0 * w1 - w0 * z1
+    s2 = z0 * w2 - w0 * z2
+    s3 = z0 * w3 - w0 * z3
+    n = m0 * m0 + (r1 * r1 + r2 * r2 + r3 * r3) - (s1 * s1 + s2 * s2 + s3 * s3)
+    if near_zero(n, SINGULAR_DENOM):
+        raise DomainSingularity(singular)
+    u1, u2, u3 = uv
+    return [(m0 * u0 - (u1 * s1 + u2 * s2 + u3 * s3)) / n,
+            (m0 * u1 - u0 * s1 - (u2 * r3 - u3 * r2)) / n,
+            (m0 * u2 - u0 * s2 - (u3 * r1 - u1 * r3)) / n,
+            (m0 * u3 - u0 * s3 - (u1 * r2 - u2 * r1)) / n]
+
+
+def ref_quotient_loop(name):
+    """The catalog loop with those closed forms.  The qhr right division
+    already multiplied by one reciprocal and is the library's; the qh2
+    divisions drop the disk guard, which only raises."""
+    L = make_loop(name)
+    if L.dim == 4:
+        k4 = parse_spec(name).K / 4.0
+        return dataclasses.replace(
+            L,
+            product=lambda a, b: ref_qhr_fraction(
+                k4, a, b, a[0] + b[0], (a[1] + b[1], a[2] + b[2], a[3] + b[3]), "product"),
+            left_div=lambda a, b: ref_qhr_fraction(
+                -k4, a, b, b[0] - a[0], (b[1] - a[1], b[2] - a[2], b[3] - a[3]), "division"))
+    sign = 1.0 if name == "qh2" else -1.0
+    return dataclasses.replace(
+        L,
+        product=lambda a, b: ref_mobius_fraction(
+            sign, a, b, (a[0] + b[0], a[1] + b[1]), "product"),
+        left_div=lambda a, b: ref_mobius_fraction(
+            -sign, a, b, (b[0] - a[0], b[1] - a[1]), "division"),
+        right_div=ref_mobius_right_div(sign))
+
+
+def _special_jet(space, rng, value):
+    """A jet of ``space`` with primal ``value`` whose other coefficients
+    are random, a few of them 0, -0, NaN or +-inf."""
+    c = rng.uniform(-2.0, 2.0, space.size)
+    picks = rng.integers(1, space.size, size=min(3, space.size - 1)) if space.size > 1 else []
+    c[picks] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf], size=len(picks))
+    c[0] = value
+    return Jet(c, space)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_jet_divisor_gives_the_jet_quotients_bit_for_bit(n, order):
+    space = jet_space(n, order)
+    rng = np.random.default_rng(100 * n + order)
+    numbers = [1.5, -0.25, 0.0, -0.0, math.nan, math.inf, -math.inf, np.float64(3.0), 2]
+    with quiet():
+        for value in [0.7, -1.3, 1e-9, 1e12, math.nan, math.inf, -math.inf]:
+            d = _special_jet(space, rng, value)
+            divisor = JetDivisor(d)
+            jets = [_special_jet(space, rng, v) for v in (0.4, 0.0, math.nan, -math.inf)]
+            for x in jets + numbers:
+                got, want = x / divisor, x / d
+                assert got.__class__ is want.__class__ is Jet
+                assert np.array_equal(got.c, want.c, equal_nan=True), (value, x)
+        # a denominator with primal 0 raises as float division does
+        zero = _special_jet(space, rng, 0.0)
+        with pytest.raises(ZeroDivisionError):
+            JetDivisor(zero)
+        with pytest.raises(ZeroDivisionError):
+            1.0 / zero
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", ["qc", "qh2", "qsu2", "qhr:K=1", "qhr:K=-2.5", "qhr:K=0"])
+def test_one_reciprocal_per_denominator_keeps_every_jet_bit_for_bit(name, order):
+    L, ref = make_loop(name), ref_quotient_loop(name)
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        a, b = list(L.sample(rng)), list(L.sample(rng))
+        for op in ("product", "left_div", "right_div"):
+            f, g = getattr(L, op), getattr(ref, op)
+            assert f(a, b) == g(a, b)
+            for got, want in zip(taylor_frame(f, a, b, order), taylor_frame(g, a, b, order),
+                                 strict=True):
+                assert got.tobytes() == want.tobytes(), (op, a, b)
+
+
+def _jet_work(monkeypatch, f):
+    """(reciprocal series built, JetSpace.mul calls) while ``f`` runs."""
+    counts = collections.Counter()
+    reciprocal, mul = Jet._reciprocal, JetSpace.mul
+
+    def counted_reciprocal(self):
+        counts["reciprocal"] += 1
+        return reciprocal(self)
+
+    def counted_mul(self, x, y):
+        counts["mul"] += 1
+        return mul(self, x, y)
+
+    with monkeypatch.context() as m:
+        m.setattr(Jet, "_reciprocal", counted_reciprocal)
+        m.setattr(JetSpace, "mul", counted_mul)
+        f()
+    return counts["reciprocal"], counts["mul"]
+
+
+def test_closed_forms_build_one_reciprocal_per_denominator(monkeypatch):
+    # The quotient-by-quotient forms build one series per quotient: 4 per
+    # qhr fraction and 2 per Moebius fraction.
+    qhr, qc = make_loop("qhr:K=1"), make_loop("qc")
+    ref_qhr, ref_qc = ref_quotient_loop("qhr:K=1"), ref_quotient_loop("qc")
+    a4, b4 = [0.1, -0.2, 0.05, 0.15], [-0.12, 0.08, 0.2, -0.05]
+    a2, b2 = [0.3, -0.2], [-0.1, 0.25]
+    x, vx, vy = [0.1, -0.2], [1.0, 0.5], [0.2, 0.1, 0.3, -0.2]
+    wx, wy = [0.3, -0.4], [0.1, 0.2, -0.1, 0.05]
+
+    def work(L, f):
+        return _jet_work(monkeypatch, lambda: f(L))
+
+    def structure_equation(L):
+        form = gauge.make_test_potential(L, 2, 7)
+        return gauge.structure_equation_residual(form, x, b4, vx, vy, wx, wy)
+
+    assert work(qhr, lambda L: tangent.jacobi_residual(L, a4)) == (1, 45)
+    assert work(ref_qhr, lambda L: tangent.jacobi_residual(L, a4)) == (4, 51)
+    assert work(qhr, lambda L: tangent.structure_tensor_raw(L, a4))[0] == 1
+    assert work(ref_qhr, lambda L: tangent.structure_tensor_raw(L, a4))[0] == 4
+    assert work(qhr, structure_equation)[0] == 3
+    assert work(ref_qhr, structure_equation)[0] == 12
+    assert work(qc, lambda L: reconstruct.maurer_cartan_residual(L, b2, a2))[0] == 5
+    assert work(ref_qc, lambda L: reconstruct.maurer_cartan_residual(L, b2, a2))[0] == 10
+    # one jet pass of each closed form
+    for L, ref, a, b, per_quotient in ((qc, ref_qc, a2, b2, (2, 2, 2)),
+                                       (qhr, ref_qhr, a4, b4, (4, 4, 1))):
+        for op, quotients in zip(("product", "left_div", "right_div"), per_quotient):
+            assert work(L, lambda L: taylor_frame(getattr(L, op), a, b, 1))[0] == 1
+            assert work(ref, lambda L: taylor_frame(getattr(L, op), a, b, 1))[0] == quotients

@@ -760,3 +760,23 @@ def test_rz_batch_root_equals_the_scalar_root_bit_for_bit():
     assert np.array_equal(got, [zoo._rz_solve(x, t) for x, t in zip(xs.tolist(), ts.tolist())],
                           equal_nan=True)
     assert np.array_equal(y1, [zoo._rz_root(0.07, t)[0] for t in ts.tolist()], equal_nan=True)
+
+
+def test_kepler_stage_solves_keplers_equation_to_a_few_ulp():
+    # zoo._kepler alone, without the Newton steps on g that follow it in
+    # _rz_root: eccentricities up to 1 - 2**-52 and mean anomalies down to
+    # the smallest subnormal, where Markley's starter alone misses by 4e-4
+    es = [0.0, 1e-12, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999,
+          1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0 ** -52]
+    ms = [0.0, 5e-324, 1e-300, 1e-15, 1e-9, 1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5,
+          1.0, 2.0, 3.0, math.pi - 1e-9, math.pi]
+    rng = np.random.default_rng(43)
+    e = np.concatenate([np.repeat(es, len(ms)), rng.uniform(0.0, 1.0, 4000)])
+    m = np.concatenate([np.tile(ms, len(es)), rng.uniform(0.0, math.pi, 4000)])
+    E = zoo._kepler(e, m)
+    assert np.all((0.0 <= E) & (E <= math.pi))
+    # the residual's own rounding is about one ulp of its largest term
+    residual = np.abs(E - e * np.sin(E) - m)
+    assert np.all(residual <= 4.0 * np.spacing(np.maximum(E, m))), residual.max()
+    # a point is its batch element bit for bit
+    assert [zoo._kepler(a, b) for a, b in zip(e[::37].tolist(), m[::37].tolist())] == E[::37].tolist()
