@@ -76,14 +76,7 @@ def _chart_points(L, *points):
     rows, for a batch) is not ``L.dim`` is outside the domain.
     Composites in other modules use this too.
     """
-    return _checked(L, points)[0]
-
-
-def _checked(L, points):
-    """The points of :func:`_chart_points`, and whether every one of them
-    came back as its floats (or batch arrays), with no carrier."""
     out = []
-    plain = True
     for p in points:
         floats = p.__class__ is np.ndarray and p.ndim == 1 and p.dtype.kind == "f"
         p = p.tolist() if floats else list(p)
@@ -95,37 +88,23 @@ def _checked(L, points):
             if inside.__class__ is np.ndarray:  # a batch: its first point outside
                 coords = [np.broadcast_to(c, inside.shape).flat[inside.argmin()] for c in coords]
             raise OutOfDomain(f"{L.name}: point {np.asarray(coords)} outside chart domain")
-        if floats or not has_dual(p):
-            out.append(coords)
-        else:
-            out.append(p)
-            plain = False
-    return out, plain
-
-
-def _packed(out, plain):
-    """A closed form's result list as an array.  On plain points (see
-    :func:`_checked`) it holds floats or batch arrays, which make a float
-    array with no scan for carriers; otherwise :func:`dual.pack`."""
-    return np.array(out, dtype=float) if plain else pack(out)
+        out.append(coords if floats or not has_dual(p) else p)
+    return out
 
 
 def product(L, a, b):
     """Loop product a.b from the closed form."""
-    (a, b), plain = _checked(L, (a, b))
-    return _packed(L.product(a, b), plain)
+    return pack(L.product(*_chart_points(L, a, b)))
 
 
 def left_divide(L, a, b):
     """The unique x with a.x = b."""
-    (a, b), plain = _checked(L, (a, b))
-    return _packed(L.left_div(a, b), plain)
+    return pack(L.left_div(*_chart_points(L, a, b)))
 
 
 def right_divide(L, b, a):
     """The unique y with y.a = b."""
-    (b, a), plain = _checked(L, (b, a))
-    return _packed(L.right_div(b, a), plain)
+    return pack(L.right_div(*_chart_points(L, b, a)))
 
 
 def _left_associator(L, a, b, c):
@@ -144,14 +123,14 @@ def associator(L, kind, a, b, c):
 
     Composed exactly from product and divisions; no independent closed form.
     """
-    (a, b, c), plain = _checked(L, (a, b, c))
+    a, b, c = _chart_points(L, a, b, c)
     if kind == "left":
-        return _packed(_left_associator(L, a, b, c), plain)
+        return pack(_left_associator(L, a, b, c))
     if kind == "adjoint":
         # lhat_(a,b) c = a.(b.(L^-1_(a.b) c))
-        return _packed(L.product(a, L.product(b, L.left_div(L.product(a, b), c))), plain)
+        return pack(L.product(a, L.product(b, L.left_div(L.product(a, b), c))))
     if kind == "right":
-        return _packed(_right_associator(L, a, b, c), plain)
+        return pack(_right_associator(L, a, b, c))
     raise ValueError(f"unknown associator kind: {kind}")
 
 
@@ -162,8 +141,7 @@ def _ad_map(L, b, a, c):
 
 def ad_map(L, b, a, c):
     """Ad_b(a) c = L^-1_a (R^-1_b ((a.b).c)), composed right to left."""
-    (b, a, c), plain = _checked(L, (b, a, c))
-    return _packed(_ad_map(L, b, a, c), plain)
+    return pack(_ad_map(L, *_chart_points(L, b, a, c)))
 
 
 def _ad_inverse(L, b, a, c):
@@ -177,8 +155,7 @@ def ad_inverse_map(L, b, a, c):
     Composed from translations only, so it stays regular where the
     forward Ad differential degenerates.
     """
-    (b, a, c), plain = _checked(L, (b, a, c))
-    return _packed(_ad_inverse(L, b, a, c), plain)
+    return pack(_ad_inverse(L, *_chart_points(L, b, a, c)))
 
 
 def check_loop_axioms(L, n_samples, seed, tol):
