@@ -16,7 +16,8 @@ numerical cut.  Results are not checked either; the next public call that
 takes a result as an argument checks it.  A derivative pass elsewhere
 checks its fixed points once, before the pass, and differentiates the raw
 bodies (``_left_associator``, ``_ad_map``, ...), never a checked wrapper.
-Singular denominators still raise from the closed forms themselves.
+No closed form applies a chart predicate: each raises only at a singular
+denominator or outside the ``rz`` division window.
 """
 
 import time

@@ -354,10 +354,11 @@ def dirderiv(f, x, v):
     the derivative at every batch point, and column i is the pass at
     point i.  A part that does not depend on the batch point (a scalar)
     is broadcast to the batch shape, so every row has one column per
-    point.
+    point.  A 1-D array direction is read as Python floats (``tolist``).
     """
     x = list(x)
-    parts = dual_parts(f(seed(x, list(v))))
+    v = v.tolist() if v.__class__ is np.ndarray and v.ndim == 1 else list(v)
+    parts = dual_parts(f(seed(x, v)))
     shapes = [xi.shape for xi in x if xi.__class__ is np.ndarray]
     if shapes:
         shape = np.broadcast_shapes(*shapes)

@@ -14,7 +14,7 @@ class OutOfDomain(LoopError):
 
 
 class NoSolutionInChart(LoopError):
-    """A division has no solution inside the chart domain."""
+    """An ``rz`` division outside its window pi |sin(pi a)| < 1 (its only source)."""
 
 
 class UnknownKind(LoopError):

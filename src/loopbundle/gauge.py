@@ -22,11 +22,11 @@ connection form on a tangent pair, the horizontal and fundamental fields)
 is one directional pass (``dual.dirderiv``) of the same kind of map.  A
 transformed potential (``gauge_transform``) is a dual Jacobian on floats or
 jets, so a jet pass encloses it like any potential, and every check runs
-on a transformed form.  Every pass composes the raw closed forms, and a
-fixed fiber point y is checked once, before it (see :mod:`core`); only a
-gauge transformation's transition values, which move with x, are checked
-inside their pass.  So residuals measure the identities, not
-discretization error.
+on a transformed form.  Every pass composes the raw closed forms on Python
+floats and carriers (numpy values are read with ``tolist`` at its edge), and
+a fixed fiber point y is checked once, before it (see :mod:`core`), as is a
+gauge transformation's transition q_ab(x), before its division.  So
+residuals measure the identities, not discretization error.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ from .errors import PartitionInvalid
 @dataclass(frozen=True)
 class GaugePotential:
     """A^i_mu(x): callable from base coordinates to a fiber_dim x base_dim
-    matrix.  It must accept floats, and Taylor jets for every curvature,
+    numpy array.  It must accept floats, and Taylor jets for every curvature,
     commutator, structure-equation and Bianchi check; ``gauge_transform``
     calls it on the coordinates its own potential is given."""
 
@@ -61,7 +61,7 @@ class LocalConnectionForm:
 def omega_apply(form, x, y, vx, vy):
     """Evaluate the connection form on the tangent pair (vx, vy): one pass
     of the one-division map of :func:`_connection_map` along (vx, vy)."""
-    return _omega(form, list(x) + core._chart_points(form.fiber, y)[0], list(vx) + list(vy))
+    return _omega(form, list(x) + core._chart_points(form.fiber, y)[0], np.concatenate([vx, vy]))
 
 
 def _omega(form, z, v):
@@ -97,11 +97,11 @@ def commutator_residual(form, mu, nu, f, x, y):
 
     D_mu = d_mu - A^i_mu Lbar_i is the vector field X_mu = (e_mu; -R A_mu)
     on z = (x, y) (:func:`_covariant_direction`, here as the matrix R of the
-    right frame at y, whose columns are the Lbar_i), so D_mu D_nu f =
-    X_mu^a (d_a X_nu^b) d_b f + X_mu^a X_nu^b d_a d_b f.  The gradient and
-    Hessian of f come from one jet pass of f(z + v), A and dA from one of
-    A(x) v, and R, dR and the right structure tensor from one of the
-    product.  ``f(xs, ys)`` takes lists of scalars and, like the
+    right frame at y, whose columns are the Lbar_i), so [D_mu, D_nu] f =
+    (X_mu^a d_a X_nu^b - X_nu^a d_a X_mu^b) d_b f, the Hessian of f being
+    symmetric.  The gradient of f comes from one jet pass of f(z + v), A and
+    dA from one of A(x) v, and R, dR and the right structure tensor from one
+    of the product.  ``f(xs, ys)`` takes lists of scalars and, like the
     potential, must accept Taylor jets.
     """
     L = form.fiber
@@ -113,7 +113,7 @@ def commutator_residual(form, mu, nu, f, x, y):
         w = [p + q for p, q in zip(zs, vs)]
         return [f(w[:db], w[db:])]
 
-    grad, hess = taylor_frame(shifted, z, [0.0] * len(z), order=1)
+    grad, _ = taylor_frame(shifted, z, [0.0] * len(z), order=1)
     a, da = _potential_jet(form, z[:db])
     with quiet():
         fcur = _field_strength(a, da, tangent._structure(r, dr))
@@ -122,8 +122,7 @@ def commutator_residual(form, mu, nu, f, x, y):
         dxf = np.zeros((len(z), len(z), db))  # dxf[a, b, mu] = d_a X_mu^b
         dxf[:db, db:] = -np.einsum("kj,mjn->mkn", r, da)
         dxf[db:, db:] = -np.einsum("lkj,jn->lkn", dr, a)
-        dd = (np.einsum("am,abn,b->mn", xf, dxf, g)
-              + np.einsum("am,ab,bn->mn", xf, hess[:, 0], xf))  # D_m D_n f
+        dd = np.einsum("am,abn,b->mn", xf, dxf, g)  # X_m^a (d_a X_n^b) d_b f
         return float(abs(dd[mu, nu] - dd[nu, mu] + fcur[:, mu, nu] @ (g[db:] @ r)))
 
 
@@ -145,11 +144,11 @@ def _connection_map(form):
     of e.y = y at v = 0, so its v-derivative there is omega at z."""
     L = form.fiber
     db = form.potential.base_dim
-    e = list(L.identity)
+    e = L.identity.tolist()
 
     def f(zs, vs):
         ys = zs[db:]
-        c = [ei + gdot(row, vs[:db]) for ei, row in zip(e, form.potential.A(zs[:db]))]
+        c = [ei + gdot(row, vs[:db]) for ei, row in zip(e, form.potential.A(zs[:db]).tolist())]
         return L.left_div(ys, [p + q for p, q in zip(L.product(c, ys), vs[db:])])
 
     return f
@@ -197,9 +196,9 @@ def _lift(L, y, w):
 
 def _covariant_direction(form, x, y, vx):
     """D = (vx, -Rbar A(x) vx), Rbar the right frame at the checked point y, from
-    one pass d/ds (e + s A(x) vx).y; D_mu for vx = e_mu.  x, y may hold carriers."""
-    L, w = form.fiber, [gdot(row, vx) for row in form.potential.A(list(x))]
-    return list(vx) + [-u for u in dirderiv(lambda c: L.product(c, y), L.identity.tolist(), w)]
+    one pass d/ds (e + s A(x) vx).y, as a list; D_mu for vx = e_mu.  x, y may hold carriers."""
+    L, w = form.fiber, [gdot(row, vx) for row in form.potential.A(list(x)).tolist()]
+    return list(vx) + (-dirderiv(lambda c: L.product(c, y), L.identity.tolist(), w)).tolist()
 
 
 def hor_field(form, vx):
@@ -261,13 +260,13 @@ def bianchi_residual(form, x, y, vx1, vx2, vx3):
 # -- gauge transformations -------------------------------------------------
 
 def _transition(L, q_map):
-    """xs -> (q_ab, q_ba) = (q_map(xs), e / q_ab), checked against the chart;
-    q_map is evaluated once per pair."""
-    e = [float(v) for v in L.identity]
+    """xs -> (q_ab, q_ba) = (q_map(xs), e / q_ab), q_ab checked against the
+    chart before the division; q_map is evaluated once per pair."""
+    e = L.identity.tolist()
 
     def pair(xs):
-        qab = q_map(xs)
-        return core._chart_points(L, qab, L.right_div(e, list(qab)))
+        qab, = core._chart_points(L, q_map(xs))
+        return qab, L.right_div(e, qab)
 
     return pair
 
@@ -289,13 +288,13 @@ def gauge_transform(form, q_map):
     """
     L = form.fiber
     pair = _transition(L, q_map)
-    e = [float(v) for v in L.identity]
+    e = L.identity.tolist()
     db = form.potential.base_dim
 
     def a_new(xs):
         xs = [v if v.__class__ is Jet else float(v) for v in xs]
         qab, qba = pair(xs)
-        a = form.potential.A(xs)
+        a = form.potential.A(xs).tolist()
 
         def f(vs):
             c = [ei + gdot(row, vs) for ei, row in zip(e, a)]
@@ -361,7 +360,7 @@ def vertical_reproduction_residual(form, x, y, w):
     """Check that the glued form still reproduces fundamental vectors."""
     y = core._chart_points(form.fiber, y)[0]
     val = _omega(form, list(x) + y,
-                 [0.0] * form.potential.base_dim + list(_lift(form.fiber, y, w)))
+                 [0.0] * form.potential.base_dim + _lift(form.fiber, y, w).tolist())
     return float(np.max(np.abs(val - np.asarray(w))))
 
 
@@ -405,16 +404,16 @@ def make_test_transition(L, base_dim, seed):
     """Reproducible smooth loop-valued map on a test base chart."""
     rng = np.random.default_rng(seed)
     nf = L.dim
-    c0 = rng.uniform(-0.5, 0.5, nf)
-    c1 = rng.uniform(-0.5, 0.5, (nf, base_dim))
-    phases = rng.uniform(0.0, 2.0 * np.pi, (nf, base_dim))
+    c0 = rng.uniform(-0.5, 0.5, nf).tolist()
+    c1 = rng.uniform(-0.5, 0.5, (nf, base_dim)).tolist()
+    phases = rng.uniform(0.0, 2.0 * np.pi, (nf, base_dim)).tolist()
 
     def q_map(xs):
         out = []
         for i in range(nf):
             acc = c0[i]
             for k in range(base_dim):
-                acc = acc + c1[i, k] * gsin(xs[k] + phases[i, k])
+                acc = acc + c1[i][k] * gsin(xs[k] + phases[i][k])
             out.append(0.4 * acc)
         return out
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LoopDescriptor
-from .dual import (_CARRIERS, Jet, JetDivisor, allof, anyof, carry, gcos, gfloor, gsin,
+from .dual import (_CARRIERS, Jet, JetDivisor, anyof, carry, gcos, gfloor, gsin,
                    near_zero, pack, primal)
 from .errors import (DomainSingularity, NoSolutionInChart, PoleSingularity,
                      UnknownKind)
@@ -224,15 +224,6 @@ def _mobius_right_div(sign):
 def _in_disk(p):
     """The qh2 chart, x^2 + y^2 < 1, on a point or a batch; NaN is outside."""
     return p[0] * p[0] + p[1] * p[1] < 1.0
-
-
-def _disk_guard(div):
-    def guarded(*args):
-        out = div(*args)
-        if not allof(_in_disk([primal(out[0]), primal(out[1])])):
-            raise NoSolutionInChart("QH2 division leaves the unit disk")
-        return out
-    return guarded
 
 
 # -- Quaternionic de Sitter loop QHR ----------------------------------------
@@ -447,8 +438,8 @@ def make_loop(spec):
         return LoopDescriptor(
             name="qh2", dim=2,
             product=_mobius_product(sign),
-            left_div=_disk_guard(_mobius_left_div(sign)),
-            right_div=_disk_guard(_mobius_right_div(sign)),
+            left_div=_mobius_left_div(sign),
+            right_div=_mobius_right_div(sign),
             identity=np.zeros(2),
             domain_check=_in_disk,
             sample=_disk_sampler(0.95),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopbundle import core, gauge, tangent
+from loopbundle import core, dual, gauge, tangent
 from loopbundle.dual import jacobian, primal
 from loopbundle.errors import PartitionInvalid
 from loopbundle.zoo import make_loop
@@ -322,3 +322,43 @@ def test_test_potential_accepts_duals():
             [[primal(v) for v in row] for row in flat])))
     with pytest.raises(ValueError):
         gauge.make_test_potential(L, 2, seed=41, kind="cubic")
+
+
+
+@pytest.mark.parametrize("name", ["qc", "qhr:K=1"])
+def test_passes_run_on_python_floats(name):
+    # Directions come as numpy arrays and base points as lists of numpy
+    # scalars, as the benchmark passes them; each pass reads them as
+    # Python floats at its edge, so no numpy scalar lands in a Dual.
+    L = make_loop(name)
+    form = gauge.make_test_potential(L, 2, seed=4)
+    rng = np.random.default_rng(6)
+    x, y = list(rng.uniform(-0.4, 0.4, 2)), list(0.5 * L.sample(rng))
+    vx, w = rng.standard_normal(2), rng.standard_normal(L.dim)
+    b = list(0.5 * L.sample(rng))
+    v = tangent.TangentVector(base=list(0.5 * L.sample(rng)), vec=w)
+    calls = {
+        "omega_apply": lambda: gauge.omega_apply(form, x, y, vx, w),
+        "hor_field": lambda: gauge.hor_field(form, vx)(x + y),
+        "omega_annihilates_d_residual": lambda: [
+            gauge.omega_annihilates_d_residual(form, x, y, mu) for mu in (0, 1)],
+        "vertical_reproduction_residual": lambda: gauge.vertical_reproduction_residual(
+            form, x, y, w),
+        "verify_ad_form_laws": lambda: tangent.verify_ad_form_laws(L, b, v),
+    }
+    seen = []
+    label = None
+    init = dual.Dual.__init__
+
+    def spy(self, re, du=0.0):
+        seen.extend((label, type(p).__name__) for p in (re, du)
+                    if isinstance(p, np.floating))
+        init(self, re, du)
+
+    dual.Dual.__init__ = spy
+    try:
+        for label, call in calls.items():
+            call()
+    finally:
+        dual.Dual.__init__ = init
+    assert seen == []

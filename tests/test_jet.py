@@ -638,8 +638,7 @@ def ref_qhr_fraction(t, z, w, u0, uv, singular):
 
 def ref_quotient_loop(name):
     """The catalog loop with those closed forms.  The qhr right division
-    already multiplied by one reciprocal and is the library's; the qh2
-    divisions drop the disk guard, which only raises."""
+    already multiplied by one reciprocal and is the library's."""
     L = make_loop(name)
     if L.dim == 4:
         k4 = parse_spec(name).K / 4.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopbundle import core, zoo
-from loopbundle.dual import Dual, Jet, jacobian, jet_space, pack, primal, quiet
+from loopbundle.dual import Dual, Jet, jacobian, jet_space, pack, primal, quiet, taylor_frame
 from loopbundle.errors import (DomainSingularity, NoSolutionInChart, OutOfDomain,
                                PoleSingularity, UnknownKind)
 from loopbundle.report import worst_residual
@@ -93,32 +93,29 @@ def test_chart_domain_check_on_a_batch(name):
                                    [-0.886183538201192, 0.4633343680553132]])
 def test_qh2_division_guard_is_the_chart(op, point):
     # Near the unit circle x^2 + y^2 and hypot(x, y) round to opposite
-    # sides of 1.  The guard on the divisions reads the chart's predicate,
-    # so a division by the identity gives the point itself exactly when
-    # the chart holds it, and raises otherwise.
+    # sides of 1.  A division by the identity gives the point itself, and
+    # the one chart rule guards it: the next public call that takes the
+    # quotient accepts it exactly when the chart holds it.
     L = make_loop("qh2")
     e = [0.0, 0.0]
-    raw, checked = {
-        "left_div": (lambda: L.left_div(e, point), lambda: core.left_divide(L, e, point)),
-        "right_div": (lambda: L.right_div(point, e), lambda: core.right_divide(L, point, e)),
-    }[op]
+    raw = {"left_div": lambda: L.left_div(e, point),
+           "right_div": lambda: L.right_div(point, e)}[op]()
+    assert raw == point
     if L.domain_check(point):
-        assert raw() == point
-        assert checked().tolist() == point
+        assert core.product(L, raw, e).tolist() == point
     else:
-        with pytest.raises(NoSolutionInChart):
-            raw()
         with pytest.raises(OutOfDomain):
-            checked()
+            core.product(L, raw, e)
 
 
 def test_qh2_division_with_a_nan_result_raises():
-    # NaN is outside the chart, so the guard rejects it.
+    # The closed forms return a NaN quotient; NaN is outside the chart, so
+    # the next public call that takes it raises.
     L = make_loop("qh2")
-    with pytest.raises(NoSolutionInChart):
-        L.left_div([math.nan, 0.0], [0.1, 0.2])
-    with pytest.raises(NoSolutionInChart):
-        L.right_div([0.1, 0.2], [0.0, math.nan])
+    for q in (L.left_div([math.nan, 0.0], [0.1, 0.2]), L.right_div([0.1, 0.2], [0.0, math.nan])):
+        assert all(math.isnan(v) for v in q)
+        with pytest.raises(OutOfDomain):
+            core.product(L, q, [0.1, 0.2])
 
 
 def test_qh2_stays_in_disk():
@@ -132,9 +129,12 @@ def test_qh2_stays_in_disk():
 
 def test_qh2_division_guard():
     L = make_loop("qh2")
-    # a quotient landing outside the open disk has no chart representative
-    with pytest.raises(NoSolutionInChart):
-        L.left_div([0.0, 0.0], [1.2, 0.0])
+    # a quotient outside the open disk has no chart representative: the
+    # closed form returns it, and the next public call that takes it raises
+    q = L.left_div([0.0, 0.0], [1.2, 0.0])
+    assert q == [1.2, 0.0]
+    with pytest.raises(OutOfDomain):
+        core.left_divide(L, q, [0.1, 0.0])
 
 
 def test_qhr_abelian_limit_is_addition():
@@ -499,6 +499,20 @@ def test_composite_through_the_chart_cut_returns_its_result():
         assert np.max(np.abs(got - want[key](a, b, c))) < 1e-12, key
 
 
+def test_qh2_composite_through_the_disk_edge_returns_its_result():
+    # Three points within 1e-4 of the unit circle: (a.b)\c rounds onto the
+    # circle, outside the chart, and the adjoint associator a.(b.((a.b)\c))
+    # still returns its value in the disk, as the division's quotient is
+    # not chart-checked inside the composite.
+    L = make_loop("qh2")
+    a, b, c = ([0.61239890108995, -0.7905355884089824], [0.884862397491967, -0.4658430319590806],
+               [-0.9993519015744847, 0.035925230567355915])
+    assert not L.domain_check(L.left_div(L.product(a, b), c))
+    got = core.associator(L, "adjoint", a, b, c)
+    assert L.domain_check(got)
+    assert np.max(np.abs(got - _reference_composites("qh2")["adjoint"](a, b, c))) < 1e-12
+
+
 @pytest.mark.parametrize("name", ["qc", "qsu2"])
 def test_distance_is_chordal_far_out_in_the_chart(name):
     # Triple 1828 of the draw above: its right associator lies near
@@ -514,6 +528,57 @@ def test_distance_is_chordal_far_out_in_the_chart(name):
         _chordal(got, want), rel=1e-12, abs=1e-300)
     # one point and the point at the antipode are 2 apart
     assert core.distance(L, [0.3, 0.4], [-0.3 / 0.25, -0.4 / 0.25]) == pytest.approx(2.0)
+
+
+# -- the catalog's algebra against independent routes -----------------------
+#
+# Each test compares a division with a route through other closed forms.
+# The left inverse property a\b = a^-1.b, a^-1 = -a, holds bit for bit: both
+# sides are one Moebius or quaternion fraction with the signs moved.  The
+# right division b/a = b.((b.a)\b) goes through the product and the left
+# division only, and holds to rounding.
+
+ALGEBRA_LOOPS = ["qc", "qh2", "qsu2", "qhr:K=1", "qhr:K=-2.5", "qhr:K=0", "qhr:K=4"]
+
+
+@pytest.mark.parametrize("name", ALGEBRA_LOOPS)
+def test_left_division_is_the_product_by_the_inverse_bit_for_bit(name):
+    L = make_loop(name)
+    n = L.dim
+    neg = lambda a, b: L.product([-v for v in a], b)
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        a, b = L.sample(rng).tolist(), L.sample(rng).tolist()
+        assert L.left_div(a, b) == neg(a, b)
+        jl = jacobian(lambda v: L.left_div(v[:n], v[n:]), a + b)
+        jn = jacobian(lambda v: neg(v[:n], v[n:]), a + b)
+        assert jl.tobytes() == jn.tobytes()
+        for order in (1, 2):
+            for got, want in zip(taylor_frame(L.left_div, a, b, order),
+                                 taylor_frame(neg, a, b, order)):
+                assert got.tobytes() == want.tobytes()
+
+
+# (float, order-1 jet) tolerances: the largest deviation from b.((b.a)\b)
+# over the 300 pairs below, times at least 5, on floats and per largest
+# jet coefficient (qh2 deviates by 2.7e-12 where coefficients reach 19).
+RIGHT_DIVISION_TOL = {"qc": (3e-14, 2e-14), "qsu2": (3e-14, 2e-14), "qh2": (1e-13, 3e-12)}
+
+
+@pytest.mark.parametrize("name", ALGEBRA_LOOPS)
+def test_right_division_is_b_times_ba_under_b(name):
+    L = make_loop(name)
+    tol, jet_tol = RIGHT_DIVISION_TOL.get(name, (2e-15, 2e-14))
+    via_left = lambda a, b: L.product(b, L.left_div(L.product(b, a), b))
+    right = lambda a, b: L.right_div(b, a)
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        a, b = L.sample(rng).tolist(), L.sample(rng).tolist()
+        assert np.max(np.abs(np.subtract(right(a, b), via_left(a, b)))) <= tol, (a, b)
+        got, want = taylor_frame(right, a, b, 1), taylor_frame(via_left, a, b, 1)
+        scale = max(1.0, max(np.max(np.abs(w)) for w in want))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= jet_tol * scale, (a, b)
 
 
 # Left translation by a is a bijection of R/Z exactly where
