@@ -1,7 +1,7 @@
 """Numerical library for smooth loops and principal bundles with loop fiber.
 
 Modules: ``core`` (products and divisions), ``zoo`` (the loop catalog),
-``dual`` (forward-mode derivatives: dual numbers and Taylor jets), ``tangent`` (frames and
+``dual`` (forward-mode derivatives: complex steps and Taylor jets), ``tangent`` (frames and
 structure functions), ``reconstruct`` (products from frame data),
 ``bundle`` (atlases and transition functions), ``gauge`` (connections
 and curvature), ``cli`` (verification harness).

@@ -7,8 +7,8 @@ operations, which is what makes the associator and Ad-map identities real
 tests rather than tautologies.
 
 Chart checks.  Each public operation checks its arguments once against
-``L.domain_check``, on their primal coordinates, so a dual argument is
-checked like its float value.  A composite (associators, Ad, Ad^-1) then
+``L.domain_check``, on their primal coordinates, so a carrier argument
+is checked like its float value.  A composite (associators, Ad, Ad^-1) then
 composes the raw closed forms on plain lists and packs once at the end:
 its intermediate points are not checked, so a composite whose result is
 defined does not fail because an intermediate point passed the chart's
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dual import allof, has_dual, pack, primal
+from .dual import allof, has_carrier, pack, primal
 from .errors import OutOfDomain
 from .report import VerificationReport
 
@@ -37,7 +37,7 @@ class LoopDescriptor:
 
     ``product(a, b)``, ``left_div(a, b)`` (the x with a.x = b) and
     ``right_div(b, a)`` (the y with y.a = b) operate on sequences of
-    scalars (floats, dual numbers or Taylor jets) and return lists of
+    scalars (floats, complex steps or Taylor jets) and return lists of
     scalars.  ``domain_check`` takes a point or a batch (array
     coordinates), giving one truth per element; NaN and inf are outside.
     """
@@ -68,11 +68,11 @@ def _chart_points(L, *points):
     """Each point as a list of scalars, checked once against the chart.
 
     The check reads primal coordinates: one ``tolist`` of a 1-D float
-    array, else ``primal`` of each coordinate, so floats and duals follow
-    the same rule.  ``L.domain_check`` is called once per point; on a
+    array, else ``primal`` of each coordinate, so floats and carriers
+    follow the same rule.  ``L.domain_check`` is called once per point; on a
     batch point (coordinates that are arrays) it gives one truth per
     element, and the first element outside is named.  A point without
-    duals or jets comes back as the coordinates the check read, sparing
+    carriers comes back as the coordinates the check read, sparing
     the closed forms numpy scalars.  A point whose length (coordinate
     rows, for a batch) is not ``L.dim`` is outside the domain.
     Composites in other modules use this too.
@@ -89,7 +89,7 @@ def _chart_points(L, *points):
             if inside.__class__ is np.ndarray:  # a batch: its first point outside
                 coords = [np.broadcast_to(c, inside.shape).flat[inside.argmin()] for c in coords]
             raise OutOfDomain(f"{L.name}: point {np.asarray(coords)} outside chart domain")
-        out.append(coords if floats or not has_dual(p) else p)
+        out.append(coords if floats or not has_carrier(p) else p)
     return out
 
 

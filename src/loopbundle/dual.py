@@ -1,8 +1,8 @@
-"""Forward-mode automatic differentiation: first-order dual numbers and
-truncated Taylor jets.
+"""Forward-mode automatic differentiation: complex steps for first
+derivatives and truncated Taylor jets for every higher order.
 
-Two engines, and the complex step below, share the elementaries
-(``primal``, ``gsin``, ``gcos``, ``gfloor``) of this module.
+The two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
+``gfloor``, ``near_zero``) of this module.
 
 - ``Jet`` carries the frames, the structure functions, Maurer-Cartan and
   every gauge derivative: the connection form, the potential, the test
@@ -13,12 +13,17 @@ Two engines, and the complex step below, share the elementaries
   (``taylor_frame``): the coefficients of the monomials alpha^p beta^q
   with |p| <= order and |q| <= 1.  Higher monomials are truncated, so a
   first-order caller carries no second-order coefficients.
-- ``Dual`` gives the first derivatives in one pass: one directional pass
-  (``dirderiv``) where a derivative is applied to one vector
-  (pushforwards, the canonical form and its batched Lie-equation
-  factors, the connection form and the gauge fields), a ``jacobian``
-  where the full matrix is needed (frames, Ad and associator
-  differentials, a gauge-transformed potential).
+- The complex step (``complex_step``) gives first derivatives in one
+  evaluation on the complex numbers x + i h v, h = 2**-600, which are
+  the dual numbers x + v eps in floating point (Martins, Sturdza &
+  Alonso, "The complex-step derivative approximation", *ACM TOMS* 29(3),
+  2003), in the built-in complex arithmetic, which runs in C.  It is
+  one directional pass (``dirderiv``) where a derivative is applied to
+  one vector (pushforwards, the canonical form and its batched
+  Lie-equation factors, the connection form and the gauge fields, the
+  Lie-equation velocity), and one step per column (``jacobian``) where
+  the full matrix is needed (frames, Ad and associator differentials, a
+  gauge-transformed potential).
 
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.
@@ -27,73 +32,52 @@ Affine maps.  ``gaffine`` computes b + K xs for a float matrix K, beside
 ``gdot``.  On jets of one space it is vector mode on the coefficients:
 one array operation per entry of xs on the stacked coefficient arrays,
 then one jet per row, instead of one scalar product per matrix entry.  On
-floats, duals and a caller's carrier it is the ``gdot`` rule, summed in
-the same order, so a jet's primal is the float result bit for bit.
+floats, complex steps and a caller's carrier it is the ``gdot`` rule,
+summed in the same order, so a jet's primal is the float result bit for
+bit.
 
 Quotients.  A jet quotient ``x / d`` is ``x * r`` with r the reciprocal
 series of d, a few table multiplications to build.  A closed form that
 divides several numerators by one jet denominator inverts it once: it
 wraps d in a ``JetDivisor`` after its singular test, and every quotient
-is the ``x * r`` that ``x / d`` computes, bit for bit.  Every other
-carrier (floats, complex steps, duals) divides element by element, as
-x * (1/d) rounds differently from x / d on floats.
+is the ``x * r`` that ``x / d`` computes, bit for bit.  Floats and
+complex steps divide element by element, as x * (1/d) rounds
+differently from x / d on floats.
 
 Dispatch.  ``primal``, ``gsin``, ``gcos``, ``gfloor`` and ``near_zero``
 test the exact class of their argument, in the order float, ``Jet``,
-``Dual``, ndarray with an axis (a batch), complex, and read a ``Dual``'s
-primal part by the same ladder.  Only ints, numpy scalars, 0-d arrays
-and a caller's carrier (a ``Dual`` subclass) reach the generic rule
-after it, so no exception is raised on a hot path.
+ndarray with an axis (a batch), complex.  Only ints, numpy scalars, 0-d
+arrays and a caller's carrier reach the generic rule after it, so no
+exception is raised on a hot path.
 
-Complex steps.  The Lie-equation velocity, evaluated thousands of times
-on plain floats, is the one first-order pass that runs on Python
-``complex`` numbers instead (``complex_step``), whose arithmetic runs in
-C (Martins, Sturdza & Alonso, "The complex-step derivative
-approximation", *ACM TOMS* 29(3), 2003).  With h = 2**-600, x + i h v is
-the dual number x + v eps in floating point: a product's imaginary part
-is the dual formula term for term, the product of two imaginary parts,
-h**2 d1 d2, rounds to 0, and scaling by the power of two h is exact.  So
-the velocity is the ``Dual`` pass's bit for bit; ``complex_step`` states
-the bounds of that.
-
-Batches.  The parts of a ``Dual`` may be float numpy arrays with a
-trailing batch axis, and the elementaries accept such arrays, so one pass
-evaluates a map at many points (vector-mode forward differentiation,
-Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, 3.1).
-Every array operation is the elementwise IEEE operation, so column i of
-a batched pass is bit-identical to the pass at point i alone.  A
+Batches.  A coordinate of a pass may be a float array with a batch
+axis; its step is a complex array, and the elementaries accept such
+arrays, so one pass evaluates a map at many points (vector-mode forward
+differentiation, Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+SIAM 2008, 3.1).  Every array operation is elementwise, so column i of a
+batched pass is the pass on a one-element batch of point i bit for bit.
+It is not always the pass on Python complex numbers: numpy divides by a
+complex number as a product with its reciprocal, CPython does not.  A
 ``dirderiv`` whose point holds arrays returns one column per batch
 element.  Numpy reports invalid and overflowing elements, which floats
 pass silently, so batched passes run under ``quiet``.
 
-Nesting.  A ``Dual`` pass may run inside a jet pass: a jet is a constant
-to a ``Dual``, so the dual parts come out as jets and one Taylor pass
+Nesting.  A complex step may run inside a jet pass: a jet takes complex
+constants and then carries complex coefficients, a derivative comes out
+as the jet of their imaginary parts over h, and one Taylor pass
 differentiates a first-order pass (nested forward mode); a
-gauge-transformed potential is such a pass.  A ``Dual`` inside a ``Dual``
-is not supported: ``seed`` raises TypeError on a coordinate that is
-already a ``Dual``, and a ``Dual`` that a function captures inside
-another pass goes undetected and gives a wrong derivative.  A caller that nests brings a leveled carrier, a subclass of
-``Dual`` (the tests' references do), whose passes enclose the library's:
-to a pass here it is a constant, and ``gsin``/``gcos`` ask it (``_trig``).
+gauge-transformed potential is such a pass.  A complex step inside a
+complex step is not supported: a complex coordinate raises TypeError,
+and a complex number that a function captures from another pass goes
+undetected, its step added to the inner one.  A caller that nests brings
+a leveled carrier (the tests' references do), whose passes enclose the
+library's raw closed forms.  It exposes its primal and derivative parts
+as ``re`` and ``du`` and its sine and cosine as ``_trig``, which the
+elementaries and ``carry`` read.
 
 Solves.  One rule, ``carry``, takes derivatives through a solve: the float
-solve gives the primal and simplified Newton steps the dual or jet parts.
+solve gives the primal and simplified Newton steps the derivative parts.
 The ``rz`` divisions, the only divisions without a closed form, use it.
-
-Seeding.  ``seed`` (and so ``jacobian`` and ``dirderiv``, which call it)
-wraps only the coordinates whose direction entry is not a plain zero; a
-coordinate with a zero direction stays the number (or the caller's
-carrier) it was.  The derivative terms it would have fed are exact zeros
-that dense seeding (every coordinate a dual) computed as ``0.0 * x`` terms.
-Results can differ from dense seeding only in
-- the sign of a zero derivative part;
-- a derivative part that dense seeding made NaN because a NaN or inf in an
-  unseeded coordinate met such a ``0.0 * x`` term;
-- the last bits of a quotient with an operand that is now a plain number:
-  a dual quotient multiplies by the divisor's reciprocal, ``x / y`` on
-  numbers and ``d / y`` on a dual divide.
-A NaN in any coordinate still makes the primal values it reaches NaN.
-``tests/test_dual.py`` keeps dense seeding as the reference.
 """
 
 import cmath
@@ -103,11 +87,13 @@ import math
 
 import numpy as np
 
-_NUMBERS = (int, float, np.floating, np.integer)
+# The constants a jet combines with: real numbers and complex steps.
+_SCALARS = (int, float, complex, np.floating, np.integer)
+_COMPLEX = (complex, np.complexfloating)
 
 
 def _power(x, n):
-    """``x**n`` of a dual or jet for an integer n >= 0: 1.0 times x, n times."""
+    """``x**n`` of a jet for an integer n >= 0: 1.0 times x, n times."""
     if not isinstance(n, int) or n < 0:
         raise TypeError(f"{x.__class__.__name__}.__pow__ supports nonnegative "
                         "integer exponents")
@@ -117,85 +103,37 @@ def _power(x, n):
     return out
 
 
+# Dual, gmatvec, gmatmul, gsolve and ginv: no library code builds a Dual
+# or calls the four helpers.  They are kept only because
+# loopbench/tracer.py patches Dual.__init__ and looks the helpers up by
+# name; ROADMAP item 6 deletes them after the next benchmark change.
 class Dual:
-    """Number ``re + du*eps`` with ``eps**2 == 0``: one first-order pass.
-
-    ``re`` and ``du`` may be float arrays of one batch shape, and so may a
-    constant operand (see the module docstring).  So may a ``Dual`` of
-    another class, a caller's leveled carrier.
-    """
-
-    # Only the benchmark tracer's replacement __init__ writes ``lvl``.
     __slots__ = ("re", "du", "lvl")
-    __array_ufunc__ = None  # numpy operands defer to the reflected operators
-
-    def __init__(self, re, du=0.0):
-        self.re = re
-        self.du = du
-
-    def __add__(self, other):
-        if other.__class__ is Dual:
-            return Dual(self.re + other.re, self.du + other.du)
-        if isinstance(other, _CONSTANTS):
-            return Dual(self.re + other, self.du)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other.__class__ is Dual:
-            return Dual(self.re - other.re, self.du - other.du)
-        if isinstance(other, _CONSTANTS):
-            return Dual(self.re - other, self.du)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _CONSTANTS):
-            return Dual(other - self.re, -self.du)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if other.__class__ is Dual:
-            ar, br = self.re, other.re
-            return Dual(ar * br, ar * other.du + self.du * br)
-        if isinstance(other, _CONSTANTS):
-            return Dual(self.re * other, self.du * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if other.__class__ is Dual:
-            inv = 1.0 / other.re
-            q = self.re * inv
-            return Dual(q, (self.du - q * other.du) * inv)
-        if isinstance(other, _CONSTANTS):
-            return Dual(self.re / other, self.du / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _CONSTANTS):
-            inv = 1.0 / self.re
-            return Dual(inv, -(self.du * inv) * inv) * other
-        return NotImplemented
-
-    def __neg__(self):
-        return Dual(-self.re, -self.du)
-
-    def __pos__(self):
-        return self
-
-    __pow__ = _power
-
-    def __repr__(self):
-        return f"Dual({self.re!r}, {self.du!r})"
 
 
-def has_dual(xs):
-    """Whether any entry of ``xs`` is a carrier: a dual of any class or a
-    jet, not a batch array.  A float, the common entry, is ruled out first."""
+def _order(x):
+    """The Taylor order of a value: 0 for a number, a float batch or a row,
+    1 for a complex step (a number or a batch), its space's degree for a
+    jet and, for a caller's carrier, one more than the higher order of its
+    parts ``re`` and ``du``."""
+    c = x.__class__
+    if c is float:
+        return 0
+    if c is Jet:
+        return x.space.degree
+    if c is np.ndarray:
+        return int(x.dtype.kind == "c")
+    if isinstance(x, complex):  # numpy's complex too
+        return 1
+    du = getattr(x, "du", None)  # None for a number or a row
+    return 0 if du is None else 1 + max(_order(x.re), _order(du))
+
+
+def has_carrier(xs):
+    """Whether any entry of ``xs`` carries derivative parts (see
+    :func:`_order`).  A float, the common entry, is ruled out first."""
     for x in xs:
-        if x.__class__ is not float and isinstance(x, _CARRIERS):
+        if x.__class__ is not float and _order(x):
             return True
     return False
 
@@ -216,37 +154,37 @@ def near_zero(x, bound):
     c = x.__class__
     if c is float:
         return abs(x) < bound
-    if c is Jet:
-        return abs(x.c[0]) < bound
-    if c is Dual:
-        return near_zero(x.re, bound)
     if c is np.ndarray:
-        return (abs(x) < bound).any()
-    if isinstance(x, Dual):  # a caller's carrier
-        return near_zero(x.re, bound)
-    return abs(x) < bound  # a complex step, an int or a numpy scalar
+        return (abs(x.real) < bound).any()
+    return abs(primal(x)) < bound  # a jet, a complex step, a number or a carrier
 
 
 def primal(x):
-    """Strip all dual and jet parts, returning the underlying float (or
-    the float array of a batch: any array with an axis)."""
+    """Strip all derivative parts, returning the underlying float (or the
+    float array of a batch: any array with an axis).  A jet's constant
+    term and a complex step are read by their real part, never by
+    ``float``, which drops a numpy complex's imaginary part with only a
+    warning."""
     c = x.__class__
     if c is float:
         return x
     if c is Jet:
-        return float(x.c[0])
-    if c is Dual:
-        return primal(x.re)
+        return x.c.item(0).real
     if c is np.ndarray and x.ndim:
-        return x
-    if c is complex:
         return x.real
-    if isinstance(x, Dual):  # a caller's carrier
-        return primal(x.re)
+    if isinstance(x, complex):  # numpy's complex too
+        return x.real
     try:
         return float(x)  # an int, a numpy scalar or a 0-d array
-    except TypeError:  # no number: returned as it is
-        return x
+    except TypeError:  # a caller's carrier
+        return primal(x.re)
+
+
+def _cmath(fn, z):
+    try:
+        return fn(z)
+    except ValueError:  # an infinite real part; NaN, as cmath.sin(nan) is
+        return complex(math.nan, math.nan)
 
 
 def gsin(x):
@@ -254,12 +192,10 @@ def gsin(x):
     if c is not float:
         if c is Jet:
             return x._trig(0)
-        if c is Dual:
-            return Dual(gsin(x.re), gcos(x.re) * x.du)
         if c is np.ndarray and x.ndim:
             return np.sin(x)
         if c is complex:
-            return cmath.sin(x)
+            return _cmath(cmath.sin, x)
     try:
         return math.sin(x)  # a float, an int, a numpy scalar or a 0-d array
     except TypeError:  # a caller's carrier
@@ -273,12 +209,10 @@ def gcos(x):
     if c is not float:
         if c is Jet:
             return x._trig(1)
-        if c is Dual:
-            return Dual(gcos(x.re), -gsin(x.re) * x.du)
         if c is np.ndarray and x.ndim:
             return np.cos(x)
         if c is complex:
-            return cmath.cos(x)
+            return _cmath(cmath.cos, x)
     try:
         return math.cos(x)  # a float, an int, a numpy scalar or a 0-d array
     except TypeError:  # a caller's carrier
@@ -308,62 +242,20 @@ def pack(xs):
     """The numpy array of a list of scalars (a vector) or of rows (a
     matrix); batch arrays stack to rows.
 
-    With no dual or jet anywhere the array is float, numpy scalars
-    included.  Otherwise it is an object array of the same shape holding
-    the same objects.  A flat list is scanned for carriers first, so a
-    pass's list of duals never raises on the way; only rows that hold
-    carriers fall back from the float attempt.  A list is read as it is,
-    not copied.
+    With no carrier anywhere the array is float, numpy scalars included.
+    Otherwise it is an object array of the same shape holding the same
+    objects.  A complex entry, Python or numpy, raises TypeError: a float
+    array would drop its imaginary part, a complex step's derivative.  A
+    list is read as it is, not copied.
     """
-    if xs.__class__ is not list:
-        xs = list(xs)
-    if has_dual(xs):
-        out = np.empty(len(xs), dtype=object)
-        out[:] = xs
-        return out
-    try:
-        return np.array(xs, dtype=float)
-    except TypeError:  # rows that hold carriers
-        return np.array(xs, dtype=object)
-
-
-def seed(x, direction):
-    """Attach dual parts along ``direction`` to the vector ``x``.
-
-    A coordinate whose direction entry is a plain number equal to zero is
-    returned unchanged (the same object), so no dual arithmetic is spent on
-    it; see the module docstring for what that can change.  A coordinate
-    that is already a ``Dual`` raises TypeError: passes do not nest.
-    """
-    for xi in x:
-        if xi.__class__ is Dual:
-            raise TypeError("a Dual pass does not nest: a coordinate is already a Dual")
-    return [xi if vi == 0.0 else Dual(xi, vi) for xi, vi in zip(x, direction)]
-
-
-def dual_parts(ys):
-    """The derivative parts of a pass's outputs; an output that is not a
-    ``Dual`` (a number, a caller's carrier) contributes 0."""
-    return [y.du if y.__class__ is Dual else 0.0 for y in ys]
-
-
-def dirderiv(f, x, v):
-    """Directional derivative of vector map ``f`` at ``x`` along ``v``.
-
-    Coordinates of ``x`` may be batch arrays; then each output row holds
-    the derivative at every batch point, and column i is the pass at
-    point i.  A part that does not depend on the batch point (a scalar)
-    is broadcast to the batch shape, so every row has one column per
-    point.  A 1-D array direction is read as Python floats (``tolist``).
-    """
-    x = list(x)
-    v = v.tolist() if v.__class__ is np.ndarray and v.ndim == 1 else list(v)
-    parts = dual_parts(f(seed(x, v)))
-    shapes = [xi.shape for xi in x if xi.__class__ is np.ndarray]
-    if shapes:
-        shape = np.broadcast_shapes(*shapes)
-        parts = [np.broadcast_to(p, shape) for p in parts]
-    return pack(parts)
+    out = np.array(xs)
+    kind = out.dtype.kind
+    if kind in "biuf":
+        return out.astype(float, copy=False)
+    if kind == "c" or any(isinstance(v, _COMPLEX) for v in out.flat):
+        raise TypeError("pack takes no complex entry: a float array would drop "
+                        "its imaginary part")
+    return out if has_carrier(out.flat) else out.astype(float)
 
 
 # The complex step h and its inverse, both powers of two (see complex_step).
@@ -371,14 +263,40 @@ _STEP = 2.0 ** -600
 _UNSTEP = 2.0 ** 600
 
 
+def _stepped(x, v):
+    """The complex coordinates x + i h v: a Python complex for a number,
+    a complex array for a float batch."""
+    out = []
+    for xi, vi in zip(x, v):
+        if xi.__class__ is np.ndarray and xi.dtype.kind in "biuf":
+            z = xi.astype(complex)
+            z.imag = _STEP * vi
+            out.append(z)
+        elif isinstance(xi, _COMPLEX) or xi.__class__ is np.ndarray:
+            raise TypeError("a complex step does not nest: a coordinate is already complex")
+        elif vi.__class__ is Jet:  # a direction that an enclosing jet pass moves
+            out.append(xi + (_STEP * vi) * 1j)
+        else:
+            out.append(complex(xi, _STEP * vi))
+    return out
+
+
+def _derivative(y):
+    """The derivative part of an output of a complex step: imag / h, per
+    coefficient for a jet."""
+    if y.__class__ is Jet:
+        return Jet(y.c.imag * _UNSTEP, y.space)
+    return y.imag * _UNSTEP
+
+
 def complex_step(f, x, v):
-    """Directional derivative of vector map ``f`` at ``x`` along ``v``, both
-    plain floats, as a list of floats: one evaluation of ``f`` on the
-    Python complex numbers x + i h v with h = 2**-600, read as imag / h.
+    """Directional derivative of vector map ``f`` at ``x`` along ``v``, as
+    a list: one evaluation of ``f`` on the complex numbers x + i h v with
+    h = 2**-600, each output read as imag / h (per coefficient for a jet,
+    so the pass may run inside a jet pass).
 
     With this h, x + i h v is the dual number x + v eps in floating point,
-    so the result is the ``Dual`` pass's ``dual_parts`` bit for bit as long
-    as ``f`` composes the elementaries of this module and the four
+    as long as ``f`` composes the elementaries of this module and the four
     arithmetic operations:
 
     - a product's imaginary part is a d + b c, the dual formula term for
@@ -388,33 +306,63 @@ def complex_step(f, x, v):
     - ``cmath.cos(x + iy)`` is (cos x cosh y, -sin x sinh y), and for tiny
       y cosh y and sinh y round to 1 and y, so ``gcos`` and ``gsin`` give
       the dual rules; ``primal`` gives the real part;
-    - a complex quotient rounds differently from the dual reciprocal, but
-      not where the divisor's real part is exactly 1, as every catalog
+    - a quotient's real part is the float quotient; its imaginary part
+      rounds differently from a product with the divisor's reciprocal,
+      except where the divisor's real part is exactly 1, as every catalog
       denominator's is when the step is taken at the identity;
+    - a divisor whose real part is below about 2**-573 |d| in magnitude,
+      d its derivative part, no longer makes (h d)**2 negligible, and its
+      quotient is not a derivative;
     - a derivative part below 2**-422 in magnitude is subnormal times h,
-      so it comes out with an absolute error of about 2**-474.
+      so it comes out with an absolute error of up to 2**-475.
 
-    A coordinate with a zero direction entry is a complex number too, where
-    ``seed`` leaves it a float: a derivative part may then differ from the
-    pass in the sign of a zero, or be NaN where an inf or NaN meets that
-    zero part, as under dense seeding.
-    A numpy scalar in ``f`` would make a numpy complex, which ``float``
-    and ``math`` functions take silently as its real part (numpy warns
-    with ``ComplexWarning``), losing the derivative; a caller that runs
-    foreign closed forms turns that warning into an error.
+    Every coordinate is stepped (dense seeding), a zero direction entry
+    to an imaginary part that is a zero of its sign.  A zero derivative
+    part then takes the sign that IEEE arithmetic gives the imaginary
+    parts: a product with a number is a complex product, so 2.0 * (x - 0i)
+    has imaginary part 2 (-0) + 0 x = +0, where the dual rule keeps -0.
+    An inf or NaN coordinate makes NaN every derivative part it meets as a
+    factor, through inf * 0 or NaN * 0, also along a zero direction entry,
+    and a NaN makes the primal values it reaches NaN.
+
+    ``x`` may hold numbers or float batch arrays (see the module
+    docstring), and ``v`` jets of an enclosing pass; a complex coordinate,
+    scalar or array, raises TypeError,
+    as complex(x, h v) would add the two steps.  A numpy scalar in ``f``
+    would make a numpy complex, which ``float`` and ``math`` functions take
+    silently as its real part (numpy warns with ``ComplexWarning``),
+    losing the derivative; a caller that runs foreign closed forms turns
+    that warning into an error.
     """
-    ys = f([complex(xi, _STEP * vi) for xi, vi in zip(x, v)])
-    return [y.imag * _UNSTEP for y in ys]
+    return [_derivative(y) for y in f(_stepped(x, v))]
+
+
+def dirderiv(f, x, v):
+    """Directional derivative of vector map ``f`` at ``x`` along ``v``:
+    one ``complex_step``, packed.
+
+    Coordinates of ``x`` may be batch arrays; then each output row holds
+    the derivative at every batch point, and column i is the pass at
+    point i.  A part that does not depend on the batch point (a scalar)
+    is broadcast to the batch shape, so every row has one column per
+    point.  A 1-D array direction is read as Python floats (``tolist``).
+    """
+    x = list(x)
+    v = v.tolist() if v.__class__ is np.ndarray and v.ndim == 1 else list(v)
+    parts = complex_step(f, x, v)
+    shapes = [xi.shape for xi in x if xi.__class__ is np.ndarray]
+    if shapes:
+        shape = np.broadcast_shapes(*shapes)
+        parts = [np.broadcast_to(p, shape) for p in parts]
+    return pack(parts)
 
 
 def jacobian(f, x):
-    """Jacobian matrix of ``f: R^n -> R^m`` at ``x`` (one dual seed per column).
-
-    Entries of ``x`` may be a caller's leveled carrier, not a ``Dual``.
-    """
+    """Jacobian matrix of ``f: R^n -> R^m`` at ``x``: one complex step per
+    column."""
     x = list(x)
     n = len(x)
-    cols = [dual_parts(f(seed(x, [1.0 if j == i else 0.0 for j in range(n)])))
+    cols = [complex_step(f, x, [1.0 if j == i else 0.0 for j in range(n)])
             for i in range(n)]
     return pack(list(zip(*cols)))
 
@@ -428,7 +376,7 @@ def gdot(a, b):
 
 def gaffine(b, k, xs):
     """The list b + k xs for a float vector b, a float matrix k and a list
-    xs of floats, duals or jets: row r is ``gdot(k[r], xs) + b[r]``.
+    xs of floats, complex steps or jets: row r is ``gdot(k[r], xs) + b[r]``.
 
     Jets of one space take one array operation per entry of xs on their
     stacked coefficients, in the order of ``gdot``, so every primal is the
@@ -444,9 +392,6 @@ def gaffine(b, k, xs):
     return [gdot(row, xs) + bi for row, bi in zip(k.tolist(), b.tolist())]
 
 
-# gmatvec, gmatmul, gsolve and ginv: no library code calls them.  They are
-# kept only because loopbench/tracer.py looks them up by name; ROADMAP item
-# 6 deletes them after the next benchmark change.
 def gmatvec(m, v):
     return pack([gdot(row, v) for row in m])
 
@@ -472,14 +417,6 @@ def carry(root, residual, solve0):
         if step > 1:
             rs = residual(ys)
     return [(y - primal(y)) + r for y, r in zip(ys, root)]
-
-
-def _order(x):
-    """The Taylor order of a carrier: 1 for a ``Dual`` over floats, the
-    depth of a leveled carrier's tree of parts, its space's degree for a jet."""
-    if isinstance(x, Dual):
-        return 1 + max(_order(x.re), _order(x.du))
-    return x.space.degree if x.__class__ is Jet else 0
 
 
 def gsolve(a, b):
@@ -552,7 +489,8 @@ def jet_space(n, order):
 class Jet:
     """Truncated multivariate Taylor polynomial: coefficients ``c`` over the
     monomials of ``space``.  The non-constant part is nilpotent, so the
-    reciprocal, sin and cos are finite series in it."""
+    reciprocal, sin and cos are finite series in it.  The coefficients
+    are complex once a complex step enters (see the module docstring)."""
 
     __slots__ = ("c", "space")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
@@ -564,8 +502,8 @@ class Jet:
     def __add__(self, other):
         if other.__class__ is Jet:
             return Jet(self.c + other.c, self.space)
-        if isinstance(other, _NUMBERS):
-            c = self.c.copy()
+        if isinstance(other, _SCALARS):
+            c = self.c.astype(complex) if isinstance(other, complex) else self.c.copy()
             c[0] += other
             return Jet(c, self.space)
         return NotImplemented
@@ -575,15 +513,15 @@ class Jet:
     def __sub__(self, other):
         if other.__class__ is Jet:
             return Jet(self.c - other.c, self.space)
-        if isinstance(other, _NUMBERS):
-            c = self.c.copy()
+        if isinstance(other, _SCALARS):
+            c = self.c.astype(complex) if isinstance(other, complex) else self.c.copy()
             c[0] -= other
             return Jet(c, self.space)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, _NUMBERS):
-            c = -self.c
+        if isinstance(other, _SCALARS):
+            c = -(self.c.astype(complex) if isinstance(other, complex) else self.c)
             c[0] += other
             return Jet(c, self.space)
         return NotImplemented
@@ -591,7 +529,7 @@ class Jet:
     def __mul__(self, other):
         if other.__class__ is Jet:
             return Jet(self.space.mul(self.c, other.c), self.space)
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _SCALARS):
             return Jet(self.c * other, self.space)
         return NotImplemented
 
@@ -600,14 +538,14 @@ class Jet:
     def __truediv__(self, other):
         if other.__class__ is Jet:
             return self * other._reciprocal()
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _SCALARS):
             if other == 0:
                 raise ZeroDivisionError("float division by zero")
             return Jet(self.c / other, self.space)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBERS):
+        if isinstance(other, _SCALARS):
             return self._reciprocal() * other
         return NotImplemented
 
@@ -617,13 +555,14 @@ class Jet:
     __pow__ = _power
 
     def _reciprocal(self):
-        inv = 1.0 / float(self.c[0])  # ZeroDivisionError, as for floats
+        inv = 1.0 / self.c.item(0)  # ZeroDivisionError, as for floats
         return self._series([inv * (-inv) ** k for k in range(self.space.degree + 1)])
 
     def _trig(self, shift):
         """sin (shift 0) or cos (shift 1): the k-th derivative of sin is
         the (k + shift)-th entry of the cycle sin, cos, -sin, -cos."""
-        s, c = gsin(float(self.c[0])), gcos(float(self.c[0]))
+        x0 = self.c.item(0)
+        s, c = gsin(x0), gcos(x0)
         cycle = (s, c, -s, -c)
         return self._series([cycle[(k + shift) % 4] / math.factorial(k)
                              for k in range(self.space.degree + 1)])
@@ -655,14 +594,6 @@ class JetDivisor:
 
     def __rtruediv__(self, x):
         return x * self.r
-
-
-# The classes that carry derivative parts.
-_CARRIERS = (Dual, Jet)
-
-# Operands a Dual combines with as constants: numbers, batch arrays, a
-# caller's carrier (a Dual of another class) and a jet of an enclosing pass.
-_CONSTANTS = _NUMBERS + (np.ndarray, Dual, Jet)
 
 
 def taylor_frame(f, a, e, order):

@@ -19,14 +19,16 @@ commutator.  Each pass carries the order its caller reads:
 Bianchi takes the connection form's second derivatives, every other check
 only first ones.  A first derivative applied to one vector (the
 connection form on a tangent pair, the horizontal and fundamental fields)
-is one directional pass (``dual.dirderiv``) of the same kind of map.  A
-transformed potential (``gauge_transform``) is a dual Jacobian on floats or
-jets, so a jet pass encloses it like any potential, and every check runs
-on a transformed form.  Every pass composes the raw closed forms on Python
-floats and carriers (numpy values are read with ``tolist`` at its edge), and
-a fixed fiber point y is checked once, before it (see :mod:`core`), as is a
-gauge transformation's transition q_ab(x), before its division.  So
-residuals measure the identities, not discretization error.
+is one directional pass (``dual.dirderiv``, a complex step) of the same
+kind of map.  A transformed potential (``gauge_transform``) is a
+complex-step Jacobian on floats or jets, so a jet pass encloses it like any
+potential, and every check runs on a transformed form.  Every pass composes
+the raw closed forms on Python floats and carriers (numpy values are read
+with ``tolist`` at its edge, as a numpy scalar would turn a complex step
+into a numpy complex), and a fixed fiber point y is checked once, before
+it (see :mod:`core`), as is a gauge transformation's transition q_ab(x),
+before its division.  So residuals measure the identities, not
+discretization error.
 """
 
 from dataclasses import dataclass
@@ -45,7 +47,9 @@ class GaugePotential:
     """A^i_mu(x): callable from base coordinates to a fiber_dim x base_dim
     numpy array.  It must accept floats, and Taylor jets for every curvature,
     commutator, structure-equation and Bianchi check; ``gauge_transform``
-    calls it on the coordinates its own potential is given."""
+    calls it on the coordinates its own potential is given.  The test
+    potentials also take complex steps (a complex array), so a
+    ``jacobian`` of A is a route to dA beside the jet pass."""
 
     chart: str
     A: Callable
@@ -130,7 +134,7 @@ def omega_annihilates_d_residual(form, x, y, mu):
     """Norm of the connection form applied to the covariant direction D_mu
     (:func:`_covariant_direction` of e_mu).  It holds by construction: the
     argument of omega's division moves by Rbar A_mu - Rbar A_mu, both
-    terms through the same dual operations, so it reads exactly 0."""
+    terms through the same complex-step operations, so it reads exactly 0."""
     db = form.potential.base_dim
     y = core._chart_points(form.fiber, y)[0]
     d = _covariant_direction(form, x, y, [1.0 if k == mu else 0.0 for k in range(db)])
@@ -276,15 +280,16 @@ def gauge_transform(form, q_map):
 
     ``q_map`` is q_{alpha beta}(x) (the transition carrying the section
     of the *target* chart); its right inverse q_{beta alpha}(x) is the
-    right division e / q_{alpha beta}.  The new potential at x is the dual
-    Jacobian in v at v = 0 of Ad^-1_(q_ab)(q_ba)(e + A(x) v) +
+    right division e / q_{alpha beta}.  The new potential at x is the
+    complex-step Jacobian in v at v = 0 of Ad^-1_(q_ab)(q_ba)(e + A(x) v) +
     l_(q_ba, q_ab)(q_ab \\ q_ab(x + v)), (q_ab, q_ba) and A taken at x once:
     Ad^-1 A plus l_* of the pullback of the canonical form along q_ab, as
     the v-Jacobian of q_ab \\ q_ab(x + v) is (L_(q_ab))_*^-1 dq_ab.  x may
-    hold floats or Taylor jets, constants to that dual pass, so every jet
-    check runs on a transformed form; ``q_map`` must accept duals over them.
-    A ``Dual`` coordinate raises TypeError, as the pass would capture it and
-    give a wrong derivative (see :mod:`dual`).
+    hold floats or Taylor jets, constants to that complex step, so every
+    jet check runs on a transformed form; ``q_map`` must accept complex
+    steps over them.  A Python complex coordinate raises TypeError, as
+    ``float`` does on it: the pass would add its own step to it and give a
+    wrong derivative (see :mod:`dual`).
     """
     L = form.fiber
     pair = _transition(L, q_map)
@@ -313,7 +318,7 @@ def curvature_gauge_residual(form, q_map, x):
     identity fiber point and A' = :func:`gauge_transform` of the form.
     It covers unit-phase transitions on ``qc`` only: generic transitions on
     a nonassociative fiber miss this law by about 1e-3.  The potential must
-    accept Taylor jets and ``q_map`` duals over them.
+    accept Taylor jets and ``q_map`` complex steps over them.
     """
     L = form.fiber
     x = [float(v) for v in x]
@@ -344,11 +349,11 @@ def glue_connections(forms, weights, samples):
     base = forms[0].potential
 
     def a_glued(xs):
-        # Entry by entry, as a weight on jets or duals does not scale an array.
+        # Entry by entry, as a weight on jets does not scale an array.
         acc = None
         for frm, w in zip(forms, weights):
             wx = w(list(xs))
-            term = pack([[wx * v for v in row] for row in frm.potential.A(list(xs))])
+            term = np.array([[wx * v for v in row] for row in frm.potential.A(list(xs))])
             acc = term if acc is None else acc + term
         return acc
 
@@ -394,7 +399,7 @@ def make_test_potential(L, base_dim, seed, kind="poly"):
     k = np.stack([c1, c2], axis=-1).reshape(nf * base_dim, 2 * base_dim)
 
     def a_fun(xs):
-        return pack(gaffine(b, k, features(xs))).reshape(nf, base_dim)
+        return np.reshape(gaffine(b, k, features(xs)), (nf, base_dim))
 
     pot = GaugePotential(chart="test", A=a_fun, base_dim=base_dim)
     return LocalConnectionForm(potential=pot, fiber=L)

@@ -5,12 +5,11 @@ along a path from the identity to b: the velocity of phi(t) = a.b(t) is
 the frame at phi applied to the associator-corrected canonical form of
 db/dt.  That factor does not depend on phi, so before the first RK4 step
 one directional pass (``dual.dirderiv``) of a composite of the closed
-forms, on duals whose parts carry a batch axis, gives it at every stage
-parameter t.  Each stage's velocity is then one complex-step evaluation
-of the product at phi (``dual.complex_step``): the identity stepped along
-that factor by i h w, the derivative read off the imaginary parts, bit
-for bit the ``Dual`` pass's, in the built-in complex arithmetic.  No
-frame matrix is built.  A numpy scalar in a descriptor's closed form
+forms, a complex step on numpy complex arrays with a batch axis, gives it
+at every stage parameter t.  Each stage's velocity is then one complex
+step of the product at phi (``dual.complex_step``): the identity stepped
+along that factor by i h w, the derivative read off the imaginary parts,
+in the built-in complex arithmetic.  No frame matrix is built.  A numpy scalar in a descriptor's closed form
 would drop those imaginary parts with a ``ComplexWarning``, so the RK4
 loop turns that warning into an error.
 
@@ -62,10 +61,11 @@ def _velocity(L, phi, w):
     factor w: d/ds phi.(e + s w), the frame at phi applied to w, as a
     list of floats.
 
-    One complex-step evaluation (``dual.complex_step``) of the raw
-    closed-form product of phi (Python floats) and the identity stepped
-    along w: bit for bit the ``dirderiv`` pass of c -> phi.c, on the
-    built-in complex numbers.  The stage point phi is an intermediate of
+    One complex step (``dual.complex_step``) of the raw closed-form
+    product of phi (Python floats) and the identity stepped along w: the
+    ``dirderiv`` pass of c -> phi.c without packing its result.  Every
+    catalog denominator has real part exactly 1 there, so the quotients
+    round as dual ones do.  The stage point phi is an intermediate of
     the reconstruction and is not checked against the chart.
     """
     return complex_step(lambda c: L.product(phi, c), L.identity.tolist(), w)
@@ -77,8 +77,8 @@ def reconstruct_product(L, a, b, steps, path=None):
     ``path`` maps t in [0, 1] to chart parameters with path(0)=e and
     path(1)=b; the default is the straight ray t*b.  The phi-free factors
     of all RK4 stages come from one batched pass, so ``path`` must also
-    take a numpy array of parameters and a dual number whose parts are
-    such arrays: arithmetic only, as :func:`bezier_path` is.
+    take a numpy array of parameters and a complex array: arithmetic
+    only, as :func:`bezier_path` is.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}")

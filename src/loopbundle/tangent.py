@@ -4,7 +4,7 @@ A derivative applied to one vector is one directional pass
 (``dual.dirderiv``) of a composite of the raw closed forms: the
 pushforwards of translations, the canonical form and the left
 transformation law.  The full differentials (frames, l_(a,b)*, Ad and
-Ad^-1) are dual-number Jacobians at the identity.  Each pass checks its
+Ad^-1) are complex-step Jacobians at the identity, one step per column.  Each pass checks its
 fixed points once, before the pass (see :mod:`core`).  The structure
 functions take the frame and its first derivatives from one pass of the
 product on Taylor jets (``dual.taylor_frame``), the modified Jacobi
@@ -44,8 +44,9 @@ def pushforward_right(L, b, v):
 def left_frame_matrix(L, a):
     """Frame columns Gamma_i = (L_a)_* e_i as a dim x dim matrix.
 
-    Accepts a caller's leveled carrier in ``a``; this pass would capture a
-    ``Dual`` undetected and give a wrong derivative (see :mod:`dual`).
+    Accepts Taylor jets in ``a``, constants to the complex steps; a complex
+    ``a`` from another complex step goes undetected and gives a wrong
+    derivative (see :mod:`dual`).
     """
     a = core._chart_points(L, a)[0]
     return jacobian(lambda b: L.product(a, b), L.identity.tolist())
@@ -54,8 +55,9 @@ def left_frame_matrix(L, a):
 def right_frame_matrix(L, y):
     """Right-frame columns: the differential of a -> a.y at the identity.
 
-    Accepts a caller's leveled carrier in ``y``; this pass would capture a
-    ``Dual`` undetected and give a wrong derivative (see :mod:`dual`).
+    Accepts Taylor jets in ``y``, constants to the complex steps; a complex
+    ``y`` from another complex step goes undetected and gives a wrong
+    derivative (see :mod:`dual`).
     """
     y = core._chart_points(L, y)[0]
     return jacobian(lambda a: L.product(a, y), L.identity.tolist())
@@ -100,7 +102,7 @@ def structure_tensor_raw(L, a, side="left"):
     [G_i, G_j] = C^p_ij G_p for the frame fields G_i.
 
     ``side`` picks the left frame (:func:`left_frame_matrix`) or the right
-    one (:func:`right_frame_matrix`).  ``a`` must be floats; a dual
+    one (:func:`right_frame_matrix`).  ``a`` must be floats; a complex
     coordinate raises ``TypeError``.
     """
     r, dr = _frame_derivatives(L, a, side, order=1)
@@ -132,7 +134,8 @@ def canonical_form(L, v):
 
 
 def left_associator_differential(L, a, b):
-    """Matrix of l_(a,b)* at the identity (dual Jacobian of the composition)."""
+    """Matrix of l_(a,b)* at the identity (complex-step Jacobian of the
+    composition)."""
     a, b = core._chart_points(L, a, b)
     return jacobian(lambda c: core._left_associator(L, a, b, c), L.identity.tolist())
 

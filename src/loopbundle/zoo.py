@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LoopDescriptor
-from .dual import (_CARRIERS, Jet, JetDivisor, anyof, carry, gcos, gfloor, gsin,
+from .dual import (Jet, JetDivisor, anyof, carry, gcos, gfloor, gsin, has_carrier,
                    near_zero, pack, primal)
 from .errors import (DomainSingularity, NoSolutionInChart, PoleSingularity,
                      UnknownKind)
@@ -47,7 +47,7 @@ def _rz_fprime(x):
 def _rz_mod1(x):
     # x - floor(x) rounds to 1.0 for x in (-2**-54, 0), outside the chart
     # [0, 1); subtracting the comparison (1 there, else 0, elementwise on
-    # a batch) keeps the dual and jet parts, and r - 0 is r.
+    # a batch) keeps the derivative parts, and r - 0 is r.
     r = x - gfloor(x)
     return r - (primal(r) == 1.0)
 
@@ -130,15 +130,15 @@ def _rz_solve(x, target):
     pi |sin(pi x)| < 1: x in [0, 0.10312) or (0.89688, 1) modulo 1.
     Elsewhere some targets have several roots, and the solve raises if any
     element of a batch lies there.  The rule reads the primal value, so
-    floats, duals and jets follow it alike.  The float root of a point
-    or a batch comes from :func:`_rz_root`; :func:`dual.carry`, with the
-    float g' at the root, gives a dual or jet argument its parts.
+    floats, complex steps and jets follow it alike.  The float root of a
+    point or a batch comes from :func:`_rz_root`; :func:`dual.carry`, with
+    the float g' at the root, gives a carrier argument its parts.
     """
     x0, t0 = primal(x), primal(target)
     if anyof(math.pi * abs(gsin(math.pi * x0)) >= 1.0):
         raise NoSolutionInChart(f"R/Z left translation by {x0} is not invertible")
     y, t = _rz_root(x0, t0)
-    if isinstance(x, _CARRIERS) or isinstance(target, _CARRIERS):
+    if has_carrier((x, target)):
         shifted = target + (t - t0)
         gp = 1.0 + _rz_fprime(y) - _rz_fprime(x0 + y)
         y, = carry([y], lambda ys: [ys[0] + _rz_f(ys[0]) - _rz_f(x + ys[0]) - shifted],
@@ -295,8 +295,8 @@ def _qhr_right_div(K):
     m0 = b0 d0 - bv.dv, mv = d0 bv - b0 dv and r = bv x dv, b d^+ a has the
     real scalar m0 a0 + mv.av and the imaginary vector
     i (m0 av + a0 mv + r x av); its imaginary scalar -r.av and real vector
-    a0 r - mv x av vanish for d = b - a.  One reciprocal 1/s, as dual and
-    jet quotients take, keeps a carrier's primal the float result.
+    a0 r - mv x av vanish for d = b - a.  One reciprocal 1/s, as jet
+    quotients take, keeps a carrier's primal the float result.
     """
     k4 = K / 4.0
 

@@ -3,9 +3,10 @@
 curvature, the gauge transformation and the curvature in another
 trivialization, the form on combined coordinates, the field bracket and
 the curvature of two horizontal fields.  The per-entry loop of the test
-potential is the reference for ``make_test_potential``'s one matrix.  They differentiate by nesting
-leveled passes (``ref_dirderiv`` and ``ref_jacobian``) around the
-library's, and solve with ``ref_gsolve``.
+potential is the reference for ``make_test_potential``'s one matrix.  They
+differentiate by leveled passes only (``ref_dirderiv`` and ``ref_jacobian``,
+with the frames and differentials ``ref_frame`` and ``ref_differential``)
+over the raw closed forms, and solve with ``ref_gsolve``.
 
 The connection map with Ad^-1_y(e) composed in full, and its own division
 for the dy block, is the reference for the library's, which drops the
@@ -19,9 +20,9 @@ passes.
 import numpy as np
 
 from loopbundle import core, gauge, tangent
-from loopbundle.dual import gcos, gdot, gsin, jacobian, pack, primal
+from loopbundle.dual import gcos, gdot, gsin, pack, primal
 
-from leveled_dual import ref_dirderiv, ref_gsolve, ref_jacobian
+from leveled_dual import ref_differential, ref_dirderiv, ref_frame, ref_gsolve, ref_jacobian
 
 
 def _floats(m):
@@ -49,7 +50,7 @@ def make_test_potential(L, base_dim, seed, kind="poly"):
         return acc
 
     def a_fun(xs):
-        return pack([[entry(xs, i, mu) for mu in range(base_dim)] for i in range(nf)])
+        return np.array([[entry(xs, i, mu) for mu in range(base_dim)] for i in range(nf)])
 
     pot = gauge.GaugePotential(chart="test", A=a_fun, base_dim=base_dim)
     return gauge.LocalConnectionForm(potential=pot, fiber=L)
@@ -66,7 +67,7 @@ def covariant_derivative_apply(form, mu, f, x, y):
     db = form.potential.base_dim
     ex = [1.0 if k == mu else 0.0 for k in range(db)]
     d_base = ref_dirderiv(lambda xs: [f(xs, list(y))], list(x), ex)[0]
-    rbar = tangent.right_frame_matrix(form.fiber, list(y))
+    rbar = ref_frame(form.fiber, y, "right")
     a = np.asarray(form.potential.A(list(x)))
     vy = np.asarray(rbar) @ a[:, mu]
     d_fiber = ref_dirderiv(lambda ys: [f(list(x), ys)], list(y), list(vy))[0]
@@ -104,7 +105,7 @@ def commutator_residual(form, mu, nu, f, x, y, side="right"):
     comm = (covariant_derivative_apply(form, mu, lambda xx, yy: d(nu, xx, yy), x, y)
             - covariant_derivative_apply(form, nu, lambda xx, yy: d(mu, xx, yy), x, y))
     fcur = curvature(form, x, y, side)
-    rbar = _floats(tangent.right_frame_matrix(L, list(y)))
+    rbar = _floats(ref_frame(L, y, "right"))
     correction = 0.0
     for i in range(L.dim):
         lbar_f = ref_dirderiv(lambda ys: [f(list(x), ys)], list(y), list(rbar[:, i]))[0]
@@ -114,8 +115,8 @@ def commutator_residual(form, mu, nu, f, x, y, side="right"):
 
 def canonical_pullback(L, q_map, x):
     """theta^i_mu(x): pullback of the canonical form along ``q_map``."""
-    dq = jacobian(lambda xs: list(q_map(xs)), list(x))
-    frame = tangent.left_frame_matrix(L, list(q_map(list(x))))
+    dq = ref_jacobian(lambda xs: list(q_map(xs)), list(x))
+    frame = ref_frame(L, q_map(list(x)))
     return ref_gsolve(frame, np.asarray(dq))
 
 
@@ -129,8 +130,8 @@ def gauge_transform(form, q_map, q_back=None):
     def a_new(xs):
         qab = list(q_map(xs))
         qba = list(q_back(xs))
-        adinv = tangent.ad_inverse_differential(L, qab, qba)
-        lstar = np.asarray(tangent.left_associator_differential(L, qba, qab))
+        adinv = ref_differential(L, core._ad_inverse, qab, qba)
+        lstar = np.asarray(ref_differential(L, core._left_associator, qba, qab))
         theta = canonical_pullback(L, q_map, xs)
         return adinv @ np.asarray(form.potential.A(list(xs))) + lstar @ theta
 
@@ -146,9 +147,9 @@ def gauge_transform_via_global(form, q_map):
 
     def a_new(xs):
         yq = list(q_map(xs))
-        adinv = tangent.ad_inverse_differential(L, yq, list(L.identity))
-        dq = jacobian(lambda xx: list(q_map(xx)), list(xs))
-        frame = tangent.left_frame_matrix(L, yq)
+        adinv = ref_differential(L, core._ad_inverse, yq, L.identity)
+        dq = ref_jacobian(lambda xx: list(q_map(xx)), list(xs))
+        frame = ref_frame(L, yq)
         return (adinv @ np.asarray(form.potential.A(list(xs)))
                 + ref_gsolve(frame, np.asarray(dq)))
 
@@ -165,8 +166,7 @@ def curvature_gauge_residual(form, q_map, x, q_back=None):
         q_back = lambda xs: list(core.right_divide(L, L.identity, q_map(xs)))
     e = [float(v) for v in L.identity]
     f_beta = curvature(gauge_transform(form, q_map, q_back), list(x), e)
-    adinv = _floats(tangent.ad_inverse_differential(L, list(q_map(list(x))),
-                                                    list(q_back(list(x)))))
+    adinv = _floats(ref_differential(L, core._ad_inverse, q_map(list(x)), q_back(list(x))))
     rotated = np.einsum("ij,jmn->imn", adinv, curvature(form, list(x), e))
     return float(np.max(np.abs(f_beta - rotated)))
 
@@ -193,9 +193,9 @@ def omega_matrices(form, x, y):
     """The two coefficient blocks of the coordinate connection form:
     Ad^-1_y(e)_* A(x) and the inverse of the left frame at y."""
     L = form.fiber
-    dx_block = (tangent.ad_inverse_differential(L, list(y), list(L.identity))
+    dx_block = (ref_differential(L, core._ad_inverse, y, L.identity)
                 @ np.asarray(form.potential.A(list(x))))
-    dy_block = ref_gsolve(tangent.left_frame_matrix(L, list(y)), np.eye(L.dim))
+    dy_block = ref_gsolve(ref_frame(L, y), np.eye(L.dim))
     return dx_block, dy_block
 
 
@@ -214,9 +214,9 @@ def hor_field(form, vx):
     def field(z):
         x, y = split(form, z)
         L = form.fiber
-        w = (tangent.ad_inverse_differential(L, y, list(L.identity))
+        w = (ref_differential(L, core._ad_inverse, y, L.identity)
              @ (np.asarray(form.potential.A(x)) @ np.asarray(vx)))
-        lifted = np.asarray(tangent.left_frame_matrix(L, y)) @ w
+        lifted = np.asarray(ref_frame(L, y)) @ w
         return pack(vx + [-u for u in lifted])
 
     return field
@@ -226,7 +226,7 @@ def fundamental_field(form, w):
     """Vertical field of ``w`` from the left frame matrix."""
     def field(z):
         _, y = split(form, z)
-        lifted = np.asarray(tangent.left_frame_matrix(form.fiber, y)) @ np.asarray(w)
+        lifted = np.asarray(ref_frame(form.fiber, y)) @ np.asarray(w)
         return pack([0.0] * form.potential.base_dim + list(lifted))
 
     return field
@@ -234,7 +234,7 @@ def fundamental_field(form, w):
 
 def vertical_reproduction_residual(form, x, y, w):
     """|omega(0, R w) - w| with the frame R and omega from its blocks."""
-    lifted = _floats(tangent.left_frame_matrix(form.fiber, list(y))) @ np.asarray(w)
+    lifted = _floats(ref_frame(form.fiber, y)) @ np.asarray(w)
     val = omega_apply(form, list(x), list(y), np.zeros(form.potential.base_dim), lifted)
     return float(np.max(np.abs(np.array([primal(v) for v in val]) - np.asarray(w))))
 

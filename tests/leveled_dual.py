@@ -2,20 +2,23 @@
 carry level tags, so that nested passes give exact higher derivatives
 (mixed terms like eps1*eps2 are kept, not dropped).
 
-The library's ``Dual`` is one first-order pass and does not nest.  The
-references nest their own passes (``ref_seed``, ``ref_jacobian``,
-``ref_dirderiv``) around the library's, whose ``Dual`` is always the
-innermost pass: to ``RefDual`` it is the highest level, so a ``RefDual``
-operator returns NotImplemented for it and the library's operator treats
-the ``RefDual`` as a constant.  ``ref_gsolve`` is the one carrier solve of
-the references.
+The library's complex step is one first-order pass and does not nest.
+The references nest their own passes (``ref_seed``, ``ref_jacobian``,
+``ref_dirderiv``) around the library's raw closed forms, which take a
+``RefDual`` as they take any carrier: the elementaries read its primal
+part ``re`` and ask it for sin and cos (``_trig``), and ``dual.carry``
+reads the order of its parts.  A library pass is never inside a
+reference's: each reference rebuilds the frames and differentials it
+needs as leveled Jacobians of the raw closed forms (``ref_frame``,
+``ref_differential``).  ``ref_gsolve`` is the one carrier solve of the
+references.
 """
 
 import itertools
 
 import numpy as np
 
-from loopbundle.dual import Dual, Jet, gcos, gsin, jet_space, pack, primal
+from loopbundle.dual import _STEP, Jet, gcos, gsin, jet_space, pack, primal
 
 _REF_NUMBERS = (int, float, np.floating, np.integer)
 
@@ -27,13 +30,14 @@ def next_level():
     return next(_fresh_level)
 
 
-class RefDual(Dual):
+class RefDual:
     """The generic rule of nested forward passes: every operation on two
     duals splits both operands with ``_ref_parts`` at the higher of their
     levels; a lower-level operand is a constant there and enters the
     derivative part as an explicit zero."""
 
-    __slots__ = ()
+    __slots__ = ("re", "du", "lvl")
+    __array_ufunc__ = None  # numpy operands defer to the reflected operators
     nodes = 0
 
     def __init__(self, re, du=0.0, lvl=0):
@@ -134,11 +138,8 @@ def _ref_reciprocal(x):
 # -- leveled passes, for the outer passes of a reference -----------------------
 
 def ref_seed(x, direction, lvl):
-    """``dual.seed`` at level ``lvl``: a coordinate with a plain zero
-    direction stays as it was.  A library ``Dual`` coordinate would put a
-    leveled pass inside a library one, so it raises."""
-    if any(xi.__class__ is Dual for xi in x):
-        raise TypeError("a leveled pass cannot enclose a library Dual")
+    """The coordinates x seeded along ``direction`` at level ``lvl``: a
+    coordinate with a plain zero direction stays as it was."""
     return [xi if vi == 0.0 else RefDual(xi, vi, lvl) for xi, vi in zip(x, direction)]
 
 
@@ -160,6 +161,22 @@ def ref_jacobian(f, x):
         direction = [1.0 if j == i else 0.0 for j in range(n)]
         cols.append(_ref_dual_parts(f(ref_seed(x, direction, lvl)), lvl))
     return pack(list(zip(*cols)))
+
+
+def ref_frame(L, a, side="left"):
+    """The left frame at ``a`` (columns (L_a)_* e_i) or the right one, as a
+    leveled Jacobian of the raw product at the identity."""
+    if side == "left":
+        return ref_jacobian(lambda b: L.product(list(a), b), list(L.identity))
+    return ref_jacobian(lambda b: L.product(b, list(a)), list(L.identity))
+
+
+def ref_differential(L, body, *points):
+    """The leveled Jacobian at the identity of c -> body(L, *points, c), a
+    raw composite of ``core`` (``_ad_map``, ``_ad_inverse``,
+    ``_left_associator``)."""
+    points = [list(p) for p in points]
+    return ref_jacobian(lambda c: body(L, *points, c), list(L.identity))
 
 
 # -- the carrier solve ---------------------------------------------------------
@@ -190,7 +207,7 @@ def ref_gsolve(a, b):
             factor = aug[r][col] * inv
             # A zero factor is skipped only when it is a number: a dual's
             # or a jet's other parts still update the row.
-            if not isinstance(factor, (Dual, Jet)) and factor == 0.0:
+            if not isinstance(factor, (RefDual, Jet)) and factor == 0.0:
                 continue
             for c in range(col, width):
                 aug[r][c] = aug[r][c] - factor * aug[col][c]
@@ -201,16 +218,21 @@ def ref_gsolve(a, b):
 
 # -- comparing carriers --------------------------------------------------------
 
-# The level of the library's Dual in a monomial: above every RefDual level.
+# The level of the library's complex step in a monomial: above every
+# RefDual level.
 TOP = float("inf")
 
 
 def _coefficients(x, monomial=frozenset(), out=None):
-    """Map each product of epsilon levels to its coefficient in ``x``."""
+    """Map each product of epsilon levels to its coefficient in ``x``; a
+    complex step's imaginary part over h is the coefficient of level TOP."""
     out = {} if out is None else out
-    if isinstance(x, Dual):
+    if isinstance(x, RefDual):
         _coefficients(x.re, monomial, out)
-        _coefficients(x.du, monomial | {x.lvl if isinstance(x, RefDual) else TOP}, out)
+        _coefficients(x.du, monomial | {x.lvl}, out)
+    elif isinstance(x, complex):
+        _coefficients(x.real, monomial, out)
+        _coefficients(x.imag / _STEP, monomial | {TOP}, out)
     else:
         out[monomial] = out.get(monomial, 0.0) + float(x)
     return out
@@ -231,9 +253,9 @@ def _assert_parts_close(got, want, tol=1e-14):
 
 
 def _carrier_maker(kind, rng):
-    """Random carriers of one kind around a float: a library ``Dual``, a
-    library ``Dual`` over ``RefDual`` nested 1 or 2 levels deep (3 levels
-    in all), or jets in two variables of order 2 ("jet", degree 3) or 1
+    """Random carriers of one kind around a float: a complex step (the
+    library's first-order dual number), ``RefDual`` nested 2 or 3 levels
+    deep, or jets in two variables of order 2 ("jet", degree 3) or 1
     ("jet1", degree 2)."""
     if kind in ("jet", "jet1"):
         space = jet_space(2, 1 if kind == "jet1" else 2)
@@ -242,10 +264,12 @@ def _carrier_maker(kind, rng):
             c[0] = v
             return Jet(c, space)
         return make
-    levels = [next_level() for _ in range({"dual": 0, "nested2": 1, "nested3": 2}[kind])]
+    if kind == "dual":
+        return lambda v: complex(v, _STEP * rng.uniform(-0.3, 0.3))
+    levels = [next_level() for _ in range({"nested2": 2, "nested3": 3}[kind])]
     def make(v):
         x = v
         for lvl in levels:
             x = RefDual(x, rng.uniform(-0.3, 0.3), lvl)
-        return Dual(x, rng.uniform(-0.3, 0.3))
+        return x
     return make

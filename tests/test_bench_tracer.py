@@ -1,13 +1,15 @@
 """The benchmark tracer (loopbench/tracer.py) looks up library functions
 by name and patches ``Dual.__init__``; removing a name it needs, or a
 ``Dual`` slot it sets, breaks the benchmark, whose own tests are not
-collected here.  The ``lvl`` slot, which no library code reads, and
-``gsolve``, ``ginv``, ``gmatvec`` and ``gmatmul`` are kept for it, and
+collected here.  ``Dual``, a class with the slots ``re``, ``du`` and
+``lvl`` that no library code builds, and ``gsolve``, ``ginv``,
+``gmatvec`` and ``gmatmul`` are kept for it, and
 ``reconstruct._velocity`` keeps its name, which the tracer wraps to
 count the RK4 stage velocities.  Install it, trace a few calls and
 uninstall it to catch that early; the counts it reads (passes, stage
-velocities, ``Dual`` nodes of the passes that build them) are pinned for
-the routes that feed the benchmark's per-layer metrics."""
+velocities) are pinned for the routes that feed the benchmark's
+per-layer metrics, and its ``dual.nodes`` reads 0: first derivatives are
+complex steps, and no ``Dual`` is built."""
 
 import importlib.util
 from pathlib import Path
@@ -59,7 +61,7 @@ def test_traced_calls_complete_and_count_dual_nodes():
         tr.uninstall()
     assert tr.counts["gauge.commutator_residual"] == 1
     assert tr.counts["tangent.left_frame_matrix"] == 1
-    assert tr.extra["dual.nodes"] > 0
+    assert tr.extra["dual.nodes"] == 0
 
 
 def test_directional_routes_build_no_frames_or_solves():
@@ -91,14 +93,14 @@ def test_directional_routes_build_no_frames_or_solves():
     assert tr.counts["dual.dirderiv"] == 1 + 1
     # That pass runs the raw product: no checked core wrapper inside it.
     assert core_calls == 0
-    # Only the one batched factor pass builds ``Dual`` nodes: the
-    # velocities run on complex numbers.
-    assert reconstruct_nodes == 83
+    # The batched factor pass runs on numpy complex arrays and the
+    # velocities on Python complex numbers: no ``Dual`` is built.
+    assert reconstruct_nodes == 0
 
 
 def test_qhr_ad_differential_dual_nodes():
     # The right division is a closed form, so the four Jacobian columns
-    # solve nothing.
+    # solve nothing; each is a complex step, so no ``Dual`` is built.
     tr = _load_tracer().Tracer(loopbundle)
     try:
         tr.install()
@@ -109,4 +111,4 @@ def test_qhr_ad_differential_dual_nodes():
         tr.counting = tr.enabled = False
         tr.uninstall()
     assert tr.counts["dual.gsolve"] == 0
-    assert tr.extra["dual.nodes"] == 810
+    assert tr.extra["dual.nodes"] == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopbundle import bundle, core, reconstruct
-from loopbundle.dual import Dual, jacobian, pack, primal
+from loopbundle.dual import jacobian, jet_space, pack, primal
 from loopbundle.errors import OutOfDomain
 from loopbundle.report import DEFAULT_TOLERANCES, worst_residual
 from loopbundle.zoo import catalog_names, make_loop
@@ -158,9 +158,11 @@ OPERATIONS = {
 
 def _point_forms(point):
     """One point as a float array, a list of floats, a list of numpy
-    floats and a pack of seeded duals."""
+    floats and a pack of jets."""
+    space = jet_space(1, 1)
     return [np.array(point, dtype=float), [float(v) for v in point],
-            [np.float64(v) for v in point], pack([Dual(float(v), 1.0) for v in point])]
+            [np.float64(v) for v in point],
+            pack([space.variable(float(v), ((0,), ())) for v in point])]
 
 
 @pytest.mark.parametrize("name", ALL_LOOPS)
@@ -179,8 +181,8 @@ def test_out_of_chart_argument_raises_for_floats_and_duals(name, op):
             return list(fn(L, *args))
 
         # every form of a point reads the same coordinates, and the float
-        # forms give the same results bit for bit; a dual quotient
-        # multiplies by the divisor's reciprocal, so a dual's primal result
+        # forms give the same results bit for bit; a jet quotient
+        # multiplies by the divisor's reciprocal, so a jet's primal result
         # may differ in the last bits where a closed form divides by it
         forms = _point_forms(good)
         for x in forms:
@@ -202,6 +204,6 @@ def test_out_of_chart_argument_raises_for_floats_and_duals(name, op):
             for x in _point_forms(out) + [np.array([out, out]).T]:
                 with pytest.raises(OutOfDomain, match=f"is not of dimension {L.dim}"):
                     call(x)
-        # a seeded dual argument is checked on its primal coordinates
+        # a complex-step argument is checked on its primal coordinates
         with pytest.raises(OutOfDomain):
             jacobian(call, bad)

@@ -11,28 +11,24 @@ from hypothesis import given, strategies as st
 
 import loopbundle
 from loopbundle import core, reconstruct, zoo
-from loopbundle.dual import (Dual, Jet, complex_step, dirderiv, dual_parts, gcos, gfloor,
-                             ginv, gsin, gsolve, jacobian, jet_space, near_zero, pack,
-                             primal, quiet, seed)
+from loopbundle.dual import (_STEP, Jet, complex_step, dirderiv, gcos, gfloor, ginv, gsin,
+                             gsolve, jacobian, jet_space, near_zero, pack, primal, quiet)
 from leveled_dual import (RefDual, _assert_parts_close, _carrier_maker,
-                          _coefficients, next_level, ref_dirderiv, ref_gsolve,
-                          ref_jacobian)
+                          next_level, ref_dirderiv, ref_gsolve, ref_jacobian)
+
+H = _STEP
 
 
 def test_arithmetic_first_derivatives():
-    x = Dual(2.0, 1.0)
-    y = x * x * x - 4.0 * x + 1.0
-    assert y.re == pytest.approx(1.0)
-    assert y.du == pytest.approx(3 * 4.0 - 4.0)
+    f = lambda v: [v[0] * v[0] * v[0] - 4.0 * v[0] + 1.0]
+    assert complex_step(f, [2.0], [1.0]) == [3 * 4.0 - 4.0]
+    assert primal(f([complex(2.0, H)])[0]) == 1.0
 
 
 def test_division_derivative():
-    x = Dual(3.0, 1.0)
-    y = 1.0 / x
-    assert y.re == pytest.approx(1.0 / 3.0)
-    assert y.du == pytest.approx(-1.0 / 9.0)
-    z = x / (x + 1.0)
-    assert z.du == pytest.approx(1.0 / 16.0)
+    assert complex_step(lambda v: [1.0 / v[0]], [3.0], [1.0])[0] == pytest.approx(-1.0 / 9.0)
+    z = complex_step(lambda v: [v[0] / (v[0] + 1.0)], [3.0], [1.0])[0]
+    assert z == pytest.approx(1.0 / 16.0)
 
 
 @pytest.mark.parametrize("fn,ref,dref", [
@@ -41,21 +37,24 @@ def test_division_derivative():
 ])
 def test_scalar_functions(fn, ref, dref):
     t = 0.7
-    for x in (Dual(t, 1.0), RefDual(t, 1.0, next_level())):
-        out = fn(x)
-        assert out.__class__ is x.__class__
-        assert out.re == pytest.approx(ref(t), abs=1e-14)
-        assert out.du == pytest.approx(dref(t), abs=1e-14)
+    out = fn(complex(t, H))
+    assert out.__class__ is complex
+    assert out.real == pytest.approx(ref(t), abs=1e-14)
+    assert out.imag / H == pytest.approx(dref(t), abs=1e-14)
+    out = fn(RefDual(t, 1.0, next_level()))
+    assert out.__class__ is RefDual
+    assert out.re == pytest.approx(ref(t), abs=1e-14)
+    assert out.du == pytest.approx(dref(t), abs=1e-14)
 
 
 @pytest.mark.parametrize("x", [0.0, math.pi / 2, -math.pi / 2, 1e-300, 1e6])
 def test_complex_step_elementaries_equal_the_dual_rules(x):
-    # complex(x, h d) is Dual(x, d) scaled by h in its imaginary part: the
-    # real part is the primal and the imaginary part h times the dual
-    # part, bit for bit.
-    h = 2.0 ** -600
+    # complex(x, h d) is the dual number x + d eps scaled by h in its
+    # imaginary part: the real part is the primal and the imaginary part h
+    # times the dual part of the leveled carrier's rule, bit for bit.
+    h = H
     for d in (1.0, -0.37, 3.5e7):
-        z, want = complex(x, h * d), Dual(x, d)
+        z, want = complex(x, h * d), RefDual(x, d, next_level())
         for fn in (gsin, gcos):
             out, ref = fn(z), fn(want)
             assert out.__class__ is complex
@@ -64,24 +63,27 @@ def test_complex_step_elementaries_equal_the_dual_rules(x):
 
 
 def test_complex_step_equals_the_dual_pass():
-    # At a zero point the quotient's divisor has real part exactly 1.
+    # At a zero point the quotient's divisor has real part exactly 1, so
+    # the complex quotient rounds as the dual one does.
     p, q = 0.3, -1.7
     f = lambda v: [p * gsin(v[0]) + gcos(q + v[1]) * v[0],
                    (p + v[0] * v[1]) / (1.0 + q * v[1] + p * v[0])]
     for v in ([1.0, 0.0], [0.2, -2.5], [1e-100, 3e-100], [1e30, -2e30]):
         got = complex_step(f, [0.0, 0.0], v)
         assert all(d.__class__ is float for d in got)
+        assert got == ref_dirderiv(f, [0.0, 0.0], v).tolist(), v
         assert got == dirderiv(f, [0.0, 0.0], v).tolist(), v
 
 
 def test_nested_levels_mixed_second_derivative():
     # f(x, y) = x^2 y; d2f/dxdy = 2x, which an untagged dual would drop.
-    # The outer epsilon is the leveled carrier's; the library pass is inside.
+    # The outer epsilon is the leveled carrier's, the inner pass's level
+    # is higher.
     def inner(x, y):
         return x * x * y
 
     x = RefDual(1.5, 1.0, next_level())
-    col = jacobian(lambda ys: [inner(x, ys[0])], [2.0])
+    col = ref_jacobian(lambda ys: [inner(x, ys[0])], [2.0])
     entry = col[0][0]  # df/dy carrying the outer epsilon
     assert primal(entry) == pytest.approx(1.5 ** 2)
     assert isinstance(entry, RefDual)
@@ -95,9 +97,25 @@ def test_library_pass_inside_a_library_pass_raises():
         jacobian(inner, [1.5, 2.0])
     with pytest.raises(TypeError, match="does not nest"):
         dirderiv(inner, [1.5, 2.0], [1.0, 0.0])
-    # the same nesting with the outer pass leveled gives d2f/dx dy = 2x
-    hess = ref_jacobian(inner, [1.5, 2.0])
-    assert np.asarray(hess, dtype=float)[1, 0] == 3.0
+    with pytest.raises(TypeError, match="does not nest"):
+        complex_step(inner, [1.5, 2.0], [1.0, 0.0])
+    # a jet pass encloses the complex step: with x a jet in alpha,
+    # d/dy (x^2 y) = x^2 comes out as a jet, and its alpha part is 2x
+    space = jet_space(1, 1)
+    x = space.variable(1.5, ((0,), ()))
+    entry = jacobian(lambda ys: [x * x * ys[0]], [2.0])[0, 0]
+    assert entry.__class__ is Jet and entry.c.dtype == float
+    assert primal(entry) == 1.5 ** 2 and entry.c[space.index[((0,), ())]] == 3.0
+
+
+@pytest.mark.parametrize("x", [2.0 + 0j, np.complex128(2.0), np.array([2.0 + 0j])])
+def test_complex_coordinates_raise(x):
+    # complex(x, h v) of a complex x would add the two steps
+    f = lambda v: [v[0] * v[0]]
+    for call in (lambda: complex_step(f, [x], [1.0]), lambda: dirderiv(f, [x], [1.0]),
+                 lambda: jacobian(f, [x])):
+        with pytest.raises(TypeError, match="does not nest"):
+            call()
 
 
 def test_jacobian_plain():
@@ -125,16 +143,19 @@ def test_batched_dirderiv_has_one_column_per_point(f):
     got = dirderiv(f, [np.array(points)], [1.0])
     assert got.dtype == float and got.shape == (2, len(points))
     for i, t in enumerate(points):
-        assert np.array_equal(got[:, i], dirderiv(f, [t], [1.0])), i
+        assert np.array_equal(got[:, i], dirderiv(f, [np.array([t])], [1.0])[:, 0]), i
+        np.testing.assert_allclose(got[:, i], dirderiv(f, [t], [1.0]), rtol=1e-15)
 
 
 def test_dual_parts_ignores_other_levels():
-    # A leveled carrier's epsilon is another level: an output that did not
-    # reach the library pass contributes 0, not the carrier's part.
-    outer = RefDual(1.0, 5.0, next_level())
-    xs = seed([outer, 2.0], [1.0, 0.0])
-    assert dual_parts([outer, 2.0]) == [0.0, 0.0]
-    assert dual_parts(xs) == [1.0, 0.0]
+    # An output that the step did not reach contributes 0: a number, or a
+    # jet of an enclosing pass, whose parts are another level.
+    space = jet_space(1, 1)
+    outer = space.variable(1.0, ((0,), ()))
+    out = complex_step(lambda v: [outer, 2.0, outer * v[0]], [2.0], [1.0])
+    assert out[0].__class__ is Jet and not np.any(out[0].c)
+    assert out[1] == 0.0
+    assert out[2].__class__ is Jet and np.array_equal(out[2].c, outer.c)
 
 
 def test_gsolve_matches_numpy_and_propagates_duals():
@@ -148,9 +169,10 @@ def test_gsolve_matches_numpy_and_propagates_duals():
     at = np.empty((2, 2), dtype=object)
     a0 = np.array([[2.0, 1.0], [0.5, 3.0]])
     da = np.array([[1.0, 0.0], [0.0, -1.0]])
+    lvl = next_level()
     for i in range(2):
         for j in range(2):
-            at[i, j] = Dual(a0[i, j], da[i, j])
+            at[i, j] = RefDual(a0[i, j], da[i, j], lvl)
     b2 = np.array([1.0, 2.0])
     sol = ref_gsolve(at, b2)
     expect = -np.linalg.inv(a0) @ da @ np.linalg.solve(a0, b2)
@@ -164,10 +186,22 @@ def test_ginv_dual_free():
 
 
 def test_pack_keeps_duals():
-    for x in (Dual(1.0, 2.0), RefDual(1.0, 2.0, next_level())):
+    for x in (jet_space(1, 1).variable(1.0, ((0,), ())), RefDual(1.0, 2.0, next_level())):
         out = pack([x, 3.0])
         assert out.dtype == object
         assert primal(out[0]) == 1.0
+
+
+@pytest.mark.parametrize("xs", [
+    [np.complex128(1 + 2j), 3.0], [1 + 2j, 3.0], [[1.0, 2.0], [3.0, 1j]],
+    [np.array([1.0, 2.0 + 0j]), np.ones(2)], [RefDual(1.0, 2.0, 1), 1j],
+    [[jet_space(1, 1).variable(1.0, ((0,), ())), np.complex128(1j)]],
+    np.array([[1.0, np.complex128(1j)]], dtype=object)])
+def test_pack_raises_on_complex_entries(xs):
+    # A float array would drop the imaginary part, a complex step's
+    # derivative, with only a ComplexWarning.
+    with pytest.raises(TypeError, match="complex"):
+        pack(xs)
 
 
 def test_pack_plain_input_gives_floats():
@@ -187,7 +221,7 @@ def test_pack_batch_arrays_stack_to_rows():
 
 def test_pack_keeps_carriers_in_place():
     jet = jet_space(1, 2).variable(0.5, ((0,), ()))
-    for carrier in (Dual(1.0, 2.0), jet):
+    for carrier in (RefDual(1.0, 2.0, next_level()), jet):
         vec = [np.float64(2.0), carrier, 3.0]
         rows = [[1.0, 2.0], [carrier, np.float64(4.0)]]
         for xs, shape in ((vec, (3,)), (rows, (2, 2)),
@@ -200,162 +234,62 @@ def test_pack_keeps_carriers_in_place():
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_product_rule(a, b, t):
-    x = Dual(t, 1.0)
+    x = complex(t, H)
     f = a * x + b
     g = x * x + 1.0
     h = f * g
-    assert h.du == pytest.approx(f.du * g.re + f.re * g.du, abs=1e-9)
+    assert h.imag / H == pytest.approx(f.imag / H * g.real + f.real * g.imag / H, abs=1e-9)
 
 
-# -- equivalence with the reference operators ---------------------------------
-#
-# At one level, ``RefDual``'s generic rule (split both operands at the
-# higher of their levels) combines the ``re`` and ``du`` parts as the
-# library's ``Dual`` does.  The two must perform the same operations,
-# operand for operand: every component of every result tree, the number of
-# nodes built and the exceptions raised must match.
+# -- the bounds that complex_step states --------------------------------------
 
-_BINARY = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
-           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+def _captured(f):
+    """f, and the list of the outputs it returned in its last call."""
+    seen = []
 
+    def g(v):
+        seen[:] = f(v)
+        return seen
 
-def _random_number(rng):
-    u = rng.random()
-    if u < 0.04:
-        return math.nan
-    if u < 0.08:
-        return rng.choice([math.inf, -math.inf])
-    if u < 0.11:
-        return rng.choice([0.0, -0.0, 0])
-    if u < 0.25:
-        return rng.randint(-3, 3)
-    if u < 0.45:
-        return np.float64(rng.uniform(-2.0, 2.0))
-    return rng.uniform(-2.0, 2.0)
+    return g, seen
 
 
-def _random_leaf(rng):
-    """A number, or a one-level dual with number parts."""
-    if rng.random() < 0.3:
-        return ("num", _random_number(rng))
-    if rng.random() < 0.3:
-        # a seed direction, as ``jacobian`` attaches them
-        du = ("num", rng.choice([0.0, 1.0]))
-    else:
-        du = ("num", _random_number(rng))
-    return ("dual", ("num", _random_number(rng)), du)
+def test_complex_step_bounds_of_eps_squared():
+    # The product of two imaginary parts is h^2 d1 d2, which rounds to 0
+    # while |d1 d2| < 2**125 and to the smallest subnormal past it.
+    for d1, d2, zero in ((2.0 ** 62, 2.0 ** 62.5 * (1 - 2.0 ** -52), True),
+                         (2.0 ** 62, 2.0 ** 63, True),  # a tie, to even 0
+                         (2.0 ** 63, 2.0 ** 63, False), (1e3, 1e-3, True)):
+        f, seen = _captured(lambda v: [v[0] * v[1]])
+        assert complex_step(f, [0.0, 0.0], [d1, d2]) == [0.0]
+        assert (primal(seen[0]) == 0.0) is zero, (d1, d2)
 
 
-def _random_expr(rng, depth):
-    if depth == 0 or rng.random() < 0.15:
-        return _random_leaf(rng)
-    u = rng.random()
-    if u < 0.7:
-        return ("bin", rng.choice(sorted(_BINARY)),
-                _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
-    if u < 0.8:
-        return ("neg", _random_expr(rng, depth - 1))
-    if u < 0.9:
-        return ("pow", _random_expr(rng, depth - 1), rng.randint(0, 3))
-    return ("recip", _random_expr(rng, depth - 1))
-
-
-def _evaluate(spec, make):
-    tag = spec[0]
-    if tag == "num":
-        return spec[1]
-    if tag == "dual":
-        return make(_evaluate(spec[1], make), _evaluate(spec[2], make))
-    if tag == "bin":
-        return _BINARY[spec[1]](_evaluate(spec[2], make), _evaluate(spec[3], make))
-    if tag == "neg":
-        return -_evaluate(spec[1], make)
-    if tag == "pow":
-        return _evaluate(spec[1], make) ** spec[2]
-    return 1.0 / _evaluate(spec[1], make)
-
-
-def _tree(x):
-    """Every component of ``x``, with floats by bit pattern and NaN as 'nan'."""
-    if isinstance(x, Dual):
-        return ("dual", _tree(x.re), _tree(x.du))
-    if isinstance(x, (float, np.floating)):
-        return (type(x).__name__, "nan" if math.isnan(x) else float(x).hex())
-    return (type(x).__name__, repr(x))
-
-
-def _outcome(spec, make):
-    try:
-        return _tree(_evaluate(spec, make))
-    except (ZeroDivisionError, OverflowError) as exc:
-        return ("raised", type(exc).__name__)
-
-
-def test_level_dispatch_matches_reference_operators(monkeypatch):
-    nodes = [0]
-
-    def counting_init(obj, re, du=0.0, lvl=0):
-        obj.re = re
-        obj.du = du
-        obj.lvl = lvl
-        nodes[0] += 1
-
-    monkeypatch.setattr(Dual, "__init__", counting_init)
-    lvl = next_level()
-    rng = random.Random(20260806)
-    seen_nan = seen_large = 0
-    with np.errstate(all="ignore"):
-        for _ in range(600):
-            spec = _random_expr(rng, rng.randint(1, 6))
-            nodes[0] = RefDual.nodes = 0
-            got = _outcome(spec, Dual)
-            want = _outcome(spec, lambda re, du: RefDual(re, du, lvl))
-            assert got == want, spec
-            assert nodes[0] == RefDual.nodes, spec
-            seen_nan += "'nan'" in repr(want)
-            seen_large += nodes[0] > 10
-    # The sample exercises non-finite parts and large expression trees.
-    assert seen_nan > 50 and seen_large > 100
-
-
-# -- sparse seeding against dense seeding -------------------------------------
-#
-# ``dense_seed`` is the rule ``seed`` used to follow: every coordinate becomes
-# a dual, zero directions included.  On finite inputs ``jacobian`` and
-# ``dirderiv`` must give every epsilon coefficient equal (``==``) under both,
-# for expressions built from + - * and negation, ``gsin`` and scaling by a
-# reciprocal.  A quotient one of whose operands is an unseeded number rounds
-# differently, see ``test_quotient_of_unseeded_number_rounds_differently``.
-
-def dense_seed(x, direction):
-    return [Dual(xi, vi) for xi, vi in zip(x, direction)]
-
-
-def _assert_equal_components(got, want):
-    got, want = np.asarray(got, dtype=object), np.asarray(want, dtype=object)
-    assert got.shape == want.shape
-    for g, w in zip(got.reshape(-1), want.reshape(-1)):
-        cg, cw = _coefficients(g), _coefficients(w)
-        for mono in set(cg) | set(cw):
-            assert cg.get(mono, 0.0) == cw.get(mono, 0.0), (mono, g, w)
+def test_complex_step_bounds_of_subnormal_parts():
+    # A part below 2**-422 is subnormal times h: absolute error up to
+    # 2**-475; from 2**-422 up it is exact.
+    rng = random.Random(7)
+    inexact = 0
+    for _ in range(200):
+        d = rng.uniform(0.5, 1.0) * 2.0 ** rng.randint(-470, -380)
+        got, = complex_step(lambda v: [v[0]], [0.0], [d])
+        assert abs(got - d) <= 2.0 ** -475
+        if d >= 2.0 ** -422:
+            assert got == d
+        inexact += got != d
+    assert inexact > 0
 
 
 def _random_map(rng, n, depth):
-    """A random finite expression in the inputs, as a tree."""
+    """A random finite expression in n inputs of + - *, negation and sin."""
     if depth == 0 or rng.random() < 0.2:
         if rng.random() < 0.75:
             return ("var", rng.randrange(n))
         return ("num", rng.choice([0.0, 1.0, -0.5, rng.uniform(-2.0, 2.0)]))
     u = rng.random()
-    if u < 0.6:
-        return ("bin", rng.choice("+-*"), _random_map(rng, n, depth - 1),
-                _random_map(rng, n, depth - 1))
-    if u < 0.75:
-        # scaling by 1 / (1 + e^2) stays finite
-        return ("scale", _random_map(rng, n, depth - 1), _random_map(rng, n, depth - 1))
-    if u < 0.85:
-        return ("sin", _random_map(rng, n, depth - 1))
-    return ("neg", _random_map(rng, n, depth - 1))
+    if u < 0.7:
+        return (rng.choice("+-*"), _random_map(rng, n, depth - 1), _random_map(rng, n, depth - 1))
+    return ("sin" if u < 0.85 else "neg", _random_map(rng, n, depth - 1))
 
 
 def _apply(tree, xs):
@@ -364,113 +298,81 @@ def _apply(tree, xs):
         return xs[tree[1]]
     if tag == "num":
         return tree[1]
-    if tag == "bin":
-        return _BINARY[tree[1]](_apply(tree[2], xs), _apply(tree[3], xs))
-    if tag == "scale":
-        den = _apply(tree[2], xs)
-        return _apply(tree[1], xs) * (1.0 / (1.0 + den * den))
     if tag == "sin":
         return gsin(_apply(tree[1], xs))
-    return -_apply(tree[1], xs)
+    if tag == "neg":
+        return -_apply(tree[1], xs)
+    a, b = _apply(tree[1], xs), _apply(tree[2], xs)
+    return a + b if tag == "+" else a - b if tag == "-" else a * b
 
 
-def _random_input(rng, levels):
-    """A float, or a leveled carrier over some of the outer ``levels``
-    with finite parts."""
-    if not levels or rng.random() < 0.3:
-        return rng.uniform(-1.5, 1.5)
-    lvl = levels[-1]
-    inner = levels[:-1]
-    du = rng.choice([0.0, 1.0]) if rng.random() < 0.3 else _random_input(rng, inner)
-    return RefDual(_random_input(rng, inner), du, lvl)
-
-
-def test_sparse_seeding_matches_dense_seeding(monkeypatch):
-    import loopbundle.dual as dual_module
-
+def test_complex_step_matches_dense_dual_seeding():
+    # With every coordinate seeded, as the complex step seeds them, the
+    # leveled dual pass gives every derivative part equal (==) to the
+    # complex step's on finite maps of + - * and sin: term for term the
+    # same products, scaled by the power of two h.
     rng = random.Random(20261018)
-    checked = 0
     for _ in range(120):
         n = rng.randint(1, 4)
         maps = [_random_map(rng, n, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
         f = lambda xs: [_apply(t, xs) for t in maps]
-        outer = rng.randint(0, 2)
-        levels = [next_level() for _ in range(outer)]
-        x = [_random_input(rng, levels) for _ in range(n)]
-        v = [rng.choice([0.0, 0.0, 1.0, rng.uniform(-1.0, 1.0)]) for _ in range(n)]
-        # nest the library jacobian in one more leveled pass, so 1-3 outer
-        # levels occur per input
-        nested = lambda xs: list(np.asarray(jacobian(f, xs), dtype=object).reshape(-1))
-        for passes in ((jacobian, dirderiv, f), (ref_jacobian, ref_dirderiv, nested)):
-            jac, der, g = passes
-            sparse = (jac(g, x), der(g, x, v))
-            monkeypatch.setattr(dual_module, "seed", dense_seed)
-            dense = (jac(g, x), der(g, x, v))
-            monkeypatch.undo()
-            for got, want in zip(sparse, dense):
-                _assert_equal_components(got, want)
-            checked += 1
-    assert checked == 240
+        x = [rng.uniform(-1.5, 1.5) for _ in range(n)]
+        v = [rng.choice([0.0, 1.0, rng.uniform(-1.0, 1.0)]) for _ in range(n)]
 
+        def dense(direction):
+            lvl = next_level()
+            return [y.du if isinstance(y, RefDual) else 0.0
+                    for y in f([RefDual(xi, vi, lvl) for xi, vi in zip(x, direction)])]
 
-def test_seed_leaves_zero_directions_alone():
-    lvl = next_level()
-    outer = RefDual(0.5, 1.0, lvl)
-    x = [outer, 2.5, np.float64(-1.0), 3.0, 4.0, 5.0]
-    direction = [0.0, 1.0, -0.0, np.float64(0.0), RefDual(0.0, 0.0, lvl), math.nan]
-    out = seed(x, direction)
-    assert out[0] is outer and out[2] is x[2] and out[3] is x[3]
-    assert out[1].__class__ is Dual and (out[1].re, out[1].du) == (2.5, 1.0)
-    # a carrier direction and a NaN direction are seeded
-    assert out[4].__class__ is Dual and out[4].du is direction[4]
-    assert out[5].__class__ is Dual and math.isnan(out[5].du)
-    with pytest.raises(TypeError, match="does not nest"):
-        seed([1.0, out[1]], [1.0, 0.0])
+        assert complex_step(f, x, v) == dense(v)
+        cols = [dense([1.0 if j == i else 0.0 for j in range(n)]) for i in range(n)]
+        assert jacobian(f, x).tolist() == [list(row) for row in zip(*cols)]
 
 
 def test_nan_in_unseeded_coordinate_keeps_primal_nan():
-    f = lambda v: [v[0] * v[1] + v[1], v[0] + 0.0 * v[1], v[1] - v[0]]
-    out = f(seed([math.nan, 2.0], [0.0, 1.0]))
-    assert all(math.isnan(primal(y)) for y in out)
-    # where the derivative of a function of the seeded coordinate does not
-    # involve the non-finite one, sparse seeding keeps it finite: dense
-    # seeding would give inf * 0.0 = NaN here
+    # Every coordinate is stepped, a zero direction entry to an imaginary
+    # zero: a NaN coordinate makes the primal values it reaches NaN, and an
+    # inf or NaN one makes NaN the derivative parts it meets as a factor,
+    # inf * 0 and NaN * 0, also along a zero direction entry.
+    f, seen = _captured(lambda v: [v[0] * v[1] + v[1], v[0] + 0.0 * v[1], v[1] - v[0]])
+    out = complex_step(f, [math.nan, 2.0], [0.0, 1.0])
+    assert all(math.isnan(primal(y)) for y in seen)
+    assert math.isnan(out[0]) and out[1] == 0.0 and out[2] == 1.0
     g = lambda v: [v[0] * v[0] + v[1]]
     col = jacobian(g, [math.inf, 2.0])
-    assert float(col[0][0]) == math.inf and float(col[0][1]) == 1.0
+    assert float(col[0][0]) == math.inf and math.isnan(col[0][1])
 
 
-def test_quotient_of_unseeded_number_rounds_differently(monkeypatch):
-    import loopbundle.dual as dual_module
+def test_complex_step_signs_of_zero_parts():
+    # A zero direction entry steps to a zero of its own sign, and a zero
+    # derivative part takes the sign IEEE arithmetic gives it: 2.0 * v is
+    # a complex product with 2 + 0i, whose imaginary part 2 (-0) + 0 1 is
+    # +0, where the dual rule scales -0 to -0.
+    assert [math.copysign(1.0, d) for d in complex_step(
+        lambda v: [v[0], v[1], -v[0], v[0] - v[0], 2.0 * v[1]],
+        [1.0, 1.0], [0.0, -0.0])] == [1.0, -1.0, -1.0, 1.0, 1.0]
 
-    # Under dense seeding x / y of two unseeded coordinates was the dual
-    # quotient x * (1 / y); now it is the float quotient x / y.  The two
-    # agree to rounding and here differ in the last bit.
+
+def test_quotient_of_unseeded_number_rounds_differently():
+    # A complex quotient's real part is the float quotient x / y; the dual
+    # quotient of the leveled carrier multiplies by 1 / y.  The two agree
+    # to rounding and here differ in the last bit.
     x, y = 5.0, 7.0
-    f = lambda v: [v[0] / v[1] * v[2]]
-    sparse = f(seed([x, y, 1.0], [0.0, 0.0, 1.0]))[0]
-    monkeypatch.setattr(dual_module, "seed", dense_seed)
-    dense = f(dual_module.seed([x, y, 1.0], [0.0, 0.0, 1.0]))[0]
-    assert sparse.re == sparse.du == x / y
-    assert dense.re == dense.du == x * (1.0 / y)
+    f, seen = _captured(lambda v: [v[0] / v[1] * v[2]])
+    assert complex_step(f, [x, y, 1.0], [0.0, 0.0, 1.0]) == [x / y]
+    assert primal(seen[0]) == x / y
+    lvl = next_level()
+    dual = f([RefDual(x, 0.0, lvl), RefDual(y, 0.0, lvl), RefDual(1.0, 1.0, lvl)])[0]
+    assert dual.re == dual.du == x * (1.0 / y)
     assert x / y != x * (1.0 / y) and abs(x / y - x * (1.0 / y)) <= 1.2e-16
 
 
-def test_library_routes_never_nest_duals(monkeypatch, capsys):
-    # No library route builds a Dual whose primal part is itself a Dual.
+def test_library_routes_never_nest_duals(capsys):
+    # No library route runs a complex step inside another: a complex
+    # coordinate raises, so every route below completes.
     from loopbundle import cli, gauge
     from loopbundle.zoo import make_loop
 
-    nested = [0]
-
-    def counting_init(obj, re, du=0.0, lvl=0):
-        obj.re = re
-        obj.du = du
-        obj.lvl = lvl
-        if re.__class__ is Dual:
-            nested[0] += 1
-
-    monkeypatch.setattr(Dual, "__init__", counting_init)
     for name in ("rz", "qc", "qh2", "qsu2", "qhr:K=1"):
         assert cli.main(["verify", "--loop", name, "--suite", "all", "--samples", "3",
                          "--seed", "1", "--steps", "16"]) == 0
@@ -480,12 +382,13 @@ def test_library_routes_never_nest_duals(monkeypatch, capsys):
     x, y = [0.2, -0.1], [0.1, 0.25]
     f = lambda xs, ys: xs[0] * ys[1] + 0.3 * xs[1] * ys[0] * ys[0]
     q_map = lambda xs: [gcos(0.4 + 0.7 * xs[0]), gsin(0.4 + 0.7 * xs[0] - 0.3 * xs[1])]
-    gauge.commutator_residual(form, 0, 1, f, x, y)
-    gauge.curvature(form, x, y)
-    gauge.curvature_gauge_residual(form, q_map, x)
-    gauge.omega_annihilates_d_residual(form, x, y, 0)
-    gauge.hor_field(form, [1.0, 0.5])(x + y)
-    assert nested[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        gauge.commutator_residual(form, 0, 1, f, x, y)
+        gauge.curvature(form, x, y)
+        gauge.curvature_gauge_residual(form, q_map, x)
+        gauge.omega_annihilates_d_residual(form, x, y, 0)
+        gauge.hor_field(form, [1.0, 0.5])(x + y)
 
 
 # -- derivatives through a solve: carry against the routes it replaced -------
@@ -519,55 +422,58 @@ def test_rz_division_derivatives_match_full_newton(kind):
             _assert_parts_close(got, ref_rz_left_div(*args))
 
 
-def test_rz_dual_division_node_count(monkeypatch):
-    # One carry step on a one-level dual; three steps built 38 and 48.
-    nodes = [0]
-
-    def counting_init(obj, re, du=0.0, lvl=0):
-        obj.re = re
-        obj.du = du
-        obj.lvl = lvl
-        nodes[0] += 1
-
-    L = zoo.make_loop("rz")
-    a, b = Dual(0.03, 1.0), Dual(0.4, 1.0)
-    monkeypatch.setattr(Dual, "__init__", counting_init)
-    for args, count in ((([0.03], [b]), 10), (([a], [0.4]), 20)):
-        nodes[0] = 0
-        L.left_div(*args)
-        assert nodes[0] == count
-
-
-def test_carry_steps_follow_the_carrier_order():
-    from loopbundle.dual import _order, jet_space
+def test_carry_steps_follow_the_carrier_order(monkeypatch):
+    from loopbundle.dual import _order, carry, jet_space
 
     lvl = next_level()
-    assert _order(0.5) == 0 and _order(np.zeros(3)) == 0
-    assert _order(Dual(0.5, 1.0)) == _order(Dual(np.zeros(3), np.ones(3))) == 1
-    assert _order(Dual(RefDual(0.5, 1.0, lvl), 2.0)) == 2
+    assert _order(0.5) == 0 and _order(np.zeros(3)) == 0 and _order([0.5, 1j]) == 0
+    assert _order(complex(0.5, H)) == _order(np.zeros(3, dtype=complex)) == 1
+    assert _order(RefDual(RefDual(0.5, 1.0, lvl), 2.0, lvl + 1)) == 2
     assert _order(RefDual(0.5, RefDual(1.0, 1.0, lvl), lvl + 1)) == 2
     # a jet's order is its space's degree: one more than the order in alpha
     assert _order(jet_space(1, 1).variable(0.5, ((0,), ()))) == 2
     assert _order(jet_space(1, 2).variable(0.5, ((0,), ()))) == 3
+    # an rz division evaluates its residual once per step: once on a
+    # complex step, a point or a batch, and three times on a degree-3 jet
+    calls = []
+
+    def counted(root, residual, solve0):
+        def res(ys):
+            calls[-1] += 1
+            return residual(ys)
+        calls.append(0)
+        return carry(root, res, solve0)
+
+    monkeypatch.setattr(zoo, "carry", counted)
+    L = zoo.make_loop("rz")
+    batch = np.array([0.4, 0.5]) + 0j
+    batch.imag = H
+    jet = jet_space(1, 2).variable(0.4, ((0,), ()))
+    with quiet():
+        for args in (([0.03], [complex(0.4, H)]), ([complex(0.03, H)], [0.4]),
+                     ([0.03], [batch]), ([0.03], [jet])):
+            L.left_div(*args)
+    assert calls == [1, 1, 1, 3]
 
 
 # -- the dispatch ladder of the elementaries ------------------------------------
 #
 # The bodies below are the elementaries as they were before they tested the
-# carrier classes with ``__class__ is``: they reached complex steps, duals and
-# batch arrays through a TypeError.  The library's must give the same value
-# and type on every input.
+# carrier classes with ``__class__ is``: they reached complex steps, leveled
+# carriers and batch arrays through a TypeError.  The library's must give
+# the same value and type on every input.  A complex value, a jet's complex
+# constant term or a complex batch, is read by its real part.
 
 def ref_primal(x):
-    while isinstance(x, Dual):
+    while isinstance(x, RefDual):
         x = x.re
     if x.__class__ is Jet:
-        return float(x.c[0])
+        return x.c.item(0).real
     try:
         return float(x)
     except TypeError:
         if x.__class__ is np.ndarray:
-            return x
+            return x.real
         return x.real if x.__class__ is complex else x
 
 
@@ -580,8 +486,6 @@ def ref_gsin(x):
         pass
     except ValueError:
         return math.nan
-    if x.__class__ is Dual:
-        return Dual(ref_gsin(x.re), ref_gcos(x.re) * x.du)
     if x.__class__ is np.ndarray:
         return np.sin(x)
     if x.__class__ is complex:
@@ -598,8 +502,6 @@ def ref_gcos(x):
         pass
     except ValueError:
         return math.nan
-    if x.__class__ is Dual:
-        return Dual(ref_gcos(x.re), -ref_gsin(x.re) * x.du)
     if x.__class__ is np.ndarray:
         return np.cos(x)
     if x.__class__ is complex:
@@ -618,19 +520,15 @@ def ref_gfloor(x):
 
 
 def ref_near_zero(x, bound):
-    while isinstance(x, Dual):
-        x = x.re
-    if x.__class__ is Jet:
-        x = x.c[0]
     if x.__class__ is np.ndarray:
-        return (abs(x) < bound).any()
-    return abs(x) < bound
+        return (abs(x.real) < bound).any()
+    return abs(ref_primal(x)) < bound
 
 
 def _assert_same(got, want):
     """The same class and the same value bit for bit, part by part."""
     assert got.__class__ is want.__class__, (got, want)
-    if isinstance(want, Dual):
+    if isinstance(want, RefDual):
         _assert_same(got.re, want.re)
         _assert_same(got.du, want.du)
         assert getattr(got, "lvl", None) == getattr(want, "lvl", None)
@@ -650,12 +548,12 @@ def _ladder_inputs():
     djet = Jet(np.linspace(-0.2, 0.6, space.size), space)
     arr = np.array([0.3, -1.2, 2.5, math.inf, math.nan])
     return [0.3, -0.0, 0.35, 2, np.float64(0.7), np.int64(-3), 0.4 + 0.25j, np.array(0.6),
-            arr, math.inf, -math.inf, math.nan, Dual(0.3, 1.5),
-            Dual(arr, np.array([1.0, -2.0, 0.5, 1.0, 3.0])), Dual(jet, djet), jet,
-            RefDual(0.3, 0.7, next_level()), RefDual(Dual(-0.8, 0.1), 0.2, next_level())]
+            arr, math.inf, -math.inf, math.nan, complex(0.3, 1.5 * H),
+            arr + 1j * H * np.array([1.0, -2.0, 0.5, 1.0, 3.0]), jet + 1j * H * djet, jet,
+            RefDual(0.3, 0.7, next_level()), RefDual(complex(-0.8, 0.1 * H), 0.2, next_level())]
 
 
-@pytest.mark.parametrize("x", _ladder_inputs(), ids=repr)
+@pytest.mark.parametrize("x", _ladder_inputs(), ids=lambda x: " ".join(repr(x).split()))
 def test_elementaries_give_the_exception_dispatch_value_and_type(x):
     with quiet():
         for fn, ref in ((primal, ref_primal), (gsin, ref_gsin), (gcos, ref_gcos),
@@ -693,10 +591,10 @@ def test_hot_paths_raise_no_exception_inside_the_library():
     xs, ts = np.linspace(0.001, 0.03, 5), np.linspace(0.002, 0.02, 5)
     # a complex-step stage velocity of the Lie-equation reconstruction
     assert _library_exceptions(lambda: reconstruct._velocity(rz, [0.02], [0.7])) == []
-    # batched Dual rz divisions, seeded in the divisor and in the target
+    # batched complex-step rz divisions, stepped in the divisor and in the target
     with quiet():
-        assert _library_exceptions(lambda: rz.left_div([Dual(xs, np.ones(5))], [ts])) == []
-        assert _library_exceptions(lambda: rz.left_div([xs], [Dual(ts, np.ones(5))])) == []
+        assert _library_exceptions(lambda: rz.left_div([xs + 1j * H], [ts])) == []
+        assert _library_exceptions(lambda: rz.left_div([xs], [ts + 1j * H])) == []
     # the checked float wrappers on every catalog loop
     for name in zoo.catalog_names():
         L = zoo.make_loop(name)
@@ -718,5 +616,5 @@ def test_one_element_batch_is_a_batch():
         assert out.shape == (2, 1)
         assert out[:, 0].tolist() == core.product(L, np.array(a), np.array(b)).tolist()
         assert primal(np.array([0.1])).__class__ is np.ndarray
-        assert primal(Dual(np.array([0.1]), np.array([1.0]))).__class__ is np.ndarray
+        assert primal(np.array([0.1 + 1j * H])).__class__ is np.ndarray
         assert primal(np.array(0.1)).__class__ is float

@@ -1,5 +1,5 @@
 """The jet route of the gauge checks against the nested-dual routines it
-replaced, which are kept as the reference, their outer passes leveled
+replaced, which are kept as the reference, every pass leveled
 (``leveled_dual``): below for the connection form
 and its derivatives, the curvature tensor, the structure equation and the
 Bianchi identity; in ``gauge_reference`` for the covariant-derivative
@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from loopbundle import core, dual, gauge, reconstruct, tangent
-from loopbundle.dual import (Dual, gmatvec, gsin, jacobian, jet_space, pack, primal,
-                            taylor_frame)
+from loopbundle.dual import (_STEP as H, complex_step, gmatvec, gsin, jacobian, jet_space,
+                            pack, primal, taylor_frame)
 from loopbundle.zoo import make_loop
 
 import gauge_reference as ref
-from leveled_dual import ref_dirderiv, ref_jacobian
+from leveled_dual import ref_dirderiv, ref_frame, ref_jacobian
 
 
 # -- the nested-dual reference ------------------------------------------------
@@ -65,7 +65,7 @@ def ref_hor_project(form, z, v):
     db = form.potential.base_dim
     _, y = ref.split(form, z)
     w = ref.omega_of(form, z, v)
-    lift = gmatvec(tangent.left_frame_matrix(form.fiber, y), w)
+    lift = gmatvec(ref_frame(form.fiber, y), w)
     return pack(list(v[:db]) + [v[db + i] - lift[i] for i in range(form.fiber.dim)])
 
 
@@ -201,12 +201,15 @@ def test_horizontal_field_is_horizontal_and_takes_carriers(name):
         vx = rng.standard_normal(2)
         h = gauge.hor_field(form, vx)(x + y)
         assert np.max(np.abs(gauge.omega_apply(form, x, y, h[:2], h[2:]))) <= 1e-15
-        # A caller's leveled carrier in z: the derivative of the field
-        # along dz, against the reference field's.
+        # Jets in z: the derivative of the field along dz, the jets' alpha
+        # part, against the leveled pass of the reference field.
         dz = rng.standard_normal(2 + L.dim)
-        got = ref_dirderiv(lambda zz: list(gauge.hor_field(form, vx)(zz)), x + y, dz)
+        space = jet_space(1, 1)
+        zs = [v + d * space.variable(0.0, ((0,), ())) for v, d in zip(x + y, dz)]
+        got = [v.c[space.index[((0,), ())]] if v.__class__ is dual.Jet else 0.0
+               for v in gauge.hor_field(form, vx)(zs)]
         want = ref_dirderiv(lambda zz: list(ref.hor_field(form, vx)(zz)), x + y, dz)
-        assert np.max(np.abs(_floats(got) - _floats(want))) <= 1e-14
+        assert np.max(np.abs(np.array(got) - _floats(want))) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["qc", "qh2", "qhr:K=1", "qhr:K=-2.5"])
@@ -381,16 +384,21 @@ def test_jet_checks_run_on_a_transformed_form(name):
 
 
 def test_transformed_potential_rejects_a_dual_coordinate():
-    # A Dual coordinate would be captured by the potential's own dual pass
-    # and give a wrong A' silently, so it raises; floats and jets pass.
+    # A complex-step coordinate would be captured by the potential's own
+    # complex steps, which would add to it and give a wrong A' silently,
+    # so it raises; floats and jets pass.
     L = make_loop("qc")
     moved = gauge.gauge_transform(gauge.make_test_potential(L, 2, seed=65),
                                   gauge.make_test_transition(L, 2, seed=65))
     with pytest.raises(TypeError):
-        moved.potential.A([Dual(0.1, 1.0), 0.2])
+        moved.potential.A([complex(0.1, H), 0.2])
+    # A jet quotient multiplies by the divisor's reciprocal series, a
+    # complex one on floats divides, so the primals of A' on jets agree
+    # with A' on floats to rounding, not bit for bit.
     jets = [jet_space(2, 1).variable(v, ((m,), ())) for m, v in enumerate([0.1, 0.2])]
     on_jets = moved.potential.A(jets)
-    assert np.array_equal(_floats(on_jets), moved.potential.A([0.1, 0.2]).ravel())
+    on_floats = moved.potential.A([0.1, 0.2]).ravel()
+    assert np.max(np.abs(_floats(on_jets) - on_floats)) <= 1e-15 * np.max(np.abs(on_floats))
 
 
 def _two_call_transition(L, q_map):
@@ -436,22 +444,21 @@ def test_transition_evaluates_q_map_once_per_pair(monkeypatch):
 # One jet pass of the connection form per call, plus one of the product
 # for the structure functions in the structure equation; the commutator
 # makes one pass of f(z + v), one of A(x) v and one of the product, the
-# component curvature one of A(x) v and one of the product; no Dual nodes.
+# component curvature one of A(x) v and one of the product; no complex
+# step.
 # Each pass carries the order its caller reads: only the Jacobi and
 # Bianchi residuals read second derivatives, so only they build an
 # order-2 jet space.
 @pytest.mark.parametrize("name", ["rz", "qc", "qhr:K=1"])
 def test_jet_route_call_counts(monkeypatch, name):
     L = make_loop(name)
-    nodes = [0]
+    steps = [0]
     passes = Counter()
     spaces = set()
 
-    def counting_init(obj, re, du=0.0, lvl=0):
-        obj.re = re
-        obj.du = du
-        obj.lvl = lvl
-        nodes[0] += 1
+    def counting_step(*args):
+        steps[0] += 1
+        return complex_step(*args)
 
     def counted(module):
         fn = module.taylor_frame
@@ -475,7 +482,7 @@ def test_jet_route_call_counts(monkeypatch, name):
     for module in (gauge, tangent, reconstruct):
         monkeypatch.setattr(module, "taylor_frame", counted(module))
     monkeypatch.setattr(dual, "jet_space", recorded)
-    monkeypatch.setattr(Dual, "__init__", counting_init)
+    monkeypatch.setattr(dual, "complex_step", counting_step)
     calls = (
         (lambda: gauge.curvature_tensor(form2, x + y, u, v), {("gauge", 1): 1}),
         (lambda: gauge.structure_equation_residual(form2, x, y, u[:2], u[2:], v[:2], v[2:]),
@@ -496,9 +503,10 @@ def test_jet_route_call_counts(monkeypatch, name):
         call()
         assert passes == Counter(want)
         assert spaces == {order for _, order in want}
-    assert nodes[0] == 0
+    assert steps[0] == 0
     # the curvature in another trivialization: two component curvatures,
-    # A' a Dual Jacobian inside its jet pass, and Ad^-1 a Dual Jacobian
+    # A' a complex-step Jacobian inside its jet pass, and Ad^-1 a
+    # complex-step Jacobian
     passes.clear()
     spaces.clear()
     gauge.curvature_gauge_residual(form2, q_map, [0.1, -0.2])
@@ -604,10 +612,9 @@ def test_potential_with_a_power_takes_jets(name):
 def test_jet_and_dual_powers_take_nonnegative_integers():
     jet = jet_space(2, 1).variable(0.5, ((0,), ()))
     assert (jet ** 0, (jet ** 3).c.tobytes()) == (1.0, (jet * jet * jet).c.tobytes())
-    for x in (jet, Dual(0.5, 1.0)):
-        for n in (-1, 2.0, 0.5):
-            with pytest.raises(TypeError, match="nonnegative integer"):
-                x ** n
+    for n in (-1, 2.0, 0.5):
+        with pytest.raises(TypeError, match="nonnegative integer"):
+            jet ** n
 
 
 # -- non-finite values ---------------------------------------------------------

@@ -1,8 +1,8 @@
 """Taylor jets: the elementaries against nested duals, and the jet
 structure functions, Jacobi residual and Maurer-Cartan identity against
 the nested-dual routines they replaced, which are kept below as the
-reference.  Their outer passes are leveled (``leveled_dual``) around the
-library's passes."""
+reference.  Every pass of a reference is leveled (``leveled_dual``): the
+frames and differentials are leveled Jacobians of the raw closed forms."""
 
 import collections
 import dataclasses
@@ -13,24 +13,24 @@ import numpy as np
 import pytest
 
 from loopbundle import core, gauge, reconstruct, tangent
-from loopbundle.dual import (Dual, Jet, JetDivisor, JetSpace, gcos, gdot, gfloor, gsin,
-                             jet_space, near_zero, pack, primal, quiet, taylor_frame)
+from loopbundle.dual import (_STEP as H, Jet, JetDivisor, JetSpace, gcos, gdot, gfloor,
+                             gsin, jet_space, near_zero, pack, primal, quiet, taylor_frame)
 from loopbundle.errors import DomainSingularity
 from loopbundle.report import worst_residual
 from loopbundle.zoo import SINGULAR_DENOM, make_loop, parse_spec
 
-from leveled_dual import ref_dirderiv, ref_gsolve, ref_jacobian
+from leveled_dual import ref_differential, ref_dirderiv, ref_frame, ref_gsolve, ref_jacobian
 
 
 # -- the nested-dual reference ------------------------------------------------
 
-def ref_structure_tensor(L, a, frame=tangent.left_frame_matrix):
+def ref_structure_tensor(L, a, side="left"):
     """The nested-dual structure tensor: a Jacobian of the dual frame."""
     n = L.dim
-    r = frame(L, a)
+    r = ref_frame(L, a, side)
 
     def flat_frame(x):
-        fr = frame(L, x)
+        fr = ref_frame(L, x, side)
         return [fr[k][i] for k in range(n) for i in range(n)]
 
     grad = ref_jacobian(flat_frame, a)
@@ -57,7 +57,7 @@ def ref_jacobi_residual(L, a):
     """The nested-dual Jacobi residual: a Jacobian of the structure tensor."""
     n = L.dim
     a = [float(x) for x in a]
-    r = np.array([[primal(x) for x in row] for row in tangent.left_frame_matrix(L, a)])
+    r = np.array([[primal(x) for x in row] for row in ref_frame(L, a)])
     c = np.asarray(ref_structure_tensor(L, a), dtype=float)
     dc = ref_structure_derivative(L, a).transpose(1, 0, 2, 3)  # dc[m, p, i, j]
     worst = 0.0
@@ -78,8 +78,8 @@ def ref_jacobi_residual(L, a):
 def ref_parametric_form(L, a, b):
     """lambda(b; a) = l_(a,b)* . omega(b), with dual entries when ``b``
     carries duals."""
-    lstar = tangent.left_associator_differential(L, a, b)
-    frame = tangent.left_frame_matrix(L, b)
+    lstar = ref_differential(L, core._left_associator, a, b)
+    frame = ref_frame(L, b)
     n = L.dim
     omega = ref_gsolve(frame, np.eye(n))
     out = np.empty((n, n), dtype=object)
@@ -140,7 +140,7 @@ def test_structure_tensor_matches_nested_dual_reference(name):
         assert got.dtype == float
         assert np.max(np.abs(got - ref_structure_tensor(L, a))) <= 1e-14
         got = tangent.structure_tensor_raw(L, a, side="right")
-        want = ref_structure_tensor(L, a, frame=tangent.right_frame_matrix)
+        want = ref_structure_tensor(L, a, side="right")
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
@@ -186,7 +186,7 @@ def test_taylor_frame_of_the_associator_matches_nested_jacobians(name):
     a, b = (list(0.7 * L.sample(rng)) for _ in range(2))
 
     def lstar(x):
-        return list(np.asarray(tangent.left_associator_differential(L, a, x)).reshape(-1))
+        return list(np.asarray(ref_differential(L, core._left_associator, a, x)).reshape(-1))
 
     def floats(m):
         return np.array([primal(v) for v in np.asarray(m).flat])
@@ -223,7 +223,7 @@ def test_rz_divisions_keep_the_float_primal():
     rng = np.random.default_rng(2)
     for a, b in zip(rng.uniform(0.0, 0.1, 1000), rng.uniform(0.0, 1.0, 1000)):
         want = L.left_div([a], [b])[0]
-        assert primal(L.left_div([a], [Dual(b, 1.0)])[0]) == want
+        assert primal(L.left_div([a], [complex(b, H)])[0]) == want
         assert primal(L.left_div([a], [space.variable(b, ((0,), ()))])[0]) == want
 
 
@@ -239,7 +239,7 @@ def test_qhr_right_divisions_keep_the_float_primal(K):
         a, b = list(L.sample(rng)), list(L.sample(rng))
         want = L.right_div(b, a)
         k = int(rng.integers(4))
-        for make in (lambda v: Dual(v, 1.0), lambda v: space.variable(v, ((0,), ()))):
+        for make in (lambda v: complex(v, H), lambda v: space.variable(v, ((0,), ()))):
             bc, ac = list(b), list(a)
             bc[k] = make(b[k])
             ac[3 - k] = make(a[3 - k])
@@ -270,7 +270,7 @@ def test_taylor_frame_matches_nested_jacobians(name):
     a = list(0.7 * L.sample(np.random.default_rng(12)))
 
     def flat_frame(x):
-        return list(np.asarray(tangent.left_frame_matrix(L, x)).reshape(-1))
+        return list(np.asarray(ref_frame(L, x)).reshape(-1))
 
     def flat_grad(x):
         return list(np.asarray(ref_jacobian(flat_frame, x)).reshape(-1))
@@ -279,7 +279,7 @@ def test_taylor_frame_matches_nested_jacobians(name):
         return np.array([primal(v) for v in np.asarray(m).flat])
 
     r, dr, d2r = taylor_frame(L.product, a, list(L.identity), order=2)
-    want_r = floats(tangent.left_frame_matrix(L, a)).reshape(n, n)
+    want_r = floats(ref_frame(L, a)).reshape(n, n)
     # jacobian(flat_frame)[k*n + i][m] = d_m R[k, i]
     want_dr = floats(ref_jacobian(flat_frame, a)).reshape(n, n, n).transpose(2, 0, 1)
     want_d2r = floats(ref_jacobian(flat_grad, a)).reshape(n, n, n, n).transpose(3, 2, 0, 1)
@@ -513,7 +513,7 @@ def test_inf_in_the_jet_pass_is_silent(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sin_cos_floor_are_nan_on_non_finite_values(bad):
     space = jet_space(1, 2)
-    for x in (bad, Dual(bad, 1.0), space.variable(bad, ((0,), ()))):
+    for x in (bad, complex(bad, H), space.variable(bad, ((0,), ()))):
         for fn in (gsin, gcos, gfloor):
             assert math.isnan(primal(fn(x)))
     for fn in (gsin, gcos):
@@ -574,7 +574,7 @@ def test_singular_denominator_raises_as_on_floats():
 def test_structure_tensor_is_float_only():
     L = make_loop("qc")
     with pytest.raises(TypeError):
-        tangent.structure_tensor_raw(L, [Dual(0.1, 1.0), 0.2])
+        tangent.structure_tensor_raw(L, [complex(0.1, H), 0.2])
     with pytest.raises(ValueError):
         tangent.structure_tensor_raw(L, [0.1, 0.2], side="middle")
 
@@ -757,3 +757,23 @@ def test_closed_forms_build_one_reciprocal_per_denominator(monkeypatch):
         for op, quotients in zip(("product", "left_div", "right_div"), per_quotient):
             assert work(L, lambda L: taylor_frame(getattr(L, op), a, b, 1))[0] == 1
             assert work(ref, lambda L: taylor_frame(getattr(L, op), a, b, 1))[0] == quotients
+
+
+def test_nested_complex_steps_build_one_reciprocal_per_denominator(monkeypatch):
+    # The complex steps of a transformed potential run inside its jet
+    # pass, where every Moebius denominator is a jet with complex
+    # coefficients: one JetDivisor and one reciprocal series each.
+    L = make_loop("qc")
+    form = gauge.make_test_potential(L, 2, 7)
+    q_map = lambda xs: [0.1 * gcos(0.3 * xs[0]), 0.1 * gsin(0.3 * xs[0])]
+    divisors = [0]
+    init = JetDivisor.__init__
+
+    def counted(self, d):
+        divisors[0] += 1
+        init(self, d)
+
+    monkeypatch.setattr(JetDivisor, "__init__", counted)
+    reciprocals, _ = _jet_work(
+        monkeypatch, lambda: gauge.curvature_gauge_residual(form, q_map, [0.1, -0.2]))
+    assert reciprocals == divisors[0] == 21

@@ -135,7 +135,7 @@ def test_canonical_form_inverts_frame():
     # The directional passes against Jacobian matrices and frame solves.
     for name in ALL_LOOPS:
         L = make_loop(name)
-        a, b = list(L.sample(rng)), list(L.sample(rng))
+        a, b = L.sample(rng).tolist(), L.sample(rng).tolist()
         vec = rng.standard_normal(L.dim)
         v = tangent.TangentVector(base=np.asarray(a), vec=vec)
 
@@ -146,8 +146,8 @@ def test_canonical_form_inverts_frame():
             return np.asarray(jacobian(lambda x: list(f(x)), a), dtype=float)
 
         omega = frame_solve(a, vec)
-        push_l = translation_jacobian(lambda x: core.product(L, b, x)) @ vec
-        push_r = translation_jacobian(lambda x: core.product(L, x, b)) @ vec
+        push_l = translation_jacobian(lambda x: L.product(b, x)) @ vec
+        push_r = translation_jacobian(lambda x: L.product(x, b)) @ vec
         assert np.max(np.abs(tangent.canonical_form(L, v).vec - omega)) <= 1e-14
         assert np.max(np.abs(tangent.pushforward_left(L, b, v).vec - push_l)) <= 1e-14
         assert np.max(np.abs(tangent.pushforward_right(L, b, v).vec - push_r)) <= 1e-14
@@ -205,7 +205,10 @@ def _composed_ad_form_laws(L, b, v):
     functions: each checks its points again, b.a and a.b included."""
     omega_v = tangent.canonical_form(L, v).vec
     lhs_l = tangent.canonical_form(L, tangent.pushforward_left(L, b, v)).vec
-    rhs_l = dirderiv(lambda c: core._left_associator(L, b, list(v.base), c),
+    # the raw pass reads Python floats, as verify_ad_form_laws's does: a
+    # numpy scalar would make numpy complex steps, which divide differently
+    rhs_l = dirderiv(lambda c: core._left_associator(L, [float(x) for x in b],
+                                                     v.base.tolist(), c),
                      L.identity.tolist(), omega_v)
     lhs_r = tangent.canonical_form(L, tangent.pushforward_right(L, b, v)).vec
     rhs_r = np.linalg.inv(tangent.ad_differential(L, b, v.base)) @ omega_v
