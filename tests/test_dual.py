@@ -422,6 +422,28 @@ def test_rz_division_derivatives_match_full_newton(kind):
             _assert_parts_close(got, ref_rz_left_div(*args))
 
 
+def test_rz_dual_division_node_count(monkeypatch):
+    # A first-order rz division is one carry step on a complex step, in the
+    # divisor or in the target; it builds no ``Dual`` node (it built 10 and
+    # 20 when first derivatives were Dual arithmetic).
+    from loopbundle.dual import Dual
+
+    nodes = [0]
+
+    def counting_init(obj, *args, **kwargs):
+        nodes[0] += 1
+
+    L = zoo.make_loop("rz")
+    want = L.left_div([0.03], [0.4])[0]
+    monkeypatch.setattr(Dual, "__init__", counting_init, raising=False)
+    with quiet():
+        for args in (([0.03], [complex(0.4, H)]), ([complex(0.03, H)], [0.4])):
+            nodes[0] = 0
+            got = L.left_div(*args)[0]
+            assert nodes[0] == 0
+            assert primal(got) == want and got.imag != 0.0
+
+
 def test_carry_steps_follow_the_carrier_order(monkeypatch):
     from loopbundle.dual import _order, carry, jet_space
 
@@ -549,7 +571,8 @@ def _ladder_inputs():
     arr = np.array([0.3, -1.2, 2.5, math.inf, math.nan])
     return [0.3, -0.0, 0.35, 2, np.float64(0.7), np.int64(-3), 0.4 + 0.25j, np.array(0.6),
             arr, math.inf, -math.inf, math.nan, complex(0.3, 1.5 * H),
-            arr + 1j * H * np.array([1.0, -2.0, 0.5, 1.0, 3.0]), jet + 1j * H * djet, jet,
+            arr + 1j * H * np.array([1.0, -2.0, 0.5, 1.0, 3.0]),
+            pytest.param(jet + 1j * H * djet, id="jet + i h djet"), jet,
             RefDual(0.3, 0.7, next_level()), RefDual(complex(-0.8, 0.1 * H), 0.2, next_level())]
 
 
