@@ -40,15 +40,16 @@ Quotients.  A jet quotient ``x / d`` is ``x * r`` with r the reciprocal
 series of d, a few table multiplications to build.  A closed form that
 divides several numerators by one jet denominator inverts it once: it
 wraps d in a ``JetDivisor`` after its singular test, and every quotient
-is the ``x * r`` that ``x / d`` computes, bit for bit.  Floats and
+is what ``x / d`` computes, bit for bit.  Floats and
 complex steps divide element by element, as x * (1/d) rounds
 differently from x / d on floats.
 
 Dispatch.  ``primal``, ``gsin``, ``gcos``, ``gfloor`` and ``near_zero``
 test the exact class of their argument, in the order float, ``Jet``,
-ndarray with an axis (a batch), complex.  Only ints, numpy scalars, 0-d
-arrays and a caller's carrier reach the generic rule after it, so no
-exception is raised on a hot path.
+ndarray with an axis (a batch), complex (numpy's complex by
+``isinstance``).  Only ints, real numpy scalars, 0-d arrays and a
+caller's carrier reach the generic rule after it, so no exception is
+raised on a hot path.
 
 Batches.  A coordinate of a pass may be a float array with a batch
 axis; its step is a complex array, and the elementaries accept such
@@ -66,7 +67,10 @@ Nesting.  A complex step may run inside a jet pass: a jet takes complex
 constants and then carries complex coefficients, a derivative comes out
 as the jet of their imaginary parts over h, and one Taylor pass
 differentiates a first-order pass (nested forward mode); a
-gauge-transformed potential is such a pass.  A complex step inside a
+gauge-transformed potential is such a pass.  A complex jet's products
+and quotients take their constant terms from Python's complex arithmetic
+on the operands' constant terms, so the primals of such a pass are
+those of the same complex step on numbers bit for bit.  A complex step inside a
 complex step is not supported: a complex coordinate raises TypeError,
 and a complex number that a function captures from another pass goes
 undetected, its step added to the inner one.  A caller that nests brings
@@ -84,6 +88,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -123,7 +128,7 @@ def _order(x):
         return x.space.degree
     if c is np.ndarray:
         return int(x.dtype.kind == "c")
-    if isinstance(x, complex):  # numpy's complex too
+    if isinstance(x, _COMPLEX):  # numpy's complex too
         return 1
     du = getattr(x, "du", None)  # None for a number or a row
     return 0 if du is None else 1 + max(_order(x.re), _order(du))
@@ -172,7 +177,7 @@ def primal(x):
         return x.c.item(0).real
     if c is np.ndarray and x.ndim:
         return x.real
-    if isinstance(x, complex):  # numpy's complex too
+    if isinstance(x, _COMPLEX):  # numpy's complex too
         return x.real
     try:
         return float(x)  # an int, a numpy scalar or a 0-d array
@@ -181,9 +186,11 @@ def primal(x):
 
 
 def _cmath(fn, z):
+    """fn(z), or a complex NaN where cmath raises: at an infinite real part
+    (as fn(nan) is NaN) and where the step part |h d| passes about 710."""
     try:
         return fn(z)
-    except ValueError:  # an infinite real part; NaN, as cmath.sin(nan) is
+    except (ValueError, OverflowError):
         return complex(math.nan, math.nan)
 
 
@@ -194,7 +201,7 @@ def gsin(x):
             return x._trig(0)
         if c is np.ndarray and x.ndim:
             return np.sin(x)
-        if c is complex:
+        if c is complex or isinstance(x, _COMPLEX):  # numpy's complex too
             return _cmath(cmath.sin, x)
     try:
         return math.sin(x)  # a float, an int, a numpy scalar or a 0-d array
@@ -211,7 +218,7 @@ def gcos(x):
             return x._trig(1)
         if c is np.ndarray and x.ndim:
             return np.cos(x)
-        if c is complex:
+        if c is complex or isinstance(x, _COMPLEX):  # numpy's complex too
             return _cmath(cmath.cos, x)
     try:
         return math.cos(x)  # a float, an int, a numpy scalar or a 0-d array
@@ -249,13 +256,16 @@ def pack(xs):
     list is read as it is, not copied.
     """
     out = np.array(xs)
-    kind = out.dtype.kind
-    if kind in "biuf":
+    if out.dtype.kind in "biuf":
         return out.astype(float, copy=False)
-    if kind == "c" or any(isinstance(v, _COMPLEX) for v in out.flat):
-        raise TypeError("pack takes no complex entry: a float array would drop "
-                        "its imaginary part")
-    return out if has_carrier(out.flat) else out.astype(float)
+    carrier = False
+    for v in out.flat:  # an object array, or a complex one
+        if v.__class__ is not float:
+            if isinstance(v, _COMPLEX):
+                raise TypeError("pack takes no complex entry: a float array would "
+                                "drop its imaginary part")
+            carrier = carrier or bool(_order(v))
+    return out if carrier else out.astype(float)
 
 
 # The complex step h and its inverse, both powers of two (see complex_step).
@@ -329,10 +339,10 @@ def complex_step(f, x, v):
     docstring), and ``v`` jets of an enclosing pass; a complex coordinate,
     scalar or array, raises TypeError,
     as complex(x, h v) would add the two steps.  A numpy scalar in ``f``
-    would make a numpy complex, which ``float`` and ``math`` functions take
-    silently as its real part (numpy warns with ``ComplexWarning``),
-    losing the derivative; a caller that runs foreign closed forms turns
-    that warning into an error.
+    makes a numpy complex, which the elementaries take as a complex step
+    but ``float`` and ``math`` functions take silently as its real part
+    (numpy warns with ``ComplexWarning``), losing the derivative; a caller
+    that runs foreign closed forms turns that warning into an error.
     """
     return [_derivative(y) for y in f(_stepped(x, v))]
 
@@ -528,25 +538,26 @@ class Jet:
 
     def __mul__(self, other):
         if other.__class__ is Jet:
-            return Jet(self.space.mul(self.c, other.c), self.space)
+            return _exact(Jet(self.space.mul(self.c, other.c), self.space),
+                          operator.mul, self, other)
         if isinstance(other, _SCALARS):
-            return Jet(self.c * other, self.space)
+            return _exact(Jet(self.c * other, self.space), operator.mul, self, other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.__class__ is Jet:
-            return self * other._reciprocal()
+            return _exact(self * other._reciprocal(), operator.truediv, self, other)
         if isinstance(other, _SCALARS):
             if other == 0:
                 raise ZeroDivisionError("float division by zero")
-            return Jet(self.c / other, self.space)
+            return _exact(Jet(self.c / other, self.space), operator.truediv, self, other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, _SCALARS):
-            return self._reciprocal() * other
+            return _exact(self._reciprocal() * other, operator.truediv, other, self)
         return NotImplemented
 
     def __neg__(self):
@@ -580,20 +591,38 @@ class Jet:
         return Jet(acc, self.space)
 
 
-class JetDivisor:
-    """A jet denominator d inverted once: ``x / JetDivisor(d)`` is
-    ``x * r`` with ``r = d._reciprocal()``, which is what ``x / d``
-    computes for a jet or a number x, so a closed form that divides
-    several numerators by one jet builds its reciprocal series once."""
+def _constant(x):
+    return x.c.item(0) if x.__class__ is Jet else x
 
-    __slots__ = ("r",)
+
+def _exact(q, op, x, y):
+    """``q``, the jet op(x, y) of jets or numbers x and y, with constant
+    term op(x0, y0) in Python's arithmetic where q is complex.  Numpy
+    multiplies complex numbers with other roundings than Python (fused
+    multiply-adds), and a jet quotient multiplies by the reciprocal
+    1 / y0 where Python divides, so otherwise a complex step inside a jet
+    pass would not have the primals of the same step on numbers bit for
+    bit.  Sums and real products round alike in both."""
+    if q.c.dtype.kind == "c":
+        q.c[0] = op(_constant(x), _constant(y))
+    return q
+
+
+class JetDivisor:
+    """A jet denominator d inverted once: ``x / JetDivisor(d)`` is what
+    ``x / d`` computes for a jet or a number x, ``x * r`` with
+    ``r = d._reciprocal()``, so a closed form that divides several
+    numerators by one jet builds its reciprocal series once."""
+
+    __slots__ = ("r", "d0")
     __array_ufunc__ = None  # numpy scalars defer to __rtruediv__
 
     def __init__(self, d):
         self.r = d._reciprocal()
+        self.d0 = d.c.item(0)
 
     def __rtruediv__(self, x):
-        return x * self.r
+        return _exact(x * self.r, operator.truediv, x, self.d0)
 
 
 def taylor_frame(f, a, e, order):

@@ -287,9 +287,13 @@ def gauge_transform(form, q_map):
     the v-Jacobian of q_ab \\ q_ab(x + v) is (L_(q_ab))_*^-1 dq_ab.  x may
     hold floats or Taylor jets, constants to that complex step, so every
     jet check runs on a transformed form; ``q_map`` must accept complex
-    steps over them.  A Python complex coordinate raises TypeError, as
-    ``float`` does on it: the pass would add its own step to it and give a
-    wrong derivative (see :mod:`dual`).
+    steps over them, and the primals of A' on jets are A' on floats bit
+    for bit.  A Python complex coordinate raises TypeError, as ``float``
+    does on it: the pass would add its own step to it and give a wrong
+    derivative (see :mod:`dual`).  A quotient in ``q_map`` or the
+    closed forms whose divisor has a real part below about 2**-573 times its
+    derivative part is outside the complex step's range: A' comes out
+    wrong there, silently.
     """
     L = form.fiber
     pair = _transition(L, q_map)

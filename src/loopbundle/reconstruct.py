@@ -9,9 +9,11 @@ forms, a complex step on numpy complex arrays with a batch axis, gives it
 at every stage parameter t.  Each stage's velocity is then one complex
 step of the product at phi (``dual.complex_step``): the identity stepped
 along that factor by i h w, the derivative read off the imaginary parts,
-in the built-in complex arithmetic.  No frame matrix is built.  A numpy scalar in a descriptor's closed form
-would drop those imaginary parts with a ``ComplexWarning``, so the RK4
-loop turns that warning into an error.
+in the built-in complex arithmetic.  No frame matrix is built.  A
+closed form that casts a numpy complex number to a float (``float``,
+``math`` functions, ``np.float64``) would drop those imaginary parts
+with a ``ComplexWarning``, so the RK4 loop turns that warning into an
+error.
 
 Chart checks.  ``reconstruct_product`` checks a and the batch of path
 nodes b = path(t) against the chart once, before the first step.  Every
@@ -78,7 +80,11 @@ def reconstruct_product(L, a, b, steps, path=None):
     path(1)=b; the default is the straight ray t*b.  The phi-free factors
     of all RK4 stages come from one batched pass, so ``path`` must also
     take a numpy array of parameters and a complex array: arithmetic
-    only, as :func:`bezier_path` is.
+    only, as :func:`bezier_path` is.  A quotient in ``path`` or in the
+    closed forms whose divisor has a real part below about 2**-573 times
+    its derivative part is outside the complex step's range (see
+    :func:`dual.complex_step`): its value and its derivative come out
+    wrong, silently.
     """
     if steps < MIN_STEPS:
         raise ValueError(f"steps must be at least {MIN_STEPS}")

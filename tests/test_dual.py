@@ -265,6 +265,16 @@ def test_complex_step_bounds_of_eps_squared():
         assert (primal(seen[0]) == 0.0) is zero, (d1, d2)
 
 
+def test_complex_step_sine_and_cosine_past_overflow_are_nan():
+    # cmath.sin and cmath.cos overflow once the step part |h d| passes
+    # about 710; the elementaries give a complex NaN there, as at inf.
+    for fn in (gsin, gcos):
+        for z in (complex(0.3, 1e3), np.complex128(complex(0.3, -1e3)),
+                  complex(math.inf, H)):
+            out = fn(z)
+            assert out.__class__ is complex and cmath.isnan(out), (fn.__name__, z)
+
+
 def test_complex_step_bounds_of_subnormal_parts():
     # A part below 2**-422 is subnormal times h: absolute error up to
     # 2**-475; from 2**-422 up it is exact.
@@ -423,25 +433,32 @@ def test_rz_division_derivatives_match_full_newton(kind):
 
 
 def test_rz_dual_division_node_count(monkeypatch):
-    # A first-order rz division is one carry step on a complex step, in the
-    # divisor or in the target; it builds no ``Dual`` node (it built 10 and
-    # 20 when first derivatives were Dual arithmetic).
-    from loopbundle.dual import Dual
+    # The work of a first-order rz division, a complex step in the divisor
+    # or in the target: one float root and one carry step, which evaluates
+    # the residual once (it built 10 and 20 Dual nodes when first
+    # derivatives were Dual arithmetic, the same single step).
+    roots, residuals = [0], [0]
 
-    nodes = [0]
+    def counted_root(x, t):
+        roots[0] += 1
+        return root(x, t)
 
-    def counting_init(obj, *args, **kwargs):
-        nodes[0] += 1
+    def counted_carry(y, residual, solve0):
+        def res(ys):
+            residuals[0] += 1
+            return residual(ys)
+        return carry(y, res, solve0)
 
+    root, carry = zoo._rz_root, zoo.carry
+    monkeypatch.setattr(zoo, "_rz_root", counted_root)
+    monkeypatch.setattr(zoo, "carry", counted_carry)
     L = zoo.make_loop("rz")
     want = L.left_div([0.03], [0.4])[0]
-    monkeypatch.setattr(Dual, "__init__", counting_init, raising=False)
-    with quiet():
-        for args in (([0.03], [complex(0.4, H)]), ([complex(0.03, H)], [0.4])):
-            nodes[0] = 0
-            got = L.left_div(*args)[0]
-            assert nodes[0] == 0
-            assert primal(got) == want and got.imag != 0.0
+    for args in (([0.03], [complex(0.4, H)]), ([complex(0.03, H)], [0.4])):
+        roots[0] = residuals[0] = 0
+        got = L.left_div(*args)[0]
+        assert (roots[0], residuals[0]) == (1, 1)
+        assert primal(got) == want and got.imag != 0.0
 
 
 def test_carry_steps_follow_the_carrier_order(monkeypatch):
@@ -484,13 +501,16 @@ def test_carry_steps_follow_the_carrier_order(monkeypatch):
 # carrier classes with ``__class__ is``: they reached complex steps, leveled
 # carriers and batch arrays through a TypeError.  The library's must give
 # the same value and type on every input.  A complex value, a jet's complex
-# constant term or a complex batch, is read by its real part.
+# constant term or a complex batch, is read by its real part, and a numpy
+# complex scalar is a complex step, as a Python complex is.
 
 def ref_primal(x):
     while isinstance(x, RefDual):
         x = x.re
     if x.__class__ is Jet:
         return x.c.item(0).real
+    if isinstance(x, np.complexfloating):
+        return x.real
     try:
         return float(x)
     except TypeError:
@@ -502,6 +522,8 @@ def ref_primal(x):
 def ref_gsin(x):
     if x.__class__ is Jet:
         return x._trig(0)
+    if isinstance(x, np.complexfloating):
+        return cmath.sin(x)
     try:
         return math.sin(x)
     except TypeError:
@@ -518,6 +540,8 @@ def ref_gsin(x):
 def ref_gcos(x):
     if x.__class__ is Jet:
         return x._trig(1)
+    if isinstance(x, np.complexfloating):
+        return cmath.cos(x)
     try:
         return math.cos(x)
     except TypeError:
@@ -571,6 +595,7 @@ def _ladder_inputs():
     arr = np.array([0.3, -1.2, 2.5, math.inf, math.nan])
     return [0.3, -0.0, 0.35, 2, np.float64(0.7), np.int64(-3), 0.4 + 0.25j, np.array(0.6),
             arr, math.inf, -math.inf, math.nan, complex(0.3, 1.5 * H),
+            np.complex128(complex(0.3, 1.5 * H)),
             arr + 1j * H * np.array([1.0, -2.0, 0.5, 1.0, 3.0]),
             pytest.param(jet + 1j * H * djet, id="jet + i h djet"), jet,
             RefDual(0.3, 0.7, next_level()), RefDual(complex(-0.8, 0.1 * H), 0.2, next_level())]

@@ -392,13 +392,9 @@ def test_transformed_potential_rejects_a_dual_coordinate():
                                   gauge.make_test_transition(L, 2, seed=65))
     with pytest.raises(TypeError):
         moved.potential.A([complex(0.1, H), 0.2])
-    # A jet quotient multiplies by the divisor's reciprocal series, a
-    # complex one on floats divides, so the primals of A' on jets agree
-    # with A' on floats to rounding, not bit for bit.
     jets = [jet_space(2, 1).variable(v, ((m,), ())) for m, v in enumerate([0.1, 0.2])]
     on_jets = moved.potential.A(jets)
-    on_floats = moved.potential.A([0.1, 0.2]).ravel()
-    assert np.max(np.abs(_floats(on_jets) - on_floats)) <= 1e-15 * np.max(np.abs(on_floats))
+    assert np.array_equal(_floats(on_jets), moved.potential.A([0.1, 0.2]).ravel())
 
 
 def _two_call_transition(L, q_map):

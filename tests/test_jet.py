@@ -476,6 +476,29 @@ def test_jet_arithmetic_with_numbers():
     assert (x * x * x).c[space.index[((0, 0), ())]] == pytest.approx(3 * 0.5)
 
 
+def test_complex_jet_constant_terms_are_python_arithmetic():
+    # A complex step inside a jet pass: the constant term of a product or
+    # a quotient is Python's complex product or quotient of the operands'
+    # constant terms, as for the same step on numbers.  Numpy's complex
+    # product rounds otherwise on about a quarter of these pairs.
+    space = jet_space(2, 1)
+    rng = np.random.default_rng(5)
+
+    def stepped():
+        return rng.standard_normal(space.size) + 1j * H * rng.standard_normal(space.size)
+
+    for _ in range(200):
+        x, y, r = Jet(stepped(), space), Jet(stepped(), space), Jet(stepped().real, space)
+        z = complex(rng.standard_normal(), H * rng.standard_normal())
+        x0, y0, r0 = x.c.item(0), y.c.item(0), r.c.item(0)
+        for got, want in ((x * y, x0 * y0), (x * z, x0 * z), (z * x, z * x0),
+                          (x * r, x0 * r0), (r * z, r0 * z), (x / y, x0 / y0),
+                          (x / JetDivisor(y), x0 / y0), (z / JetDivisor(r), z / r0),
+                          (z / y, z / y0), (x / z, x0 / z), (r / z, r0 / z),
+                          (x / r, x0 / r0), (r / y, r0 / y0), (2.0 / y, 2.0 / y0)):
+            assert got.c.item(0) == want
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_nan_and_inf_reach_the_jet_results():
     space = jet_space(2, 2)

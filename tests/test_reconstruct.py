@@ -217,12 +217,12 @@ def test_velocity_equals_the_dirderiv_pass_bit_for_bit(name):
     assert reconstruct._velocity(L, phi, w) == _dirderiv_velocity(L, phi, w)
 
 
-def _numpy_scalar_loop():
+def _numpy_scalar_loop(cast=np.float64):
     """x.y = (x0 + y0, x1 + y1 + x0 sin(y0)) with a numpy scalar inside
-    the sine: a closed form that a complex step would see through
-    ``float`` as its real part only."""
+    the sine, cast by ``cast``: with ``np.float64`` a closed form that
+    reads a complex step's numpy complex as its real part only."""
     def product(a, b):
-        return [a[0] + b[0], a[1] + b[1] + a[0] * gsin(np.float64(1.0) * b[0])]
+        return [a[0] + b[0], a[1] + b[1] + a[0] * gsin(cast(np.float64(1.0) * b[0]))]
 
     def left_div(a, c):
         y0 = c[0] - a[0]
@@ -248,7 +248,9 @@ def test_numpy_scalar_in_the_product_raises_complex_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
         assert reconstruct._velocity(L, phi, w) == [1.0, 0.0]
-    assert _dirderiv_velocity(L, phi, w) == [1.0, 0.3]
+    # Uncast, the numpy complex reaches gsin, which keeps its step.
+    uncast = _numpy_scalar_loop(cast=lambda v: v)
+    assert reconstruct._velocity(uncast, phi, w) == _dirderiv_velocity(uncast, phi, w) == [1.0, 0.3]
 
 
 def _two_pass_parametric_form(L, a, b):
@@ -358,6 +360,16 @@ def test_non_finite_node_in_batch():
     L = make_loop("qc")
     a, b = [0.3, 0.2], [-0.4, 0.5]
 
+    def tiny_divisor(t):
+        # The same values as the straight path.  At t = 1 the divisor is
+        # 1e-200 + i h, its real part far below h times its derivative
+        # part: the regime where a complex step is no derivative (see
+        # dual.complex_step).  q comes out near 1.7e-89, not 1e-50, and
+        # finite, so q - q cancels and the run is the straight path's,
+        # where the derivative of q - q is undefined (-inf + inf).
+        q = 1e-250 / (t - 1.0 + 1e-200)
+        return [t * v + (q - q) for v in b]
+
     def nan_value(t):
         # 0 * inf at t = 0.5: NaN there, and 0 elsewhere.
         q = 0.0 * (1e300 / (t - 0.5 + 1e-320))
@@ -365,6 +377,8 @@ def test_non_finite_node_in_batch():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        got = reconstruct.reconstruct_product(L, a, b, 16, path=tiny_divisor)
+        assert np.array_equal(got, reconstruct.reconstruct_product(L, a, b, 16))
         # A NaN value fails the chart check, per node and in the batch.
         with pytest.raises(OutOfDomain) as batched:
             reconstruct.reconstruct_product(L, a, b, 16, path=nan_value)

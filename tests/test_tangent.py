@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from loopbundle import core, gauge, tangent
-from loopbundle.dual import Dual, dirderiv, jacobian
+from loopbundle import core, dual, gauge, tangent
+from loopbundle.dual import dirderiv, jacobian
 from loopbundle.errors import NoSolutionInChart
 from loopbundle.zoo import catalog_names, make_loop
 
@@ -266,29 +266,33 @@ def test_jacobi_residual_of_nan_product_is_not_finite():
     assert not math.isfinite(tangent.jacobi_residual(L, [0.2, -0.1]))
 
 
-# Dual nodes one Jacobi point builds with the real-coordinate closed forms
-# and sparse seeding.  Work on structural zeros (complexified coordinates
-# that are always 0, unseeded coordinates) shows up here as a larger count.
-# The complexified-quaternion product with dense seeding built 228,368 on
+# Jet nodes one Jacobi point builds: one jet pass of the product, whose
+# arithmetic runs on coefficient arrays.  Work per matrix entry or on
+# structural zeros would show up here as a larger count.  ``dual_nodes``
+# is what the nested-dual route this pass replaced built with the
+# real-coordinate closed forms and sparse seeding; the
+# complexified-quaternion product with dense seeding built 228,368 on
 # qhr:K=1 and 3,676 on qc.
-@pytest.mark.parametrize("name,point,limit", [
+JACOBI_JET_NODES = {"qhr:K=1": 88, "qc": 25}
+
+
+@pytest.mark.parametrize("name,point,dual_nodes", [
     ("qhr:K=1", [0.1, -0.2, 0.3, 0.25], 32486),
     ("qc", [0.3, -0.4], 2174),
 ])
-def test_jacobi_point_dual_node_count(monkeypatch, name, point, limit):
+def test_jacobi_point_dual_node_count(monkeypatch, name, point, dual_nodes):
     nodes = [0]
 
-    def counting_init(obj, re, du=0.0, lvl=0):
-        obj.re = re
-        obj.du = du
-        obj.lvl = lvl
+    def counting_init(obj, c, space):
+        obj.c = c
+        obj.space = space
         nodes[0] += 1
 
     L = make_loop(name)
-    monkeypatch.setattr(Dual, "__init__", counting_init)
+    monkeypatch.setattr(dual.Jet, "__init__", counting_init)
     residual = tangent.jacobi_residual(L, point)
     assert residual < 1e-12
-    assert nodes[0] <= limit
+    assert nodes[0] == JACOBI_JET_NODES[name] < dual_nodes
 
 
 # The structure tensor and the Jacobi residual take the frame and its
