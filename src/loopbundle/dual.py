@@ -40,9 +40,9 @@ Quotients.  A jet quotient ``x / d`` is ``x * r`` with r the reciprocal
 series of d, a few table multiplications to build.  A closed form that
 divides several numerators by one jet denominator inverts it once: it
 wraps d in a ``JetDivisor`` after its singular test, and every quotient
-is what ``x / d`` computes, bit for bit.  Floats and
-complex steps divide element by element, as x * (1/d) rounds
-differently from x / d on floats.
+is what ``x / d`` computes, bit for bit.  Floats and complex steps
+divide element by element, as x * (1/d) rounds differently from x / d
+on floats.
 
 Dispatch.  ``primal``, ``gsin``, ``gcos``, ``gfloor`` and ``near_zero``
 test the exact class of their argument, in the order float, ``Jet``,
@@ -70,10 +70,10 @@ differentiates a first-order pass (nested forward mode); a
 gauge-transformed potential is such a pass.  A complex jet's products
 and quotients take their constant terms from Python's complex arithmetic
 on the operands' constant terms, so the primals of such a pass are
-those of the same complex step on numbers bit for bit.  A complex step inside a
-complex step is not supported: a complex coordinate raises TypeError,
-and a complex number that a function captures from another pass goes
-undetected, its step added to the inner one.  A caller that nests brings
+those of the same complex step on numbers bit for bit.  A complex step
+inside a complex step is not supported: a complex coordinate raises
+TypeError, and a complex number that a function captures from another
+pass goes undetected, its step added to the inner one.  A caller that nests brings
 a leveled carrier (the tests' references do), whose passes enclose the
 library's raw closed forms.  It exposes its primal and derivative parts
 as ``re`` and ``du`` and its sine and cosine as ``_trig``, which the
@@ -88,7 +88,6 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 
 import numpy as np
 
@@ -538,26 +537,36 @@ class Jet:
 
     def __mul__(self, other):
         if other.__class__ is Jet:
-            return _exact(Jet(self.space.mul(self.c, other.c), self.space),
-                          operator.mul, self, other)
-        if isinstance(other, _SCALARS):
-            return _exact(Jet(self.c * other, self.space), operator.mul, self, other)
-        return NotImplemented
+            c = self.space.mul(self.c, other.c)
+        elif isinstance(other, _SCALARS):
+            c = self.c * other
+        else:
+            return NotImplemented
+        if c.dtype.kind == "c":  # see _constant
+            c[0] = self.c.item(0) * _constant(other)
+        return Jet(c, self.space)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.__class__ is Jet:
-            return _exact(self * other._reciprocal(), operator.truediv, self, other)
-        if isinstance(other, _SCALARS):
+            q = self * other._reciprocal()
+        elif isinstance(other, _SCALARS):
             if other == 0:
                 raise ZeroDivisionError("float division by zero")
-            return _exact(Jet(self.c / other, self.space), operator.truediv, self, other)
-        return NotImplemented
+            q = Jet(self.c / other, self.space)
+        else:
+            return NotImplemented
+        if q.c.dtype.kind == "c":
+            q.c[0] = self.c.item(0) / _constant(other)
+        return q
 
     def __rtruediv__(self, other):
         if isinstance(other, _SCALARS):
-            return _exact(self._reciprocal() * other, operator.truediv, other, self)
+            q = self._reciprocal() * other
+            if q.c.dtype.kind == "c":
+                q.c[0] = other / self.c.item(0)
+            return q
         return NotImplemented
 
     def __neg__(self):
@@ -592,20 +601,15 @@ class Jet:
 
 
 def _constant(x):
+    """The constant term of a jet or a number.  A complex jet's product or
+    quotient takes its constant term from Python's arithmetic on the
+    operands' constant terms: numpy multiplies complex numbers with other
+    roundings than Python (fused multiply-adds), and a jet quotient
+    multiplies by the reciprocal 1 / y0 where Python divides, so otherwise
+    a complex step inside a jet pass would not have the primals of the
+    same step on numbers bit for bit.  Sums and real products round alike
+    in both."""
     return x.c.item(0) if x.__class__ is Jet else x
-
-
-def _exact(q, op, x, y):
-    """``q``, the jet op(x, y) of jets or numbers x and y, with constant
-    term op(x0, y0) in Python's arithmetic where q is complex.  Numpy
-    multiplies complex numbers with other roundings than Python (fused
-    multiply-adds), and a jet quotient multiplies by the reciprocal
-    1 / y0 where Python divides, so otherwise a complex step inside a jet
-    pass would not have the primals of the same step on numbers bit for
-    bit.  Sums and real products round alike in both."""
-    if q.c.dtype.kind == "c":
-        q.c[0] = op(_constant(x), _constant(y))
-    return q
 
 
 class JetDivisor:
@@ -622,7 +626,10 @@ class JetDivisor:
         self.d0 = d.c.item(0)
 
     def __rtruediv__(self, x):
-        return _exact(x * self.r, operator.truediv, x, self.d0)
+        q = x * self.r
+        if q.c.dtype.kind == "c":
+            q.c[0] = _constant(x) / self.d0
+        return q
 
 
 def taylor_frame(f, a, e, order):

@@ -435,8 +435,7 @@ def test_rz_division_derivatives_match_full_newton(kind):
 def test_rz_dual_division_node_count(monkeypatch):
     # The work of a first-order rz division, a complex step in the divisor
     # or in the target: one float root and one carry step, which evaluates
-    # the residual once (it built 10 and 20 Dual nodes when first
-    # derivatives were Dual arithmetic, the same single step).
+    # the residual once.
     roots, residuals = [0], [0]
 
     def counted_root(x, t):

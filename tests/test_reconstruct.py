@@ -250,7 +250,8 @@ def test_numpy_scalar_in_the_product_raises_complex_warning():
         assert reconstruct._velocity(L, phi, w) == [1.0, 0.0]
     # Uncast, the numpy complex reaches gsin, which keeps its step.
     uncast = _numpy_scalar_loop(cast=lambda v: v)
-    assert reconstruct._velocity(uncast, phi, w) == _dirderiv_velocity(uncast, phi, w) == [1.0, 0.3]
+    assert (reconstruct._velocity(uncast, phi, w) == _dirderiv_velocity(uncast, phi, w)
+            == [1.0, 0.3])
 
 
 def _two_pass_parametric_form(L, a, b):

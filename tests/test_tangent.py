@@ -269,10 +269,8 @@ def test_jacobi_residual_of_nan_product_is_not_finite():
 # Jet nodes one Jacobi point builds: one jet pass of the product, whose
 # arithmetic runs on coefficient arrays.  Work per matrix entry or on
 # structural zeros would show up here as a larger count.  ``dual_nodes``
-# is what the nested-dual route this pass replaced built with the
-# real-coordinate closed forms and sparse seeding; the
-# complexified-quaternion product with dense seeding built 228,368 on
-# qhr:K=1 and 3,676 on qc.
+# is the count of the nested-dual route this pass replaced, which the
+# jet pass must stay far below.
 JACOBI_JET_NODES = {"qhr:K=1": 88, "qc": 25}
 
 
