@@ -273,11 +273,13 @@ _UNSTEP = 2.0 ** 600
 
 
 def _stepped(x, v):
-    """The complex coordinates x + i h v: a Python complex for a number,
-    a complex array for a float batch."""
+    """The complex coordinates x + i h v: a Python complex for a number
+    (Python floats tested first), a complex array for a float batch."""
     out = []
     for xi, vi in zip(x, v):
-        if xi.__class__ is np.ndarray and xi.dtype.kind in "biuf":
+        if xi.__class__ is float and vi.__class__ is float:
+            out.append(complex(xi, _STEP * vi))
+        elif xi.__class__ is np.ndarray and xi.dtype.kind in "biuf":
             z = xi.astype(complex)
             z.imag = _STEP * vi
             out.append(z)
@@ -336,14 +338,17 @@ def complex_step(f, x, v):
 
     ``x`` may hold numbers or float batch arrays (see the module
     docstring), and ``v`` jets of an enclosing pass; a complex coordinate,
-    scalar or array, raises TypeError,
-    as complex(x, h v) would add the two steps.  A numpy scalar in ``f``
-    makes a numpy complex, which the elementaries take as a complex step
-    but ``float`` and ``math`` functions take silently as its real part
-    (numpy warns with ``ComplexWarning``), losing the derivative; a caller
-    that runs foreign closed forms turns that warning into an error.
+    scalar or array, raises TypeError, as complex(x, h v) would add the
+    two steps.  A numpy scalar in ``f`` makes a numpy complex, which the
+    elementaries take as a complex step but ``float`` and ``math``
+    functions take silently as its real part (numpy warns with
+    ``ComplexWarning``), losing the derivative; a caller that runs foreign
+    closed forms turns that warning into an error.  Python floats in and
+    Python complex numbers out, the common case, take a direct path:
+    complex(x, h v) in, imag / h out.
     """
-    return [_derivative(y) for y in f(_stepped(x, v))]
+    return [y.imag * _UNSTEP if y.__class__ is complex else _derivative(y)
+            for y in f(_stepped(x, v))]
 
 
 def dirderiv(f, x, v):

@@ -2,31 +2,34 @@
 
 The product a.b is reproduced by integrating a generalized Lie equation
 along a path from the identity to b: the velocity of phi(t) = a.b(t) is
-the frame at phi applied to the associator-corrected canonical form of
-db/dt.  That factor does not depend on phi, so before the first RK4 step
-one directional pass (``dual.dirderiv``) of a composite of the closed
-forms, a complex step on numpy complex arrays with a batch axis, gives it
-at every stage parameter t.  Each stage's velocity is then one complex
-step of the product at phi (``dual.complex_step``): the identity stepped
-along that factor by i h w, the derivative read off the imaginary parts,
-in the built-in complex arithmetic.  No frame matrix is built.  A
-closed form that casts a numpy complex number to a float (``float``,
-``math`` functions, ``np.float64``) would drop those imaginary parts
-with a ``ComplexWarning``, so the RK4 loop turns that warning into an
-error.
+the frame at phi applied to lambda(b; a) db/dt, with the matrix
+lambda(b; a) = l_(a,b)* omega(b).  Left division is defined by
+b.(b \\ c) = c, so l_(a,b)(b \\ c) = (a.b) \\ (a.c) and
+
+    lambda(b; a) = d/dc [(a.b) \\ (a.c)] at c = b.
+
+That factor does not depend on phi, so before the first RK4 step one
+directional pass (``dual.dirderiv``) of s -> (a.b) \\ (a.path(t + s)), a
+complex step on numpy complex arrays with a batch axis, gives it at every
+stage parameter t.  Each stage's velocity is then one complex step of the
+product at phi (``dual.complex_step``): the identity stepped along that
+factor by i h w, the derivative read off the imaginary parts, in the
+built-in complex arithmetic.  No frame matrix is built.  A closed form
+that casts a numpy complex number to a float (``float``, ``math``
+functions, ``np.float64``) would drop those imaginary parts with a
+``ComplexWarning``, so the RK4 loop turns that warning into an error.
 
 Chart checks.  ``reconstruct_product`` checks a and the batch of path
 nodes b = path(t) against the chart once, before the first step.  Every
-other point is an intermediate of the reconstruction and is not checked:
-the quotients b \\ path(t + s) of the factor pass and the RK4 stage
-points phi.  Both passes compose the descriptor's raw closed forms, and
-the stages run on lists of Python floats and complex numbers.
+other point is an intermediate and is not checked: a.b and a.path(t + s)
+of the factor pass and the RK4 stage points phi.  Both passes compose the
+descriptor's raw closed forms, the stages on Python floats and complex
+numbers.
 
 A generalized Maurer-Cartan identity is what makes the result path
-independent.  Its residual takes the parametric form lambda(b; a) and
-its first derivatives in b from one first-order jet pass
-(``dual.taylor_frame``) of the left associator, whose inner product is
-also the frame, and numpy algebra.
+independent.  Its residual takes lambda and its first derivatives in b
+from one first-order jet pass (``dual.taylor_frame``) of the same
+composite, (x, c) -> (a.x) \\ (a.(x + c)) at x = b, c = 0.
 """
 
 import warnings
@@ -39,22 +42,23 @@ from .report import MIN_STEPS, VerificationReport
 
 
 def _canonical_factors(L, a, path, ts):
-    """The phi-free factor l_(a,b)* . omega(b) db/dt of the velocity at
-    each parameter of the (steps, 3) array ``ts`` of RK4 stage parameters,
-    as one triple of lists of floats per step.
+    """The phi-free factor lambda(b; a) db/dt of the velocity at each
+    parameter of the (steps, 3) array ``ts`` of RK4 stage parameters, as
+    one triple of lists of floats per step.
 
-    One pass of s -> l_(a,b)(b \\ path(t + s)) with b = path(t), batched
-    over t: the derivative of c -> b \\ c at c = b is (L_b)_*^-1 =
-    omega(b), so the chain rule gives each factor, db/dt included, in its
-    column of that single pass.  ``a`` and the batch of nodes b are
-    checked against the chart once, here; the pass then composes the raw
-    closed forms, so the intermediate b \\ path(t + s) is not checked.
+    By b.(b \\ c) = c, lambda(b; a) = l_(a,b)* omega(b) is the derivative
+    of c -> (a.b) \\ (a.c) at c = b, so one pass of
+    s -> (a.b) \\ (a.path(t + s)) with b = path(t), batched over t, gives
+    each factor, db/dt included, in its column.  ``a`` and the batch of
+    nodes b are checked against the chart once, here, and a.b is one float
+    batch product; the pass then composes the raw closed forms, so the
+    intermediate a.path(t + s) is not checked.
     """
     flat = ts.ravel()
     with quiet():  # a non-finite element stays silent, as on floats
         a, b = core._chart_points(L, a, [primal(v) for v in path(flat)])
-        w = dirderiv(lambda s: core._left_associator(
-            L, a, b, L.left_div(b, path(s[0]))), [flat], [1.0])
+        ab = L.product(a, b)
+        w = dirderiv(lambda s: L.left_div(ab, L.product(a, path(s[0]))), [flat], [1.0])
     return w.T.reshape(*ts.shape, L.dim).tolist()
 
 
@@ -130,31 +134,22 @@ def _parametric_form(L, a, b):
     and dlam[p] = d lambda / d b^p, for float points ``a`` and ``b``
     that the caller has checked against the chart.
 
-    One jet pass of (x, c) -> (l_(a,x) c, x.c) at x = b, c = e: the left
-    associator (a.x) \\ (a.(x.c)) computes the product x.c on the way, so
-    the same pass gives l* and the frame R with their derivatives in b,
-    as the first and last dim rows.  Then lambda = l* R^-1 and
-    d_p lambda = (d_p l* - lambda d_p R) R^-1.
+    By b.(b \\ c) = c, lambda(b; a) is d/dc [(a.b) \\ (a.c)] at c = b, so
+    one first-order jet pass of (x, c) -> (a.x) \\ (a.(x + c)) at x = b,
+    c = 0 gives lambda as its frame and dlam as the frame's derivatives.
     """
-    def associator_and_product(x, c):
-        xc = L.product(x, c)
-        return L.left_div(L.product(a, x), L.product(a, xc)) + xc
-
-    rows, drows = taylor_frame(associator_and_product, b, L.identity, order=1)
-    n = L.dim
-    lstar, r, dlstar, dr = rows[:n], rows[n:], drows[:, :n], drows[:, n:]
-    rinv = np.linalg.inv(r)
-    lam = lstar @ rinv
-    return lam, (dlstar - lam @ dr) @ rinv
+    return taylor_frame(lambda x, c: L.left_div(
+        L.product(a, x), L.product(a, [xi + ci for xi, ci in zip(x, c)])),
+        b, [0.0] * L.dim, order=1)
 
 
 def maurer_cartan_residual(L, b, a):
     """Max-norm residual of the generalized Maurer-Cartan identity.
 
     d_p lambda^i_j - d_j lambda^i_p + C^i_mn(a.b) lambda^m_p lambda^n_j,
-    with lambda and its derivatives in the b-parameters from
-    :func:`_parametric_form` and the structure functions evaluated at the
-    translated point.
+    with lambda = d/dc [(a.b) \\ (a.c)] at c = b (by b.(b \\ c) = c) and
+    its derivatives in b from :func:`_parametric_form`, and C from the
+    structure functions at a.b, an independent route.
     """
     b = [float(v) for v in b]
     a = [float(v) for v in a]

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import os
 import random
@@ -11,8 +12,8 @@ from hypothesis import given, strategies as st
 
 import loopbundle
 from loopbundle import core, reconstruct, zoo
-from loopbundle.dual import (_STEP, Jet, complex_step, dirderiv, gcos, gfloor, ginv, gsin,
-                             gsolve, jacobian, jet_space, near_zero, pack, primal, quiet)
+from loopbundle.dual import (_STEP, Jet, _stepped, complex_step, dirderiv, gcos, gfloor, ginv,
+                             gsin, gsolve, jacobian, jet_space, near_zero, pack, primal, quiet)
 from leveled_dual import (RefDual, _assert_parts_close, _carrier_maker,
                           next_level, ref_dirderiv, ref_gsolve, ref_jacobian)
 
@@ -116,6 +117,22 @@ def test_complex_coordinates_raise(x):
                  lambda: jacobian(f, [x])):
         with pytest.raises(TypeError, match="does not nest"):
             call()
+
+
+def test_stepped_float_branch_is_the_generic_rule():
+    # Python floats take _stepped's first branch, which must give
+    # complex(x, h v) bit for bit, signs of zero, infinities and NaN included.
+    specials = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]
+    for x, v in itertools.product(specials, repeat=2):
+        _assert_same(_stepped([x], [v])[0], complex(x, H * v))
+    # A numpy float64, a float subclass, takes the generic branch to the
+    # same value.
+    for x, v in ((np.float64(-0.0), 1.0), (0.5, np.float64(-0.0)),
+                 (np.float64(math.inf), np.float64(math.nan)), (np.float64(2.0), -0.0)):
+        _assert_same(_stepped([x], [v])[0], complex(float(x), H * float(v)))
+    for x in (2.0 + 0j, np.complex128(2.0), complex(-0.0, 0.0)):
+        with pytest.raises(TypeError, match="does not nest"):
+            _stepped([x], [1.0])
 
 
 def test_jacobian_plain():
@@ -596,7 +613,7 @@ def _ladder_inputs():
             arr, math.inf, -math.inf, math.nan, complex(0.3, 1.5 * H),
             np.complex128(complex(0.3, 1.5 * H)),
             arr + 1j * H * np.array([1.0, -2.0, 0.5, 1.0, 3.0]),
-            pytest.param(jet + 1j * H * djet, id="jet + i h djet"), jet,
+            pytest.param(jet + 1j * H * djet, id="jet + i h djet"), pytest.param(jet, id="jet"),
             RefDual(0.3, 0.7, next_level()), RefDual(complex(-0.8, 0.1 * H), 0.2, next_level())]
 
 

@@ -66,16 +66,11 @@ def test_maurer_cartan_identity(name):
         assert reconstruct.maurer_cartan_residual(L, list(b), list(a)) < 1e-8
 
 
-# One jet pass of the left associator (3 products and 1 left division),
-# whose inner product x.c is also the frame, a.b itself and one pass for
-# the structure functions at a.b: the same count in every dimension, and
-# no first-order pass.  The nested-dual route evaluated the closed forms
-# per dual column.
-@pytest.mark.parametrize("name", ["rz", "qc", "qhr:K=1"])
-def test_maurer_cartan_call_counts(monkeypatch, name):
+def _counted_loop(name):
+    """The loop ``name`` whose product and divisions count their calls in
+    the returned Counter."""
     base = make_loop(name)
     calls = Counter()
-    steps = [0]
 
     def counted(field):
         fn = getattr(base, field)
@@ -85,19 +80,39 @@ def test_maurer_cartan_call_counts(monkeypatch, name):
             return fn(x, y)
         return wrapper
 
+    return dataclasses.replace(base, product=counted("product"), left_div=counted("left_div"),
+                               right_div=counted("right_div")), calls
+
+
+# One jet pass of (x, c) -> (a.x) \\ (a.(x + c)) (2 products and 1 left
+# division), a.b itself and one pass for the structure functions at a.b:
+# the same count in every dimension, and no first-order pass.
+@pytest.mark.parametrize("name", ["rz", "qc", "qhr:K=1"])
+def test_maurer_cartan_call_counts(monkeypatch, name):
+    L, calls = _counted_loop(name)
+    steps = [0]
+
     def counting_step(*args):
         steps[0] += 1
         return complex_step(*args)
 
-    L = dataclasses.replace(base, product=counted("product"),
-                            left_div=counted("left_div"),
-                            right_div=counted("right_div"))
     rng = np.random.default_rng(9)
     a, b = 0.3 * L.sample(rng), 0.3 * L.sample(rng)
     monkeypatch.setattr(dual, "complex_step", counting_step)
     assert reconstruct.maurer_cartan_residual(L, list(b), list(a)) < 1e-12
-    assert calls == {"product": 5, "left_div": 1}
+    assert calls == {"product": 4, "left_div": 1}
     assert steps[0] == 0
+
+
+@pytest.mark.parametrize("name,steps", [("rz", 16), ("qc", 16), ("qhr:K=1", 20)])
+def test_reconstruction_call_counts(name, steps):
+    # a.b, then one batched pass of (a.b) \\ (a.path(t + s)): 2 products
+    # and 1 left division besides the one product of each RK4 stage.
+    L, calls = _counted_loop(name)
+    rng = np.random.default_rng(9)
+    a, b = list(0.3 * L.sample(rng)), list(0.3 * L.sample(rng))
+    reconstruct.reconstruct_product(L, a, b, steps)
+    assert calls == {"product": 4 * steps + 2, "left_div": 1}
 
 
 @pytest.mark.parametrize("name", ["qc", "qh2", "qhr:K=1"])
@@ -123,10 +138,21 @@ def test_companion_transformation_is_translation_conjugate():
 
 def _node_factor(L, a, path, t):
     """The phi-free factor at one parameter t: one pass of
-    s -> l_(a,b)(b \\ path(t + s)), a and b = path(t) checked first, on a
-    one-element batch: a numpy complex quotient multiplies by the
-    divisor's reciprocal, so a batch column matches a one-element batch
-    bit for bit, and a pass on Python complex numbers only to rounding."""
+    s -> (a.b) \\ (a.path(t + s)), a and b = path(t) checked first and
+    a.b on Python floats, on a one-element batch: a numpy complex quotient
+    multiplies by the divisor's reciprocal, so a batch column matches a
+    one-element batch bit for bit, and a pass on Python complex numbers
+    only to rounding."""
+    a, b = core._chart_points(L, a, [float(v) for v in path(t)])
+    ab = L.product(a, b)
+    return dirderiv(lambda ts: L.left_div(ab, L.product(a, path(ts[0]))),
+                    [np.array([t])], [1.0])[:, 0]
+
+
+def _associator_factor(L, a, path, t):
+    """The factor of :func:`_node_factor` the long way, with no use of
+    b.(b \\ c) = c: one pass of s -> l_(a,b)(b \\ path(t + s)), the left
+    associator after the canonical form."""
     a, b = core._chart_points(L, a, [float(v) for v in path(t)])
     return dirderiv(lambda ts: core._left_associator(L, a, b, L.left_div(b, path(ts[0]))),
                     [np.array([t])], [1.0])[:, 0]
@@ -255,8 +281,25 @@ def test_numpy_scalar_in_the_product_raises_complex_warning():
 
 
 def _two_pass_parametric_form(L, a, b):
-    """lambda and its derivatives from two jet passes: the left associator,
-    then the product for the frame (``tangent._frame_derivatives``)."""
+    """lambda and its derivatives from two jet passes.  lambda is the
+    frame of (x, c) -> (a.x) \\ (a.c) at x = c = b, the formula
+    d/dc [(a.b) \\ (a.c)] at c = b as written; that pass holds c at b as x
+    moves, so its derivative rows are not d lambda.  Those come from the
+    frame derivatives of (x, c) -> (a.x) \\ (a.(x + c)) at x = b, c = 0."""
+    def composite(x, c):
+        return L.left_div(L.product(a, x), L.product(a, [p + q for p, q in zip(x, c)]))
+
+    lam, _ = taylor_frame(lambda x, c: L.left_div(L.product(a, x), L.product(a, c)),
+                          b, b, order=1)
+    _, dlam = taylor_frame(composite, b, [0.0] * L.dim, order=1)
+    return lam, dlam
+
+
+def _associator_parametric_form(L, a, b):
+    """lambda and its derivatives with no use of b.(b \\ c) = c: a jet
+    pass of the left associator for l*, one of the product for the frame
+    R (``tangent._frame_derivatives``), then lambda = l* R^-1 and
+    d_p lambda = (d_p l* - lambda d_p R) R^-1."""
     lstar, dlstar = taylor_frame(
         lambda x, c: core._left_associator(L, a, x, c), b, L.identity, order=1)
     r, dr = tangent._frame_derivatives(L, b, "left", order=1)
@@ -267,7 +310,8 @@ def _two_pass_parametric_form(L, a, b):
 
 @pytest.mark.parametrize("name", SEVEN_LOOPS)
 def test_parametric_form_one_pass_equals_two_passes_bit_for_bit(name):
-    # The associator pass's inner product x.c is the frame pass's product.
+    # The offset x + c moves the point only in the alpha monomials, so the
+    # one pass's frame is the literal formula's; no solve, no row split.
     L = make_loop(name)
     rng = np.random.default_rng(37)
     with quiet():
@@ -277,6 +321,22 @@ def test_parametric_form_one_pass_equals_two_passes_bit_for_bit(name):
             want_lam, want_dlam = _two_pass_parametric_form(L, a, b)
             assert lam.shape == (L.dim, L.dim) and dlam.shape == (L.dim,) * 3
             assert np.array_equal(lam, want_lam) and np.array_equal(dlam, want_dlam)
+
+
+@pytest.mark.parametrize("name", SEVEN_LOOPS)
+def test_parametric_form_matches_the_associator_route(name):
+    # The two routes round differently: lambda to 1e-15 absolute, and dlam
+    # to 2e-15 relative to its largest entry (up to 12 on rz).
+    L = make_loop(name)
+    rng = np.random.default_rng(37)
+    with quiet():
+        for _ in range(10):
+            a, b = (list(0.3 * L.sample(rng)) for _ in range(2))
+            lam, dlam = reconstruct._parametric_form(L, a, b)
+            want_lam, want_dlam = _associator_parametric_form(L, a, b)
+            assert np.max(np.abs(lam - want_lam)) <= 1e-15
+            scale = max(1.0, np.max(np.abs(want_dlam)))
+            assert np.max(np.abs(dlam - want_dlam)) <= 2e-15 * scale
 
 
 def test_reconstruction_checks_its_inputs_once(monkeypatch):
@@ -338,6 +398,9 @@ def test_batched_factors_equal_per_node_passes(name, steps):
         for n, triple in enumerate(stages.tolist()):
             for j, t in enumerate(triple):
                 assert np.array_equal(got[n][j], _node_factor(L, a, path, t)), (n, j)
+                # The associator route rounds differently, to 1e-15.
+                gap = np.max(np.abs(np.subtract(got[n][j], _associator_factor(L, a, path, t))))
+                assert gap <= 1e-15, (n, j)
 
 
 @pytest.mark.parametrize("name,control,error", [
