@@ -17,7 +17,6 @@ import numpy as np
 from . import core
 from .dual import pack
 from .errors import DomainSingularity, NotInOverlap, ProjectionSingular, UnknownKind
-from .report import worst_residual
 from .zoo import LoopSpec, make_loop
 
 POLE_EPS = 1e-9
@@ -86,11 +85,9 @@ def change_chart(atlas, p, to_chart):
 
 
 def cocycle_residual(atlas, alpha, beta, gamma, x, q_test):
-    """Deviation from the (rebracketed) cocycle condition at base ``x``.
-
-    Both the plain form q_ba.q = q_bg.(q_ga.q) and the form with the
-    left associator pulled out are checked; the larger residual wins.
-    """
+    """Deviation from the cocycle condition q_ba.q = q_bg.(q_ga.q) at base
+    ``x``, NaN if either side is.  This is its one form: the rebracketed
+    (q_bg.q_ga).l_(q_bg,q_ga)(q) is q_bg.(q_ga.q) by b.(b \\ c) = c."""
     L = atlas.fiber_loop
     p_alpha = TotalPoint(chart=alpha, base=np.asarray(x, dtype=float),
                          fiber=np.asarray(q_test, dtype=float))
@@ -99,11 +96,7 @@ def cocycle_residual(atlas, alpha, beta, gamma, x, q_test):
     p_gamma = change_chart(atlas, p_alpha, gamma)
     q_bg = transition_value(atlas, beta, p_gamma)
     q_ba, q_ga, q_bg, q = core._chart_points(L, q_ba, q_ga, q_bg, q_test)
-    lhs = L.product(q_ba, q)
-    rhs = L.product(q_bg, L.product(q_ga, q))
-    res = core.distance(L, lhs, rhs)
-    rhs2 = L.product(L.product(q_bg, q_ga), core._left_associator(L, q_bg, q_ga, q))
-    return worst_residual(res, core.distance(L, lhs, rhs2))
+    return core.distance(L, L.product(q_ba, q), L.product(q_bg, L.product(q_ga, q)))
 
 
 def transition_right_law_residual(atlas, alpha, beta, x, q_alpha, a):

@@ -20,15 +20,16 @@ Bianchi takes the connection form's second derivatives, every other check
 only first ones.  A first derivative applied to one vector (the
 connection form on a tangent pair, the horizontal and fundamental fields)
 is one directional pass (``dual.dirderiv``, a complex step) of the same
-kind of map.  A transformed potential (``gauge_transform``) is a
-complex-step Jacobian on floats or jets, so a jet pass encloses it like any
-potential, and every check runs on a transformed form.  Every pass composes
-the raw closed forms on Python floats and carriers (numpy values are read
-with ``tolist`` at its edge, as a numpy scalar would turn a complex step
-into a numpy complex), and a fixed fiber point y is checked once, before
-it (see :mod:`core`), as is a gauge transformation's transition q_ab(x),
-before its division.  So residuals measure the identities, not
-discretization error.
+kind of map.  Every gauge map is one left division, as omega is: A' =
+Ad^-1 A + l_* theta (``gauge_transform``) is, by b.(b \\ q) = q, the
+Jacobian in v of (q_ba.q_ab) \\ ((q_ba.(e + A v)).q_ab(x + v)), a complex
+step on floats or jets, so a jet pass encloses it like any potential, and
+every check runs on a transformed form.  Every pass composes the raw closed
+forms on Python floats and carriers (numpy values are read with ``tolist``
+at its edge, as a numpy scalar would turn a complex step into a numpy
+complex), and a fixed fiber point y is checked once, before it (see
+:mod:`core`), as is a gauge transformation's transition q_ab(x), before its
+division.  So residuals measure the identities, not discretization error.
 """
 
 from dataclasses import dataclass
@@ -280,20 +281,23 @@ def gauge_transform(form, q_map):
 
     ``q_map`` is q_{alpha beta}(x) (the transition carrying the section
     of the *target* chart); its right inverse q_{beta alpha}(x) is the
-    right division e / q_{alpha beta}.  The new potential at x is the
-    complex-step Jacobian in v at v = 0 of Ad^-1_(q_ab)(q_ba)(e + A(x) v) +
-    l_(q_ba, q_ab)(q_ab \\ q_ab(x + v)), (q_ab, q_ba) and A taken at x once:
-    Ad^-1 A plus l_* of the pullback of the canonical form along q_ab, as
-    the v-Jacobian of q_ab \\ q_ab(x + v) is (L_(q_ab))_*^-1 dq_ab.  x may
+    right division e / q_{alpha beta}.  A' = Ad^-1_(q_ab)(q_ba) A +
+    l_(q_ba, q_ab)* theta, theta = (q_ab \\ .)_* dq_ab the pullback of the
+    canonical form, is the complex-step Jacobian at v = 0 of one left
+    division, m \\ ((q_ba.(e + A(x) v)).q_ab(x + v)) with m = q_ba.q_ab:
+    at (e, q_ab), m \\ ((q_ba.c).q) has c-partial Ad^-1_(q_ab)(q_ba)_* and
+    q-partial l_(q_ba, q_ab)* (q_ab \\ .)_*, as l_(a,b)(b \\ q) = (a.b) \\ (a.q)
+    by b.(b \\ q) = q.  (q_ab, q_ba), m and A are taken at x once.  x may
     hold floats or Taylor jets, constants to that complex step, so every
     jet check runs on a transformed form; ``q_map`` must accept complex
     steps over them, and the primals of A' on jets are A' on floats bit
-    for bit.  A Python complex coordinate raises TypeError, as ``float``
-    does on it: the pass would add its own step to it and give a wrong
-    derivative (see :mod:`dual`).  A quotient in ``q_map`` or the
-    closed forms whose divisor has a real part below about 2**-573 times its
-    derivative part is outside the complex step's range: A' comes out
-    wrong there, silently.
+    for bit (within the last bit on ``rz``, whose division rounds
+    otherwise on complex jets).  A Python complex coordinate raises
+    TypeError, as ``float`` does on it: the pass would add its own step to
+    it and give a wrong derivative (see :mod:`dual`).  A quotient in
+    ``q_map`` or the closed forms whose divisor has a real part below
+    about 2**-573 times its derivative part is outside the complex step's
+    range: A' comes out wrong there, silently.
     """
     L = form.fiber
     pair = _transition(L, q_map)
@@ -303,13 +307,13 @@ def gauge_transform(form, q_map):
     def a_new(xs):
         xs = [v if v.__class__ is Jet else float(v) for v in xs]
         qab, qba = pair(xs)
+        m = L.product(qba, qab)
         a = form.potential.A(xs).tolist()
 
         def f(vs):
             c = [ei + gdot(row, vs) for ei, row in zip(e, a)]
-            theta = L.left_div(qab, list(q_map([p + q for p, q in zip(xs, vs)])))
-            return [p + q for p, q in zip(core._ad_inverse(L, qab, qba, c),
-                                          core._left_associator(L, qba, qab, theta))]
+            q = list(q_map([p + w for p, w in zip(xs, vs)]))
+            return L.left_div(m, L.product(L.product(qba, c), q))
 
         return jacobian(f, [0.0] * db)
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -66,7 +67,15 @@ def test_s3_action_matches_fiber_translation_in_chart():
 @pytest.mark.parametrize("name", ["s3-over-s1", "qs2-over-s2:n=1",
                                   "qs2-over-s2:n=3"])
 def test_cocycle_condition(name):
+    # The condition holds (<= 5e-16 measured), and its one form sees
+    # q_{minus plus} scaled by 1 + 1e-6 at every point (3.1e-7 to 1.0e-6).
     atlas = bundle.make_atlas(name)
+
+    def transition(beta, alpha, base, fiber):
+        q = np.asarray(atlas.transition(beta, alpha, base, fiber), dtype=float)
+        return q * (1.0 + 1e-6) if (beta, alpha) == ("minus", "plus") else q
+
+    wrong = dataclasses.replace(atlas, transition=transition)
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = atlas.overlap_sampler(rng)
@@ -74,6 +83,7 @@ def test_cocycle_condition(name):
         # two charts: the only nontrivial triple reuses one of them
         res = bundle.cocycle_residual(atlas, "minus", "minus", "plus", x, q)
         assert res < 1e-10
+        assert bundle.cocycle_residual(wrong, "minus", "minus", "plus", x, q) >= 1e-7
 
 
 @pytest.mark.parametrize("name", ["s3-over-s1", "qs2-over-s2:n=2"])

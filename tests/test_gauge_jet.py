@@ -22,6 +22,7 @@ from loopbundle.zoo import make_loop
 
 import gauge_reference as ref
 from leveled_dual import ref_dirderiv, ref_frame, ref_jacobian
+from test_reconstruct import _counted_loop
 
 
 # -- the nested-dual reference ------------------------------------------------
@@ -397,6 +398,22 @@ def test_transformed_potential_rejects_a_dual_coordinate():
     assert np.array_equal(_floats(on_jets), moved.potential.A([0.1, 0.2]).ravel())
 
 
+@pytest.mark.parametrize("name", ["qc", "qhr:K=1"])
+def test_transformed_potential_call_counts(name):
+    # The pair's right division e / q_ab and m = q_ba.q_ab once per call,
+    # then one complex step per column of m \\ ((q_ba.(e + A v)).q_ab(x + v)):
+    # 2 products and 1 left division each.
+    L, calls = _counted_loop(name)
+    base = make_loop(name)
+    x = [0.1, -0.2]
+    moved = [gauge.gauge_transform(gauge.make_test_potential(M, 2, seed=66),
+                                   gauge.make_test_transition(M, 2, seed=66))
+             for M in (L, base)]
+    got = moved[0].potential.A(x)
+    assert calls == {"right_div": 1, "product": 5, "left_div": 2}
+    assert np.array_equal(got, moved[1].potential.A(x))
+
+
 def _two_call_transition(L, q_map):
     """The pair (q_ab, e / q_ab) with q_map evaluated once for q_ab and
     again inside the division."""
@@ -406,10 +423,10 @@ def _two_call_transition(L, q_map):
 
 def test_transition_evaluates_q_map_once_per_pair(monkeypatch):
     # Each pair takes q_ab once.  The transformed potential evaluates its
-    # pair once per call and the theta term once per Jacobian column: 3
-    # calls on floats, and as many on jets inside the residual, whose Ad^-1
-    # differential adds 1.  The results are those of evaluating q_map twice
-    # per pair.
+    # pair once per call and its composite's q_ab(x + v) once per Jacobian
+    # column: 3 calls on floats, and as many on jets inside the residual,
+    # whose Ad^-1 differential adds 1.  The results are those of evaluating
+    # q_map twice per pair.
     L = make_loop("qc")
     form = gauge.make_test_potential(L, 2, seed=61, kind="trig")
     q_map, _ = _test_transition(L, 61)

@@ -801,4 +801,4 @@ def test_nested_complex_steps_build_one_reciprocal_per_denominator(monkeypatch):
     monkeypatch.setattr(JetDivisor, "__init__", counted)
     reciprocals, _ = _jet_work(
         monkeypatch, lambda: gauge.curvature_gauge_residual(form, q_map, [0.1, -0.2]))
-    assert reciprocals == divisors[0] == 21
+    assert reciprocals == divisors[0] == 10
