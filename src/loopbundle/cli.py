@@ -197,13 +197,14 @@ def suite_gauge(config):
     qc_form = form if L.name in ("qc", "qsu2") else gauge.make_test_potential(
         make_loop("qc"), 2, config.seed + 1)
     qmap = _phase_transition([0.2, 0.7, -0.4])
-    for _ in range(5):
+    n5, n3 = min(config.samples, 5), min(config.samples, 3)
+    for _ in range(n5):
         x = rng.uniform(-0.8, 0.8, 2)
         report.add("gauge_two_route", gauge.curvature_gauge_residual(qc_form, qmap, list(x)),
-                   config.tol("gauge_two_route"), 5)
+                   config.tol("gauge_two_route"), n5)
 
     tol_se = config.tol("structure_eq")
-    for _ in range(5):
+    for _ in range(n5):
         x = rng.uniform(-0.4, 0.4, 2)
         y = list(0.4 * L.sample(rng))
         z = list(x) + y
@@ -212,24 +213,24 @@ def suite_gauge(config):
         f1 = gauge.fundamental_field(form, rng.standard_normal(L.dim))(z)
         f2 = gauge.fundamental_field(form, rng.standard_normal(L.dim))(z)
         report.add("structure_eq_horizontal", gauge.structure_equation_residual(
-            form, x, y, h1[:2], h1[2:], h2[:2], h2[2:]), tol_se, 5)
+            form, x, y, h1[:2], h1[2:], h2[:2], h2[2:]), tol_se, n5)
         report.add("structure_eq_vertical", gauge.structure_equation_residual(
-            form, x, y, f1[:2], f1[2:], f2[:2], f2[2:]), tol_se, 5)
+            form, x, y, f1[:2], f1[2:], f2[:2], f2[2:]), tol_se, n5)
         h1e = gauge.hor_field(form, rng.standard_normal(2))(list(x) + e)
         report.add("structure_eq_mixed", gauge.structure_equation_residual(
             form, x, e, h1e[:2], h1e[2:], [0.0, 0.0],
-            list(rng.standard_normal(L.dim))), tol_se, 5)
+            list(rng.standard_normal(L.dim))), tol_se, n5)
 
     form3 = gauge.make_test_potential(L, 3, config.seed + 2)
-    for _ in range(3):
+    for _ in range(n3):
         x = rng.uniform(-0.4, 0.4, 3)
         report.add("bianchi", gauge.bianchi_residual(
             form3, x, e, rng.standard_normal(3), rng.standard_normal(3),
-            rng.standard_normal(3)), config.tol("bianchi"), 3)
+            rng.standard_normal(3)), config.tol("bianchi"), n3)
 
     La = make_loop("qhr:K=0")
     forma = gauge.make_test_potential(La, 2, config.seed + 3)
-    for _ in range(5):
+    for _ in range(n5):
         x = rng.uniform(-0.5, 0.5, 2)
         y = list(La.sample(rng))
         fcur = gauge.curvature(forma, list(x), y)
@@ -238,7 +239,7 @@ def suite_gauge(config):
             list(x)).reshape(La.dim, 2, 2)
         curl = da[:, 1, 0] - da[:, 0, 1]  # d_0 A_1 - d_1 A_0
         report.add("abelian_maxwell", np.max(np.abs(fcur[:, 1, 0] + curl)),
-                   config.tol("maxwell"), 5)
+                   config.tol("maxwell"), n5)
 
     f1 = gauge.make_test_potential(L, 1, config.seed + 4, kind="trig")
     f2 = gauge.make_test_potential(L, 1, config.seed + 5, kind="trig")
@@ -246,11 +247,11 @@ def suite_gauge(config):
     w2 = lambda xs: 0.5 * (1.0 - gsin(xs[0]))
     glued = gauge.glue_connections(
         [f1, f2], [w1, w2], [[t] for t in np.linspace(-3, 3, 7)])
-    for _ in range(5):
+    for _ in range(n5):
         x = rng.uniform(-3, 3, 1)
         y = list(0.4 * L.sample(rng))
         report.add("glue_vertical_reproduction", gauge.vertical_reproduction_residual(
-            glued, list(x), y, rng.standard_normal(L.dim)), config.tol("glue"), 5)
+            glued, list(x), y, rng.standard_normal(L.dim)), config.tol("glue"), n5)
     return report
 
 

@@ -20,10 +20,11 @@ The two engines share the elementaries (``primal``, ``gsin``, ``gcos``,
   2003), in the built-in complex arithmetic, which runs in C.  It is
   one directional pass (``dirderiv``) where a derivative is applied to
   one vector (pushforwards, the canonical form and its batched
-  Lie-equation factors, the connection form and the gauge fields, the
-  Lie-equation velocity), and one step per column (``jacobian``) where
-  the full matrix is needed (frames, Ad and associator differentials, a
-  gauge-transformed potential).
+  Lie-equation factors, the connection form and the gauge fields), one
+  step per column (``jacobian``) where the full matrix is needed
+  (frames, Ad and associator differentials, a gauge-transformed
+  potential), and one bare evaluation per Lie-equation velocity on
+  identities stepped in one batch.
 
 Both are exact in exact arithmetic: no finite-difference truncation
 error anywhere.
@@ -47,9 +48,10 @@ on floats.
 Dispatch.  ``primal``, ``gsin``, ``gcos``, ``gfloor`` and ``near_zero``
 test the exact class of their argument, in the order float, ``Jet``,
 ndarray with an axis (a batch), complex (numpy's complex by
-``isinstance``).  Only ints, real numpy scalars, 0-d arrays and a
-caller's carrier reach the generic rule after it, so no exception is
-raised on a hot path.
+``isinstance``); ``near_zero`` tests a Python complex, a stage
+velocity's or a gauge field's, right after float.  Only ints, real numpy
+scalars, 0-d arrays and a caller's carrier reach the generic rule after
+it, so no exception is raised on a hot path.
 
 Batches.  A coordinate of a pass may be a float array with a batch
 axis; its step is a complex array, and the elementaries accept such
@@ -69,15 +71,16 @@ as the jet of their imaginary parts over h, and one Taylor pass
 differentiates a first-order pass (nested forward mode); a
 gauge-transformed potential is such a pass.  A complex jet's products
 and quotients take their constant terms from Python's complex arithmetic
-on the operands' constant terms, so the primals of such a pass are
-those of the same complex step on numbers bit for bit.  A complex step
-inside a complex step is not supported: a complex coordinate raises
-TypeError, and a complex number that a function captures from another
-pass goes undetected, its step added to the inner one.  A caller that nests brings
-a leveled carrier (the tests' references do), whose passes enclose the
-library's raw closed forms.  It exposes its primal and derivative parts
-as ``re`` and ``du`` and its sine and cosine as ``_trig``, which the
-elementaries and ``carry`` read.
+on the operands' constant terms, so the primals of such a pass are those
+of the same complex step on numbers bit for bit (on ``rz`` they can
+differ in the last bit).  A complex step inside a complex step is not
+supported: a complex coordinate raises TypeError, and a complex number
+that a function captures from another pass goes undetected, its step
+added to the inner one.  A caller that nests brings a leveled carrier
+(the tests' references do), whose passes enclose the library's raw
+closed forms.  It exposes its primal and derivative parts as ``re`` and
+``du`` and its sine and cosine as ``_trig``, which the elementaries and
+``carry`` read.
 
 Solves.  One rule, ``carry``, takes derivatives through a solve: the float
 solve gives the primal and simplified Newton steps the derivative parts.
@@ -158,9 +161,11 @@ def near_zero(x, bound):
     c = x.__class__
     if c is float:
         return abs(x) < bound
+    if c is complex:
+        return abs(x.real) < bound
     if c is np.ndarray:
         return (abs(x.real) < bound).any()
-    return abs(primal(x)) < bound  # a jet, a complex step, a number or a carrier
+    return abs(primal(x)) < bound  # a jet, a numpy complex, a number or a carrier
 
 
 def primal(x):
@@ -292,12 +297,11 @@ def _stepped(x, v):
     return out
 
 
-def _derivative(y):
-    """The derivative part of an output of a complex step: imag / h, per
-    coefficient for a jet."""
-    if y.__class__ is Jet:
-        return Jet(y.c.imag * _UNSTEP, y.space)
-    return y.imag * _UNSTEP
+def _derivatives(ys):
+    """The derivative parts of the outputs of a complex step, as a list:
+    imag / h, per coefficient for a jet."""
+    return [Jet(y.c.imag * _UNSTEP, y.space) if y.__class__ is Jet else y.imag * _UNSTEP
+            for y in ys]
 
 
 def complex_step(f, x, v):
@@ -343,12 +347,12 @@ def complex_step(f, x, v):
     elementaries take as a complex step but ``float`` and ``math``
     functions take silently as its real part (numpy warns with
     ``ComplexWarning``), losing the derivative; a caller that runs foreign
-    closed forms turns that warning into an error.  Python floats in and
-    Python complex numbers out, the common case, take a direct path:
-    complex(x, h v) in, imag / h out.
+    closed forms turns that warning into an error.  ``_stepped`` makes the
+    complex coordinates and ``_derivatives`` reads the outputs; the
+    Lie-equation stages (``reconstruct``) step once, in a batch, and read
+    each stage's product with ``_derivatives``.
     """
-    return [y.imag * _UNSTEP if y.__class__ is complex else _derivative(y)
-            for y in f(_stepped(x, v))]
+    return _derivatives(f(_stepped(x, v)))
 
 
 def dirderiv(f, x, v):

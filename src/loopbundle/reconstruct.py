@@ -8,16 +8,16 @@ b.(b \\ c) = c, so l_(a,b)(b \\ c) = (a.b) \\ (a.c) and
 
     lambda(b; a) = d/dc [(a.b) \\ (a.c)] at c = b.
 
-That factor does not depend on phi, so before the first RK4 step one
+That factor w does not depend on phi, so before the first RK4 step one
 directional pass (``dual.dirderiv``) of s -> (a.b) \\ (a.path(t + s)), a
 complex step on numpy complex arrays with a batch axis, gives it at every
-stage parameter t.  Each stage's velocity is then one complex step of the
-product at phi (``dual.complex_step``): the identity stepped along that
-factor by i h w, the derivative read off the imaginary parts, in the
-built-in complex arithmetic.  No frame matrix is built.  A closed form
-that casts a numpy complex number to a float (``float``, ``math``
-functions, ``np.float64``) would drop those imaginary parts with a
-``ComplexWarning``, so the RK4 loop turns that warning into an error.
+stage parameter t, and one batch step (``dual._stepped``) the stepped
+identities e + i h w.  Each stage's velocity is then one bare product
+phi.(e + i h w) of Python complex numbers, its derivative read off the
+imaginary parts (``dual._derivatives``).  No frame matrix is built.  A
+closed form that casts a numpy complex number to a float (``float``,
+``math`` functions, ``np.float64``) would drop those imaginary parts with
+a ``ComplexWarning``, so the RK4 loop turns that warning into an error.
 
 Chart checks.  ``reconstruct_product`` checks a and the batch of path
 nodes b = path(t) against the chart once, before the first step.  Every
@@ -37,14 +37,15 @@ import warnings
 import numpy as np
 
 from . import core, tangent
-from .dual import complex_step, dirderiv, pack, primal, quiet, taylor_frame
+from .dual import _derivatives, _stepped, dirderiv, pack, primal, quiet, taylor_frame
 from .report import MIN_STEPS, VerificationReport
 
 
 def _canonical_factors(L, a, path, ts):
-    """The phi-free factor lambda(b; a) db/dt of the velocity at each
-    parameter of the (steps, 3) array ``ts`` of RK4 stage parameters, as
-    one triple of lists of floats per step.
+    """The identity stepped along the phi-free factor w = lambda(b; a) db/dt
+    of the velocity, e + i h w, at each parameter of the (steps, 3) array
+    ``ts`` of RK4 stage parameters, as one triple of lists of Python
+    complex numbers per step: ``dual._stepped``'s batch rule, applied once.
 
     By b.(b \\ c) = c, lambda(b; a) = l_(a,b)* omega(b) is the derivative
     of c -> (a.b) \\ (a.c) at c = b, so one pass of
@@ -59,22 +60,23 @@ def _canonical_factors(L, a, path, ts):
         a, b = core._chart_points(L, a, [primal(v) for v in path(flat)])
         ab = L.product(a, b)
         w = dirderiv(lambda s: L.left_div(ab, L.product(a, path(s[0]))), [flat], [1.0])
-    return w.T.reshape(*ts.shape, L.dim).tolist()
+    stepped, = _stepped([np.broadcast_to(L.identity[:, None], w.shape)], [w])
+    return stepped.T.reshape(*ts.shape, L.dim).tolist()
 
 
-def _velocity(L, phi, w):
-    """Right side of the generalized Lie equation for the phi-free
-    factor w: d/ds phi.(e + s w), the frame at phi applied to w, as a
+def _velocity(L, phi, s):
+    """Right side of the generalized Lie equation for the stepped identity
+    s = e + i h w: d/dt phi.(e + t w), the frame at phi applied to w, as a
     list of floats.
 
-    One complex step (``dual.complex_step``) of the raw closed-form
-    product of phi (Python floats) and the identity stepped along w: the
-    ``dirderiv`` pass of c -> phi.c without packing its result.  Every
-    catalog denominator has real part exactly 1 there, so the quotients
-    round as dual ones do.  The stage point phi is an intermediate of
-    the reconstruction and is not checked against the chart.
+    One bare raw closed-form product of phi (Python floats) and s, read
+    as imag / h: the complex step of c -> phi.c along w, the ``dirderiv``
+    pass without stepping or packing.  Every catalog denominator has real
+    part exactly 1 there, so the quotients round as dual ones do.  The
+    stage point phi is an intermediate of the reconstruction and is not
+    checked against the chart.
     """
-    return complex_step(lambda c: L.product(phi, c), L.identity.tolist(), w)
+    return _derivatives(L.product(phi, s))
 
 
 def reconstruct_product(L, a, b, steps, path=None):
@@ -107,11 +109,11 @@ def reconstruct_product(L, a, b, steps, path=None):
     # scalar in the closed form raises instead of losing the velocity.
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        for w1, w2, w4 in canonical:
-            k1 = _velocity(L, phi, w1)
-            k2 = _velocity(L, [p + half * k for p, k in zip(phi, k1)], w2)
-            k3 = _velocity(L, [p + half * k for p, k in zip(phi, k2)], w2)
-            k4 = _velocity(L, [p + h * k for p, k in zip(phi, k3)], w4)
+        for s1, s2, s4 in canonical:
+            k1 = _velocity(L, phi, s1)
+            k2 = _velocity(L, [p + half * k for p, k in zip(phi, k1)], s2)
+            k3 = _velocity(L, [p + half * k for p, k in zip(phi, k2)], s2)
+            k4 = _velocity(L, [p + h * k for p, k in zip(phi, k3)], s4)
             phi = [p + sixth * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
                    for p, c1, c2, c3, c4 in zip(phi, k1, k2, k3, k4)]
     return np.array(phi)

@@ -325,5 +325,18 @@ def test_gauge_check_command(capsys):
     assert "bianchi" in out
 
 
+GAUGE_CASES = QC_ALL_CASES[QC_ALL_CASES.index("commutator"):]
+
+
+def test_gauge_check_honours_samples(capsys):
+    # Every case takes min(--samples, its cap): 2 below each cap, and the
+    # caps (100, 5 and 3 for Bianchi) at the default.
+    for samples, counts in (("2", [2] * 9), ("100", [100, 100] + [5] * 4 + [3, 5, 5])):
+        assert run(["gauge-check", "--loop", "qc", "--samples", samples]) == 0
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert [line.split()[1].rstrip(":") for line in lines] == GAUGE_CASES
+        assert [line.rsplit("samples=", 1)[1] for line in lines] == [str(c) for c in counts]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run([]) == 2

@@ -135,6 +135,22 @@ def test_stepped_float_branch_is_the_generic_rule():
             _stepped([x], [1.0])
 
 
+def test_near_zero_complex_branch_is_the_generic_rule():
+    # A Python complex takes near_zero's complex branch, which must give
+    # the generic abs(primal(x)) < bound, value and type, for signed zeros,
+    # subnormal, infinite and NaN real parts; numpy's complex takes the
+    # generic rule to the same value.
+    reals = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1e-12, -3.0,
+             math.inf, -math.inf, math.nan]
+    for re, im, bound in itertools.product(reals, [0.0, -0.0, 7.0 * H, math.nan],
+                                           [1e-320, 1e-14, 0.0, math.inf]):
+        x = complex(re, im)
+        want = abs(primal(x)) < bound
+        assert want.__class__ is bool
+        assert near_zero(x, bound) is want, (x, bound)
+        assert near_zero(np.complex128(x), bound) == want, (x, bound)
+
+
 def test_jacobian_plain():
     j = jacobian(lambda v: [v[0] * v[1], v[0] + gsin(v[1])], [2.0, 0.5])
     expect = np.array([[0.5, 2.0], [1.0, math.cos(0.5)]])
@@ -654,7 +670,8 @@ def test_hot_paths_raise_no_exception_inside_the_library():
     rz = zoo.make_loop("rz")
     xs, ts = np.linspace(0.001, 0.03, 5), np.linspace(0.002, 0.02, 5)
     # a complex-step stage velocity of the Lie-equation reconstruction
-    assert _library_exceptions(lambda: reconstruct._velocity(rz, [0.02], [0.7])) == []
+    assert _library_exceptions(
+        lambda: reconstruct._velocity(rz, [0.02], _stepped([0.0], [0.7]))) == []
     # batched complex-step rz divisions, stepped in the divisor and in the target
     with quiet():
         assert _library_exceptions(lambda: rz.left_div([xs + 1j * H], [ts])) == []

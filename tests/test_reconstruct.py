@@ -115,6 +115,47 @@ def test_reconstruction_call_counts(name, steps):
     assert calls == {"product": 4 * steps + 2, "left_div": 1}
 
 
+def _bits(zs):
+    """The bit patterns of a list of complex numbers, signed zeros included."""
+    return np.array(zs, dtype=complex).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("name,steps", [("rz", 16), ("qc", 16), ("qhr:K=1", 20)])
+def test_stage_identities_are_stepped_once(monkeypatch, name, steps):
+    # The factor pass steps its parameter, then one batch step makes every
+    # stage's identity e + i h w: 2 steps per reconstruction, where one
+    # complex step per stage velocity makes 4 steps + 1.  Each stage takes
+    # _stepped(e, w) of its own factor w, bit for bit.
+    L = make_loop(name)
+    rng = np.random.default_rng(9)
+    a, b = list(0.3 * L.sample(rng)), list(0.3 * L.sample(rng))
+    step, velocity = dual._stepped, reconstruct._velocity
+    calls, stages = [0], []
+
+    def counting_step(x, v):
+        calls[0] += 1
+        return step(x, v)
+
+    def spy(L, phi, s):
+        stages.append(s)
+        return velocity(L, phi, s)
+
+    monkeypatch.setattr(dual, "_stepped", counting_step)
+    monkeypatch.setattr(reconstruct, "_stepped", counting_step, raising=False)
+    monkeypatch.setattr(reconstruct, "_velocity", spy)
+    reconstruct.reconstruct_product(L, a, b, steps)
+    assert calls[0] == 2
+    assert len(stages) == 4 * steps
+    h, e = 1.0 / steps, L.identity.tolist()
+    straight = lambda t: [t * v for v in b]
+    for n in range(steps):
+        ts = (n * h, n * h + 0.5 * h, n * h + 0.5 * h, n * h + h)
+        for k, (s, t) in enumerate(zip(stages[4 * n:4 * n + 4], ts)):
+            assert all(z.__class__ is complex for z in s)
+            w = _node_factor(L, a, straight, t).tolist()
+            assert _bits(s) == _bits(step(e, w)), (n, k)
+
+
 @pytest.mark.parametrize("name", ["qc", "qh2", "qhr:K=1"])
 def test_companion_transformation_axioms(name):
     L = make_loop(name)
@@ -220,6 +261,11 @@ def _dirderiv_velocity(L, phi, w):
     return ref_dirderiv(lambda c: L.product(phi, c), L.identity.tolist(), w).tolist()
 
 
+def _stage(L, w):
+    """The stepped identity e + i h w that a stage velocity takes."""
+    return dual._stepped(L.identity.tolist(), w)
+
+
 @pytest.mark.parametrize("name", SEVEN_LOOPS)
 def test_velocity_equals_the_dirderiv_pass_bit_for_bit(name):
     L = make_loop(name)
@@ -227,20 +273,22 @@ def test_velocity_equals_the_dirderiv_pass_bit_for_bit(name):
     for _ in range(20):
         phi = (0.5 * L.sample(rng)).tolist()
         w = rng.standard_normal(L.dim).tolist()
-        got = reconstruct._velocity(L, phi, w)
+        got = reconstruct._velocity(L, phi, _stage(L, w))
         assert got.__class__ is list and all(v.__class__ is float for v in got)
         assert got == _dirderiv_velocity(L, phi, w)
         # Far from unit size, the complex step stays the dual pass.
         for scale in (1e-100, 1e30):
             ws = [scale * v for v in w]
-            assert reconstruct._velocity(L, phi, ws) == _dirderiv_velocity(L, phi, ws), scale
+            assert (reconstruct._velocity(L, phi, _stage(L, ws))
+                    == _dirderiv_velocity(L, phi, ws)), scale
         # A NaN entry makes NaN the components it makes NaN in the pass.
         wn = [math.nan] + w[1:]
-        got, want = reconstruct._velocity(L, phi, wn), _dirderiv_velocity(L, phi, wn)
+        got = reconstruct._velocity(L, phi, _stage(L, wn))
+        want = _dirderiv_velocity(L, phi, wn)
         assert np.isnan(want).any() and np.array_equal(got, want, equal_nan=True)
     # A zero direction gives zero, as the unseeded pass does.
     w = [0.0] * L.dim
-    assert reconstruct._velocity(L, phi, w) == _dirderiv_velocity(L, phi, w)
+    assert reconstruct._velocity(L, phi, _stage(L, w)) == _dirderiv_velocity(L, phi, w)
 
 
 def _numpy_scalar_loop(cast=np.float64):
@@ -273,10 +321,11 @@ def test_numpy_scalar_in_the_product_raises_complex_warning():
     phi, w = [0.3, 0.2], [1.0, 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-        assert reconstruct._velocity(L, phi, w) == [1.0, 0.0]
+        assert reconstruct._velocity(L, phi, _stage(L, w)) == [1.0, 0.0]
     # Uncast, the numpy complex reaches gsin, which keeps its step.
     uncast = _numpy_scalar_loop(cast=lambda v: v)
-    assert (reconstruct._velocity(uncast, phi, w) == _dirderiv_velocity(uncast, phi, w)
+    assert (reconstruct._velocity(uncast, phi, _stage(uncast, w))
+            == _dirderiv_velocity(uncast, phi, w)
             == [1.0, 0.3])
 
 
@@ -385,7 +434,8 @@ def test_reconstruction_matches_matrix_route(name):
     (name, steps) for name in catalog_names() + ["qhr:K=0"] for steps in (16, 20, 48)])
 def test_batched_factors_equal_per_node_passes(name, steps):
     # The factor at stage j of step n is the pass at that parameter alone,
-    # on a one-element batch, bit for bit.
+    # on a one-element batch, bit for bit; it comes out stepped, as the
+    # identity's imaginary parts.
     L = make_loop(name)
     rng = np.random.default_rng(23)
     a, b, control = (list(0.5 * L.sample(rng)) for _ in range(3))
@@ -397,9 +447,11 @@ def test_batched_factors_equal_per_node_passes(name, steps):
         assert np.shape(got) == (steps, 3, L.dim)
         for n, triple in enumerate(stages.tolist()):
             for j, t in enumerate(triple):
-                assert np.array_equal(got[n][j], _node_factor(L, a, path, t)), (n, j)
+                factor = dual._derivatives(got[n][j])
+                assert [z.real for z in got[n][j]] == L.identity.tolist()
+                assert np.array_equal(factor, _node_factor(L, a, path, t)), (n, j)
                 # The associator route rounds differently, to 1e-15.
-                gap = np.max(np.abs(np.subtract(got[n][j], _associator_factor(L, a, path, t))))
+                gap = np.max(np.abs(np.subtract(factor, _associator_factor(L, a, path, t))))
                 assert gap <= 1e-15, (n, j)
 
 
